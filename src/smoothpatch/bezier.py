@@ -5,11 +5,14 @@ indexed ``net[i, j]`` with ``i`` running along the u direction and ``j``
 along v.  Every operation here is pure: inputs are never mutated, results
 are fresh arrays.  Derivatives are computed from difference nets, which is
 exact for polynomial patches; finite differences are reserved for test
-oracles.
+oracles.  Along one side, derivatives up to order k need only the k + 1
+control rows nearest that side; ``_edge_jet`` evaluates them from those
+rows, for the continuity checks and the CLI's corner search.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +83,22 @@ def bernstein_basis(n: int, t) -> np.ndarray:
     return out[0] if scalar else out
 
 
+@functools.lru_cache(maxsize=128)
+def _cached_basis(n: int, t_bytes: bytes) -> np.ndarray:
+    out = bernstein_basis(n, np.frombuffer(t_bytes))
+    out.flags.writeable = False
+    return out
+
+
+def _basis_matrix(n: int, t: np.ndarray) -> np.ndarray:
+    """Read-only ``bernstein_basis(n, t)`` for a 1-D sample array, cached.
+
+    The cache is keyed by the degree and the exact bytes of the samples, so
+    the solvers' fixed sample sets build each matrix once per process.
+    """
+    return _cached_basis(n, np.ascontiguousarray(t, dtype=float).tobytes())
+
+
 @dataclass(frozen=True, eq=False)
 class BernsteinPoly:
     """Scalar polynomial in Bernstein form on [0, 1]."""
@@ -99,7 +118,9 @@ class BernsteinPoly:
         object.__setattr__(self, "coeffs", c)
 
     def __call__(self, t):
-        return bernstein_basis(self.degree, t) @ self.coeffs
+        t = np.asarray(t, dtype=float)
+        basis = _basis_matrix(self.degree, t) if t.ndim == 1 else bernstein_basis(self.degree, t)
+        return basis @ self.coeffs
 
     def derivative(self) -> "BernsteinPoly":
         if self.degree == 0:
@@ -226,6 +247,46 @@ def patch_derivative(p: BezierPatch, u: float, v: float, du: int, dv: int) -> np
 def normal_vector(p: BezierPatch, u: float, v: float) -> np.ndarray:
     """Unnormalized surface normal r_u x r_v at (u, v)."""
     return np.cross(patch_derivative(p, u, v, 1, 0), patch_derivative(p, u, v, 0, 1))
+
+
+def _difference(net: np.ndarray, degree: int, axis: int):
+    """Hodograph control points, along ``axis``, of a degree-``degree`` Bezier form."""
+    if degree == 0:
+        return np.zeros_like(net), 0
+    hi = net[1:] if axis == 0 else net[:, 1:]
+    lo = net[:-1] if axis == 0 else net[:, :-1]
+    return degree * (hi - lo), degree - 1
+
+
+def _edge_jet(p: BezierPatch, side: str, s: np.ndarray, order: int) -> dict:
+    """Point and partial derivatives of a patch along one side, up to ``order``.
+
+    ``s`` holds samples of the patch's own parameter along the side.  Key
+    ``(k, l)`` maps to the derivative taken k times across the side (in u on
+    the u sides, in v on the v sides) and l times along it, k + l <= order,
+    as an array of shape ``(len(s), 3)``.  Only the ``order + 1`` control
+    rows nearest the side are read.  Their differences, in u first as in
+    ``derivative_net``, give the control row of each derivative on the side,
+    which is summed against the Bernstein basis along the side.
+    """
+    across_u, far = side[0] == "u", side[1] == "1"
+    keep = slice(-(order + 1), None) if far else slice(0, order + 1)
+    edge = -1 if far else 0
+    net = p.net[keep] if across_u else p.net[:, keep]
+    jet = {}
+    d_u, n = net, p.degree_u
+    for i in range(order + 1):
+        if i:
+            d_u, n = _difference(d_u, n, 0)
+        d_uv, m = d_u, p.degree_v
+        for j in range(order + 1 - i):
+            if j:
+                d_uv, m = _difference(d_uv, m, 1)
+            if across_u:
+                jet[i, j] = np.einsum("sk,kc->sc", _basis_matrix(m, s), d_uv[edge])
+            else:
+                jet[j, i] = np.einsum("sk,kc->sc", _basis_matrix(n, s), d_uv[:, edge])
+    return jet
 
 
 def elevation_matrix(n: int, target: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .bezier import BezierPatch, eval_grid, flip_u, flip_v, transpose_patch, bounding_diagonal
+from .bezier import BezierPatch, _edge_jet, flip_u, flip_v, transpose_patch, bounding_diagonal
 from .continuity import (
     G0_TOL,
     CornerConfig,
@@ -55,15 +55,12 @@ def _reorient(patch: BezierPatch, op) -> BezierPatch:
     return p
 
 
-def _edge_samples(patch: BezierPatch, side: str, n: int = 9) -> np.ndarray:
-    t = np.linspace(0.0, 1.0, n)
-    if side == "u0":
-        return eval_grid(patch, [0.0], t)[0]
-    if side == "u1":
-        return eval_grid(patch, [1.0], t)[0]
-    if side == "v0":
-        return eval_grid(patch, t, [0.0])[:, 0]
-    return eval_grid(patch, t, [1.0])[:, 0]
+# samples of a patch's own edge parameter at which sides are matched
+_SIDE_SAMPLES = np.linspace(0.0, 1.0, 9)
+
+
+def _side_curve(patch: BezierPatch, side: str) -> np.ndarray:
+    return _edge_jet(patch, side, _SIDE_SAMPLES, 0)[0, 0]
 
 
 def _find_orientation(patch, requirements, tol):
@@ -71,7 +68,7 @@ def _find_orientation(patch, requirements, tol):
     for op in _REORIENT_OPS:
         cand = _reorient(patch, op)
         if all(
-            float(np.max(np.linalg.norm(_edge_samples(cand, side) - target, axis=1))) < tol
+            float(np.max(np.linalg.norm(_side_curve(cand, side) - target, axis=1))) < tol
             for side, target in requirements
         ):
             return cand
@@ -137,15 +134,15 @@ def _orient_corner(doc, vertex, n1, n2, n3, n4, tol):
     for op in _REORIENT_OPS:
         cand = _reorient(doc.patches[n1], op)
         if np.linalg.norm(cand.corner(1, 1) - vertex) < tol:
-            curve12 = _edge_samples(cand, "u1")
-            curve14 = _edge_samples(cand, "v1")
+            curve12 = _side_curve(cand, "u1")
+            curve14 = _side_curve(cand, "v1")
             p2 = _find_orientation(doc.patches[n2], [("u0", curve12)], tol)
             p4 = _find_orientation(doc.patches[n4], [("v0", curve14)], tol)
             if p2 is None or p4 is None:
                 continue
             p3 = _find_orientation(
                 doc.patches[n3],
-                [("v0", _edge_samples(p2, "v1")), ("u0", _edge_samples(p4, "u1"))],
+                [("v0", _side_curve(p2, "v1")), ("u0", _side_curve(p4, "u1"))],
                 tol,
             )
             if p3 is None:

@@ -603,7 +603,7 @@ def default_interior(net, degree: int) -> np.ndarray:
         "(4,3)",
     )
     q[3, 3] = 0.5 * (q[2, 3] + q[4, 3] + q[3, 2] + q[3, 4]) - 0.25 * (
-        q[2, 2] + q[4, 2] + q[2, 4] + q[4, 2]
+        q[2, 2] + q[4, 2] + q[2, 4] + q[4, 4]
     )
     return q
 

@@ -11,6 +11,14 @@ algebraic compatibility conditions; those are evaluated here as residuals.
 Conventions: shared edges must be parametrically matched (the identity
 reparametrization); cross-boundary directions always point from patch a
 into patch b, so joins cut from one smooth surface get lambda > 0.
+
+Evaluation: a check builds one frame pair per edge and sample set, with
+each side evaluated once up to the derivative order its consumers need.
+At ``SOLVE_SAMPLES`` one pair serves the G0 test, the first-order link
+solve and, for G2, the second-order link and the curvature oracle; G1
+checks stop at first order.  At ``VERIFY_SAMPLES`` the normal oracle asks
+for first order only.  ``CornerConfig`` keeps the pairs of its four links
+for ``solve_g2``.
 """
 
 from __future__ import annotations
@@ -20,14 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezier import (
-    BernsteinPoly,
-    BezierPatch,
-    bernstein_basis,
-    bounding_diagonal,
-    derivative_net,
-    eval_grid,
-)
+from .bezier import BernsteinPoly, BezierPatch, _basis_matrix, _edge_jet, bounding_diagonal
 
 __all__ = [
     "G0_TOL",
@@ -113,27 +114,6 @@ class EdgeCorrespondence:
                 raise ValueError(f"unknown side {s!r}")
 
 
-def _side_points(side: str, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) sample arrays for edge parameter s on the given side."""
-    zero = np.zeros_like(s)
-    one = np.ones_like(s)
-    return {
-        "u0": (zero, s),
-        "u1": (one, s),
-        "v0": (s, zero),
-        "v1": (s, one),
-    }[side]
-
-
-def _eval_on_edge(dnet: BezierPatch, side: str, s: np.ndarray) -> np.ndarray:
-    us, vs = _side_points(side, s)
-    if side[0] == "u":
-        grid = eval_grid(dnet, [float(us[0])], vs)
-        return grid[0]
-    grid = eval_grid(dnet, us, [float(vs[0])])
-    return grid[:, 0]
-
-
 class _EdgeFrame:
     """Derivatives of a patch along one side, in shared edge coordinates.
 
@@ -141,53 +121,47 @@ class _EdgeFrame:
     b), ``t`` the shared edge parameter.  ``into`` is +1/-1 according to
     whether increasing the patch's own cross parameter moves in +w, and
     ``t_sign`` is -1 when the patch's own edge parameter runs against t.
+    ``order`` is the highest derivative order evaluated: 0 gives ``point``,
+    1 adds ``w`` and ``t``, 2 adds ``ww``, ``wt`` and ``tt``.
     """
 
-    def __init__(self, patch: BezierPatch, side: str, into: int, t: np.ndarray, t_sign: int):
+    def __init__(self, patch: BezierPatch, side: str, into: int, t: np.ndarray, t_sign: int,
+                 order: int):
         s = t if t_sign > 0 else 1.0 - t
-        cross = (1, 0) if side[0] == "u" else (0, 1)
-        along = (0, 1) if side[0] == "u" else (1, 0)
-
-        def d(iu, jv):
-            return _eval_on_edge(derivative_net(patch, iu, jv), side, s)
-
-        self.point = _eval_on_edge(patch, side, s)
-        self.w = into * d(*cross)
-        self.t = t_sign * d(*along)
-        self.ww = d(2 * cross[0], 2 * cross[1])
-        self.wt = into * t_sign * d(cross[0] + along[0], cross[1] + along[1])
-        self.tt = d(2 * along[0], 2 * along[1])
+        jet = _edge_jet(patch, side, s, order)
+        self.point = jet[0, 0]
+        if order >= 1:
+            self.w = into * jet[1, 0]
+            self.t = t_sign * jet[0, 1]
+        if order >= 2:
+            self.ww = jet[2, 0]
+            self.wt = into * t_sign * jet[1, 1]
+            self.tt = jet[0, 2]
 
 
-def _frames(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence, t: np.ndarray):
+def _frames(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence, t: np.ndarray,
+            order: int):
+    """The frame pair of one edge at the shared parameters t, up to ``order``."""
     into_a = +1 if corr.a_side in ("u1", "v1") else -1
     into_b = +1 if corr.b_side in ("u0", "v0") else -1
-    fa = _EdgeFrame(a, corr.a_side, into_a, t, +1)
-    fb = _EdgeFrame(b, corr.b_side, into_b, t, -1 if corr.reversed else +1)
+    fa = _EdgeFrame(a, corr.a_side, into_a, t, +1, order)
+    fb = _EdgeFrame(b, corr.b_side, into_b, t, -1 if corr.reversed else +1, order)
     return fa, fb
+
+
+def _max_gap(fa: _EdgeFrame, fb: _EdgeFrame, scale: float) -> float:
+    return float(np.max(np.linalg.norm(fa.point - fb.point, axis=1))) / scale
 
 
 def g0_gap(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence,
            n_samples: int = SOLVE_SAMPLES) -> float:
     """Largest distance between the identified boundary curves, scale-normalized."""
-    t = np.linspace(0.0, 1.0, n_samples)
-    fa, fb = _frames(a, b, corr, t)
-    scale = bounding_diagonal(a, b)
-    return float(np.max(np.linalg.norm(fa.point - fb.point, axis=1))) / scale
-
-
-def _require_g0(a, b, corr, n_samples, g0_tol):
-    gap = g0_gap(a, b, corr, n_samples)
-    if gap > g0_tol:
-        raise PreconditionError(
-            f"boundary curves of {corr.a}:{corr.a_side} and {corr.b}:{corr.b_side} "
-            f"do not coincide (normalized gap {gap:.3e} > {g0_tol:.1e})"
-        )
+    fa, fb = _frames(a, b, corr, np.linspace(0.0, 1.0, n_samples), 0)
+    return _max_gap(fa, fb, bounding_diagonal(a, b))
 
 
 def _fit_bernstein(t: np.ndarray, values: np.ndarray, degree: int) -> BernsteinPoly:
-    basis = bernstein_basis(degree, t)
-    coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(_basis_matrix(degree, t), values, rcond=None)
     return BernsteinPoly(degree, coeffs)
 
 
@@ -267,6 +241,7 @@ def solve_edge_link(
     g0_tol: float = G0_TOL,
     lambda_min: float = LAMBDA_MIN,
     rank_tol: float = RANK_TOL,
+    frames=None,
 ) -> EdgeLink:
     """Solve the first-order link cross_b = lambda*cross_a + kappa*tangent_a.
 
@@ -274,15 +249,23 @@ def solve_edge_link(
     projecting b's cross-boundary derivative onto a's tangent basis; the
     out-of-plane component is recorded as the per-sample residual.  The
     sampled lambda and kappa are then fit by Bernstein polynomials of the
-    requested degrees.
+    requested degrees.  ``frames`` is the edge's frame pair of order >= 1 at
+    those parameters when the caller already holds it, as the edge checks
+    and ``CornerConfig`` do so that one pair serves all their consumers; by
+    default it is built here.
     """
     deg_lam, deg_kap = fit_degrees
     if n_samples < max(deg_lam, deg_kap) + 1:
         raise ValueError("n_samples must exceed the largest fit degree")
-    _require_g0(a, b, corr, n_samples, g0_tol)
     t = np.linspace(0.0, 1.0, n_samples)
-    fa, fb = _frames(a, b, corr, t)
+    fa, fb = frames if frames is not None else _frames(a, b, corr, t, 1)
     scale = bounding_diagonal(a, b)
+    gap = _max_gap(fa, fb, scale)
+    if gap > g0_tol:
+        raise PreconditionError(
+            f"boundary curves of {corr.a}:{corr.a_side} and {corr.b}:{corr.b_side} "
+            f"do not coincide (normalized gap {gap:.3e} > {g0_tol:.1e})"
+        )
     lam, kap, oop = _solve_in_tangent_basis(
         fa.w, fa.t, fb.w, scale,
         rank_tol, f"edge link {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}",
@@ -341,11 +324,16 @@ def check_g1_edge(
     normals (as unoriented lines) stays below ``angle_tol`` at ``n_verify``
     shared samples.  The verdict is the conjunction.
     """
-    link = solve_edge_link(a, b, corr, n_samples, fit_degrees)
+    frames = _frames(a, b, corr, np.linspace(0.0, 1.0, n_samples), 1)
+    return _check_g1(a, b, corr, frames, tol, angle_tol, n_samples, n_verify, fit_degrees)
+
+
+def _check_g1(a, b, corr, frames, tol, angle_tol, n_samples, n_verify, fit_degrees):
+    """``check_g1_edge`` with the frame pair at the solve samples given."""
+    link = solve_edge_link(a, b, corr, n_samples, fit_degrees, frames=frames)
     link_ok = link.max_oop < tol
 
-    t = np.linspace(0.0, 1.0, n_verify)
-    fa, fb = _frames(a, b, corr, t)
+    fa, fb = _frames(a, b, corr, np.linspace(0.0, 1.0, n_verify), 1)
     na = np.cross(fa.w, fa.t)
     nb = np.cross(fb.w, fb.t)
     na /= np.linalg.norm(na, axis=1, keepdims=True)
@@ -372,18 +360,21 @@ def solve_g2_link(
     fit_degrees: tuple[int, int] = (10, 10),
     *,
     rank_tol: float = RANK_TOL,
+    frames=None,
 ) -> EdgeLink:
     """Solve the second-order link and return a copy of ``link`` with mu, nu.
 
     Forms R = b_ww - lambda^2 a_ww - 2 lambda kappa a_wt - kappa^2 a_tt per
     sample and resolves R = mu a_w + nu a_t in least squares.  A large
     out-of-plane component of R signals failure of curvature continuity; it
-    is recorded, not raised.
+    is recorded, not raised.  ``frames`` is the edge's frame pair of order 2
+    at the ``n_samples`` solve parameters when the caller already holds it;
+    by default it is built here.
     """
     t = np.asarray(link.ts, dtype=float)
     if len(t) != n_samples:
         t = np.linspace(0.0, 1.0, n_samples)
-    fa, fb = _frames(a, b, corr, t)
+    fa, fb = frames if frames is not None else _frames(a, b, corr, t, 2)
     lam = link.lam(t) if len(t) != len(link.lam_samples) else link.lam_samples
     kap = link.kap(t) if len(t) != len(link.kap_samples) else link.kap_samples
     rhs = (
@@ -448,12 +439,13 @@ def check_g2_edge(
     three pairwise independent tangent directions at the shared samples
     (three directions suffice to pin the full curvature behaviour).
     """
-    g1 = check_g1_edge(a, b, corr, g1_tol, n_samples=n_samples, fit_degrees=fit_degrees)
-    link = solve_g2_link(a, b, corr, g1.link, n_samples)
+    frames = _frames(a, b, corr, np.linspace(0.0, 1.0, n_samples), 2)
+    g1 = _check_g1(a, b, corr, frames, g1_tol, NORMAL_ANGLE_TOL, n_samples, VERIFY_SAMPLES,
+                   fit_degrees)
+    link = solve_g2_link(a, b, corr, g1.link, n_samples, frames=frames)
     link_ok = float(np.max(link.g2_oop)) < tol
 
-    t = np.asarray(link.ts, dtype=float)
-    fa, fb = _frames(a, b, corr, t)
+    fa, fb = frames
     n = np.cross(fa.w, fa.t)
     n /= np.linalg.norm(n, axis=1, keepdims=True)
     # normalize curvature units by the net diagonal so tol is scale-free
@@ -499,6 +491,8 @@ class CornerConfig:
     p4: BezierPatch
     links: dict = field(default_factory=dict)  # keys "12", "14", "23", "43"
     scale: float = 1.0
+    # order-2 frame pairs of the links at their solve samples, for solve_g2
+    frames: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_patches(
@@ -519,13 +513,16 @@ class CornerConfig:
                             ("p4", p4.corner(1, 0))):
             if np.linalg.norm(other - v) > g0_tol * scale:
                 raise PreconditionError(f"{name} does not meet the common vertex V")
-        links = {}
+        t = np.linspace(0.0, 1.0, n_samples)
+        links, frames = {}, {}
         for key, (an, a_side, bn, b_side, _) in _CORNER_EDGES.items():
             corr = EdgeCorrespondence(a_side, b_side, a=an, b=bn)
+            frames[key] = _frames(patches[an], patches[bn], corr, t, 2)
             links[key] = solve_edge_link(
-                patches[an], patches[bn], corr, n_samples, fit_degrees, g0_tol=g0_tol
+                patches[an], patches[bn], corr, n_samples, fit_degrees, g0_tol=g0_tol,
+                frames=frames[key],
             )
-        return cls(p1=p1, p2=p2, p3=p3, p4=p4, links=links, scale=scale)
+        return cls(p1=p1, p2=p2, p3=p3, p4=p4, links=links, scale=scale, frames=frames)
 
     def solve_g2(self, n_samples: int = SOLVE_SAMPLES,
                  fit_degrees: tuple[int, int] = (10, 10)) -> "CornerConfig":
@@ -534,11 +531,14 @@ class CornerConfig:
         links = {}
         for key, (an, a_side, bn, b_side, _) in _CORNER_EDGES.items():
             corr = EdgeCorrespondence(a_side, b_side, a=an, b=bn)
+            link = self.links[key]
+            frames = self.frames.get(key) if len(link.ts) == n_samples else None
             links[key] = solve_g2_link(
-                patches[an], patches[bn], corr, self.links[key], n_samples, fit_degrees
+                patches[an], patches[bn], corr, link, n_samples, fit_degrees, frames=frames
             )
         return CornerConfig(
-            p1=self.p1, p2=self.p2, p3=self.p3, p4=self.p4, links=links, scale=self.scale
+            p1=self.p1, p2=self.p2, p3=self.p3, p4=self.p4, links=links, scale=self.scale,
+            frames=self.frames,
         )
 
     def link_values_at_vertex(self) -> dict:

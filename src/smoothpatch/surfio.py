@@ -46,17 +46,29 @@ class SurfaceFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SurfaceDocument:
-    """Named patches plus the shared-edge records connecting them."""
+    """Named patches plus the shared-edge records connecting them.
+
+    Each edge joins two different sides, and no two edges join the same pair
+    of sides.
+    """
 
     patches: dict  # name -> BezierPatch, insertion-ordered
     edges: list = field(default_factory=list)  # EdgeCorrespondence with names
     version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        for corr in self.edges:
+        seen = {}
+        for k, corr in enumerate(self.edges):
             for name in (corr.a, corr.b):
                 if name not in self.patches:
                     raise SurfaceFormatError(f"edges: unknown patch name {name!r}")
+            ends = frozenset({(corr.a, corr.a_side), (corr.b, corr.b_side)})
+            if len(ends) == 1:
+                raise SurfaceFormatError(
+                    f"edges[{k}]: glues side {corr.a}:{corr.a_side} to itself")
+            if ends in seen:
+                raise SurfaceFormatError(f"edges[{k}]: duplicates edges[{seen[ends]}]")
+            seen[ends] = k
 
     def patch(self, name: str) -> BezierPatch:
         try:
@@ -154,8 +166,9 @@ def load_surface(path) -> SurfaceDocument:
         _expect(isinstance(name, str) and name, f"{where}.name", "must be a non-empty string")
         _expect(name not in patches, f"{where}.name", f"duplicate patch name {name!r}")
         du, dv = entry.get("degree_u"), entry.get("degree_v")
-        _expect(isinstance(du, int) and du >= 1, f"{where}.degree_u", "must be an integer >= 1")
-        _expect(isinstance(dv, int) and dv >= 1, f"{where}.degree_v", "must be an integer >= 1")
+        for key, deg in (("degree_u", du), ("degree_v", dv)):
+            _expect(isinstance(deg, int) and not isinstance(deg, bool) and deg >= 1,
+                    f"{where}.{key}", "must be an integer >= 1")
         net = entry.get("net")
         _expect(isinstance(net, list), f"{where}.net", "must be a list of [x, y, z]")
         expected = (du + 1) * (dv + 1)
@@ -173,11 +186,12 @@ def load_surface(path) -> SurfaceDocument:
                 f"patch {name!r} has non-finite coordinates")
         patches[name] = BezierPatch(du, dv, arr)
     edges = []
+    _expect(isinstance(raw.get("edges", []), list), "edges", "must be a list")
     for k, entry in enumerate(raw.get("edges", [])):
         where = f"edges[{k}]"
         _expect(isinstance(entry, dict), where, "must be an object")
         for key in ("a", "b"):
-            _expect(entry.get(key) in patches, f"{where}.{key}",
+            _expect(isinstance(entry.get(key), str) and entry[key] in patches, f"{where}.{key}",
                     f"unknown patch name {entry.get(key)!r}")
         for key in ("a_side", "b_side"):
             _expect(entry.get(key) in SIDES, f"{where}.{key}",

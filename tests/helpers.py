@@ -349,3 +349,81 @@ def rigid_motion(rng):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q, rng.normal(scale=2.0, size=3)
+
+
+# ---------------------------------------------------------------------------
+# mixed grid document (golden check reports)
+
+# (transpose, flip u, flip v), applied in that order; cell k gets entry k % 8
+_ORIENTATIONS = tuple((s, fu, fv) for s in (False, True) for fu in (False, True)
+                      for fv in (False, True))
+
+
+def _reoriented_side(side, op):
+    """Side of the reoriented patch that was ``side``, and whether it now runs backwards."""
+    swap, fu, fv = op
+    reversed_ = False
+    if swap:
+        side = {"u": "v", "v": "u"}[side[0]] + side[1]
+    for axis, flip in (("u", fu), ("v", fv)):
+        if flip:
+            if side[0] == axis:
+                side = axis + ("1" if side[1] == "0" else "0")
+            else:
+                reversed_ = not reversed_
+    return side, reversed_
+
+
+def _reorient_net(net, op):
+    swap, fu, fv = op
+    if swap:
+        net = np.swapaxes(net, 0, 1)
+    if fu:
+        net = net[::-1]
+    if fv:
+        net = net[:, ::-1]
+    return net.copy()
+
+
+def _elevate_net(net, du, dv):
+    from smoothpatch.bezier import elevation_matrix
+
+    eu = elevation_matrix(net.shape[0] - 1, du)
+    ev = elevation_matrix(net.shape[1] - 1, dv)
+    return np.einsum("ai,ijc,bj->abc", eu, net, ev)
+
+
+def mixed_grid_document(rng=None):
+    """3x3 split of one bi-cubic with every orientation, unequal degrees and a crease.
+
+    Cell (i, j) is named ``c{i}{j}``.  Cells are reoriented by all eight
+    (transpose, flip) combinations, so edge records use every side and many
+    are reversed; cell c11 is elevated to (4, 4) and c20 to (5, 3) before
+    reorientation.  One control point of c00 is moved off the surface at
+    distance 1 from its u1 side and 2 from its v1 side: G1 and G2 break across
+    c00 ~ c10, only G2 across c00 ~ c01.
+    Returns a ``SurfaceDocument``.
+    """
+    from smoothpatch.continuity import EdgeCorrespondence
+    from smoothpatch.surfio import SurfaceDocument
+
+    rng = np.random.default_rng(2010) if rng is None else rng
+    g = smooth_patch(rng, span=3.0, z_scale=0.4, xy_noise=0.05)
+    cells = split_grid(g, [0.3, 0.65], [0.35, 0.7])
+    nets = {(i, j): cells[i][j].net.copy() for i in range(3) for j in range(3)}
+    nets[0, 0][2, 1] += np.array([0.0, 0.0, 0.08])
+    nets[1, 1] = _elevate_net(nets[1, 1], 4, 4)
+    nets[2, 0] = _elevate_net(nets[2, 0], 5, 3)
+    ops = {ij: _ORIENTATIONS[(3 * ij[0] + ij[1]) % 8] for ij in nets}
+    patches = {f"c{i}{j}": BezierPatch.from_net(_reorient_net(nets[i, j], ops[i, j]))
+               for (i, j) in sorted(nets)}
+    edges = []
+    for (i, j) in sorted(nets):
+        for (a_side, b_side, nb) in (("u1", "u0", (i + 1, j)), ("v1", "v0", (i, j + 1))):
+            if nb not in nets:
+                continue
+            sa, ra = _reoriented_side(a_side, ops[i, j])
+            sb, rb = _reoriented_side(b_side, ops[nb])
+            edges.append(EdgeCorrespondence(sa, sb, reversed=ra != rb,
+                                            a=f"c{i}{j}", b=f"c{nb[0]}{nb[1]}"))
+    return SurfaceDocument(patches=patches, edges=edges)

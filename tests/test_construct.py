@@ -415,8 +415,21 @@ def test_default_interior_deg6_center_formula():
     fill = fill_hole_deg6(ring_from(patches))
     q = fill.net
     expected = 0.5 * (q[2, 3] + q[4, 3] + q[3, 2] + q[3, 4]) - 0.25 * (
-        q[2, 2] + q[4, 2] + q[2, 4] + q[4, 2])
+        q[2, 2] + q[4, 2] + q[2, 4] + q[4, 4])
     np.testing.assert_allclose(q[3, 3], expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+def test_default_interior_affine_precision(degree):
+    # an affine image of the parameter grid has every interior rule exact:
+    # with the interior unknown, default_interior must reproduce it
+    rng = np.random.default_rng(88)
+    ij = np.stack(np.meshgrid(np.arange(degree + 1), np.arange(degree + 1), indexing="ij"),
+                  axis=-1).astype(float)
+    affine = ij @ rng.normal(size=(2, 3)) + rng.normal(size=3)
+    net = affine.copy()
+    net[2:degree - 1, 2:degree - 1] = np.nan
+    np.testing.assert_allclose(default_interior(net, degree), affine, atol=1e-12)
 
 
 def test_fill_hole_affine_equivariance():

@@ -396,7 +396,7 @@ def test_normal_curvature_analytic_paraboloid():
     from smoothpatch.continuity import _frames, normal_curvature
 
     p = paraboloid_patch()
-    frame = _frames(p, p, EdgeCorrespondence("u0", "u0"), np.array([0.0]))[0]
+    frame = _frames(p, p, EdgeCorrespondence("u0", "u0"), np.array([0.0]), 2)[0]
     n = np.cross(frame.w, frame.t)
     n /= np.linalg.norm(n, axis=1, keepdims=True)
     for direction in (frame.w, frame.t, frame.w + frame.t):

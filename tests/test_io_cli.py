@@ -102,6 +102,61 @@ def test_edge_record_validation(tmp_path):
         load_surface(path)
 
 
+def _write_two_patch_doc(path, edges, degree_u=1):
+    net = "[[0,0,0],[0,1,0],[1,0,0],[1,1,0]]"
+    patches = [
+        f'{{"name": "p", "degree_u": {degree_u}, "degree_v": 1, "net": {net}}}',
+        f'{{"name": "q", "degree_u": 1, "degree_v": 1, "net": {net}}}',
+    ]
+    records = [f'{{"a": "{a}", "a_side": "{s}", "b": "{b}", "b_side": "{t}"}}'
+               for a, s, b, t in edges]
+    path.write_text(
+        f'{{"version": 1, "patches": [{", ".join(patches)}], "edges": [{", ".join(records)}]}}'
+    )
+
+
+def test_loader_rejects_boolean_degree(tmp_path):
+    path = tmp_path / "bool_degree.json"
+    _write_two_patch_doc(path, [], degree_u="true")
+    with pytest.raises(SurfaceFormatError, match=r"patches\[0\]\.degree_u"):
+        load_surface(path)
+
+
+def test_loader_rejects_side_glued_to_itself(tmp_path):
+    path = tmp_path / "self_edge.json"
+    _write_two_patch_doc(path, [("p", "u1", "q", "u0"), ("p", "u0", "p", "u0")])
+    with pytest.raises(SurfaceFormatError, match=r"edges\[1\].*p:u0 to itself"):
+        load_surface(path)
+    # two different sides of one patch may be glued (a closed strip)
+    _write_two_patch_doc(path, [("p", "u0", "p", "u1")])
+    assert len(load_surface(path).edges) == 1
+
+
+def test_loader_rejects_duplicate_edge(tmp_path):
+    path = tmp_path / "duplicate_edge.json"
+    _write_two_patch_doc(path, [("p", "u1", "q", "u0"), ("p", "v1", "q", "v0"),
+                                ("q", "u0", "p", "u1")])
+    with pytest.raises(SurfaceFormatError, match=r"edges\[2\]: duplicates edges\[0\]"):
+        load_surface(path)
+    # a document built in code, as the construction commands do, obeys the same rule
+    doc = split_pair_doc(np.random.default_rng(106))
+    with pytest.raises(SurfaceFormatError, match=r"edges\[1\]: duplicates edges\[0\]"):
+        SurfaceDocument(patches=doc.patches, edges=doc.edges * 2)
+
+
+def test_loader_rejects_malformed_edge_list(tmp_path):
+    path = tmp_path / "bad_edges.json"
+    _write_two_patch_doc(path, [])
+    text = path.read_text()
+    path.write_text(text.replace('"edges": []', '"edges": 5'))
+    with pytest.raises(SurfaceFormatError, match="edges: must be a list"):
+        load_surface(path)
+    path.write_text(text.replace('"edges": []', '"edges": [{"a": ["p"], "a_side": "u1", '
+                                                '"b": "q", "b_side": "u0"}]'))
+    with pytest.raises(SurfaceFormatError, match=r"edges\[0\]\.a: unknown patch name"):
+        load_surface(path)
+
+
 def test_ring_fixture_roundtrip_validates(tmp_path):
     rng = np.random.default_rng(101)
     doc = ring_doc(rng)
