@@ -19,11 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .bezier import BezierPatch, _edge_jet, flip_u, flip_v, transpose_patch, bounding_diagonal
+from .bezier import SIDES, BezierPatch, flip_u, flip_v, transpose_patch
 from .continuity import (
-    G0_TOL,
     CornerConfig,
     EdgeCorrespondence,
     GeometryError,
@@ -40,121 +37,81 @@ __all__ = ["main"]
 
 # --- corner detection -------------------------------------------------------
 
-_REORIENT_OPS = tuple(
-    (swap, fu, fv) for swap in (False, True) for fu in (False, True) for fv in (False, True)
-)
+# the corners at edge parameter 0 and 1 of each side, as (iu, jv)
+_SIDE_ENDS = {"u0": ((0, 0), (0, 1)), "u1": ((1, 0), (1, 1)),
+              "v0": ((0, 0), (1, 0)), "v1": ((0, 1), (1, 1))}
+# roles r1..r4 of CornerConfig's canonical arrangement: the corner at the
+# vertex, and the role of the u-neighbour (the patch across that u-side)
+_ROLE_CORNERS = ((1, 1), (0, 1), (0, 0), (1, 0))
+_U_NEIGHBOURS = (1, 0, 3, 2)
 
 
-def _reorient(patch: BezierPatch, op) -> BezierPatch:
-    swap, fu, fv = op
-    p = transpose_patch(patch) if swap else patch
-    if fu:
-        p = flip_u(p)
-    if fv:
-        p = flip_v(p)
-    return p
-
-
-# samples of a patch's own edge parameter at which sides are matched
-_SIDE_SAMPLES = np.linspace(0.0, 1.0, 9)
-
-
-def _side_curve(patch: BezierPatch, side: str) -> np.ndarray:
-    return _edge_jet(patch, side, _SIDE_SAMPLES, 0)[0, 0]
-
-
-def _find_orientation(patch, requirements, tol):
-    """First reorientation op satisfying all (side, target_curve) requirements."""
-    for op in _REORIENT_OPS:
-        cand = _reorient(patch, op)
-        if all(
-            float(np.max(np.linalg.norm(_side_curve(cand, side) - target, axis=1))) < tol
-            for side, target in requirements
-        ):
-            return cand
-    return None
-
-
-def _corner_clusters(doc: SurfaceDocument, tol: float):
-    """Groups of (patch name, corner point) meeting at a common location."""
-    items = []
-    for name, p in doc.patches.items():
-        for iu in (0, 1):
-            for jv in (0, 1):
-                items.append((name, p.corner(iu, jv)))
-    clusters: list[list] = []
-    for name, pt in items:
-        for cluster in clusters:
-            if np.linalg.norm(cluster[0][1] - pt) < tol:
-                cluster.append((name, pt))
-                break
-        else:
-            clusters.append([(name, pt)])
-    return clusters
+def _orient(patch: BezierPatch, corner, side: str, target) -> BezierPatch:
+    """Reorient ``patch`` so that ``corner`` moves to ``target`` and ``side`` becomes a u-side."""
+    iu, jv = corner
+    if side[0] == "v":
+        patch, iu, jv = transpose_patch(patch), jv, iu
+    if iu != target[0]:
+        patch = flip_u(patch)
+    if jv != target[1]:
+        patch = flip_v(patch)
+    return patch
 
 
 def find_corner_configs(doc: SurfaceDocument):
     """Detect 4-patch vertices and return (names-in-role-order, CornerConfig).
 
-    A vertex qualifies when four distinct patches share a corner point and
-    the document's edge list connects them in a cycle; the patches are then
-    reoriented into the canonical corner arrangement.
+    Each edge record glues the end corners of its two sides (b's ends swapped
+    when ``reversed``); the glued corners form the vertices.  A vertex
+    qualifies when it joins four corners of four distinct patches and each of
+    those corners' two sides is glued by exactly one record; the records then
+    close a 4-cycle through the four patches.  r1 is the smallest name, r2
+    and r4 its neighbours in sorted order, r3 the last one.  Each patch is
+    reoriented from its corner and the side it shares with its u-neighbour;
+    ``CornerConfig.from_patches`` then checks that the patches meet, and a
+    vertex where they do not is skipped.
     """
-    if not doc.patches:
-        return []
-    scale = bounding_diagonal(*doc.patches.values())
-    tol = max(G0_TOL, 1e-12) * scale * 10.0
-    neighbours: dict[str, set] = {name: set() for name in doc.patches}
+    roots = {(name, corner): (name, corner) for name in doc.patches
+             for corner in ((0, 0), (0, 1), (1, 0), (1, 1))}
+
+    def find(key):
+        while roots[key] != key:  # a chain stays within one vertex's corners
+            key = roots[key]
+        return key
+
+    glued: dict[tuple, list] = {key: [] for key in roots}  # corner -> [(side, other patch)]
     for corr in doc.edges:
-        neighbours[corr.a].add(corr.b)
-        neighbours[corr.b].add(corr.a)
+        ends_b = _SIDE_ENDS[corr.b_side][::-1] if corr.reversed else _SIDE_ENDS[corr.b_side]
+        for ca, cb in zip(_SIDE_ENDS[corr.a_side], ends_b):
+            roots[find((corr.a, ca))] = find((corr.b, cb))
+            glued[corr.a, ca].append((corr.a_side, corr.b))
+            glued[corr.b, cb].append((corr.b_side, corr.a))
+    vertices: dict[tuple, list] = {}
+    for key in roots:
+        vertices.setdefault(find(key), []).append(key)
     out = []
-    for cluster in _corner_clusters(doc, tol):
-        names = sorted({name for name, _ in cluster})
-        if len(names) != 4 or len(cluster) != 4:
+    for corners in vertices.values():
+        corner_of = dict(corners)
+        if len(corners) != 4 or len(corner_of) != 4 or any(
+            sorted(side for side, _ in glued[name, (iu, jv)]) != [f"u{iu}", f"v{jv}"]
+            for name, (iu, jv) in corners
+        ):
             continue
-        vertex = cluster[0][1]
-        group = set(names)
-        local = {n: (neighbours[n] & group) - {n} for n in names}
-        if any(len(local[n]) != 2 for n in names):
+        side_to = {name: {other: side for side, other in glued[name, c]}
+                   for name, c in corners}
+        r1 = min(corner_of)
+        r2, r4 = sorted(side_to[r1])
+        (r3,) = set(corner_of) - {r1, r2, r4}
+        names = (r1, r2, r3, r4)
+        patches = [
+            _orient(doc.patches[name], corner_of[name], side_to[name][names[u]], target)
+            for name, target, u in zip(names, _ROLE_CORNERS, _U_NEIGHBOURS)
+        ]
+        try:
+            out.append((names, CornerConfig.from_patches(*patches)))
+        except GeometryError:
             continue
-        r1_name = names[0]
-        n1, n2 = sorted(local[r1_name])
-        for r2_name, r4_name in ((n1, n2), (n2, n1)):
-            r3_name = next(iter(group - {r1_name, r2_name, r4_name}))
-            config = _orient_corner(doc, vertex, r1_name, r2_name, r3_name, r4_name, tol)
-            if config is not None:
-                out.append(((r1_name, r2_name, r3_name, r4_name), config))
-                break
     return out
-
-
-def _orient_corner(doc, vertex, n1, n2, n3, n4, tol):
-    p1 = None
-    for op in _REORIENT_OPS:
-        cand = _reorient(doc.patches[n1], op)
-        if np.linalg.norm(cand.corner(1, 1) - vertex) < tol:
-            curve12 = _side_curve(cand, "u1")
-            curve14 = _side_curve(cand, "v1")
-            p2 = _find_orientation(doc.patches[n2], [("u0", curve12)], tol)
-            p4 = _find_orientation(doc.patches[n4], [("v0", curve14)], tol)
-            if p2 is None or p4 is None:
-                continue
-            p3 = _find_orientation(
-                doc.patches[n3],
-                [("v0", _side_curve(p2, "v1")), ("u0", _side_curve(p4, "u1"))],
-                tol,
-            )
-            if p3 is None:
-                continue
-            p1 = cand
-            break
-    if p1 is None:
-        return None
-    try:
-        return CornerConfig.from_patches(p1, p2, p3, p4)
-    except GeometryError:
-        return None
 
 
 # --- check commands ---------------------------------------------------------
@@ -225,7 +182,7 @@ def _print_table(edge_rows, vertex_rows, overall_ok, order, out=None):
 
 
 def _cmd_check(args, order: int) -> int:
-    from .continuity import G1_TOL, G2_TOL, NORMAL_ANGLE_TOL
+    from .continuity import G0_TOL, G1_TOL, G2_TOL, NORMAL_ANGLE_TOL
 
     doc = load_surface(args.surface)
     edge_rows, vertex_rows, ok = _run_checks(doc, order)
@@ -250,10 +207,14 @@ def _cmd_check(args, order: int) -> int:
 
 # --- construction commands --------------------------------------------------
 
+def _edges_off(edges, name: str, sides) -> list:
+    """The edge records gluing none of ``sides`` of patch ``name``, which a command rebuilds."""
+    return [c for c in edges
+            if not ((c.a == name and c.a_side in sides) or (c.b == name and c.b_side in sides))]
+
+
 def _cmd_complete(args) -> int:
     doc = load_surface(args.surface)
-    for name in ("r1", "r2", "r4"):
-        doc.patch(name)
     kwargs = {}
     for flag in ("alpha23", "alpha43", "lambda23_1", "lambda43_1"):
         value = getattr(args, flag)
@@ -266,7 +227,7 @@ def _cmd_complete(args) -> int:
     r3 = complete_fourth_patch(doc.patch("r1"), doc.patch("r2"), doc.patch("r4"), **kwargs)
     patches = dict(doc.patches)
     patches["r3"] = r3
-    edges = list(doc.edges) + [
+    edges = _edges_off(doc.edges, "r3", ("u0", "v0")) + [
         EdgeCorrespondence("v1", "v0", a="r2", b="r3"),
         EdgeCorrespondence("u1", "u0", a="r4", b="r3"),
     ]
@@ -291,7 +252,7 @@ def _cmd_fill_hole(args) -> int:
         r5 = fill_hole(ring, params)
     out_patches = dict(doc.patches)
     out_patches["r5"] = r5
-    edges = list(doc.edges) + [
+    edges = _edges_off(doc.edges, "r5", SIDES) + [
         EdgeCorrespondence("v1", "v0", a="r4", b="r5"),
         EdgeCorrespondence("u1", "u0", a="r2", b="r5"),
         EdgeCorrespondence("v1", "v0", a="r5", b="r6"),

@@ -211,6 +211,18 @@ class EdgeLink:
         return float(np.max(self.oop))
 
 
+def _gram_solve(e_w, e_t, rhs):
+    """Per-sample Gram matrix of (e_w, e_t) and the coefficients x, y of rhs in that basis."""
+    g = np.empty((len(e_w), 2, 2))
+    g[:, 0, 0] = np.einsum("ij,ij->i", e_w, e_w)
+    g[:, 0, 1] = g[:, 1, 0] = np.einsum("ij,ij->i", e_w, e_t)
+    g[:, 1, 1] = np.einsum("ij,ij->i", e_t, e_t)
+    rv = np.stack(
+        [np.einsum("ij,ij->i", e_w, rhs), np.einsum("ij,ij->i", e_t, rhs)], axis=1
+    )
+    return g, np.linalg.solve(g, rv[..., None])[..., 0]
+
+
 def _solve_in_tangent_basis(e_w, e_t, rhs, scale, rank_tol, what):
     """Least-squares solve rhs = x*e_w + y*e_t per sample; returns x, y, residual."""
     cross = np.cross(e_w, e_t)
@@ -219,14 +231,7 @@ def _solve_in_tangent_basis(e_w, e_t, rhs, scale, rank_tol, what):
         raise DegenerateParametrizationError(
             f"tangent vectors linearly dependent while solving {what}"
         )
-    g = np.empty((len(e_w), 2, 2))
-    g[:, 0, 0] = np.einsum("ij,ij->i", e_w, e_w)
-    g[:, 0, 1] = g[:, 1, 0] = np.einsum("ij,ij->i", e_w, e_t)
-    g[:, 1, 1] = np.einsum("ij,ij->i", e_t, e_t)
-    rv = np.stack(
-        [np.einsum("ij,ij->i", e_w, rhs), np.einsum("ij,ij->i", e_t, rhs)], axis=1
-    )
-    xy = np.linalg.solve(g, rv[..., None])[..., 0]
+    _, xy = _gram_solve(e_w, e_t, rhs)
     resid = rhs - xy[:, :1] * e_w - xy[:, 1:] * e_t
     return xy[:, 0], xy[:, 1], np.linalg.norm(resid, axis=1) / scale
 
@@ -404,15 +409,7 @@ def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarra
     then II/I is evaluated with the supplied unit ``normal`` (one common
     normal must be used when comparing two patches).
     """
-    g = np.empty((len(e_w), 2, 2))
-    g[:, 0, 0] = np.einsum("ij,ij->i", e_w, e_w)
-    g[:, 0, 1] = g[:, 1, 0] = np.einsum("ij,ij->i", e_w, e_t)
-    g[:, 1, 1] = np.einsum("ij,ij->i", e_t, e_t)
-    rv = np.stack(
-        [np.einsum("ij,ij->i", e_w, direction), np.einsum("ij,ij->i", e_t, direction)],
-        axis=1,
-    )
-    xy = np.linalg.solve(g, rv[..., None])[..., 0]
+    g, xy = _gram_solve(e_w, e_t, direction)
     x, y = xy[:, 0], xy[:, 1]
     big_l = np.einsum("ij,ij->i", e_ww, normal)
     big_m = np.einsum("ij,ij->i", e_wt, normal)

@@ -404,9 +404,6 @@ def mixed_grid_document(rng=None):
     c00 ~ c10, only G2 across c00 ~ c01.
     Returns a ``SurfaceDocument``.
     """
-    from smoothpatch.continuity import EdgeCorrespondence
-    from smoothpatch.surfio import SurfaceDocument
-
     rng = np.random.default_rng(2010) if rng is None else rng
     g = smooth_patch(rng, span=3.0, z_scale=0.4, xy_noise=0.05)
     cells = split_grid(g, [0.3, 0.65], [0.35, 0.7])
@@ -415,6 +412,19 @@ def mixed_grid_document(rng=None):
     nets[1, 1] = _elevate_net(nets[1, 1], 4, 4)
     nets[2, 0] = _elevate_net(nets[2, 0], 5, 3)
     ops = {ij: _ORIENTATIONS[(3 * ij[0] + ij[1]) % 8] for ij in nets}
+    return oriented_grid_document(nets, ops)
+
+
+def oriented_grid_document(nets, ops):
+    """Document of the grid cells ``nets[i, j]``, cell (i, j) reoriented by ``ops[i, j]``.
+
+    Cell (i, j) is named ``c{i}{j}``.  Before reorientation its u1 side meets
+    cell (i + 1, j) and its v1 side cell (i, j + 1); the edge records name the
+    sides as they are after it.
+    """
+    from smoothpatch.continuity import EdgeCorrespondence
+    from smoothpatch.surfio import SurfaceDocument
+
     patches = {f"c{i}{j}": BezierPatch.from_net(_reorient_net(nets[i, j], ops[i, j]))
                for (i, j) in sorted(nets)}
     edges = []

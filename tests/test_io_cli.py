@@ -1,11 +1,16 @@
 """Serialization, OBJ export and command-line interface tests."""
 
+import functools
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smoothpatch.bezier import BezierPatch, eval_grid, split_grid, split_patch
+from smoothpatch.bezier import BezierPatch, _edge_jet, eval_grid, split_grid, split_patch
 from smoothpatch.cli import find_corner_configs, main
-from smoothpatch.continuity import EdgeCorrespondence
+from smoothpatch.continuity import CornerConfig, EdgeCorrespondence
 from smoothpatch.construct import NinePatchRing
 from smoothpatch.surfio import (
     SurfaceDocument,
@@ -15,7 +20,13 @@ from smoothpatch.surfio import (
     save_surface,
 )
 
-from helpers import flat_crease_pair, smooth_patch, uniform_ring
+from helpers import (
+    flat_crease_pair,
+    mixed_grid_document,
+    oriented_grid_document,
+    smooth_patch,
+    uniform_ring,
+)
 
 RING_GRID = {1: (0, 0), 2: (0, 1), 3: (0, 2), 4: (1, 0),
              6: (1, 2), 7: (2, 0), 8: (2, 1), 9: (2, 2)}
@@ -358,3 +369,150 @@ def test_find_corner_configs_handles_reoriented_patches():
     )
     corners = find_corner_configs(doc)
     assert len(corners) == 1
+
+
+# --- vertices from edge records ------------------------------------------------
+
+IDENTITY = (False, False, False)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_nets():
+    """3x3 split of one bi-cubic; the centre cell is elevated to (4, 4)."""
+    from smoothpatch.bezier import elevation_matrix
+
+    g = smooth_patch(np.random.default_rng(113), span=3.0, z_scale=0.4, xy_noise=0.05)
+    cells = split_grid(g, [0.3, 0.65], [0.35, 0.7])
+    nets = {(i, j): cells[i][j].net for i in range(3) for j in range(3)}
+    e4 = elevation_matrix(3, 4)
+    nets[1, 1] = np.einsum("ai,ijc,bj->abc", e4, nets[1, 1], e4)
+    return nets
+
+
+def _corner_nets(configs):
+    return {names: [c.p1.net, c.p2.net, c.p3.net, c.p4.net] for names, c in configs}
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_corners():
+    nets = _grid_nets()
+    return _corner_nets(find_corner_configs(oriented_grid_document(nets, {ij: IDENTITY
+                                                                          for ij in nets})))
+
+
+def _swapped(c):
+    return EdgeCorrespondence(c.b_side, c.a_side, reversed=c.reversed, a=c.b, b=c.a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ops=st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=9, max_size=9),
+    patch_order=st.permutations(range(9)),
+    edge_order=st.permutations(range(12)),
+    swaps=st.lists(st.booleans(), min_size=12, max_size=12),
+)
+def test_find_corner_configs_depends_only_on_topology(ops, patch_order, edge_order, swaps):
+    nets = _grid_nets()
+    doc = oriented_grid_document(nets, dict(zip(sorted(nets), ops)))
+    names = list(doc.patches)
+    patches = {names[k]: doc.patches[names[k]] for k in patch_order}
+    edges = [_swapped(doc.edges[k]) if swap else doc.edges[k]
+             for k, swap in zip(edge_order, swaps)]
+    got = _corner_nets(find_corner_configs(SurfaceDocument(patches=patches, edges=edges)))
+    want = _canonical_corners()
+    assert sorted(got) == sorted(want) and len(want) == 4
+    for key, nets_want in want.items():
+        assert all(np.array_equal(a, b) for a, b in zip(got[key], nets_want))
+
+
+def _split_square(rng):
+    """p1..p4 of a 2x2 split, in the canonical corner arrangement, and its four edges."""
+    g = smooth_patch(rng, span=2.0, z_scale=0.3)
+    ll, hl, lh, hh = split_patch(g, u=0.5, v=0.5)
+    edges = [
+        EdgeCorrespondence("u1", "u0", a="p1", b="p2"),
+        EdgeCorrespondence("v1", "v0", a="p1", b="p4"),
+        EdgeCorrespondence("v1", "v0", a="p2", b="p3"),
+        EdgeCorrespondence("u1", "u0", a="p4", b="p3"),
+    ]
+    return {"p1": ll, "p2": hl, "p3": hh, "p4": lh}, edges
+
+
+def test_find_corner_configs_skips_a_valence_3_boundary_vertex():
+    patches, edges = _split_square(np.random.default_rng(114))
+    del patches["p3"]
+    doc = SurfaceDocument(patches=patches, edges=edges[:2])
+    assert find_corner_configs(doc) == []
+
+
+def test_find_corner_configs_skips_a_cycle_with_a_missing_edge_record():
+    patches, edges = _split_square(np.random.default_rng(115))
+    for k in range(4):
+        doc = SurfaceDocument(patches=patches, edges=edges[:k] + edges[k + 1:])
+        assert find_corner_configs(doc) == []
+
+
+def test_find_corner_configs_skips_a_corner_glued_twice_on_one_side():
+    # p1:u1 carries both records at the vertex and p1:v1 none; the nets are
+    # the canonical square, so only the records can reject it
+    patches, edges = _split_square(np.random.default_rng(119))
+    edges[1] = EdgeCorrespondence("u1", "v0", a="p1", b="p4")
+    assert find_corner_configs(SurfaceDocument(patches=patches, edges=edges)) == []
+
+
+def test_find_corner_configs_skips_a_cycle_whose_patches_do_not_meet():
+    from smoothpatch.bezier import transform_patch
+
+    patches, edges = _split_square(np.random.default_rng(116))
+    patches["p3"] = transform_patch(patches["p3"], shift=[0.0, 0.0, 0.5])
+    assert find_corner_configs(SurfaceDocument(patches=patches, edges=edges)) == []
+
+
+def test_corner_search_evaluates_sides_only_in_corner_config(monkeypatch):
+    # every module that binds the edge evaluator is counted, so a geometric
+    # search that samples side curves of its own would show up here
+    inside = []
+    from_patches = CornerConfig.from_patches.__func__.__code__
+
+    def counting(p, side, s, order):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not from_patches:
+            frame = frame.f_back
+        inside.append(frame is not None)
+        return _edge_jet(p, side, s, order)
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("smoothpatch") and hasattr(m, "_edge_jet")]
+    assert modules
+    for module in modules:
+        monkeypatch.setattr(module, "_edge_jet", counting)
+    configs = find_corner_configs(mixed_grid_document())
+    assert len(configs) == 4
+    assert len(inside) == 8 * len(configs) and all(inside)
+
+
+def test_cli_complete_4patch_rebuilds_its_own_output(tmp_path):
+    rng = np.random.default_rng(117)
+    g = smooth_patch(rng, span=2.0, z_scale=0.3)
+    ll, hl, lh, _ = split_patch(g, u=0.5, v=0.5)
+    doc = SurfaceDocument(
+        patches={"r1": ll, "r2": hl, "r4": lh},
+        edges=[EdgeCorrespondence("u1", "u0", a="r1", b="r2"),
+               EdgeCorrespondence("v1", "v0", a="r1", b="r4")],
+    )
+    path, once, twice = tmp_path / "corner.json", tmp_path / "once.json", tmp_path / "twice.json"
+    save_surface(doc, path)
+    assert main(["complete-4patch", str(path), "-o", str(once)]) == 0
+    assert main(["complete-4patch", str(once), "-o", str(twice)]) == 0
+    assert twice.read_bytes() == once.read_bytes()
+    assert len(load_surface(twice).edges) == 4
+
+
+@pytest.mark.parametrize("flags", [[], ["--deg6"]])
+def test_cli_fill_hole_rebuilds_its_own_output(tmp_path, flags):
+    ring_path, once, twice = tmp_path / "ring.json", tmp_path / "once.json", tmp_path / "twice.json"
+    save_surface(ring_doc(np.random.default_rng(118)), ring_path)
+    assert main(["fill-hole", str(ring_path), *flags, "-o", str(once)]) == 0
+    assert main(["fill-hole", str(once), *flags, "-o", str(twice)]) == 0
+    assert twice.read_bytes() == once.read_bytes()
+    assert len(load_surface(twice).edges) == 12
