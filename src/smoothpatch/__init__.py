@@ -63,7 +63,6 @@ from .construct import (
     fill_hole_deg6,
     fourth_patch_twist_check,
     g1_band_offsets,
-    g1_row_from_link,
     hole_constraint_residuals,
     hole_twist_checks,
     solve_hole_params,

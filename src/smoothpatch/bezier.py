@@ -289,17 +289,31 @@ def _edge_jet(p: BezierPatch, side: str, s: np.ndarray, order: int) -> dict:
     return jet
 
 
+def _product_matrix(n: int, coeffs) -> np.ndarray:
+    """Matrix P with P @ c = the Bernstein coefficients of f * g.
+
+    ``c`` holds the degree-n Bernstein coefficients of g and ``coeffs`` the
+    Bernstein ordinates of f, of degree L = len(coeffs) - 1; the product has
+    degree n + L (Farouki & Rajan, CAGD 1988).
+    """
+    f = np.asarray(coeffs, dtype=float)
+    big_l = f.size - 1
+    mat = np.zeros((n + big_l + 1, n + 1))
+    for i in range(n + big_l + 1):
+        den = binom(n + big_l, i)
+        for j in range(max(0, i - big_l), min(n, i) + 1):
+            mat[i, j] = binom(n, j) * binom(big_l, i - j) / den * f[i - j]
+    return mat
+
+
 def elevation_matrix(n: int, target: int) -> np.ndarray:
-    """Matrix E with elevated = E @ points, raising degree n to target exactly."""
+    """Matrix E with elevated = E @ points, raising degree n to target exactly.
+
+    Degree elevation is the Bernstein product with the constant 1.
+    """
     if target < n:
         raise ValueError(f"cannot lower degree: {n} -> {target}")
-    r = target - n
-    mat = np.zeros((target + 1, n + 1))
-    for i in range(target + 1):
-        den = binom(target, i)
-        for j in range(max(0, i - r), min(n, i) + 1):
-            mat[i, j] = binom(n, j) * binom(r, i - j) / den
-    return mat
+    return _product_matrix(n, np.ones(target - n + 1))
 
 
 def elevate_row(points, target_degree: int) -> np.ndarray:

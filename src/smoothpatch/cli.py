@@ -227,7 +227,15 @@ def _cmd_complete(args) -> int:
     r3 = complete_fourth_patch(doc.patch("r1"), doc.patch("r2"), doc.patch("r4"), **kwargs)
     patches = dict(doc.patches)
     patches["r3"] = r3
-    edges = _edges_off(doc.edges, "r3", ("u0", "v0")) + [
+    edges = _edges_off(doc.edges, "r3", ("u0", "v0"))
+    # the construction verified both corner joins: record them when missing,
+    # so that check commands see (and check) the vertex it closes
+    glued = {(c.a, c.a_side) for c in edges} | {(c.b, c.b_side) for c in edges}
+    for corr in (EdgeCorrespondence("u1", "u0", a="r1", b="r2"),
+                 EdgeCorrespondence("v1", "v0", a="r1", b="r4")):
+        if not {(corr.a, corr.a_side), (corr.b, corr.b_side)} & glued:
+            edges.append(corr)
+    edges += [
         EdgeCorrespondence("v1", "v0", a="r2", b="r3"),
         EdgeCorrespondence("u1", "u0", a="r4", b="r3"),
     ]

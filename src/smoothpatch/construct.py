@@ -1,12 +1,18 @@
-"""Constructive algorithms: G1 row propagation, fourth-patch completion,
+"""Constructive algorithms: G1 band rows, fourth-patch completion,
 hole filling at bi-degree (5,5) and (6,6), and fillet surfaces.
 
 All constructions consume bi-cubic neighbours whose shared edges carry
-polynomial link functions;  the transverse control rows of the new patch
-follow from Bernstein products of the link polynomials with the neighbour's
-edge derivative rows.  Free coefficients are pinned by the vertex
+polynomial link functions, and all build their nets one way.  Each G1 join
+of the new patch is a side spec, ``_Side``: the neighbour, its side, and the
+Bernstein ordinates of the join's lambda and kappa.  The join's boundary row
+is the neighbour's boundary row elevated to the new degree m; its band row
+adds ``g1_band_offsets / m``, the Bernstein product of the link polynomials
+with the neighbour's difference rows.  ``_assemble`` writes every boundary
+row, then every band.  Free coefficients are pinned by the vertex
 compatibility conditions so that doubly-determined control points agree;
-every such point is asserted, never averaged.
+every such point is asserted, never averaged.  The twist at a corner two
+joins share is m*m times each join's mixed difference of boundary and band
+there (``_twists``); the twist checks compare the two.
 
 Layout conventions: a nine-patch ring is indexed
 
@@ -24,10 +30,12 @@ diagonally).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .bezier import BezierPatch, binom, elevate_row, bounding_diagonal
+from .bezier import BezierPatch, _product_matrix, boundary_row, bounding_diagonal, elevate_row
 from .continuity import (
     G1_TOL,
     LAMBDA_MIN,
@@ -44,7 +52,6 @@ __all__ = [
     "HoleFillParams",
     "NinePatchRing",
     "g1_band_offsets",
-    "g1_row_from_link",
     "complete_fourth_patch",
     "fourth_patch_twist_check",
     "solve_hole_params",
@@ -114,38 +121,9 @@ def g1_band_offsets(boundary, inner, lam_ordinates, kap_ordinates) -> np.ndarray
     if kap.size != lam.size + 1:
         raise ValueError("kappa must have Bernstein degree one above lambda")
     n = bnd.shape[0] - 1
-    big_l = lam.size - 1
-    big_n = n + big_l
     d = bnd - inr  # degree-n coefficients of cross-derivative / n
     e = bnd[1:] - bnd[:-1]  # degree-(n-1) coefficients of edge derivative / n
-    out = np.zeros((big_n + 1, bnd.shape[1]))
-    for i in range(big_n + 1):
-        den = binom(big_n, i)
-        acc = np.zeros(bnd.shape[1])
-        for k in range(big_l + 1):
-            j = i - k
-            if 0 <= j <= n:
-                acc += binom(n, j) * binom(big_l, k) / den * lam[k] * d[j]
-        for k in range(big_l + 2):
-            j = i - k
-            if 0 <= j <= n - 1:
-                acc += binom(n - 1, j) * binom(big_l + 1, k) / den * kap[k] * e[j]
-        out[i] = n * acc
-    return out
-
-
-def g1_row_from_link(boundary, inner, coeffs: LinkCoefficients, m: int) -> np.ndarray:
-    """The six vectors m*(row1_i - row0_i) for a quintic edge row.
-
-    ``m`` is the transverse degree of the new patch (4, 5 or 6); the caller
-    divides by m and adds the result to the degree-elevated boundary row.
-    """
-    if m not in (4, 5, 6):
-        raise ValueError(f"transverse degree m must be 4, 5 or 6, got {m}")
-    bnd = np.asarray(boundary, dtype=float)
-    if bnd.shape[0] != 4 or np.asarray(inner).shape[0] != 4:
-        raise ValueError("rows must come from a bi-cubic neighbour (4 points)")
-    return g1_band_offsets(bnd, inner, coeffs.lambda_ordinates, coeffs.kappa_ordinates)
+    return n * (_product_matrix(n, lam) @ d + _product_matrix(n - 1, kap) @ e)
 
 
 # ---------------------------------------------------------------------------
@@ -190,33 +168,82 @@ def _constant_lambda_link(a, b, corr, *, allow_linear_kappa=False):
     return lam, kap0
 
 
-class _NetAssembler:
-    """Write-once control net; re-assignments must agree within tolerance."""
+class _Side(NamedTuple):
+    """A G1 join of a new patch to ``patch`` across the neighbour's ``side``.
 
-    def __init__(self, degree: int, scale: float):
-        self.net = np.full((degree + 1, degree + 1, 3), np.nan)
-        self.scale = scale
+    The new patch takes the neighbour's orientation, so the join lies on the
+    new patch's opposite side.  ``lam`` and ``kap`` are the Bernstein
+    ordinates of the join's link polynomials.
+    """
 
-    def put(self, i, j, value, what=""):
-        value = np.asarray(value, dtype=float)
-        cur = self.net[i, j]
-        if np.all(np.isnan(cur)):
-            self.net[i, j] = value
-            return
-        gap = float(np.linalg.norm(cur - value))
-        if gap > _ASSERT_TOL * self.scale:
-            raise CornerConsistencyError(
-                f"control point ({i},{j}) doubly determined with gap "
-                f"{gap / self.scale:.3e} {what}"
-            )
+    patch: BezierPatch
+    side: str
+    lam: ArrayLike
+    kap: ArrayLike
 
-    def put_row(self, j, values, what=""):
-        for i, v in enumerate(values):
-            self.put(i, j, v, what)
+    def rows(self, m: int):
+        """The new patch's boundary row and band row (the next one in) at degree m."""
+        bnd = boundary_row(self.patch, self.side, 0)
+        row0 = elevate_row(bnd, m)
+        inr = boundary_row(self.patch, self.side, 1)
+        return row0, row0 + g1_band_offsets(bnd, inr, self.lam, self.kap) / m
 
-    def put_col(self, i, values, what=""):
-        for j, v in enumerate(values):
-            self.put(i, j, v, what)
+    def points(self, m: int, offset: int):
+        """Net indices (i, j) of the new patch's row ``offset`` rows in from the join."""
+        k = offset if self.side[1] == "1" else m - offset
+        return [(k, t) if self.side[0] == "u" else (t, k) for t in range(m + 1)]
+
+
+def _assemble(m: int, scale: float, sides) -> np.ndarray:
+    """A fresh (m+1)x(m+1) net holding every side's boundary row, then every band.
+
+    Rows are written in the order the sides are listed; points no side
+    writes stay NaN.  A point written twice must agree within
+    ``_ASSERT_TOL * scale`` and is never averaged.
+    """
+    net = np.full((m + 1, m + 1, 3), np.nan)
+    rows = [side.rows(m) for side in sides]
+    for offset, what in ((0, "boundary"), (1, "band")):
+        for side, row in zip(sides, rows):
+            for (i, j), value in zip(side.points(m, offset), row[offset]):
+                if np.isnan(net[i, j, 0]):
+                    net[i, j] = value
+                    continue
+                gap = float(np.linalg.norm(net[i, j] - value))
+                if gap > _ASSERT_TOL * scale:
+                    raise CornerConsistencyError(
+                        f"control point ({i},{j}) doubly determined with gap "
+                        f"{gap / scale:.3e} ({what} across {side.side})"
+                    )
+    return net
+
+
+def _twists(m: int, sides) -> dict:
+    """Twists at the corners two sides share, by net corner (i, j).
+
+    A side's twist at one end is m*m times the mixed difference of its
+    boundary and band rows there, taken inward from the corner.  ``q23``
+    comes from the side along u (a join across a v-side), ``q43`` from the
+    side along v.
+    """
+    found = {}
+    for side in sides:
+        row0, row1 = side.rows(m)
+        ends = side.points(m, 0)
+        for e, k in ((0, 1), (m, m - 1)):
+            twist = m * m * (row1[k] - row0[k] - row1[e] + row0[e])
+            found.setdefault(ends[e], {})[side.side[0]] = twist
+    return {corner: TwistCheck(q23=t["v"], q43=t["u"]) for corner, t in found.items()
+            if len(t) == 2}
+
+
+def _finish(net, interior_rule, default) -> BezierPatch:
+    """Set the free interior of an assembled net (``default`` unless a rule is given)."""
+    m = net.shape[0] - 1
+    net = (default if interior_rule is None else interior_rule)(net)
+    if np.any(np.isnan(net)):
+        raise CornerConsistencyError("interior rule left control points undefined")
+    return BezierPatch(m, m, net)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +308,8 @@ def complete_fourth_patch(
         # uniqueness of the corner control point pins the inner kappa ordinates
         beta1_23 = (2.0 * alpha43 - 2.0 * lam12 - lam12 * kap14_0) / (3.0 * lam12)
         beta1_43 = (2.0 * alpha23 - 2.0 * lam14 - lam14 * kap12_0) / (3.0 * lam14)
-        coeffs23 = LinkCoefficients(lam14, alpha23, lambda23_1,
-                                    0.0, beta1_23, beta2_23, kappa23_1)
-        coeffs43 = LinkCoefficients(lam12, alpha43, lambda43_1,
-                                    0.0, beta1_43, beta2_43, kappa43_1)
-        lam_o23, kap_o23 = coeffs23.lambda_ordinates, coeffs23.kappa_ordinates
-        lam_o43, kap_o43 = coeffs43.lambda_ordinates, coeffs43.kappa_ordinates
+        lam_o23, kap_o23 = [lam14, alpha23, lambda23_1], [0.0, beta1_23, beta2_23, kappa23_1]
+        lam_o43, kap_o43 = [lam12, alpha43, lambda43_1], [0.0, beta1_43, beta2_43, kappa43_1]
     else:
         if kap12_0 != 0.0 or kap14_0 != 0.0:
             raise PreconditionError(
@@ -299,45 +322,23 @@ def complete_fourth_patch(
                 raise PreconditionError(
                     f"{name}={given} violates the (4,4) coefficient constraints"
                 )
-        lam_o23 = np.array([lam14, lambda23_1])
-        kap_o23 = np.array([0.0, b23, kappa23_1])
-        lam_o43 = np.array([lam12, lambda43_1])
-        kap_o43 = np.array([0.0, b43, kappa43_1])
+        lam_o23, kap_o23 = [lam14, lambda23_1], [0.0, b23, kappa23_1]
+        lam_o43, kap_o43 = [lam12, lambda43_1], [0.0, b43, kappa43_1]
 
-    m = degree
-    asm = _NetAssembler(m, scale)
-    # bottom edge: boundary from r2's top row, band from the (2,3)-link
-    bottom_bnd = r2.net[:, 3]
-    bottom_inr = r2.net[:, 2]
-    row0 = elevate_row(bottom_bnd, m)
-    row1 = row0 + g1_band_offsets(bottom_bnd, bottom_inr, lam_o23, kap_o23) / m
-    # left edge: boundary from r4's right column, band from the (4,3)-link
-    left_bnd = r4.net[3, :]
-    left_inr = r4.net[2, :]
-    col0 = elevate_row(left_bnd, m)
-    col1 = col0 + g1_band_offsets(left_bnd, left_inr, lam_o43, kap_o43) / m
-
-    asm.put_row(0, row0, "(bottom boundary)")
-    asm.put_col(0, col0, "(left boundary)")
-    asm.put_col(1, col1, "(left band)")
+    sides = [_Side(r4, "u1", lam_o43, kap_o43), _Side(r2, "v1", lam_o23, kap_o23)]
     try:
-        asm.put_row(1, row1, "(bottom band vs left band)")
+        net = _assemble(degree, scale, sides)
     except CornerConsistencyError as exc:
         raise CornerConsistencyError(
             f"corner control point disagrees between the two construction routes: {exc}"
         ) from None
+    return _finish(net, interior_rule, _continue_bands)
 
-    net = asm.net
-    if interior_rule is not None:
-        net = interior_rule(net.copy())
-    else:
-        net = net.copy()
-        for i in range(2, m + 1):
-            for j in range(2, m + 1):
-                net[i, j] = net[i, 1] + net[1, j] - net[1, 1]
-    if np.any(np.isnan(net)):
-        raise CornerConsistencyError("interior rule left control points undefined")
-    return BezierPatch(m, m, net)
+
+def _continue_bands(net):
+    """Fourth-patch interior: each point closes a parallelogram on the two bands."""
+    net[2:, 2:] = net[2:, 1:2] + net[1:2, 2:] - net[1, 1]
+    return net
 
 
 def fourth_patch_twist_check(
@@ -349,24 +350,17 @@ def fourth_patch_twist_check(
 ) -> TwistCheck:
     """Corner twist computed along both construction routes.
 
-    The two quantities agree exactly when the coefficient constraints of
+    ``q23`` is m*m times the mixed difference of the boundary and band rows
+    built from ``r2`` and the (2,3)-link, ``q43`` the same from ``r4`` and
+    the (4,3)-link.  The two agree exactly when the coefficient constraints of
     ``complete_fourth_patch`` hold; violating them by delta grows the
     difference linearly in delta.
     """
     _require_bicubic("r2", r2)
     _require_bicubic("r4", r4)
-    row0 = elevate_row(r2.net[:, 3], m)
-    row1 = row0 + g1_row_from_link(r2.net[:, 3], r2.net[:, 2], coeffs23, m) / m
-    col0 = elevate_row(r4.net[3, :], m)
-    col1 = col0 + g1_row_from_link(r4.net[3, :], r4.net[2, :], coeffs43, m) / m
-    q00 = row0[0]
-    q10 = row0[1]
-    q01 = col0[1]
-    q11_bottom = row1[1]  # via the bottom band, with q01 from the left boundary
-    q11_left = col1[1]
-    q23 = m * m * (q11_bottom - q10 - q01 + q00)
-    q43 = m * m * (q11_left - q01 - q10 + q00)
-    return TwistCheck(q23=q23, q43=q43)
+    sides = [_Side(r4, "u1", coeffs43.lambda_ordinates, coeffs43.kappa_ordinates),
+             _Side(r2, "v1", coeffs23.lambda_ordinates, coeffs23.kappa_ordinates)]
+    return _twists(m, sides)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,53 +494,21 @@ def hole_constraint_residuals(ring: NinePatchRing, params: HoleFillParams) -> np
     ]))
 
 
-def _hole_edge_data(ring: NinePatchRing, params: HoleFillParams, degree: int):
-    """Per-side (boundary row, inner row, lambda ordinates, kappa ordinates)."""
-    p = ring.patches
+def _hole_sides(ring: NinePatchRing, params: HoleFillParams):
+    """The fill's degree and its four joins: left, right, bottom, top."""
     ends = _pinned_endpoints(ring)
-    sides = {
-        "bottom": (p[4].net[:, 3], p[4].net[:, 2], 4),
-        "left": (p[2].net[3, :], p[2].net[2, :], 2),
-        "top": (p[6].net[:, 0], p[6].net[:, 1], 6),
-        "right": (p[8].net[0, :], p[8].net[1, :], 8),
-    }
-    out = {}
-    for name, (bnd, inr, i) in sides.items():
-        lo, hi = ends[i]
-        if degree == 5:
-            lam_o = np.array([lo, params.alpha[i], hi])
-            kap_o = np.array([0.0, params.beta1[i], params.beta2[i], 0.0])
+    m = {"deg5": 5, "deg6": 6}[params.mode]
+    sides = []
+    for pos, side in ((2, "u1"), (8, "u0"), (4, "v1"), (6, "v0")):
+        lo, hi = ends[pos]
+        if m == 5:
+            lam = [lo, params.alpha[pos], hi]
+            kap = [0.0, params.beta1[pos], params.beta2[pos], 0.0]
         else:
-            lam_o = np.array([lo, params.alpha1[i], params.alpha2[i], hi])
-            kap_o = np.zeros(5)
-        out[name] = (bnd, inr, lam_o, kap_o)
-    return out
-
-
-def _assemble_hole_net(ring: NinePatchRing, params: HoleFillParams, degree: int):
-    m = degree
-    asm = _NetAssembler(m, ring.scale)
-    data = _hole_edge_data(ring, params, degree)
-
-    def band(name):
-        bnd, inr, lam_o, kap_o = data[name]
-        row0 = elevate_row(bnd, m)
-        row1 = row0 + g1_band_offsets(bnd, inr, lam_o, kap_o) / m
-        return row0, row1
-
-    b0, b1 = band("bottom")
-    t0, t1 = band("top")
-    l0, l1 = band("left")
-    r0, r1 = band("right")
-    asm.put_row(0, b0, "(bottom boundary)")
-    asm.put_col(0, l0, "(left boundary)")
-    asm.put_col(m, r0, "(right boundary)")
-    asm.put_row(m, t0, "(top boundary)")
-    asm.put_col(1, l1, "(left band)")
-    asm.put_col(m - 1, r1, "(right band)")
-    asm.put_row(1, b1, "(bottom band)")
-    asm.put_row(m - 1, t1, "(top band)")
-    return asm.net.copy()
+            lam = [lo, params.alpha1[pos], params.alpha2[pos], hi]
+            kap = [0.0] * 5
+        sides.append(_Side(ring.patches[pos], side, lam, kap))
+    return m, sides
 
 
 def default_interior(net, degree: int) -> np.ndarray:
@@ -622,14 +584,9 @@ def fill_hole(ring: NinePatchRing, params: HoleFillParams | None = None,
         params = solve_hole_params(ring)
     if params.mode != "deg5":
         raise ValueError("params were resolved for a different construction mode")
-    net = _assemble_hole_net(ring, params, 5)
-    if interior_rule is not None:
-        net = interior_rule(net)
-    else:
-        net = default_interior(net, 5)
-    if np.any(np.isnan(net)):
-        raise CornerConsistencyError("interior rule left control points undefined")
-    return BezierPatch(5, 5, net)
+    m, sides = _hole_sides(ring, params)
+    return _finish(_assemble(m, ring.scale, sides), interior_rule,
+                   lambda net: default_interior(net, m))
 
 
 def fill_hole_deg6(ring: NinePatchRing, interior_rule=None) -> BezierPatch:
@@ -648,48 +605,25 @@ def fill_hole_deg6(ring: NinePatchRing, interior_rule=None) -> BezierPatch:
         alpha1={i: ends[i][0] for i in (2, 4, 6, 8)},
         alpha2={i: ends[i][1] for i in (2, 4, 6, 8)},
     )
-    net = _assemble_hole_net(ring, params, 6)
-    if interior_rule is not None:
-        net = interior_rule(net)
-    else:
-        net = default_interior(net, 6)
-    if np.any(np.isnan(net)):
-        raise CornerConsistencyError("interior rule left control points undefined")
-    return BezierPatch(6, 6, net)
+    m, sides = _hole_sides(ring, params)
+    return _finish(_assemble(m, ring.scale, sides), interior_rule,
+                   lambda net: default_interior(net, m))
 
 
 def hole_twist_checks(ring: NinePatchRing, params: HoleFillParams | None = None) -> dict:
     """Twist consistency at the four hole corners, by corner name.
 
-    Each entry compares the band control point next to a corner as
-    determined by its two adjacent edges (scaled by 25, matching the
-    fourth-patch twist convention).
+    Each entry compares the twist at a corner as determined by its two
+    adjacent edges, scaled by m*m for the fill's degree m (25 for the (5,5)
+    fill, 36 for (6,6)), as in the fourth-patch twist convention.
     """
     if params is None:
         params = solve_hole_params(ring)
-    data = _hole_edge_data(ring, params, 5)
-    rows = {}
-    for name, (bnd, inr, lam_o, kap_o) in data.items():
-        row0 = elevate_row(bnd, 5)
-        rows[name] = (row0, row0 + g1_band_offsets(bnd, inr, lam_o, kap_o) / 5.0)
-    out = {}
-    # corner -> ((edge, band index), (edge, band index)); indices address the
-    # doubly-determined point next to that corner along each edge
-    corners = {
-        "bottom-left": (("bottom", 1), ("left", 1)),
-        "bottom-right": (("bottom", 4), ("right", 1)),
-        "top-left": (("top", 1), ("left", 4)),
-        "top-right": (("top", 4), ("right", 4)),
-    }
-    for corner, ((e1, i1), (e2, i2)) in corners.items():
-        r0a, r1a = rows[e1]
-        r0b, r1b = rows[e2]
-        end_a = 0 if i1 == 1 else 5
-        end_b = 0 if i2 == 1 else 5
-        qa = 25.0 * (r1a[i1] - r0a[i1] - r1a[end_a] + r0a[end_a])
-        qb = 25.0 * (r1b[i2] - r0b[i2] - r1b[end_b] + r0b[end_b])
-        out[corner] = TwistCheck(q23=qa, q43=qb)
-    return out
+    m, sides = _hole_sides(ring, params)
+    twists = _twists(m, sides)
+    corners = {"bottom-left": (0, 0), "bottom-right": (m, 0),
+               "top-left": (0, m), "top-right": (m, m)}
+    return {name: twists[corner] for name, corner in corners.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -732,34 +666,19 @@ def _fill_three_sided(bottom, left, right, lam12, lam14, lam74, lam78, scale):
     beta1_25 = 2.0 * (alpha45 - lam12) / (3.0 * lam12)
     beta2_45 = -2.0 * (alpha85 - lam74) / (3.0 * lam74)
     beta1_85 = 2.0 * (alpha45 - lam78) / (3.0 * lam78)
-    lam_bottom = np.array([lam12, alpha45, lam78])
-    kap_bottom = np.array([0.0, beta1_45, beta2_45, 0.0])
-    lam_left = np.array([lam14, alpha25, lam14])
-    kap_left = np.array([0.0, beta1_25, 0.0, 0.0])
-    lam_right = np.array([lam74, alpha85, lam74])
-    kap_right = np.array([0.0, beta1_85, 0.0, 0.0])
+    sides = [
+        _Side(left, "u1", [lam14, alpha25, lam14], [0.0, beta1_25, 0.0, 0.0]),
+        _Side(right, "u0", [lam74, alpha85, lam74], [0.0, beta1_85, 0.0, 0.0]),
+        _Side(bottom, "v1", [lam12, alpha45, lam78], [0.0, beta1_45, beta2_45, 0.0]),
+    ]
+    return _finish(_assemble(5, scale, sides), None, _continue_side_bands)
 
-    asm = _NetAssembler(5, scale)
-    b_bnd, b_inr = bottom.net[:, 3], bottom.net[:, 2]
-    l_bnd, l_inr = left.net[3, :], left.net[2, :]
-    r_bnd, r_inr = right.net[0, :], right.net[1, :]
-    row0 = elevate_row(b_bnd, 5)
-    row1 = row0 + g1_band_offsets(b_bnd, b_inr, lam_bottom, kap_bottom) / 5.0
-    col0 = elevate_row(l_bnd, 5)
-    col1 = col0 + g1_band_offsets(l_bnd, l_inr, lam_left, kap_left) / 5.0
-    col5 = elevate_row(r_bnd, 5)
-    col4 = col5 + g1_band_offsets(r_bnd, r_inr, lam_right, kap_right) / 5.0
-    asm.put_col(0, col0, "(left boundary)")
-    asm.put_col(1, col1, "(left band)")
-    asm.put_col(5, col5, "(right boundary)")
-    asm.put_col(4, col4, "(right band)")
-    asm.put_row(0, row0, "(bottom boundary)")
-    asm.put_row(1, row1, "(bottom band)")
-    net = asm.net.copy()
-    for j in range(2, 6):
-        net[2, j] = net[1, j] + net[2, 1] - net[1, 1]
-        net[3, j] = net[4, j] + net[3, 1] - net[4, 1]
-    return BezierPatch(5, 5, net)
+
+def _continue_side_bands(net):
+    """Three-sided interior: columns 2 and 3 continue the left and right bands."""
+    net[2, 2:] = net[1, 2:] + net[2, 1] - net[1, 1]
+    net[3, 2:] = net[4, 2:] + net[3, 1] - net[4, 1]
+    return net
 
 
 def build_fillet(strip_a, strip_b, n_rows=None, *, bridge_lambdas=(1.0, 1.0)):

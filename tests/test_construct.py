@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import smoothpatch.construct as construct
 from smoothpatch.bezier import (
     BezierPatch,
     bernstein_basis,
+    bounding_diagonal,
     elevate_row,
     elevation_matrix,
     split_grid,
@@ -20,6 +22,7 @@ from smoothpatch.continuity import (
     check_vertex_g1,
 )
 from smoothpatch.construct import (
+    HoleFillParams,
     LinkCoefficients,
     NinePatchRing,
     build_fillet,
@@ -29,11 +32,11 @@ from smoothpatch.construct import (
     fill_hole_deg6,
     fourth_patch_twist_check,
     g1_band_offsets,
-    g1_row_from_link,
     hole_constraint_residuals,
     hole_twist_checks,
     solve_hole_params,
 )
+from smoothpatch.construct import _Side, _assemble, _pinned_endpoints
 
 from helpers import (
     constructive_corner,
@@ -68,7 +71,8 @@ def test_row_from_link_uniform_first_relation():
     rng = np.random.default_rng(60)
     p = smooth_patch(rng)
     coeffs = LinkCoefficients(1.0, 1.0, 1.0)  # lambda == 1, kappa == 0
-    offsets = g1_row_from_link(p.net[:, 3], p.net[:, 2], coeffs, m=5)
+    offsets = g1_band_offsets(p.net[:, 3], p.net[:, 2],
+                              coeffs.lambda_ordinates, coeffs.kappa_ordinates)
     np.testing.assert_allclose(offsets[0], 3.0 * (p.net[0, 3] - p.net[0, 2]), atol=1e-14)
 
 
@@ -76,7 +80,8 @@ def test_row_from_link_zero_cross_derivative():
     rng = np.random.default_rng(61)
     p = smooth_patch(rng)
     coeffs = LinkCoefficients(rng.uniform(0.5, 2), rng.uniform(0.5, 2), rng.uniform(0.5, 2))
-    offsets = g1_row_from_link(p.net[:, 3], p.net[:, 3], coeffs, m=5)
+    offsets = g1_band_offsets(p.net[:, 3], p.net[:, 3],
+                              coeffs.lambda_ordinates, coeffs.kappa_ordinates)
     np.testing.assert_allclose(offsets, 0.0, atol=1e-14)
 
 
@@ -99,7 +104,8 @@ def test_row_from_link_matches_displayed_relations():
         2 * a / 5 * d[3] + 3 * l1 / 5 * d[2] + 3 * b2 / 5 * e[2] + 2 * k1 / 5 * e[1],
         l1 * d[3] + k1 * e[2],
     ])
-    got = g1_row_from_link(bnd, inr, LinkCoefficients(l0, a, l1, k0, b1, b2, k1), m=5)
+    coeffs = LinkCoefficients(l0, a, l1, k0, b1, b2, k1)
+    got = g1_band_offsets(bnd, inr, coeffs.lambda_ordinates, coeffs.kappa_ordinates)
     np.testing.assert_allclose(got, expected, atol=1e-13)
 
 
@@ -112,7 +118,8 @@ def test_row_from_link_satisfies_derivative_identity():
                                   *rng.uniform(-0.5, 0.5, size=4))
         m = 5
         row0 = elevate_row(p.net[:, 3], 5)
-        row1 = row0 + g1_row_from_link(p.net[:, 3], p.net[:, 2], coeffs, m) / m
+        row1 = row0 + g1_band_offsets(p.net[:, 3], p.net[:, 2], coeffs.lambda_ordinates,
+                                      coeffs.kappa_ordinates) / m
         t = np.linspace(0.0, 1.0, 101)
         lhs = m * bernstein_basis(5, t) @ (row1 - row0)
         lam = bernstein_basis(2, t) @ coeffs.lambda_ordinates
@@ -126,11 +133,6 @@ def test_row_from_link_satisfies_derivative_identity():
 def test_row_from_link_validates_arguments():
     rng = np.random.default_rng(64)
     p = smooth_patch(rng)
-    coeffs = LinkCoefficients(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        g1_row_from_link(p.net[:, 3], p.net[:, 2], coeffs, m=7)
-    with pytest.raises(ValueError):
-        g1_row_from_link(p.net[:3, 3], p.net[:3, 2], coeffs, m=5)
     with pytest.raises(ValueError):
         g1_band_offsets(p.net[:, 3], p.net[:, 2], [1.0, 1.0], [0.0, 0.0])
 
@@ -259,6 +261,53 @@ def test_twist_check_linear_in_violation():
     assert abs(diffs[2] / diffs[1] - 10.0) < 0.5
 
 
+def _corner_sides(r2, r4, lam12, lam14):
+    """The fourth patch's two joins with ordinates that meet the corner constraint."""
+    alpha23, alpha43 = lam14 * 1.2, lam12 * 0.9
+    c23 = LinkCoefficients(lam14, alpha23, lam14, 0.0,
+                           2 * (alpha43 - lam12) / (3 * lam12), 0.0, 0.0)
+    c43 = LinkCoefficients(lam12, alpha43, lam12, 0.0,
+                           2 * (alpha23 - lam14) / (3 * lam14), 0.0, 0.0)
+    return [_Side(r4, "u1", c43.lambda_ordinates, c43.kappa_ordinates),
+            _Side(r2, "v1", c23.lambda_ordinates, c23.kappa_ordinates)]
+
+
+def test_assemble_rejects_a_doubly_determined_point_and_names_it():
+    rng = np.random.default_rng(96)
+    r1, r2, r4, lam12, lam14 = constructive_corner(rng)
+    scale = bounding_diagonal(r1, r2, r4)
+    left, bottom = _corner_sides(r2, r4, lam12, lam14)
+    net = _assemble(5, scale, [left, bottom])
+    assert not np.isnan(net[:2]).any() and not np.isnan(net[:, :2]).any()
+    assert np.isnan(net[2:, 2:]).all()
+    # beta1 of the (2,3)-link off by 0.1 breaks the corner constraint at (1,1).
+    # With kappa0 off, its band disagrees with the left boundary at (0,1): as
+    # boundaries are written before bands, the band is reported, in either order.
+    for shift, message in (([0.0, 0.1, 0.0, 0.0], r"control point \(1,1\) "),
+                           ([0.1, 0.0, 0.0, 0.0], r"control point \(0,1\) .*\(band across v1\)")):
+        bad = bottom._replace(kap=np.add(bottom.kap, shift))
+        for order in ([left, bad], [bad, left]):
+            with pytest.raises(CornerConsistencyError, match=message):
+                _assemble(5, scale, order)
+
+
+def test_fourth_patch_names_both_routes_on_a_corner_mismatch(monkeypatch):
+    rng = np.random.default_rng(97)
+    r1, r2, r4, _, _ = constructive_corner(rng)
+    assemble = construct._assemble
+
+    def skewed(m, scale, sides):  # the (2,3)-link's beta1 off by 0.1
+        return assemble(m, scale, [s._replace(kap=np.add(s.kap, [0, 0.1, 0, 0]))
+                                   if s.side == "v1" else s for s in sides])
+
+    monkeypatch.setattr(construct, "_assemble", skewed)
+    with pytest.raises(CornerConsistencyError) as exc:
+        complete_fourth_patch(r1, r2, r4)
+    assert str(exc.value).startswith(
+        "corner control point disagrees between the two construction routes: "
+        "control point (1,1) ")
+
+
 # --- hole filling ------------------------------------------------------------
 
 def test_ring_validation_accepts_uniform_and_rejects_broken():
@@ -353,6 +402,25 @@ def test_hole_twist_checks_consistent():
     assert set(checks) == {"bottom-left", "bottom-right", "top-left", "top-right"}
     for t in checks.values():
         assert t.difference < 1e-10 * ring.scale
+
+
+def test_hole_twist_checks_deg6():
+    # with the pinned cubic lambdas of the (6,6) fill, the twists agree at all
+    # four corners and equal 36 times the filled net's own twist
+    patches, _ = random_ring(np.random.default_rng(81))
+    ring = ring_from(patches)
+    ends = _pinned_endpoints(ring)
+    params = HoleFillParams(mode="deg6", alpha={},
+                            alpha1={i: lo for i, (lo, _) in ends.items()},
+                            alpha2={i: hi for i, (_, hi) in ends.items()})
+    checks = hole_twist_checks(ring, params)
+    assert set(checks) == {"bottom-left", "bottom-right", "top-left", "top-right"}
+    for t in checks.values():
+        assert t.difference < 1e-10 * ring.scale
+    q = fill_hole_deg6(ring).net
+    np.testing.assert_allclose(checks["bottom-left"].q23,
+                               36 * (q[1, 1] - q[1, 0] - q[0, 1] + q[0, 0]),
+                               atol=1e-10 * ring.scale)
 
 
 def test_fill_hole_deg6_uniform():

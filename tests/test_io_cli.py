@@ -294,7 +294,7 @@ def test_cli_fill_hole_deg6(tmp_path):
     assert main(["check-g1", str(filled)]) == 0
 
 
-def test_cli_complete_4patch(tmp_path):
+def test_cli_complete_4patch(tmp_path, capsys):
     rng = np.random.default_rng(108)
     g = smooth_patch(rng, span=2.0, z_scale=0.3)
     ll, hl, lh, hh = split_patch(g, u=0.5, v=0.5)
@@ -303,7 +303,15 @@ def test_cli_complete_4patch(tmp_path):
     save_surface(doc, path)
     out = tmp_path / "completed.json"
     assert main(["complete-4patch", str(path), "-o", str(out)]) == 0
+    capsys.readouterr()
+    # the input has no edge records: the output records the two corner joins
+    # the command verified, so the constructed vertex is checked too
     assert main(["check-g1", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("edge ") for line in lines) == 4
+    vertex_rows = [line for line in lines if line.startswith("vertex ")]
+    assert len(vertex_rows) == 1
+    assert vertex_rows[0].startswith("vertex (r1, r2, r3, r4)") and vertex_rows[0].endswith("PASS")
 
 
 def test_cli_fillet(tmp_path):
