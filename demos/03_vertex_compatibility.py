@@ -3,8 +3,9 @@
 Four patches cut from one smooth bi-quartic along a slanted interior cross
 are reassembled into the canonical corner arrangement.  Their link
 functions are genuinely non-constant and the vertex kappas non-zero, yet
-the first- and second-order compatibility residuals vanish; nudging one
-interior control point of a single patch breaks them immediately.
+the first- and second-order compatibility residuals vanish; nudging the
+boundary control point next to the vertex on one shared edge breaks them
+immediately.
 
 Run:  python3 demos/03_vertex_compatibility.py
 (the configuration generator is borrowed from the test-suite oracles)
@@ -38,12 +39,15 @@ report2 = check_vertex_g2(config.solve_g2(fit_degrees=(5, 5)))
 print("\nsecond-order residuals:", np.array2string(report2.g2_residuals, precision=2))
 print("verdict:", "PASS" if report2.g2_ok else "FAIL")
 
-# perturb one interior control point of patch 1 by 0.01
-net = p1.net.copy()
-net[p1.degree_u - 1, p1.degree_v - 1] += np.array([0.0, 0.0, 1e-2])
-broken = CornerConfig.from_patches(BezierPatch.from_net(net), p2, p3, p4,
-                                   fit_degrees=(5, 6))
+# move the shared boundary point next to V on the 1-2 edge by 0.01 in both
+# patches: the boundaries still meet, but the tangent plane at V tilts
+du, dv = p1.degree_u, p1.degree_v
+net1, net2 = p1.net.copy(), p2.net.copy()
+net1[du, dv - 1] += np.array([0.0, 0.0, 1e-2])
+net2[0, dv - 1] += np.array([0.0, 0.0, 1e-2])
+broken = CornerConfig.from_patches(BezierPatch.from_net(net1), BezierPatch.from_net(net2),
+                                   p3, p4, fit_degrees=(5, 6))
 report3 = check_vertex_g1(broken)
-print("\nafter a 1e-2 interior perturbation:")
+print("\nafter a 1e-2 boundary perturbation:")
 print("first-order residuals :", np.array2string(report3.g1_residuals, precision=2))
 print("verdict:", "PASS" if report3.ok else "FAIL")

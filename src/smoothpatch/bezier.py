@@ -419,16 +419,11 @@ def tessellate(p: BezierPatch, nu: int, nv: int) -> TriangleMesh:
     us = np.linspace(0.0, 1.0, nu + 1)
     vs = np.linspace(0.0, 1.0, nv + 1)
     verts = eval_grid(p, us, vs).reshape(-1, 3)
-    faces = []
-    for i in range(nu):
-        for j in range(nv):
-            a = i * (nv + 1) + j
-            b = (i + 1) * (nv + 1) + j
-            c = (i + 1) * (nv + 1) + j + 1
-            d = i * (nv + 1) + j + 1
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    return TriangleMesh(verts, np.array(faces, dtype=int))
+    # quad (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1)
+    a = (np.arange(nu)[:, None] * (nv + 1) + np.arange(nv)).ravel()
+    b, c, d = a + nv + 1, a + nv + 2, a + 1
+    faces = np.stack([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)], axis=1)
+    return TriangleMesh(verts, faces.reshape(-1, 3))
 
 
 def flip_u(p: BezierPatch) -> BezierPatch:

@@ -346,11 +346,10 @@ def fourth_patch_twist_check(
     r4: BezierPatch,
     coeffs23: LinkCoefficients,
     coeffs43: LinkCoefficients,
-    m: int = 5,
 ) -> TwistCheck:
-    """Corner twist computed along both construction routes.
+    """Corner twist of the quintic fourth patch computed along both construction routes.
 
-    ``q23`` is m*m times the mixed difference of the boundary and band rows
+    ``q23`` is 25 times the mixed difference of the boundary and band rows
     built from ``r2`` and the (2,3)-link, ``q43`` the same from ``r4`` and
     the (4,3)-link.  The two agree exactly when the coefficient constraints of
     ``complete_fourth_patch`` hold; violating them by delta grows the
@@ -360,7 +359,7 @@ def fourth_patch_twist_check(
     _require_bicubic("r4", r4)
     sides = [_Side(r4, "u1", coeffs43.lambda_ordinates, coeffs43.kappa_ordinates),
              _Side(r2, "v1", coeffs23.lambda_ordinates, coeffs23.kappa_ordinates)]
-    return _twists(m, sides)[0, 0]
+    return _twists(5, sides)[0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,19 @@ At ``SOLVE_SAMPLES`` one pair serves the G0 test, the first-order link
 solve and, for G2, the second-order link and the curvature oracle; G1
 checks stop at first order.  At ``VERIFY_SAMPLES`` the normal oracle asks
 for first order only.  ``CornerConfig`` keeps the pairs of its four links
-for ``solve_g2``.
+for ``solve_g2`` and for the link derivatives at the vertex.
+
+Vertex values are read at V itself: the link samples there, and one
+solve in the frame at V for the derivatives of lambda and kappa.  The
+Bernstein fits of the link functions are built only when read; no check
+reads them.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -167,26 +173,28 @@ def _fit_bernstein(t: np.ndarray, values: np.ndarray, degree: int) -> BernsteinP
 
 @dataclass(frozen=True, eq=False)
 class EdgeLink:
-    """Link functions along one shared edge, in Bernstein form plus samples.
+    """Link functions along one shared edge: samples, plus Bernstein fits on demand.
 
     ``oop`` holds the per-sample out-of-plane residual of the first-order
     link solve; ``g2_oop`` (after ``solve_g2_link``) the second-order one.
     All residuals are normalized by the joint net diagonal ``scale``.
+    ``frame`` is (a_w, a_t, b_w) at ``ts``, against which ``fit_residual``
+    is measured.  The fits ``lam``, ``kap`` (degrees ``fit_degrees``) and
+    ``mu``, ``nu`` (``g2_fit_degrees``) are least-squares fits of the
+    samples, built on first access; no check verdict reads them.
     """
 
-    lam: BernsteinPoly
-    kap: BernsteinPoly
     ts: np.ndarray
     lam_samples: np.ndarray
     kap_samples: np.ndarray
     oop: np.ndarray
-    fit_residual: float
     scale: float
-    mu: BernsteinPoly | None = None
-    nu: BernsteinPoly | None = None
+    fit_degrees: tuple[int, int] = (10, 11)
+    frame: tuple | None = field(default=None, repr=False)
     mu_samples: np.ndarray | None = None
     nu_samples: np.ndarray | None = None
     g2_oop: np.ndarray | None = None
+    g2_fit_degrees: tuple[int, int] | None = None
 
     def __post_init__(self):
         for name in ("ts", "lam_samples", "kap_samples", "oop",
@@ -196,6 +204,33 @@ class EdgeLink:
                 arr = np.array(arr, dtype=float)
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
+
+    @cached_property
+    def lam(self) -> BernsteinPoly:
+        return _fit_bernstein(self.ts, self.lam_samples, self.fit_degrees[0])
+
+    @cached_property
+    def kap(self) -> BernsteinPoly:
+        return _fit_bernstein(self.ts, self.kap_samples, self.fit_degrees[1])
+
+    @cached_property
+    def mu(self) -> BernsteinPoly | None:
+        if self.mu_samples is None:
+            return None
+        return _fit_bernstein(self.ts, self.mu_samples, self.g2_fit_degrees[0])
+
+    @cached_property
+    def nu(self) -> BernsteinPoly | None:
+        if self.nu_samples is None:
+            return None
+        return _fit_bernstein(self.ts, self.nu_samples, self.g2_fit_degrees[1])
+
+    @cached_property
+    def fit_residual(self) -> float:
+        """Largest distance between b_w and its reconstruction from the lam, kap fits."""
+        a_w, a_t, b_w = self.frame
+        recon = self.lam(self.ts)[:, None] * a_w + self.kap(self.ts)[:, None] * a_t
+        return float(np.max(np.linalg.norm(recon - b_w, axis=1))) / self.scale
 
     @property
     def samples(self):
@@ -253,11 +288,11 @@ def solve_edge_link(
     At each of ``n_samples`` edge parameters the two scalars are obtained by
     projecting b's cross-boundary derivative onto a's tangent basis; the
     out-of-plane component is recorded as the per-sample residual.  The
-    sampled lambda and kappa are then fit by Bernstein polynomials of the
-    requested degrees.  ``frames`` is the edge's frame pair of order >= 1 at
-    those parameters when the caller already holds it, as the edge checks
-    and ``CornerConfig`` do so that one pair serves all their consumers; by
-    default it is built here.
+    Bernstein fits of the requested degrees are built when first read
+    (``EdgeLink.lam``, ``kap``).  ``frames`` is the edge's frame pair of
+    order >= 1 at those parameters when the caller already holds it, as the
+    edge checks and ``CornerConfig`` do so that one pair serves all their
+    consumers; by default it is built here.
     """
     deg_lam, deg_kap = fit_degrees
     if n_samples < max(deg_lam, deg_kap) + 1:
@@ -285,13 +320,9 @@ def solve_edge_link(
             "lambda is negative",
             stacklevel=2,
         )
-    lam_poly = _fit_bernstein(t, lam, deg_lam)
-    kap_poly = _fit_bernstein(t, kap, deg_kap)
-    recon = lam_poly(t)[:, None] * fa.w + kap_poly(t)[:, None] * fa.t
-    fit_residual = float(np.max(np.linalg.norm(recon - fb.w, axis=1))) / scale
     return EdgeLink(
-        lam=lam_poly, kap=kap_poly, ts=t, lam_samples=lam, kap_samples=kap,
-        oop=oop, fit_residual=fit_residual, scale=scale,
+        ts=t, lam_samples=lam, kap_samples=kap, oop=oop, scale=scale,
+        fit_degrees=fit_degrees, frame=(fa.w, fa.t, fb.w),
     )
 
 
@@ -374,14 +405,20 @@ def solve_g2_link(
     out-of-plane component of R signals failure of curvature continuity; it
     is recorded, not raised.  ``frames`` is the edge's frame pair of order 2
     at the ``n_samples`` solve parameters when the caller already holds it;
-    by default it is built here.
+    by default it is built here.  When ``n_samples`` differs from the
+    samples of ``link``, the first-order link is solved again at the new
+    samples, so every sample array of the copy lies on one set of parameters.
+    The mu, nu fits of degrees ``fit_degrees`` are built when first read.
     """
-    t = np.asarray(link.ts, dtype=float)
-    if len(t) != n_samples:
-        t = np.linspace(0.0, 1.0, n_samples)
+    what = f"{corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}"
+    t = np.linspace(0.0, 1.0, n_samples) if len(link.ts) != n_samples else link.ts
     fa, fb = frames if frames is not None else _frames(a, b, corr, t, 2)
-    lam = link.lam(t) if len(t) != len(link.lam_samples) else link.lam_samples
-    kap = link.kap(t) if len(t) != len(link.kap_samples) else link.kap_samples
+    if t is not link.ts:
+        lam, kap, oop = _solve_in_tangent_basis(fa.w, fa.t, fb.w, link.scale, rank_tol,
+                                                f"edge link {what}")
+        link = replace(link, ts=t, lam_samples=lam, kap_samples=kap, oop=oop,
+                       frame=(fa.w, fa.t, fb.w))
+    lam, kap = link.lam_samples, link.kap_samples
     rhs = (
         fb.ww
         - lam[:, None] ** 2 * fa.ww
@@ -389,17 +426,10 @@ def solve_g2_link(
         - kap[:, None] ** 2 * fa.tt
     )
     mu, nu, g2_oop = _solve_in_tangent_basis(
-        fa.w, fa.t, rhs, link.scale, rank_tol,
-        f"second-order link {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}",
+        fa.w, fa.t, rhs, link.scale, rank_tol, f"second-order link {what}",
     )
-    mu_poly = _fit_bernstein(t, mu, fit_degrees[0])
-    nu_poly = _fit_bernstein(t, nu, fit_degrees[1])
-    return EdgeLink(
-        lam=link.lam, kap=link.kap, ts=t,
-        lam_samples=link.lam_samples, kap_samples=link.kap_samples,
-        oop=link.oop, fit_residual=link.fit_residual, scale=link.scale,
-        mu=mu_poly, nu=nu_poly, mu_samples=mu, nu_samples=nu, g2_oop=g2_oop,
-    )
+    return replace(link, mu_samples=mu, nu_samples=nu, g2_oop=g2_oop,
+                   g2_fit_degrees=fit_degrees)
 
 
 def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarray:
@@ -489,6 +519,7 @@ class CornerConfig:
     links: dict = field(default_factory=dict)  # keys "12", "14", "23", "43"
     scale: float = 1.0
     # order-2 frame pairs of the links at their solve samples, for solve_g2
+    # and link_values_at_vertex
     frames: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -539,19 +570,29 @@ class CornerConfig:
         )
 
     def link_values_at_vertex(self) -> dict:
-        """Fitted link values (and derivatives) at the vertex V, per edge key."""
+        """Link values (and derivatives) at the vertex V, per edge key.
+
+        lambda, kappa (and mu, nu) are the link samples at V.  Differentiating
+        b_w = lambda a_w + kappa a_t along the edge gives
+        b_wt - lambda a_wt - kappa a_tt = lambda' a_w + kappa' a_t, which is
+        solved in the frame at V.  That frame comes from ``frames`` when the
+        links were solved there, otherwise it is evaluated at V alone.
+        """
+        patches = {"p1": self.p1, "p2": self.p2, "p3": self.p3, "p4": self.p4}
         out = {}
-        for key, (_, _, _, _, t_v) in _CORNER_EDGES.items():
+        for key, (an, a_side, bn, b_side, t_v) in _CORNER_EDGES.items():
             link = self.links[key]
-            entry = {
-                "lam": float(link.lam(t_v)),
-                "kap": float(link.kap(t_v)),
-                "dlam": float(link.lam.derivative()(t_v)),
-                "dkap": float(link.kap.derivative()(t_v)),
-            }
-            if link.mu is not None:
-                entry["mu"] = float(link.mu(t_v))
-                entry["nu"] = float(link.nu(t_v))
+            i = -1 if t_v == 1.0 else 0  # V's sample, first or last
+            fa, fb = self.frames.get(key) or _frames(
+                patches[an], patches[bn], EdgeCorrespondence(a_side, b_side),
+                np.array([t_v]), 2)
+            lam, kap = float(link.lam_samples[i]), float(link.kap_samples[i])
+            rhs = fb.wt[[i]] - lam * fa.wt[[i]] - kap * fa.tt[[i]]
+            _, ((dlam, dkap),) = _gram_solve(fa.w[[i]], fa.t[[i]], rhs)
+            entry = {"lam": lam, "kap": kap, "dlam": float(dlam), "dkap": float(dkap)}
+            if link.mu_samples is not None:
+                entry["mu"] = float(link.mu_samples[i])
+                entry["nu"] = float(link.nu_samples[i])
             out[key] = entry
         return out
 
@@ -646,7 +687,7 @@ def check_vertex_g2(config: CornerConfig, tol: float = G2_TOL,
                     lambda_min: float = LAMBDA_MIN) -> CompatReport:
     """Second-order compatibility at the vertex; needs mu, nu on all links."""
     for key, link in config.links.items():
-        if link.mu is None:
+        if link.mu_samples is None:
             raise PreconditionError(
                 f"link ({key}) has no second-order data; call CornerConfig.solve_g2 first"
             )

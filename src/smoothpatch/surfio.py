@@ -207,18 +207,15 @@ def load_surface(path) -> SurfaceDocument:
 
 def export_obj(doc: SurfaceDocument, nu: int, nv: int, path) -> None:
     """Write one OBJ object per patch (o/v/f records, 1-based global indices)."""
-    lines = []
+    chunks = []
     offset = 0
     for name, patch in doc.patches.items():
         mesh = tessellate(patch, nu, nv)
-        lines.append(f"o {name}")
-        for v in mesh.vertices:
-            lines.append(
-                "v " + " ".join(format(float(c), ".17g") for c in v)
-            )
-        for f in mesh.faces:
-            lines.append(f"f {f[0] + 1 + offset} {f[1] + 1 + offset} {f[2] + 1 + offset}")
+        chunks.append(f"o {name}\n")
+        chunks.append("v %.17g %.17g %.17g\n" * len(mesh.vertices)
+                      % tuple(mesh.vertices.ravel().tolist()))
+        chunks.append("f %d %d %d\n" * len(mesh.faces)
+                      % tuple((mesh.faces + 1 + offset).ravel().tolist()))
         offset += len(mesh.vertices)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write("".join(chunks) or "\n")

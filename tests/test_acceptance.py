@@ -88,10 +88,14 @@ def test_criterion_02_theorem1_soundness():
         rep = check_vertex_g1(config, tol=1e-8)
         assert rep.ok
         worst = max(worst, rep.g1_residuals.max(), rep.lambda_product_residual)
-        net = p1.net.copy()
-        net[p1.degree_u - 1, p1.degree_v - 1] += np.array([0.0, 0.0, 1e-2])
+        # move the boundary point next to V on the 1-2 edge in both patches:
+        # G0 holds, the tangent plane at V tilts
+        du, dv = p1.degree_u, p1.degree_v
+        net1, net2 = p1.net.copy(), p2.net.copy()
+        net1[du, dv - 1] += np.array([0.0, 0.0, 1e-2])
+        net2[0, dv - 1] += np.array([0.0, 0.0, 1e-2])
         perturbed = CornerConfig.from_patches(
-            BezierPatch.from_net(net), p2, p3, p4, fit_degrees=(5, 6))
+            BezierPatch.from_net(net1), BezierPatch.from_net(net2), p3, p4, fit_degrees=(5, 6))
         prep = check_vertex_g1(perturbed)
         moved = max(prep.g1_residuals.max(), prep.lambda_product_residual)
         assert moved > 1e-4

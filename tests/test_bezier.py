@@ -216,6 +216,17 @@ def test_tessellate_counts():
     assert mesh.faces.shape == (64, 3)
 
 
+@pytest.mark.parametrize("nu, nv", [(1, 1), (3, 5), (6, 2)])
+def test_tessellate_faces_match_the_loop_order(nu, nv):
+    p = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
+    want = []
+    for i in range(nu):
+        for j in range(nv):
+            a, b = i * (nv + 1) + j, (i + 1) * (nv + 1) + j
+            want += [(a, b, b + 1), (a, b + 1, a + 1)]
+    np.testing.assert_array_equal(tessellate(p, nu, nv).faces, want)
+
+
 def test_tessellate_planar_and_winding():
     p = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
     mesh = tessellate(p, 3, 5)

@@ -282,6 +282,40 @@ def test_vertex_g1_reparametrized_global_surface():
     assert max(abs(e["kap"]) for e in rep.vertex_values.values()) > 1e-3
 
 
+def test_twist_at_v_moves_the_edges_not_the_vertex_residuals():
+    # no first-order datum at V reads p1's twist at V: moving it breaks G1
+    # along the 1-2 and 1-4 edges, while Theorems 1 and 2 still hold at V
+    for seed in range(5):
+        _, p1, p2, p3, p4 = quad_split_config(np.random.default_rng(3000 + seed))
+        net = p1.net.copy()
+        net[p1.degree_u - 1, p1.degree_v - 1] += np.array([0.0, 0.0, 1e-2])
+        twisted = BezierPatch.from_net(net)
+        assert not check_g1_edge(twisted, p2, EdgeCorrespondence("u1", "u0")).ok
+        assert not check_g1_edge(twisted, p4, EdgeCorrespondence("v1", "v0")).ok
+        rep = check_vertex_g2(CornerConfig.from_patches(twisted, p2, p3, p4).solve_g2())
+        assert rep.ok
+        assert max(rep.g1_residuals.max(), rep.lambda_product_residual) < 1e-12
+        assert rep.g2_residuals.max() < 1e-12
+
+
+def test_vertex_values_without_stored_frames_or_at_other_samples():
+    # a config without frames evaluates the frame at V alone; solve_g2 at a
+    # different sample count solves the first-order link again there
+    _, p1, p2, p3, p4 = quad_split_config(np.random.default_rng(45))
+    config = CornerConfig.from_patches(p1, p2, p3, p4).solve_g2()
+    bare = CornerConfig(p1=p1, p2=p2, p3=p3, p4=p4, links=config.links, scale=config.scale)
+    resampled = config.solve_g2(n_samples=21)
+    want = config.link_values_at_vertex()
+    for other in (bare, resampled):
+        got = other.link_values_at_vertex()
+        for key, entry in want.items():
+            np.testing.assert_allclose(list(got[key].values()), list(entry.values()),
+                                       rtol=0, atol=1e-12)
+    for link in resampled.links.values():
+        assert {len(link.ts), len(link.lam_samples), len(link.oop), len(link.mu_samples)} == {21}
+    assert check_vertex_g2(resampled).ok
+
+
 def test_vertex_g1_requires_common_vertex():
     rng = np.random.default_rng(42)
     _, p1, p2, p4, p3 = split_corner(rng)

@@ -129,6 +129,38 @@ def test_corner_config_solve_g2_reuses_the_link_frames(jet_calls):
         assert len(jet_calls) == 8 and _once_per_side_and_sample_set(jet_calls)
 
 
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Count the least-squares fits, wherever they are called from."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["check-g1", "check-g2"])
+def test_checks_fit_no_link_function(lstsq_calls, capsys, command):
+    main([command, str(GOLDEN_DOC)])
+    capsys.readouterr()
+    assert lstsq_calls == []
+
+
+def test_link_fits_are_built_once_on_first_read(lstsq_calls):
+    a, b, corr = _edge_cases()[1]  # a smooth edge: the links are polynomials
+    link = continuity.solve_g2_link(a, b, corr, continuity.solve_edge_link(a, b, corr))
+    assert lstsq_calls == []
+    assert link.lam is link.lam and link.mu is link.mu
+    assert lstsq_calls == [(SOLVE_SAMPLES, 11), (SOLVE_SAMPLES, 11)]
+    np.testing.assert_allclose(link.lam(link.ts), link.lam_samples, atol=1e-12)
+    assert link.fit_residual < 1e-12
+    assert len(lstsq_calls) == 3
+
+
 # --- golden reports ---------------------------------------------------------------
 
 def test_mixed_grid_fixture_is_the_stored_document(tmp_path):
@@ -155,7 +187,8 @@ def _assert_close(got, want, where=""):
 @pytest.mark.parametrize("command", ["check-g1", "check-g2"])
 def test_mixed_grid_reports_match_golden(tmp_path, capsys, command):
     # reversed edges, all eight orientations, unequal degrees and one crease;
-    # the golden reports were captured before the edge evaluation was shared
+    # the edge rows were captured before the edge evaluation was shared, the
+    # vertex rows when vertex values came to be read from the samples at V
     golden = json.loads(GOLDEN_REPORTS.read_text())[command]
     report_path = tmp_path / "report.json"
     assert main([command, str(GOLDEN_DOC), "--report", str(report_path)]) == golden["exit_code"]

@@ -1,7 +1,9 @@
 """Serialization, OBJ export and command-line interface tests."""
 
 import functools
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +26,13 @@ from helpers import (
     flat_crease_pair,
     mixed_grid_document,
     oriented_grid_document,
+    random_ring,
+    random_strips,
     smooth_patch,
     uniform_ring,
 )
+
+DATA = Path(__file__).parent / "data"
 
 RING_GRID = {1: (0, 0), 2: (0, 1), 3: (0, 2), 4: (1, 0),
              6: (1, 2), 7: (2, 0), 8: (2, 1), 9: (2, 2)}
@@ -46,8 +52,8 @@ def split_pair_doc(rng):
     )
 
 
-def ring_doc(rng):
-    patches, _ = uniform_ring(rng)
+def ring_doc(rng, make=uniform_ring):
+    patches, _ = make(rng)
     doc_patches = {f"r{k}": patches[k] for k in sorted(patches)}
     edges = [
         EdgeCorrespondence("v1", "v0", a="r1", b="r2"),
@@ -327,6 +333,39 @@ def test_cli_fillet(tmp_path):
     assert main(["check-g1", str(out)]) == 0
     doc = load_surface(out)
     assert len(doc.patches) == 12
+
+
+def test_export_obj_golden_bytes(tmp_path):
+    # captured before the OBJ records were formatted per patch in one pass
+    out = tmp_path / "mixed_grid.obj"
+    assert main(["export", str(DATA / "mixed_grid.json"), "--obj", str(out),
+                 "--samples", "8,8"]) == 0
+    assert out.read_bytes() == (DATA / "mixed_grid_8x8.obj").read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_constructed_vertices_pass_check_g1(tmp_path, capsys, seed):
+    # every join of a constructed document is G1, so every vertex row must
+    # pass; vertex values read from fitted link functions failed some of them
+    rng = np.random.default_rng(7000 + seed)
+    ring_path = tmp_path / "ring.json"
+    save_surface(ring_doc(rng, random_ring), ring_path)
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    strip_a, strip_b = random_strips(rng, 4)
+    save_surface(SurfaceDocument(patches={f"a{r}": p for r, p in enumerate(strip_a)}), a_path)
+    save_surface(SurfaceDocument(patches={f"b{r}": p for r, p in enumerate(strip_b)}), b_path)
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    for argv, n_vertices in (
+        (["fill-hole", str(ring_path)], 4),
+        (["fill-hole", str(ring_path), "--deg6"], 4),
+        (["fillet", str(a_path), str(b_path), "-n", "4"], 6),
+    ):
+        assert main([*argv, "-o", str(out)]) == 0
+        main(["check-g1", str(out), "--report", str(report)])
+        rows = json.loads(report.read_text())["vertices"]
+        assert len(rows) == n_vertices
+        assert all(row["ok"] for row in rows), (argv, rows)
+    capsys.readouterr()
 
 
 def test_cli_export(tmp_path):
