@@ -37,7 +37,7 @@ net[:, :, 0] = np.linspace(0, 2, 4)[:, None]
 net[:, :, 1] = np.linspace(0, 2, 4)[None, :]
 net[:, :, 2] = rng.normal(scale=0.3, size=(4, 4))
 left, right = split_patch(BezierPatch.from_net(net), u=0.5)
-link = solve_edge_link(left, right, corr, fit_degrees=(2, 3))
+link = solve_edge_link(left, right, corr)
 print("split halves: lambda =", np.round(link.lam_samples[0], 12),
       " kappa =", np.round(link.kap_samples[0], 12))
 show("split halves, G1", check_g1_edge(left, right, corr))
@@ -48,7 +48,7 @@ show("split halves, G2", check_g2_edge(left, right, corr))
 # planes agree
 flat = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
 fast = BezierPatch.from_net([[[1, 0, 0], [1, 1, 0]], [[4, 1, 0], [4, 2, 0]]])
-link = solve_edge_link(flat, fast, corr, fit_degrees=(2, 3))
+link = solve_edge_link(flat, fast, corr)
 print("\nmismatched speeds: lambda =", link.lam_samples[0],
       " kappa =", link.kap_samples[0])
 show("coplanar, mismatched speeds", check_g1_edge(flat, fast, corr))

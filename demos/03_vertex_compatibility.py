@@ -24,7 +24,7 @@ from smoothpatch import BezierPatch, CornerConfig, check_vertex_g1, check_vertex
 rng = np.random.default_rng(7)
 _, p1, p2, p3, p4 = quad_split_config(rng)
 
-config = CornerConfig.from_patches(p1, p2, p3, p4, fit_degrees=(5, 6))
+config = CornerConfig.from_patches(p1, p2, p3, p4)
 report = check_vertex_g1(config)
 values = report.vertex_values
 print("link values at the vertex:")
@@ -35,7 +35,7 @@ print("first-order residuals :", np.array2string(report.g1_residuals, precision=
 print("lambda-product residual:", f"{report.lambda_product_residual:.2e}")
 print("verdict:", "PASS" if report.ok else "FAIL")
 
-report2 = check_vertex_g2(config.solve_g2(fit_degrees=(5, 5)))
+report2 = check_vertex_g2(config.solve_g2())
 print("\nsecond-order residuals:", np.array2string(report2.g2_residuals, precision=2))
 print("verdict:", "PASS" if report2.g2_ok else "FAIL")
 
@@ -46,7 +46,7 @@ net1, net2 = p1.net.copy(), p2.net.copy()
 net1[du, dv - 1] += np.array([0.0, 0.0, 1e-2])
 net2[0, dv - 1] += np.array([0.0, 0.0, 1e-2])
 broken = CornerConfig.from_patches(BezierPatch.from_net(net1), BezierPatch.from_net(net2),
-                                   p3, p4, fit_degrees=(5, 6))
+                                   p3, p4)
 report3 = check_vertex_g1(broken)
 print("\nafter a 1e-2 boundary perturbation:")
 print("first-order residuals :", np.array2string(report3.g1_residuals, precision=2))

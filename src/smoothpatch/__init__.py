@@ -6,7 +6,6 @@ completion, (5,5) and (6,6) hole filling and fillet surfaces.
 """
 
 from .bezier import (
-    BernsteinPoly,
     BezierPatch,
     TriangleMesh,
     bernstein_basis,

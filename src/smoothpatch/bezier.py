@@ -7,7 +7,7 @@ are fresh arrays.  Derivatives are computed from difference nets, which is
 exact for polynomial patches; finite differences are reserved for test
 oracles.  Along one side, derivatives up to order k need only the k + 1
 control rows nearest that side; ``_edge_jet`` evaluates them from those
-rows, for the continuity checks and the CLI's corner search.
+rows for the continuity checks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "BezierPatch",
-    "BernsteinPoly",
     "TriangleMesh",
     "binom",
     "bernstein_eval",
@@ -44,8 +43,8 @@ __all__ = [
     "bounding_diagonal",
 ]
 
-# Degree 16 covers the (6,6) constructions, their derivatives and the
-# highest Bernstein fit degrees used by the continuity solvers.
+# Binomials are tabulated up to degree 16, which covers the (6,6)
+# constructions and their Bernstein products; higher degrees use math.comb.
 _MAX_DEGREE = 16
 _BINOM = tuple(tuple(math.comb(n, k) for k in range(n + 1)) for n in range(_MAX_DEGREE + 1))
 
@@ -97,36 +96,6 @@ def _basis_matrix(n: int, t: np.ndarray) -> np.ndarray:
     the solvers' fixed sample sets build each matrix once per process.
     """
     return _cached_basis(n, np.ascontiguousarray(t, dtype=float).tobytes())
-
-
-@dataclass(frozen=True, eq=False)
-class BernsteinPoly:
-    """Scalar polynomial in Bernstein form on [0, 1]."""
-
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size != self.degree + 1:
-            raise ValueError(
-                f"expected {self.degree + 1} Bernstein ordinates, got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("Bernstein ordinates must be finite")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        basis = _basis_matrix(self.degree, t) if t.ndim == 1 else bernstein_basis(self.degree, t)
-        return basis @ self.coeffs
-
-    def derivative(self) -> "BernsteinPoly":
-        if self.degree == 0:
-            return BernsteinPoly(0, np.zeros(1))
-        d = self.degree * np.diff(self.coeffs)
-        return BernsteinPoly(self.degree - 1, d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -141,7 +141,7 @@ def _constant_lambda_link(a, b, corr, *, allow_linear_kappa=False):
     the linear, vertex-vanishing kappa shape; zero otherwise.  Raises
     PreconditionError if the join is not G1 or the link has the wrong shape.
     """
-    link = solve_edge_link(a, b, corr, fit_degrees=(2, 3))
+    link = solve_edge_link(a, b, corr)
     if link.max_oop > G1_TOL:
         raise PreconditionError(
             f"join {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side} is not G1 "

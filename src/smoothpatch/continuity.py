@@ -21,20 +21,17 @@ for first order only.  ``CornerConfig`` keeps the pairs of its four links
 for ``solve_g2`` and for the link derivatives at the vertex.
 
 Vertex values are read at V itself: the link samples there, and one
-solve in the frame at V for the derivatives of lambda and kappa.  The
-Bernstein fits of the link functions are built only when read; no check
-reads them.
+solve in the frame at V for the derivatives of lambda and kappa.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-from .bezier import BernsteinPoly, BezierPatch, _basis_matrix, _edge_jet, bounding_diagonal
+from .bezier import BezierPatch, _edge_jet, bounding_diagonal
 
 __all__ = [
     "G0_TOL",
@@ -77,6 +74,20 @@ LAMBDA_MIN = 1e-8
 RANK_TOL = 1e-10
 SOLVE_SAMPLES = 33
 VERIFY_SAMPLES = 101
+
+
+def _frozen(arr):
+    """``arr`` as a read-only float64 array that owns its data; copied only if it is not one."""
+    if arr is None or (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                       and arr.flags.owndata and not arr.flags.writeable):
+        return arr
+    out = np.array(arr, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+_SOLVE_TS = _frozen(np.linspace(0.0, 1.0, SOLVE_SAMPLES))
+_VERIFY_TS = _frozen(np.linspace(0.0, 1.0, VERIFY_SAMPLES))
 
 
 class GeometryError(Exception):
@@ -159,29 +170,19 @@ def _max_gap(fa: _EdgeFrame, fb: _EdgeFrame, scale: float) -> float:
     return float(np.max(np.linalg.norm(fa.point - fb.point, axis=1))) / scale
 
 
-def g0_gap(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence,
-           n_samples: int = SOLVE_SAMPLES) -> float:
+def g0_gap(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> float:
     """Largest distance between the identified boundary curves, scale-normalized."""
-    fa, fb = _frames(a, b, corr, np.linspace(0.0, 1.0, n_samples), 0)
+    fa, fb = _frames(a, b, corr, _SOLVE_TS, 0)
     return _max_gap(fa, fb, bounding_diagonal(a, b))
-
-
-def _fit_bernstein(t: np.ndarray, values: np.ndarray, degree: int) -> BernsteinPoly:
-    coeffs, *_ = np.linalg.lstsq(_basis_matrix(degree, t), values, rcond=None)
-    return BernsteinPoly(degree, coeffs)
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeLink:
-    """Link functions along one shared edge: samples, plus Bernstein fits on demand.
+    """Link functions along one shared edge, as their samples at ``ts``.
 
     ``oop`` holds the per-sample out-of-plane residual of the first-order
     link solve; ``g2_oop`` (after ``solve_g2_link``) the second-order one.
     All residuals are normalized by the joint net diagonal ``scale``.
-    ``frame`` is (a_w, a_t, b_w) at ``ts``, against which ``fit_residual``
-    is measured.  The fits ``lam``, ``kap`` (degrees ``fit_degrees``) and
-    ``mu``, ``nu`` (``g2_fit_degrees``) are least-squares fits of the
-    samples, built on first access; no check verdict reads them.
     """
 
     ts: np.ndarray
@@ -189,57 +190,14 @@ class EdgeLink:
     kap_samples: np.ndarray
     oop: np.ndarray
     scale: float
-    fit_degrees: tuple[int, int] = (10, 11)
-    frame: tuple | None = field(default=None, repr=False)
     mu_samples: np.ndarray | None = None
     nu_samples: np.ndarray | None = None
     g2_oop: np.ndarray | None = None
-    g2_fit_degrees: tuple[int, int] | None = None
 
     def __post_init__(self):
         for name in ("ts", "lam_samples", "kap_samples", "oop",
                      "mu_samples", "nu_samples", "g2_oop"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.array(arr, dtype=float)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
-
-    @cached_property
-    def lam(self) -> BernsteinPoly:
-        return _fit_bernstein(self.ts, self.lam_samples, self.fit_degrees[0])
-
-    @cached_property
-    def kap(self) -> BernsteinPoly:
-        return _fit_bernstein(self.ts, self.kap_samples, self.fit_degrees[1])
-
-    @cached_property
-    def mu(self) -> BernsteinPoly | None:
-        if self.mu_samples is None:
-            return None
-        return _fit_bernstein(self.ts, self.mu_samples, self.g2_fit_degrees[0])
-
-    @cached_property
-    def nu(self) -> BernsteinPoly | None:
-        if self.nu_samples is None:
-            return None
-        return _fit_bernstein(self.ts, self.nu_samples, self.g2_fit_degrees[1])
-
-    @cached_property
-    def fit_residual(self) -> float:
-        """Largest distance between b_w and its reconstruction from the lam, kap fits."""
-        a_w, a_t, b_w = self.frame
-        recon = self.lam(self.ts)[:, None] * a_w + self.kap(self.ts)[:, None] * a_t
-        return float(np.max(np.linalg.norm(recon - b_w, axis=1))) / self.scale
-
-    @property
-    def samples(self):
-        """Per-sample tuples (t, lambda, kappa[, mu, nu])."""
-        if self.mu_samples is None:
-            return list(zip(self.ts, self.lam_samples, self.kap_samples))
-        return list(
-            zip(self.ts, self.lam_samples, self.kap_samples, self.mu_samples, self.nu_samples)
-        )
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def max_oop(self) -> float:
@@ -258,11 +216,11 @@ def _gram_solve(e_w, e_t, rhs):
     return g, np.linalg.solve(g, rv[..., None])[..., 0]
 
 
-def _solve_in_tangent_basis(e_w, e_t, rhs, scale, rank_tol, what):
+def _solve_in_tangent_basis(e_w, e_t, rhs, scale, what):
     """Least-squares solve rhs = x*e_w + y*e_t per sample; returns x, y, residual."""
     cross = np.cross(e_w, e_t)
     denom = np.linalg.norm(e_w, axis=1) * np.linalg.norm(e_t, axis=1)
-    if np.any(denom == 0.0) or np.any(np.linalg.norm(cross, axis=1) < rank_tol * scale**2):
+    if np.any(denom == 0.0) or np.any(np.linalg.norm(cross, axis=1) < RANK_TOL * scale**2):
         raise DegenerateParametrizationError(
             f"tangent vectors linearly dependent while solving {what}"
         )
@@ -275,42 +233,31 @@ def solve_edge_link(
     a: BezierPatch,
     b: BezierPatch,
     corr: EdgeCorrespondence,
-    n_samples: int = SOLVE_SAMPLES,
-    fit_degrees: tuple[int, int] = (10, 11),
     *,
-    g0_tol: float = G0_TOL,
-    lambda_min: float = LAMBDA_MIN,
-    rank_tol: float = RANK_TOL,
     frames=None,
 ) -> EdgeLink:
     """Solve the first-order link cross_b = lambda*cross_a + kappa*tangent_a.
 
-    At each of ``n_samples`` edge parameters the two scalars are obtained by
-    projecting b's cross-boundary derivative onto a's tangent basis; the
-    out-of-plane component is recorded as the per-sample residual.  The
-    Bernstein fits of the requested degrees are built when first read
-    (``EdgeLink.lam``, ``kap``).  ``frames`` is the edge's frame pair of
-    order >= 1 at those parameters when the caller already holds it, as the
-    edge checks and ``CornerConfig`` do so that one pair serves all their
-    consumers; by default it is built here.
+    At each of the ``SOLVE_SAMPLES`` edge parameters the two scalars are
+    obtained by projecting b's cross-boundary derivative onto a's tangent
+    basis; the out-of-plane component is recorded as the per-sample
+    residual.  ``frames`` is the edge's frame pair of order >= 1 at those
+    parameters when the caller already holds it, as the edge checks and
+    ``CornerConfig`` do so that one pair serves all their consumers; by
+    default it is built here.
     """
-    deg_lam, deg_kap = fit_degrees
-    if n_samples < max(deg_lam, deg_kap) + 1:
-        raise ValueError("n_samples must exceed the largest fit degree")
-    t = np.linspace(0.0, 1.0, n_samples)
-    fa, fb = frames if frames is not None else _frames(a, b, corr, t, 1)
+    fa, fb = frames if frames is not None else _frames(a, b, corr, _SOLVE_TS, 1)
     scale = bounding_diagonal(a, b)
     gap = _max_gap(fa, fb, scale)
-    if gap > g0_tol:
+    if gap > G0_TOL:
         raise PreconditionError(
             f"boundary curves of {corr.a}:{corr.a_side} and {corr.b}:{corr.b_side} "
-            f"do not coincide (normalized gap {gap:.3e} > {g0_tol:.1e})"
+            f"do not coincide (normalized gap {gap:.3e} > {G0_TOL:.1e})"
         )
     lam, kap, oop = _solve_in_tangent_basis(
-        fa.w, fa.t, fb.w, scale,
-        rank_tol, f"edge link {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}",
+        fa.w, fa.t, fb.w, scale, f"edge link {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}",
     )
-    if np.any(np.abs(lam) < lambda_min):
+    if np.any(np.abs(lam) < LAMBDA_MIN):
         raise DegenerateLinkError(
             f"lambda vanishes along edge {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}"
         )
@@ -320,10 +267,7 @@ def solve_edge_link(
             "lambda is negative",
             stacklevel=2,
         )
-    return EdgeLink(
-        ts=t, lam_samples=lam, kap_samples=kap, oop=oop, scale=scale,
-        fit_degrees=fit_degrees, frame=(fa.w, fa.t, fb.w),
-    )
+    return EdgeLink(ts=_SOLVE_TS, lam_samples=lam, kap_samples=kap, oop=oop, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -347,29 +291,23 @@ def check_g1_edge(
     b: BezierPatch,
     corr: EdgeCorrespondence,
     tol: float = G1_TOL,
-    *,
-    angle_tol: float = NORMAL_ANGLE_TOL,
-    n_samples: int = SOLVE_SAMPLES,
-    n_verify: int = VERIFY_SAMPLES,
-    fit_degrees: tuple[int, int] = (10, 11),
 ) -> EdgeReport:
     """Tangent-plane continuity along a shared edge, tested two ways.
 
     (i) link test: the out-of-plane residual of ``solve_edge_link`` stays
     below ``tol``; (ii) normal oracle: the angle between the two surface
-    normals (as unoriented lines) stays below ``angle_tol`` at ``n_verify``
-    shared samples.  The verdict is the conjunction.
+    normals (as unoriented lines) stays below ``NORMAL_ANGLE_TOL`` at the
+    ``VERIFY_SAMPLES`` shared samples.  The verdict is the conjunction.
     """
-    frames = _frames(a, b, corr, np.linspace(0.0, 1.0, n_samples), 1)
-    return _check_g1(a, b, corr, frames, tol, angle_tol, n_samples, n_verify, fit_degrees)
+    return _check_g1(a, b, corr, _frames(a, b, corr, _SOLVE_TS, 1), tol)
 
 
-def _check_g1(a, b, corr, frames, tol, angle_tol, n_samples, n_verify, fit_degrees):
+def _check_g1(a, b, corr, frames, tol):
     """``check_g1_edge`` with the frame pair at the solve samples given."""
-    link = solve_edge_link(a, b, corr, n_samples, fit_degrees, frames=frames)
+    link = solve_edge_link(a, b, corr, frames=frames)
     link_ok = link.max_oop < tol
 
-    fa, fb = _frames(a, b, corr, np.linspace(0.0, 1.0, n_verify), 1)
+    fa, fb = _frames(a, b, corr, _VERIFY_TS, 1)
     na = np.cross(fa.w, fa.t)
     nb = np.cross(fb.w, fb.t)
     na /= np.linalg.norm(na, axis=1, keepdims=True)
@@ -378,12 +316,12 @@ def _check_g1(a, b, corr, frames, tol, angle_tol, n_samples, n_verify, fit_degre
     sinang = np.linalg.norm(np.cross(na, nb), axis=1)
     cosang = np.abs(np.einsum("ij,ij->i", na, nb))
     max_angle = float(np.max(np.arctan2(sinang, cosang)))
-    normal_ok = max_angle < angle_tol
+    normal_ok = max_angle < NORMAL_ANGLE_TOL
 
     return EdgeReport(
         order=1, link_residual=link.max_oop, link_ok=link_ok,
         oracle_residual=max_angle, oracle_ok=normal_ok,
-        ok=link_ok and normal_ok, tol=tol, oracle_tol=angle_tol, link=link,
+        ok=link_ok and normal_ok, tol=tol, oracle_tol=NORMAL_ANGLE_TOL, link=link,
     )
 
 
@@ -392,10 +330,7 @@ def solve_g2_link(
     b: BezierPatch,
     corr: EdgeCorrespondence,
     link: EdgeLink,
-    n_samples: int = SOLVE_SAMPLES,
-    fit_degrees: tuple[int, int] = (10, 10),
     *,
-    rank_tol: float = RANK_TOL,
     frames=None,
 ) -> EdgeLink:
     """Solve the second-order link and return a copy of ``link`` with mu, nu.
@@ -404,20 +339,10 @@ def solve_g2_link(
     sample and resolves R = mu a_w + nu a_t in least squares.  A large
     out-of-plane component of R signals failure of curvature continuity; it
     is recorded, not raised.  ``frames`` is the edge's frame pair of order 2
-    at the ``n_samples`` solve parameters when the caller already holds it;
-    by default it is built here.  When ``n_samples`` differs from the
-    samples of ``link``, the first-order link is solved again at the new
-    samples, so every sample array of the copy lies on one set of parameters.
-    The mu, nu fits of degrees ``fit_degrees`` are built when first read.
+    at the samples of ``link`` when the caller already holds it; by default
+    it is built here.
     """
-    what = f"{corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}"
-    t = np.linspace(0.0, 1.0, n_samples) if len(link.ts) != n_samples else link.ts
-    fa, fb = frames if frames is not None else _frames(a, b, corr, t, 2)
-    if t is not link.ts:
-        lam, kap, oop = _solve_in_tangent_basis(fa.w, fa.t, fb.w, link.scale, rank_tol,
-                                                f"edge link {what}")
-        link = replace(link, ts=t, lam_samples=lam, kap_samples=kap, oop=oop,
-                       frame=(fa.w, fa.t, fb.w))
+    fa, fb = frames if frames is not None else _frames(a, b, corr, link.ts, 2)
     lam, kap = link.lam_samples, link.kap_samples
     rhs = (
         fb.ww
@@ -426,10 +351,10 @@ def solve_g2_link(
         - kap[:, None] ** 2 * fa.tt
     )
     mu, nu, g2_oop = _solve_in_tangent_basis(
-        fa.w, fa.t, rhs, link.scale, rank_tol, f"second-order link {what}",
+        fa.w, fa.t, rhs, link.scale,
+        f"second-order link {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}",
     )
-    return replace(link, mu_samples=mu, nu_samples=nu, g2_oop=g2_oop,
-                   g2_fit_degrees=fit_degrees)
+    return replace(link, mu_samples=mu, nu_samples=nu, g2_oop=g2_oop)
 
 
 def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarray:
@@ -454,10 +379,6 @@ def check_g2_edge(
     b: BezierPatch,
     corr: EdgeCorrespondence,
     tol: float = G2_TOL,
-    *,
-    g1_tol: float = G1_TOL,
-    n_samples: int = SOLVE_SAMPLES,
-    fit_degrees: tuple[int, int] = (10, 11),
 ) -> EdgeReport:
     """Curvature continuity along a shared edge, tested two ways.
 
@@ -466,10 +387,9 @@ def check_g2_edge(
     three pairwise independent tangent directions at the shared samples
     (three directions suffice to pin the full curvature behaviour).
     """
-    frames = _frames(a, b, corr, np.linspace(0.0, 1.0, n_samples), 2)
-    g1 = _check_g1(a, b, corr, frames, g1_tol, NORMAL_ANGLE_TOL, n_samples, VERIFY_SAMPLES,
-                   fit_degrees)
-    link = solve_g2_link(a, b, corr, g1.link, n_samples, frames=frames)
+    frames = _frames(a, b, corr, _SOLVE_TS, 2)
+    g1 = _check_g1(a, b, corr, frames, G1_TOL)
+    link = solve_g2_link(a, b, corr, g1.link, frames=frames)
     link_ok = float(np.max(link.g2_oop)) < tol
 
     fa, fb = frames
@@ -516,58 +436,39 @@ class CornerConfig:
     p2: BezierPatch
     p3: BezierPatch
     p4: BezierPatch
-    links: dict = field(default_factory=dict)  # keys "12", "14", "23", "43"
-    scale: float = 1.0
+    links: dict  # keys "12", "14", "23", "43"
+    scale: float
     # order-2 frame pairs of the links at their solve samples, for solve_g2
     # and link_values_at_vertex
-    frames: dict = field(default_factory=dict, repr=False)
+    frames: dict = field(repr=False)
 
     @classmethod
     def from_patches(
-        cls,
-        p1: BezierPatch,
-        p2: BezierPatch,
-        p3: BezierPatch,
-        p4: BezierPatch,
-        n_samples: int = SOLVE_SAMPLES,
-        fit_degrees: tuple[int, int] = (10, 11),
-        *,
-        g0_tol: float = G0_TOL,
+        cls, p1: BezierPatch, p2: BezierPatch, p3: BezierPatch, p4: BezierPatch,
     ) -> "CornerConfig":
         patches = {"p1": p1, "p2": p2, "p3": p3, "p4": p4}
         scale = bounding_diagonal(p1, p2, p3, p4)
         v = p1.corner(1, 1)
         for name, other in (("p2", p2.corner(0, 1)), ("p3", p3.corner(0, 0)),
                             ("p4", p4.corner(1, 0))):
-            if np.linalg.norm(other - v) > g0_tol * scale:
+            if np.linalg.norm(other - v) > G0_TOL * scale:
                 raise PreconditionError(f"{name} does not meet the common vertex V")
-        t = np.linspace(0.0, 1.0, n_samples)
         links, frames = {}, {}
         for key, (an, a_side, bn, b_side, _) in _CORNER_EDGES.items():
             corr = EdgeCorrespondence(a_side, b_side, a=an, b=bn)
-            frames[key] = _frames(patches[an], patches[bn], corr, t, 2)
-            links[key] = solve_edge_link(
-                patches[an], patches[bn], corr, n_samples, fit_degrees, g0_tol=g0_tol,
-                frames=frames[key],
-            )
+            frames[key] = _frames(patches[an], patches[bn], corr, _SOLVE_TS, 2)
+            links[key] = solve_edge_link(patches[an], patches[bn], corr, frames=frames[key])
         return cls(p1=p1, p2=p2, p3=p3, p4=p4, links=links, scale=scale, frames=frames)
 
-    def solve_g2(self, n_samples: int = SOLVE_SAMPLES,
-                 fit_degrees: tuple[int, int] = (10, 10)) -> "CornerConfig":
+    def solve_g2(self) -> "CornerConfig":
         """Return a copy whose links carry the second-order functions mu, nu."""
         patches = {"p1": self.p1, "p2": self.p2, "p3": self.p3, "p4": self.p4}
         links = {}
         for key, (an, a_side, bn, b_side, _) in _CORNER_EDGES.items():
             corr = EdgeCorrespondence(a_side, b_side, a=an, b=bn)
-            link = self.links[key]
-            frames = self.frames.get(key) if len(link.ts) == n_samples else None
-            links[key] = solve_g2_link(
-                patches[an], patches[bn], corr, link, n_samples, fit_degrees, frames=frames
-            )
-        return CornerConfig(
-            p1=self.p1, p2=self.p2, p3=self.p3, p4=self.p4, links=links, scale=self.scale,
-            frames=self.frames,
-        )
+            links[key] = solve_g2_link(patches[an], patches[bn], corr, self.links[key],
+                                       frames=self.frames[key])
+        return replace(self, links=links)
 
     def link_values_at_vertex(self) -> dict:
         """Link values (and derivatives) at the vertex V, per edge key.
@@ -575,17 +476,13 @@ class CornerConfig:
         lambda, kappa (and mu, nu) are the link samples at V.  Differentiating
         b_w = lambda a_w + kappa a_t along the edge gives
         b_wt - lambda a_wt - kappa a_tt = lambda' a_w + kappa' a_t, which is
-        solved in the frame at V.  That frame comes from ``frames`` when the
-        links were solved there, otherwise it is evaluated at V alone.
+        solved in the frame at V, the sample of ``frames`` there.
         """
-        patches = {"p1": self.p1, "p2": self.p2, "p3": self.p3, "p4": self.p4}
         out = {}
-        for key, (an, a_side, bn, b_side, t_v) in _CORNER_EDGES.items():
+        for key, (*_, t_v) in _CORNER_EDGES.items():
             link = self.links[key]
             i = -1 if t_v == 1.0 else 0  # V's sample, first or last
-            fa, fb = self.frames.get(key) or _frames(
-                patches[an], patches[bn], EdgeCorrespondence(a_side, b_side),
-                np.array([t_v]), 2)
+            fa, fb = self.frames[key]
             lam, kap = float(link.lam_samples[i]), float(link.kap_samples[i])
             rhs = fb.wt[[i]] - lam * fa.wt[[i]] - kap * fa.tt[[i]]
             _, ((dlam, dkap),) = _gram_solve(fa.w[[i]], fa.t[[i]], rhs)
@@ -657,18 +554,17 @@ class CompatReport:
         return out
 
 
-def _vertex_scalars(config: CornerConfig, lambda_min: float):
+def _vertex_scalars(config: CornerConfig):
     vals = config.link_values_at_vertex()
     for key, entry in vals.items():
-        if abs(entry["lam"]) < lambda_min:
+        if abs(entry["lam"]) < LAMBDA_MIN:
             raise DegenerateLinkError(f"lambda of link ({key}) vanishes at the vertex")
     return vals
 
 
-def check_vertex_g1(config: CornerConfig, tol: float = G1_TOL,
-                    *, lambda_min: float = LAMBDA_MIN) -> CompatReport:
+def check_vertex_g1(config: CornerConfig, tol: float = G1_TOL) -> CompatReport:
     """First-order compatibility of the four link functions at the vertex."""
-    vals = _vertex_scalars(config, lambda_min)
+    vals = _vertex_scalars(config)
     res, product = theorem1_residuals(
         vals["12"]["lam"], vals["12"]["kap"],
         vals["14"]["lam"], vals["14"]["kap"],
@@ -682,16 +578,14 @@ def check_vertex_g1(config: CornerConfig, tol: float = G1_TOL,
     )
 
 
-def check_vertex_g2(config: CornerConfig, tol: float = G2_TOL,
-                    *, g1_tol: float = G1_TOL,
-                    lambda_min: float = LAMBDA_MIN) -> CompatReport:
+def check_vertex_g2(config: CornerConfig, tol: float = G2_TOL) -> CompatReport:
     """Second-order compatibility at the vertex; needs mu, nu on all links."""
     for key, link in config.links.items():
         if link.mu_samples is None:
             raise PreconditionError(
                 f"link ({key}) has no second-order data; call CornerConfig.solve_g2 first"
             )
-    g1 = check_vertex_g1(config, g1_tol, lambda_min=lambda_min)
+    g1 = check_vertex_g1(config)
     vals = g1.vertex_values
     args = []
     for key in ("12", "14", "23", "43"):

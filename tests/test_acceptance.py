@@ -84,7 +84,7 @@ def test_criterion_02_theorem1_soundness():
     for seed in range(5):
         rng = np.random.default_rng(3000 + seed)
         _, p1, p2, p3, p4 = quad_split_config(rng)
-        config = CornerConfig.from_patches(p1, p2, p3, p4, fit_degrees=(5, 6))
+        config = CornerConfig.from_patches(p1, p2, p3, p4)
         rep = check_vertex_g1(config, tol=1e-8)
         assert rep.ok
         worst = max(worst, rep.g1_residuals.max(), rep.lambda_product_residual)
@@ -95,7 +95,7 @@ def test_criterion_02_theorem1_soundness():
         net1[du, dv - 1] += np.array([0.0, 0.0, 1e-2])
         net2[0, dv - 1] += np.array([0.0, 0.0, 1e-2])
         perturbed = CornerConfig.from_patches(
-            BezierPatch.from_net(net1), BezierPatch.from_net(net2), p3, p4, fit_degrees=(5, 6))
+            BezierPatch.from_net(net1), BezierPatch.from_net(net2), p3, p4)
         prep = check_vertex_g1(perturbed)
         moved = max(prep.g1_residuals.max(), prep.lambda_product_residual)
         assert moved > 1e-4
@@ -110,8 +110,8 @@ def test_criterion_03_theorem2_soundness():
     for seed in range(5):
         rng = np.random.default_rng(4000 + seed)
         _, p1, p2, p3, p4 = quad_split_config(rng)
-        config = CornerConfig.from_patches(p1, p2, p3, p4, fit_degrees=(5, 6))
-        config = config.solve_g2(fit_degrees=(5, 5))
+        config = CornerConfig.from_patches(p1, p2, p3, p4)
+        config = config.solve_g2()
         rep = check_vertex_g2(config, tol=1e-6)
         assert rep.ok
         worst = max(worst, rep.g2_residuals.max())
@@ -122,8 +122,8 @@ def test_criterion_03_theorem2_soundness():
         rng = np.random.default_rng(4100 + seed)
         g = smooth_patch(rng, 4, 4)
         ll, hl, lh, hh = split_patch(g, u=0.4 + 0.2 * rng.uniform(), v=0.5)
-        config = CornerConfig.from_patches(ll, hl, hh, lh, fit_degrees=(4, 5))
-        config = config.solve_g2(fit_degrees=(4, 4))
+        config = CornerConfig.from_patches(ll, hl, hh, lh)
+        config = config.solve_g2()
         rep = check_vertex_g2(config)
         vals = rep.vertex_values
         reductions = [
@@ -246,10 +246,11 @@ def test_criterion_07_hole_filling_deg6():
             assert ok and residual < 1e-8
             worst_edge = max(worst_edge, residual)
         # the inner cubic ordinates are pinned to the ring constants exactly
-        link = solve_edge_link(patches[4], fill, EdgeCorrespondence("v1", "v0"),
-                               fit_degrees=(3, 4))
+        link = solve_edge_link(patches[4], fill, EdgeCorrespondence("v1", "v0"))
         np.testing.assert_allclose(
-            link.lam.coeffs, [lam["12"], lam["12"], lam["78"], lam["78"]], atol=1e-8)
+            link.lam_samples,
+            bernstein_basis(3, link.ts) @ [lam["12"], lam["12"], lam["78"], lam["78"]],
+            atol=1e-8)
     _report(7, f"20 rings at (6,6): edges {worst_edge:.2e} < 1e-8, pinning exact")
 
 
@@ -292,8 +293,7 @@ def test_criterion_09_fillet():
     for c in range(2):
         for r in range(3):
             config = CornerConfig.from_patches(
-                grid[c][r], grid[c + 1][r], grid[c + 1][r + 1], grid[c][r + 1],
-                fit_degrees=(4, 5))
+                grid[c][r], grid[c + 1][r], grid[c + 1][r + 1], grid[c][r + 1])
             rep = check_vertex_g1(config)
             assert rep.ok
             worst_vertex = max(worst_vertex, rep.g1_residuals.max(),

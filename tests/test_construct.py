@@ -159,27 +159,28 @@ def test_fourth_patch_default_betas_vanish_for_uniform_corner():
     _, p1, p2, p4, _ = split_corner(rng)
     r3 = complete_fourth_patch(p1, p2, p4, alpha23=1.0, alpha43=1.0)
     from smoothpatch.continuity import solve_edge_link
-    link = solve_edge_link(p2, r3, EdgeCorrespondence("v1", "v0"), fit_degrees=(2, 3))
+    link = solve_edge_link(p2, r3, EdgeCorrespondence("v1", "v0"))
     np.testing.assert_allclose(link.kap_samples, 0.0, atol=1e-11)
 
 
 def test_fourth_patch_beta_algebra():
     # alpha43 = lam12 + 1.5 * lam12 * b forces beta1_23 = b exactly; verify
-    # through the resulting link's cubic kappa ordinate
+    # that the resulting link's kappa is the cubic with ordinates (0, b, 0, 0)
     rng = np.random.default_rng(67)
     b = 0.37
     r1, r2, r4, lam12, lam14 = constructive_corner(rng)
     r3 = complete_fourth_patch(r1, r2, r4, alpha43=lam12 + 1.5 * lam12 * b)
     from smoothpatch.continuity import solve_edge_link
-    link = solve_edge_link(r2, r3, EdgeCorrespondence("v1", "v0"), fit_degrees=(2, 3))
-    assert abs(link.kap.coeffs[1] - b) < 1e-9
+    link = solve_edge_link(r2, r3, EdgeCorrespondence("v1", "v0"))
+    np.testing.assert_allclose(
+        link.kap_samples, bernstein_basis(3, link.ts) @ [0.0, b, 0.0, 0.0], atol=1e-9)
 
 
 def test_fourth_patch_vertex_compatibility():
     rng = np.random.default_rng(68)
     r1, r2, r4, _, _ = constructive_corner(rng)
     r3 = complete_fourth_patch(r1, r2, r4)
-    config = CornerConfig.from_patches(r1, r2, r3, r4, fit_degrees=(4, 5))
+    config = CornerConfig.from_patches(r1, r2, r3, r4)
     rep = check_vertex_g1(config)
     assert rep.ok and rep.g1_residuals.max() < 1e-8
 
@@ -388,8 +389,7 @@ def test_fill_hole_vertex_compatibility():
     patches, _ = random_ring(rng)
     ring = ring_from(patches)
     fill = fill_hole(ring)
-    config = CornerConfig.from_patches(patches[1], patches[4], fill, patches[2],
-                                       fit_degrees=(4, 5))
+    config = CornerConfig.from_patches(patches[1], patches[4], fill, patches[2])
     rep = check_vertex_g1(config)
     assert rep.ok and rep.g1_residuals.max() < 1e-8
 
@@ -435,16 +435,16 @@ def test_fill_hole_deg6_uniform():
 
 def test_fill_hole_deg6_lambda_ordinates_pinned():
     # the cubic lambda along the bottom edge has ordinates
-    # (lam12, lam12, lam78, lam78); recover them from the filled patch
+    # (lam12, lam12, lam78, lam78); the filled patch's link is that cubic
     rng = np.random.default_rng(83)
     patches, lam = random_ring(rng)
     ring = ring_from(patches)
     fill = fill_hole_deg6(ring)
     from smoothpatch.continuity import solve_edge_link
-    link = solve_edge_link(patches[4], fill, EdgeCorrespondence("v1", "v0"),
-                           fit_degrees=(3, 4))
+    link = solve_edge_link(patches[4], fill, EdgeCorrespondence("v1", "v0"))
     np.testing.assert_allclose(
-        link.lam.coeffs, [lam["12"], lam["12"], lam["78"], lam["78"]], atol=1e-8)
+        link.lam_samples,
+        bernstein_basis(3, link.ts) @ [lam["12"], lam["12"], lam["78"], lam["78"]], atol=1e-8)
     np.testing.assert_allclose(link.kap_samples, 0.0, atol=1e-9)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothpatch.bezier import BezierPatch, split_patch, transform_patch
 from smoothpatch.continuity import (
@@ -9,6 +11,7 @@ from smoothpatch.continuity import (
     DegenerateLinkError,
     DegenerateParametrizationError,
     EdgeCorrespondence,
+    EdgeLink,
     PreconditionError,
     check_g1_edge,
     check_g2_edge,
@@ -39,36 +42,59 @@ U1_U0 = EdgeCorrespondence("u1", "u0")
 
 def test_link_flat_example():
     # b(u,v) = (1+2u, v+u, 0): cross derivative is 2*a_u + 1*a_v
-    link = solve_edge_link(FLAT_A, FLAT_B, U1_U0, fit_degrees=(2, 3))
+    link = solve_edge_link(FLAT_A, FLAT_B, U1_U0)
     np.testing.assert_allclose(link.lam_samples, 2.0, atol=1e-13)
     np.testing.assert_allclose(link.kap_samples, 1.0, atol=1e-13)
     assert link.max_oop < 1e-13
-    assert link.fit_residual < 1e-13
 
 
 def test_link_reversal_consistency():
-    link = solve_edge_link(FLAT_B, FLAT_A, EdgeCorrespondence("u0", "u1"),
-                           fit_degrees=(2, 3))
+    link = solve_edge_link(FLAT_B, FLAT_A, EdgeCorrespondence("u0", "u1"))
     np.testing.assert_allclose(link.lam_samples, 0.5, atol=1e-13)
     assert check_g1_edge(FLAT_B, FLAT_A, EdgeCorrespondence("u0", "u1")).ok
+
+
+def test_edge_link_keeps_frozen_arrays_and_freezes_the_rest():
+    # the second-order copy shares the first-order arrays instead of copying them
+    link = solve_edge_link(FLAT_A, FLAT_B, U1_U0)
+    g2 = solve_g2_link(FLAT_A, FLAT_B, U1_U0, link)
+    for name in ("ts", "lam_samples", "kap_samples", "oop"):
+        assert getattr(g2, name) is getattr(link, name)
+        assert not getattr(g2, name).flags.writeable
+    # a read-only view of a writable array is copied, so writing the base cannot reach it
+    base = np.linspace(0.0, 1.0, 3)
+    view = base[:]
+    view.flags.writeable = False
+    other = EdgeLink(ts=view, lam_samples=[1, 1, 1], kap_samples=[0, 0, 0], oop=[0, 0, 0],
+                     scale=1.0)
+    base[0] = 5.0
+    assert other.ts[0] == 0.0 and not other.ts.flags.writeable
+    assert other.lam_samples.dtype == np.float64 and not other.lam_samples.flags.writeable
 
 
 def test_link_split_halves():
     rng = np.random.default_rng(20)
     g = smooth_patch(rng)
     left, right = split_patch(g, u=0.5)
-    link = solve_edge_link(left, right, U1_U0, fit_degrees=(2, 3))
+    link = solve_edge_link(left, right, U1_U0)
     np.testing.assert_allclose(link.lam_samples, 1.0, atol=1e-12)
     np.testing.assert_allclose(link.kap_samples, 0.0, atol=1e-12)
     assert link.max_oop < 1e-12
 
 
-def test_link_unequal_split_lambda_is_size_ratio():
-    rng = np.random.default_rng(21)
-    g = smooth_patch(rng)
-    left, right = split_patch(g, u=0.25)
-    link = solve_edge_link(left, right, U1_U0, fit_degrees=(2, 3))
-    np.testing.assert_allclose(link.lam_samples, 0.75 / 0.25, atol=1e-11)
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), direction=st.sampled_from("uv"),
+       s=st.floats(0.05, 0.95))
+def test_link_unequal_split_lambda_is_size_ratio(seed, direction, s):
+    # splitting a smooth patch at s joins its halves with lambda = (1-s)/s,
+    # kappa = 0, and the halves pass both edge checks
+    low, high = split_patch(smooth_patch(np.random.default_rng(seed)), **{direction: s})
+    corr = EdgeCorrespondence(f"{direction}1", f"{direction}0")
+    link = solve_edge_link(low, high, corr)
+    np.testing.assert_allclose(link.lam_samples, (1.0 - s) / s, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(link.kap_samples, 0.0, atol=1e-12)
+    assert check_g1_edge(low, high, corr).ok
+    assert check_g2_edge(low, high, corr).ok
 
 
 def test_link_rejects_g0_mismatch():
@@ -81,7 +107,7 @@ def test_link_rejects_g0_mismatch():
 
 def test_link_crease_residual():
     a, b = flat_crease_pair(np.pi / 6)
-    link = solve_edge_link(a, b, U1_U0, fit_degrees=(2, 3))
+    link = solve_edge_link(a, b, U1_U0)
     assert link.max_oop > 1e-3
 
 
@@ -152,7 +178,7 @@ def test_g2_split_paraboloid():
 
 
 def test_g2_planar_flat_example_mu_nu_zero():
-    link = solve_edge_link(FLAT_A, FLAT_B, U1_U0, fit_degrees=(2, 3))
+    link = solve_edge_link(FLAT_A, FLAT_B, U1_U0)
     link = solve_g2_link(FLAT_A, FLAT_B, U1_U0, link)
     np.testing.assert_allclose(link.mu_samples, 0.0, atol=1e-13)
     np.testing.assert_allclose(link.nu_samples, 0.0, atol=1e-13)
@@ -209,7 +235,7 @@ def test_negative_lambda_warns_but_passes():
     # planar fold-back: b runs back over a, tangent planes still coincide
     b = BezierPatch.from_net([[[1, 0, 0], [1, 1, 0]], [[0.5, 0, 0], [0.5, 1, 0]]])
     with pytest.warns(UserWarning, match="orientation-reversing"):
-        link = solve_edge_link(FLAT_A, b, U1_U0, fit_degrees=(2, 3))
+        link = solve_edge_link(FLAT_A, b, U1_U0)
     np.testing.assert_allclose(link.lam_samples, -0.5, atol=1e-13)
     with pytest.warns(UserWarning):
         rep = check_g1_edge(FLAT_A, b, U1_U0)
@@ -254,7 +280,7 @@ def test_theorem2_kappa_zero_constant_lambda_reduction():
 def test_vertex_g1_split_corner():
     rng = np.random.default_rng(40)
     _, p1, p2, p4, p3 = split_corner(rng)
-    config = CornerConfig.from_patches(p1, p2, p3, p4, fit_degrees=(4, 5))
+    config = CornerConfig.from_patches(p1, p2, p3, p4)
     rep = check_vertex_g1(config)
     assert rep.ok
     assert rep.g1_residuals.max() < 1e-12
@@ -273,7 +299,7 @@ def test_vertex_g1_reparametrized_global_surface():
         (p4, p3, EdgeCorrespondence("u1", "u0")),
     ):
         assert check_g1_edge(a, b, corr).ok
-    config = CornerConfig.from_patches(p1, p2, p3, p4, fit_degrees=(5, 6))
+    config = CornerConfig.from_patches(p1, p2, p3, p4)
     rep = check_vertex_g1(config)
     assert rep.ok
     assert rep.g1_residuals.max() < 1e-8
@@ -298,24 +324,6 @@ def test_twist_at_v_moves_the_edges_not_the_vertex_residuals():
         assert rep.g2_residuals.max() < 1e-12
 
 
-def test_vertex_values_without_stored_frames_or_at_other_samples():
-    # a config without frames evaluates the frame at V alone; solve_g2 at a
-    # different sample count solves the first-order link again there
-    _, p1, p2, p3, p4 = quad_split_config(np.random.default_rng(45))
-    config = CornerConfig.from_patches(p1, p2, p3, p4).solve_g2()
-    bare = CornerConfig(p1=p1, p2=p2, p3=p3, p4=p4, links=config.links, scale=config.scale)
-    resampled = config.solve_g2(n_samples=21)
-    want = config.link_values_at_vertex()
-    for other in (bare, resampled):
-        got = other.link_values_at_vertex()
-        for key, entry in want.items():
-            np.testing.assert_allclose(list(got[key].values()), list(entry.values()),
-                                       rtol=0, atol=1e-12)
-    for link in resampled.links.values():
-        assert {len(link.ts), len(link.lam_samples), len(link.oop), len(link.mu_samples)} == {21}
-    assert check_vertex_g2(resampled).ok
-
-
 def test_vertex_g1_requires_common_vertex():
     rng = np.random.default_rng(42)
     _, p1, p2, p4, p3 = split_corner(rng)
@@ -327,8 +335,8 @@ def test_vertex_g1_requires_common_vertex():
 def test_vertex_g2_reparametrized_global_surface():
     rng = np.random.default_rng(43)
     _, p1, p2, p3, p4 = quad_split_config(rng)
-    config = CornerConfig.from_patches(p1, p2, p3, p4, fit_degrees=(5, 6))
-    config = config.solve_g2(fit_degrees=(5, 5))
+    config = CornerConfig.from_patches(p1, p2, p3, p4)
+    config = config.solve_g2()
     rep = check_vertex_g2(config)
     assert rep.ok
     assert rep.g2_residuals.max() < 1e-6
@@ -339,8 +347,8 @@ def test_vertex_g2_affine_split_reduction():
     # kappa-zero reduction of the second-order conditions holds trivially
     rng = np.random.default_rng(44)
     _, p1, p2, p4, p3 = split_corner(rng, u=0.4, v=0.65)
-    config = CornerConfig.from_patches(p1, p2, p3, p4, fit_degrees=(4, 5))
-    config = config.solve_g2(fit_degrees=(4, 4))
+    config = CornerConfig.from_patches(p1, p2, p3, p4)
+    config = config.solve_g2()
     rep = check_vertex_g2(config)
     assert rep.ok
     vals = rep.vertex_values
@@ -357,8 +365,8 @@ def test_vertex_g2_relation3_linear_in_mu12():
     # residual (the only one linear in mu12 with unit coefficient) to ~0.1
     rng = np.random.default_rng(49)
     _, p1, p2, p3, p4 = quad_split_config(rng)
-    config = CornerConfig.from_patches(p1, p2, p3, p4, fit_degrees=(5, 6))
-    config = config.solve_g2(fit_degrees=(5, 5))
+    config = CornerConfig.from_patches(p1, p2, p3, p4)
+    config = config.solve_g2()
     vals = check_vertex_g2(config).vertex_values
     args = []
     for key in ("12", "14", "23", "43"):
@@ -409,12 +417,12 @@ def _random_theorem1_solution(rng, M):
 def test_link_equivariance_under_rigid_motion_and_scaling():
     rng = np.random.default_rng(46)
     a, b, lam_o, kap_o = g1_pair(rng)
-    link = solve_edge_link(a, b, U1_U0, fit_degrees=(2, 3))
+    link = solve_edge_link(a, b, U1_U0)
     rot, shift = rigid_motion(rng)
     for scale in (1.0, 3.7, 0.02):
         a2 = transform_patch(a, scale * rot, shift)
         b2 = transform_patch(b, scale * rot, shift)
-        link2 = solve_edge_link(a2, b2, U1_U0, fit_degrees=(2, 3))
+        link2 = solve_edge_link(a2, b2, U1_U0)
         np.testing.assert_allclose(link2.lam_samples, link.lam_samples, atol=1e-9)
         np.testing.assert_allclose(link2.kap_samples, link.kap_samples, atol=1e-9)
         assert check_g1_edge(a2, b2, U1_U0).ok

@@ -150,17 +150,6 @@ def test_checks_fit_no_link_function(lstsq_calls, capsys, command):
     assert lstsq_calls == []
 
 
-def test_link_fits_are_built_once_on_first_read(lstsq_calls):
-    a, b, corr = _edge_cases()[1]  # a smooth edge: the links are polynomials
-    link = continuity.solve_g2_link(a, b, corr, continuity.solve_edge_link(a, b, corr))
-    assert lstsq_calls == []
-    assert link.lam is link.lam and link.mu is link.mu
-    assert lstsq_calls == [(SOLVE_SAMPLES, 11), (SOLVE_SAMPLES, 11)]
-    np.testing.assert_allclose(link.lam(link.ts), link.lam_samples, atol=1e-12)
-    assert link.fit_residual < 1e-12
-    assert len(lstsq_calls) == 3
-
-
 # --- golden reports ---------------------------------------------------------------
 
 def test_mixed_grid_fixture_is_the_stored_document(tmp_path):
