@@ -40,6 +40,7 @@ from .continuity import (
     EdgeReport,
     GeometryError,
     PreconditionError,
+    check_edges,
     check_g1_edge,
     check_g2_edge,
     check_vertex_g1,
@@ -49,6 +50,7 @@ from .continuity import (
     solve_g2_link,
     theorem1_residuals,
     theorem2_residuals,
+    corner_configs,
 )
 from .construct import (
     HoleFillParams,

@@ -6,8 +6,8 @@ along v.  Every operation here is pure: inputs are never mutated, results
 are fresh arrays.  Derivatives are computed from difference nets, which is
 exact for polynomial patches; finite differences are reserved for test
 oracles.  Along one side, derivatives up to order k need only the k + 1
-control rows nearest that side; ``_edge_jet`` evaluates them from those
-rows for the continuity checks.
+control rows nearest that side; ``_edge_jets`` evaluates them from those
+rows, for many sides at once, for the continuity checks.
 """
 
 from __future__ import annotations
@@ -83,19 +83,15 @@ def bernstein_basis(n: int, t) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _cached_basis(n: int, t_bytes: bytes) -> np.ndarray:
-    out = bernstein_basis(n, np.frombuffer(t_bytes))
-    out.flags.writeable = False
-    return out
-
-
-def _basis_matrix(n: int, t: np.ndarray) -> np.ndarray:
-    """Read-only ``bernstein_basis(n, t)`` for a 1-D sample array, cached.
+def _basis_matrix(n: int, t_bytes: bytes) -> np.ndarray:
+    """Read-only ``bernstein_basis(n, t)`` for the float samples t of ``t_bytes``, cached.
 
     The cache is keyed by the degree and the exact bytes of the samples, so
     the solvers' fixed sample sets build each matrix once per process.
     """
-    return _cached_basis(n, np.ascontiguousarray(t, dtype=float).tobytes())
+    out = bernstein_basis(n, np.frombuffer(t_bytes))
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,44 +214,61 @@ def normal_vector(p: BezierPatch, u: float, v: float) -> np.ndarray:
     return np.cross(patch_derivative(p, u, v, 1, 0), patch_derivative(p, u, v, 0, 1))
 
 
-def _difference(net: np.ndarray, degree: int, axis: int):
-    """Hodograph control points, along ``axis``, of a degree-``degree`` Bezier form."""
-    if degree == 0:
-        return np.zeros_like(net), 0
-    hi = net[1:] if axis == 0 else net[:, 1:]
-    lo = net[:-1] if axis == 0 else net[:, :-1]
-    return degree * (hi - lo), degree - 1
+def _difference(nets: np.ndarray, degree: int, axis: int):
+    """Hodograph control points of a stack of degree-``degree`` Bezier forms.
 
-
-def _edge_jet(p: BezierPatch, side: str, s: np.ndarray, order: int) -> dict:
-    """Point and partial derivatives of a patch along one side, up to ``order``.
-
-    ``s`` holds samples of the patch's own parameter along the side.  Key
-    ``(k, l)`` maps to the derivative taken k times across the side (in u on
-    the u sides, in v on the v sides) and l times along it, k + l <= order,
-    as an array of shape ``(len(s), 3)``.  Only the ``order + 1`` control
-    rows nearest the side are read.  Their differences, in u first as in
-    ``derivative_net``, give the control row of each derivative on the side,
-    which is summed against the Bernstein basis along the side.
+    ``axis`` is 1 for the rows (u) and 2 for the columns (v) of the nets.
     """
-    across_u, far = side[0] == "u", side[1] == "1"
-    keep = slice(-(order + 1), None) if far else slice(0, order + 1)
-    edge = -1 if far else 0
-    net = p.net[keep] if across_u else p.net[:, keep]
-    jet = {}
-    d_u, n = net, p.degree_u
-    for i in range(order + 1):
-        if i:
-            d_u, n = _difference(d_u, n, 0)
-        d_uv, m = d_u, p.degree_v
-        for j in range(order + 1 - i):
-            if j:
-                d_uv, m = _difference(d_uv, m, 1)
-            if across_u:
-                jet[i, j] = np.einsum("sk,kc->sc", _basis_matrix(m, s), d_uv[edge])
-            else:
-                jet[j, i] = np.einsum("sk,kc->sc", _basis_matrix(n, s), d_uv[:, edge])
-    return jet
+    if degree == 0:
+        return np.zeros_like(nets), 0
+    if axis == 1:
+        return degree * (nets[:, 1:] - nets[:, :-1]), degree - 1
+    return degree * (nets[:, :, 1:] - nets[:, :, :-1]), degree - 1
+
+
+def _edge_jets(sides, t: np.ndarray, order: int) -> dict:
+    """Points and partial derivatives of many patches along one side each, up to ``order``.
+
+    ``sides`` holds ``(patch, side, reversed)`` triples; a reversed side is
+    evaluated at ``1 - t``, so ``t`` is a shared parameter.  Key ``(k, l)``
+    maps to the derivative taken k times across the side (in u on the u
+    sides, in v on the v sides) and l times along it, k + l <= order, as an
+    array of shape ``(len(sides), len(t), 3)``.  Sides are grouped by side,
+    degrees and reversal; each group stacks the ``order + 1`` control rows
+    nearest its side, differences them (in u first, as ``derivative_net``
+    does) and sums each derivative's control row against the Bernstein
+    basis along the side in one ``einsum``.
+    """
+    groups: dict[tuple, list] = {}
+    for i, (p, side, rev) in enumerate(sides):
+        groups.setdefault((side, p.degree_u, p.degree_v, bool(rev)), []).append(i)
+    t = np.ascontiguousarray(t, dtype=float)
+    samples = {False: t.tobytes(), True: (1.0 - t).tobytes()}
+    jets: dict[tuple, np.ndarray] = {}
+    for (side, degree_u, degree_v, rev), idx in groups.items():
+        across_u, far = side[0] == "u", side[1] == "1"
+        keep = slice(-(order + 1), None) if far else slice(0, order + 1)
+        edge = -1 if far else 0
+        rows = [sides[i][0].net[keep] if across_u else sides[i][0].net[:, keep] for i in idx]
+        nets = rows[0][None] if len(rows) == 1 else np.stack(rows)
+        if idx[-1] - idx[0] + 1 == len(idx):  # consecutive sides: write a slice
+            idx = slice(idx[0], idx[-1] + 1)
+        d_u, n = nets, degree_u
+        for i in range(order + 1):
+            if i:
+                d_u, n = _difference(d_u, n, 1)
+            d_uv, m = d_u, degree_v
+            for j in range(order + 1 - i):
+                if j:
+                    d_uv, m = _difference(d_uv, m, 2)
+                if across_u:
+                    key, row, k = (i, j), d_uv[:, edge], m
+                else:
+                    key, row, k = (j, i), d_uv[:, :, edge], n
+                if key not in jets:
+                    jets[key] = np.empty((len(sides), len(t), 3))
+                jets[key][idx] = np.einsum("sk,gkc->gsc", _basis_matrix(k, samples[rev]), row)
+    return jets
 
 
 def _product_matrix(n: int, coeffs) -> np.ndarray:

@@ -17,17 +17,17 @@ report; reports are byte-stable for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bezier import SIDES, BezierPatch, flip_u, flip_v, transpose_patch
 from .continuity import (
-    CornerConfig,
     EdgeCorrespondence,
     GeometryError,
-    check_g1_edge,
-    check_g2_edge,
+    check_edges,
     check_vertex_g1,
     check_vertex_g2,
+    corner_configs,
 )
 from .construct import NinePatchRing, build_fillet, complete_fourth_patch, fill_hole, fill_hole_deg6, solve_hole_params
 from .surfio import SurfaceDocument, SurfaceFormatError, dumps_json, export_obj, load_surface, save_surface
@@ -58,7 +58,7 @@ def _orient(patch: BezierPatch, corner, side: str, target) -> BezierPatch:
     return patch
 
 
-def find_corner_configs(doc: SurfaceDocument):
+def find_corner_configs(doc: SurfaceDocument, order: int = 1):
     """Detect 4-patch vertices and return (names-in-role-order, CornerConfig).
 
     Each edge record glues the end corners of its two sides (b's ends swapped
@@ -67,9 +67,10 @@ def find_corner_configs(doc: SurfaceDocument):
     those corners' two sides is glued by exactly one record; the records then
     close a 4-cycle through the four patches.  r1 is the smallest name, r2
     and r4 its neighbours in sorted order, r3 the last one.  Each patch is
-    reoriented from its corner and the side it shares with its u-neighbour;
-    ``CornerConfig.from_patches`` then checks that the patches meet, and a
-    vertex where they do not is skipped.
+    reoriented from its corner and the side it shares with its u-neighbour.
+    ``corner_configs`` then solves the links of all vertices in one batch
+    (with mu, nu for ``order=2``); a vertex whose patches do not meet, or
+    whose links fail, is skipped.
     """
     roots = {(name, corner): (name, corner) for name in doc.patches
              for corner in ((0, 0), (0, 1), (1, 0), (1, 1))}
@@ -89,7 +90,7 @@ def find_corner_configs(doc: SurfaceDocument):
     vertices: dict[tuple, list] = {}
     for key in roots:
         vertices.setdefault(find(key), []).append(key)
-    out = []
+    found, quads = [], []
     for corners in vertices.values():
         corner_of = dict(corners)
         if len(corners) != 4 or len(corner_of) != 4 or any(
@@ -103,15 +104,13 @@ def find_corner_configs(doc: SurfaceDocument):
         r2, r4 = sorted(side_to[r1])
         (r3,) = set(corner_of) - {r1, r2, r4}
         names = (r1, r2, r3, r4)
-        patches = [
+        found.append(names)
+        quads.append(tuple(
             _orient(doc.patches[name], corner_of[name], side_to[name][names[u]], target)
             for name, target, u in zip(names, _ROLE_CORNERS, _U_NEIGHBOURS)
-        ]
-        try:
-            out.append((names, CornerConfig.from_patches(*patches)))
-        except GeometryError:
-            continue
-    return out
+        ))
+    return [(names, config) for names, config in zip(found, corner_configs(quads, order))
+            if not isinstance(config, GeometryError)]
 
 
 # --- check commands ---------------------------------------------------------
@@ -123,14 +122,9 @@ def _fmt(x: float) -> str:
 def _run_checks(doc: SurfaceDocument, order: int):
     edge_rows = []
     all_ok = True
-    for corr in doc.edges:
-        a, b = doc.patch(corr.a), doc.patch(corr.b)
-        if order == 1:
-            rep = check_g1_edge(a, b, corr)
-            oracle_name = "normal_angle"
-        else:
-            rep = check_g2_edge(a, b, corr)
-            oracle_name = "curvature_gap"
+    oracle_name = "normal_angle" if order == 1 else "curvature_gap"
+    reports = check_edges([(doc.patch(c.a), doc.patch(c.b), c) for c in doc.edges], order)
+    for corr, rep in zip(doc.edges, reports):
         edge_rows.append({
             "a": corr.a, "a_side": corr.a_side, "b": corr.b, "b_side": corr.b_side,
             "reversed": bool(corr.reversed),
@@ -141,12 +135,8 @@ def _run_checks(doc: SurfaceDocument, order: int):
         })
         all_ok &= rep.ok
     vertex_rows = []
-    for names, config in find_corner_configs(doc):
-        if order == 2:
-            config = config.solve_g2()
-            rep = check_vertex_g2(config)
-        else:
-            rep = check_vertex_g1(config)
+    for names, config in find_corner_configs(doc, order):
+        rep = check_vertex_g2(config) if order == 2 else check_vertex_g1(config)
         row = {
             "patches": list(names),
             "g1_residuals": [float(r) for r in rep.g1_residuals],
@@ -316,7 +306,9 @@ def _cmd_export(args) -> int:
 
 # --- entry point -------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="smoothpatch",
         description="Verify and construct G1/G2-smooth multi-patch Bezier surfaces.",

@@ -12,26 +12,34 @@ Conventions: shared edges must be parametrically matched (the identity
 reparametrization); cross-boundary directions always point from patch a
 into patch b, so joins cut from one smooth surface get lambda > 0.
 
-Evaluation: a check builds one frame pair per edge and sample set, with
-each side evaluated once up to the derivative order its consumers need.
-At ``SOLVE_SAMPLES`` one pair serves the G0 test, the first-order link
-solve and, for G2, the second-order link and the curvature oracle; G1
-checks stop at first order.  At ``VERIFY_SAMPLES`` the normal oracle asks
-for first order only.  ``CornerConfig`` keeps the pairs of its four links
-for ``solve_g2`` and for the link derivatives at the vertex.
+Evaluation is batched: ``check_edges`` checks any number of edges and
+``corner_configs`` builds any number of corners, each in one pass, and the
+one-edge functions are batches of one.  A batch evaluates both sides of all
+its edges in one call of ``bezier._edge_jets`` per sample set, each side
+once and only up to the derivative order its consumers need.  At
+``SOLVE_SAMPLES`` the frames serve the G0 test, the first-order link solve
+and, for G2, the second-order link and the curvature oracle; G1 checks stop
+at first order.  At ``VERIFY_SAMPLES`` the normal oracle asks for first
+order only.  One Gram matrix of a's tangent basis per edge and sample serves
+every solve in that basis.  Each step is one numpy call over arrays of shape
+(edges, samples, ...), and it does per edge exactly the arithmetic of a
+batch of one, so an edge's results do not depend on the batch it is in.
+``CornerConfig`` keeps the frames of its four links for ``solve_g2``.
 
-Vertex values are read at V itself: the link samples there, and one
-solve in the frame at V for the derivatives of lambda and kappa.
+Vertex values are read at V itself: the link samples there, and one solve
+in the frame at V for the derivatives of lambda and kappa, batched over all
+corners.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bezier import BezierPatch, _edge_jet, bounding_diagonal
+from .bezier import BezierPatch, _edge_jets, bounding_diagonal
 
 __all__ = [
     "G0_TOL",
@@ -57,6 +65,8 @@ __all__ = [
     "check_g1_edge",
     "solve_g2_link",
     "check_g2_edge",
+    "check_edges",
+    "corner_configs",
     "check_vertex_g1",
     "check_vertex_g2",
     "theorem1_residuals",
@@ -131,49 +141,97 @@ class EdgeCorrespondence:
                 raise ValueError(f"unknown side {s!r}")
 
 
-class _EdgeFrame:
-    """Derivatives of a patch along one side, in shared edge coordinates.
+# Vector helpers over the last axis.  _norm and _cross form their results
+# exactly as np.linalg.norm(x, axis=-1) and np.cross do, without the
+# argument handling that dominates on one edge's 33 samples.
+
+def _dot(x, y):
+    return np.einsum("...j,...j->...", x, y)
+
+
+def _norm(x, keepdims: bool = False):
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
+
+
+def _cross(x, y):
+    out = np.empty_like(x)
+    out[..., 0] = x[..., 1] * y[..., 2] - x[..., 2] * y[..., 1]
+    out[..., 1] = x[..., 2] * y[..., 0] - x[..., 0] * y[..., 2]
+    out[..., 2] = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+    return out
+
+
+def _gram(e_w, e_t):
+    g = np.empty(e_w.shape[:-1] + (2, 2))
+    g[..., 0, 0] = _dot(e_w, e_w)
+    g[..., 0, 1] = g[..., 1, 0] = _dot(e_w, e_t)
+    g[..., 1, 1] = _dot(e_t, e_t)
+    return g
+
+
+def _solve(g, e_w, e_t, rhs, scale=None):
+    """Coefficients (x, y), on the last axis, of the least-squares fit rhs = x*e_w + y*e_t.
+
+    ``g`` is the Gram matrix of (e_w, e_t).  With ``scale``, also returns the
+    norm of the part of rhs off the basis, over ``scale``.
+    """
+    rv = np.stack([_dot(e_w, rhs), _dot(e_t, rhs)], axis=-1)
+    xy = np.linalg.solve(g, rv[..., None])[..., 0]
+    if scale is None:
+        return xy
+    return xy, _norm(rhs - xy[..., :1] * e_w - xy[..., 1:] * e_t) / scale
+
+
+def _name(corr: EdgeCorrespondence) -> str:
+    return f"{corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}"
+
+
+def _frames(pairs, t: np.ndarray, order: int) -> dict:
+    """Derivatives along both sides of a batch of (a, b, corr) edges, in shared edge coordinates.
 
     ``w`` is the transversal coordinate (positive from patch a into patch
-    b), ``t`` the shared edge parameter.  ``into`` is +1/-1 according to
-    whether increasing the patch's own cross parameter moves in +w, and
-    ``t_sign`` is -1 when the patch's own edge parameter runs against t.
-    ``order`` is the highest derivative order evaluated: 0 gives ``point``,
-    1 adds ``w`` and ``t``, 2 adds ``ww``, ``wt`` and ``tt``.
+    b), ``t`` the shared edge parameter.  Maps "point", from order 1 "w" and
+    "t", from order 2 "ww", "wt" and "tt", to arrays of shape (2, edges,
+    samples, 3) whose first index picks patch a or b.  All sides come from
+    one call of the side evaluator.
     """
-
-    def __init__(self, patch: BezierPatch, side: str, into: int, t: np.ndarray, t_sign: int,
-                 order: int):
-        s = t if t_sign > 0 else 1.0 - t
-        jet = _edge_jet(patch, side, s, order)
-        self.point = jet[0, 0]
-        if order >= 1:
-            self.w = into * jet[1, 0]
-            self.t = t_sign * jet[0, 1]
-        if order >= 2:
-            self.ww = jet[2, 0]
-            self.wt = into * t_sign * jet[1, 1]
-            self.tt = jet[0, 2]
-
-
-def _frames(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence, t: np.ndarray,
-            order: int):
-    """The frame pair of one edge at the shared parameters t, up to ``order``."""
-    into_a = +1 if corr.a_side in ("u1", "v1") else -1
-    into_b = +1 if corr.b_side in ("u0", "v0") else -1
-    fa = _EdgeFrame(a, corr.a_side, into_a, t, +1, order)
-    fb = _EdgeFrame(b, corr.b_side, into_b, t, -1 if corr.reversed else +1, order)
-    return fa, fb
+    sides = ([(a, c.a_side, False) for a, _, c in pairs]
+             + [(b, c.b_side, c.reversed) for _, b, c in pairs])
+    jet = {key: value.reshape(2, len(pairs), len(t), 3)
+           for key, value in _edge_jets(sides, t, order).items()}
+    # +1 where a patch's own cross parameter grows with w, and where its
+    # own edge parameter grows with t
+    into = np.array([[1.0 if c.a_side in ("u1", "v1") else -1.0 for *_, c in pairs],
+                     [1.0 if c.b_side in ("u0", "v0") else -1.0 for *_, c in pairs]])
+    along = np.array([[1.0] * len(pairs), [-1.0 if c.reversed else 1.0 for *_, c in pairs]])
+    into, along = into[..., None, None], along[..., None, None]
+    f = {"point": jet[0, 0]}
+    if order >= 1:
+        f.update(w=into * jet[1, 0], t=along * jet[0, 1])
+    if order >= 2:
+        f.update(ww=jet[2, 0], wt=into * along * jet[1, 1], tt=jet[0, 2])
+    return f
 
 
-def _max_gap(fa: _EdgeFrame, fb: _EdgeFrame, scale: float) -> float:
-    return float(np.max(np.linalg.norm(fa.point - fb.point, axis=1))) / scale
+def _scales(pairs) -> np.ndarray:
+    """``bounding_diagonal(a, b)`` per edge, from each patch's bounding box taken once.
+
+    The joint box of two nets is the max and min of their boxes, which is
+    exact, so each scale equals the one ``bounding_diagonal`` gives.
+    """
+    pts = {id(p): p.net.reshape(-1, 3) for a, b, _ in pairs for p in (a, b)}
+    lo = {key: x.min(axis=0) for key, x in pts.items()}
+    hi = {key: x.max(axis=0) for key, x in pts.items()}
+    diags = [np.maximum(hi[id(a)], hi[id(b)]) - np.minimum(lo[id(a)], lo[id(b)])
+             for a, b, _ in pairs]
+    # the square root of the dot product, as np.linalg.norm forms it for one vector
+    return np.array([math.sqrt(d.dot(d)) or 1.0 for d in diags])
 
 
 def g0_gap(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> float:
     """Largest distance between the identified boundary curves, scale-normalized."""
-    fa, fb = _frames(a, b, corr, _SOLVE_TS, 0)
-    return _max_gap(fa, fb, bounding_diagonal(a, b))
+    pa, pb = _frames([(a, b, corr)], _SOLVE_TS, 0)["point"]
+    return float(_norm(pa - pb).max()) / bounding_diagonal(a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,29 +262,95 @@ class EdgeLink:
         return float(np.max(self.oop))
 
 
-def _gram_solve(e_w, e_t, rhs):
-    """Per-sample Gram matrix of (e_w, e_t) and the coefficients x, y of rhs in that basis."""
-    g = np.empty((len(e_w), 2, 2))
-    g[:, 0, 0] = np.einsum("ij,ij->i", e_w, e_w)
-    g[:, 0, 1] = g[:, 1, 0] = np.einsum("ij,ij->i", e_w, e_t)
-    g[:, 1, 1] = np.einsum("ij,ij->i", e_t, e_t)
-    rv = np.stack(
-        [np.einsum("ij,ij->i", e_w, rhs), np.einsum("ij,ij->i", e_t, rhs)], axis=1
+def _second_order(f: dict, lam, kap, g, scale):
+    """mu, nu and the residual of R = mu a_w + nu a_t, per edge and sample.
+
+    R = b_ww - lambda^2 a_ww - 2 lambda kappa a_wt - kappa^2 a_tt; ``g`` is
+    the Gram matrix of (a_w, a_t).
+    """
+    rhs = (
+        f["ww"][1]
+        - lam[..., None] ** 2 * f["ww"][0]
+        - 2.0 * (lam * kap)[..., None] * f["wt"][0]
+        - kap[..., None] ** 2 * f["tt"][0]
     )
-    return g, np.linalg.solve(g, rv[..., None])[..., 0]
+    xy, oop = _solve(g, f["w"][0], f["t"][0], rhs, scale)
+    return xy[..., 0], xy[..., 1], oop
 
 
-def _solve_in_tangent_basis(e_w, e_t, rhs, scale, what):
-    """Least-squares solve rhs = x*e_w + y*e_t per sample; returns x, y, residual."""
-    cross = np.cross(e_w, e_t)
-    denom = np.linalg.norm(e_w, axis=1) * np.linalg.norm(e_t, axis=1)
-    if np.any(denom == 0.0) or np.any(np.linalg.norm(cross, axis=1) < RANK_TOL * scale**2):
-        raise DegenerateParametrizationError(
-            f"tangent vectors linearly dependent while solving {what}"
-        )
-    _, xy = _gram_solve(e_w, e_t, rhs)
-    resid = rhs - xy[:, :1] * e_w - xy[:, 1:] * e_t
-    return xy[:, 0], xy[:, 1], np.linalg.norm(resid, axis=1) / scale
+def _with_g2(links: list, f: dict) -> list:
+    """Copies of ``links`` with mu, nu solved in their order-2 frames ``f``."""
+    mu, nu, g2_oop = _second_order(
+        f, np.stack([link.lam_samples for link in links]),
+        np.stack([link.kap_samples for link in links]), _gram(f["w"][0], f["t"][0]),
+        np.array([[link.scale] for link in links]),
+    )
+    return [replace(link, mu_samples=mu[j], nu_samples=nu[j], g2_oop=g2_oop[j])
+            for j, link in enumerate(links)]
+
+
+class _LinkBatch:
+    """First-order link solves of a batch of (a, b, corr) edges at ``SOLVE_SAMPLES``.
+
+    The Gram matrix ``g`` of a's tangent basis, one per edge and sample,
+    serves this solve, the second-order one and the curvature oracle.
+    ``errors[e]`` is the GeometryError ``solve_edge_link`` raises for edge
+    e, or None: a G0 gap comes first, then a rank failure, then a vanishing
+    lambda.
+    """
+
+    def __init__(self, pairs, order: int, frames=None):
+        self.pairs = pairs
+        self.f = f = frames if frames is not None else _frames(pairs, _SOLVE_TS, order)
+        self.scale = _scales(pairs)
+        scale = self.scale[:, None]
+        (a_w, b_w), a_t = f["w"], f["t"][0]
+        self.cross = _cross(a_w, a_t)  # zero where a tangent vector is zero
+        flat = (_norm(self.cross) < RANK_TOL * scale**2).any(axis=-1)
+        self.g = _gram(a_w, a_t)
+        if flat.any():  # a degenerate edge must not stop the batch's solves
+            self.g[flat] = np.eye(2)
+        xy, self.oop = _solve(self.g, a_w, a_t, b_w, scale)
+        self.lam, self.kap = xy[..., 0], xy[..., 1]
+        self.negative = (self.lam < 0.0).any(axis=-1)
+        gaps = _norm(f["point"][0] - f["point"][1]).max(axis=-1) / self.scale
+        vanishes = (np.abs(self.lam) < LAMBDA_MIN).any(axis=-1)
+        self.errors = []
+        for (*_, c), gap, is_flat, vanish in zip(pairs, gaps.tolist(), flat.tolist(),
+                                                 vanishes.tolist()):
+            err = None
+            if gap > G0_TOL:
+                err = PreconditionError(
+                    f"boundary curves of {c.a}:{c.a_side} and {c.b}:{c.b_side} "
+                    f"do not coincide (normalized gap {gap:.3e} > {G0_TOL:.1e})")
+            elif is_flat:
+                err = DegenerateParametrizationError(
+                    f"tangent vectors linearly dependent while solving edge link {_name(c)}")
+            elif vanish:
+                err = DegenerateLinkError(f"lambda vanishes along edge {_name(c)}")
+            self.errors.append(err)
+
+    def admit(self, e: int) -> None:
+        """Raise edge e's error, or warn if lambda is negative on it.
+
+        The warning points at the code that called the public function
+        calling this, as ``solve_edge_link``'s warning always has.
+        """
+        if self.errors[e] is not None:
+            raise self.errors[e]
+        if self.negative[e]:
+            warnings.warn(f"orientation-reversing join ({_name(self.pairs[e][2])}): "
+                          "lambda is negative", stacklevel=3)
+
+    def link(self, e: int, g2=None) -> EdgeLink:
+        """Edge e's link, with mu, nu and their residual from ``g2`` when given."""
+        mu, nu, g2_oop = (None, None, None) if g2 is None else (x[e] for x in g2)
+        return EdgeLink(ts=_SOLVE_TS, lam_samples=self.lam[e], kap_samples=self.kap[e],
+                        oop=self.oop[e], scale=float(self.scale[e]),
+                        mu_samples=mu, nu_samples=nu, g2_oop=g2_oop)
+
+    def second_order(self):
+        return _second_order(self.f, self.lam, self.kap, self.g, self.scale[:, None])
 
 
 def solve_edge_link(
@@ -241,33 +365,13 @@ def solve_edge_link(
     At each of the ``SOLVE_SAMPLES`` edge parameters the two scalars are
     obtained by projecting b's cross-boundary derivative onto a's tangent
     basis; the out-of-plane component is recorded as the per-sample
-    residual.  ``frames`` is the edge's frame pair of order >= 1 at those
-    parameters when the caller already holds it, as the edge checks and
-    ``CornerConfig`` do so that one pair serves all their consumers; by
-    default it is built here.
+    residual.  ``frames`` is the edge's frames of order >= 1 at those
+    parameters (``_frames`` of this one edge) when the caller already holds
+    them; by default they are built here.
     """
-    fa, fb = frames if frames is not None else _frames(a, b, corr, _SOLVE_TS, 1)
-    scale = bounding_diagonal(a, b)
-    gap = _max_gap(fa, fb, scale)
-    if gap > G0_TOL:
-        raise PreconditionError(
-            f"boundary curves of {corr.a}:{corr.a_side} and {corr.b}:{corr.b_side} "
-            f"do not coincide (normalized gap {gap:.3e} > {G0_TOL:.1e})"
-        )
-    lam, kap, oop = _solve_in_tangent_basis(
-        fa.w, fa.t, fb.w, scale, f"edge link {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}",
-    )
-    if np.any(np.abs(lam) < LAMBDA_MIN):
-        raise DegenerateLinkError(
-            f"lambda vanishes along edge {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}"
-        )
-    if np.any(lam < 0.0):
-        warnings.warn(
-            f"orientation-reversing join ({corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}): "
-            "lambda is negative",
-            stacklevel=2,
-        )
-    return EdgeLink(ts=_SOLVE_TS, lam_samples=lam, kap_samples=kap, oop=oop, scale=scale)
+    batch = _LinkBatch([(a, b, corr)], 1, frames)
+    batch.admit(0)
+    return batch.link(0)
 
 
 @dataclass(frozen=True)
@@ -286,6 +390,57 @@ class EdgeReport:
     g1: "EdgeReport | None" = None  # for order 2: the underlying G1 report
 
 
+def check_edges(edges, order: int = 1, tol: float | None = None) -> list[EdgeReport]:
+    """G1 (order 1) or G2 (order 2) checks of many shared edges in one batched pass.
+
+    ``edges`` holds (a, b, corr) triples.  Each report is the one
+    ``check_g1_edge`` or ``check_g2_edge`` gives for that edge alone, with
+    ``tol`` defaulting to ``G1_TOL`` or ``G2_TOL``.  Edges are taken in
+    order: the first whose link solve fails raises its error, after the
+    negative-lambda warnings of the edges before it.
+    """
+    pairs = list(edges)
+    if not pairs:
+        return []
+    tol = (G1_TOL if order == 1 else G2_TOL) if tol is None else tol
+    batch = _LinkBatch(pairs, order)
+    for e in range(len(pairs)):
+        batch.admit(e)
+    # normal oracle: the angle between the normal *lines* of the two patches
+    f = _frames(pairs, _VERIFY_TS, 1)
+    n = _cross(f["w"], f["t"])
+    n /= _norm(n, keepdims=True)
+    # atan2 keeps precision near zero
+    angle = np.arctan2(_norm(_cross(n[0], n[1])), np.abs(_dot(n[0], n[1]))).max(axis=-1)
+    g1_tol = tol if order == 1 else G1_TOL
+    reports = [
+        EdgeReport(order=1, link_residual=r, link_ok=r < g1_tol, oracle_residual=x,
+                   oracle_ok=x < NORMAL_ANGLE_TOL, ok=r < g1_tol and x < NORMAL_ANGLE_TOL,
+                   tol=g1_tol, oracle_tol=NORMAL_ANGLE_TOL, link=batch.link(e))
+        for e, (r, x) in enumerate(zip(batch.oop.max(axis=-1).tolist(), angle.tolist()))
+    ]
+    if order == 1:
+        return reports
+    g2 = batch.second_order()
+    # curvature oracle: both patches' normal curvatures in three pairwise
+    # independent directions, with a's unit normal, in units of the net
+    # diagonal so that tol is scale-free
+    f = batch.f
+    n = batch.cross / _norm(batch.cross, keepdims=True)
+    gram = np.stack([batch.g, _gram(f["w"][1], f["t"][1])])
+    gap = np.zeros(len(pairs))
+    for direction in (f["w"][0], f["t"][0], f["w"][0] + f["t"][0]):
+        ka, kb = normal_curvature(f["w"], f["t"], f["ww"], f["wt"], f["tt"], direction, n,
+                                  gram=gram)
+        gap = np.fmax(gap, np.abs(ka - kb).max(axis=-1) * batch.scale)
+    return [
+        EdgeReport(order=2, link_residual=r, link_ok=r < tol, oracle_residual=x,
+                   oracle_ok=x < tol, ok=g1.ok and r < tol and x < tol, tol=tol,
+                   oracle_tol=tol, link=batch.link(e, g2), g1=g1)
+        for e, (g1, r, x) in enumerate(zip(reports, g2[2].max(axis=-1).tolist(), gap.tolist()))
+    ]
+
+
 def check_g1_edge(
     a: BezierPatch,
     b: BezierPatch,
@@ -299,30 +454,7 @@ def check_g1_edge(
     normals (as unoriented lines) stays below ``NORMAL_ANGLE_TOL`` at the
     ``VERIFY_SAMPLES`` shared samples.  The verdict is the conjunction.
     """
-    return _check_g1(a, b, corr, _frames(a, b, corr, _SOLVE_TS, 1), tol)
-
-
-def _check_g1(a, b, corr, frames, tol):
-    """``check_g1_edge`` with the frame pair at the solve samples given."""
-    link = solve_edge_link(a, b, corr, frames=frames)
-    link_ok = link.max_oop < tol
-
-    fa, fb = _frames(a, b, corr, _VERIFY_TS, 1)
-    na = np.cross(fa.w, fa.t)
-    nb = np.cross(fb.w, fb.t)
-    na /= np.linalg.norm(na, axis=1, keepdims=True)
-    nb /= np.linalg.norm(nb, axis=1, keepdims=True)
-    # angle between the normal *lines*; atan2 keeps precision near zero
-    sinang = np.linalg.norm(np.cross(na, nb), axis=1)
-    cosang = np.abs(np.einsum("ij,ij->i", na, nb))
-    max_angle = float(np.max(np.arctan2(sinang, cosang)))
-    normal_ok = max_angle < NORMAL_ANGLE_TOL
-
-    return EdgeReport(
-        order=1, link_residual=link.max_oop, link_ok=link_ok,
-        oracle_residual=max_angle, oracle_ok=normal_ok,
-        ok=link_ok and normal_ok, tol=tol, oracle_tol=NORMAL_ANGLE_TOL, link=link,
-    )
+    return check_edges([(a, b, corr)], 1, tol)[0]
 
 
 def solve_g2_link(
@@ -338,38 +470,33 @@ def solve_g2_link(
     Forms R = b_ww - lambda^2 a_ww - 2 lambda kappa a_wt - kappa^2 a_tt per
     sample and resolves R = mu a_w + nu a_t in least squares.  A large
     out-of-plane component of R signals failure of curvature continuity; it
-    is recorded, not raised.  ``frames`` is the edge's frame pair of order 2
-    at the samples of ``link`` when the caller already holds it; by default
-    it is built here.
+    is recorded, not raised.  ``frames`` is the edge's frames of order 2 at
+    the samples of ``link`` (``_frames`` of this one edge) when the caller
+    already holds them; by default they are built here.
     """
-    fa, fb = frames if frames is not None else _frames(a, b, corr, link.ts, 2)
-    lam, kap = link.lam_samples, link.kap_samples
-    rhs = (
-        fb.ww
-        - lam[:, None] ** 2 * fa.ww
-        - 2.0 * (lam * kap)[:, None] * fa.wt
-        - kap[:, None] ** 2 * fa.tt
-    )
-    mu, nu, g2_oop = _solve_in_tangent_basis(
-        fa.w, fa.t, rhs, link.scale,
-        f"second-order link {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}",
-    )
-    return replace(link, mu_samples=mu, nu_samples=nu, g2_oop=g2_oop)
+    f = frames if frames is not None else _frames([(a, b, corr)], link.ts, 2)
+    if (_norm(_cross(f["w"][0], f["t"][0])) < RANK_TOL * link.scale**2).any():
+        raise DegenerateParametrizationError(
+            f"tangent vectors linearly dependent while solving second-order link {_name(corr)}"
+        )
+    return _with_g2([link], f)[0]
 
 
-def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarray:
+def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal, *, gram=None) -> np.ndarray:
     """Normal curvature in a 3D tangent ``direction``, per sample.
 
     The direction is decomposed in the (e_w, e_t) basis by least squares,
     then II/I is evaluated with the supplied unit ``normal`` (one common
-    normal must be used when comparing two patches).
+    normal must be used when comparing two patches).  ``gram`` is the Gram
+    matrix of (e_w, e_t) when the caller already holds it.
     """
-    g, xy = _gram_solve(e_w, e_t, direction)
-    x, y = xy[:, 0], xy[:, 1]
-    big_l = np.einsum("ij,ij->i", e_ww, normal)
-    big_m = np.einsum("ij,ij->i", e_wt, normal)
-    big_n = np.einsum("ij,ij->i", e_tt, normal)
-    first = x**2 * g[:, 0, 0] + 2 * x * y * g[:, 0, 1] + y**2 * g[:, 1, 1]
+    g = _gram(e_w, e_t) if gram is None else gram
+    xy = _solve(g, e_w, e_t, direction)
+    x, y = xy[..., 0], xy[..., 1]
+    big_l = _dot(e_ww, normal)
+    big_m = _dot(e_wt, normal)
+    big_n = _dot(e_tt, normal)
+    first = x**2 * g[..., 0, 0] + 2 * x * y * g[..., 0, 1] + y**2 * g[..., 1, 1]
     second = x**2 * big_l + 2 * x * y * big_m + y**2 * big_n
     return second / first
 
@@ -387,29 +514,7 @@ def check_g2_edge(
     three pairwise independent tangent directions at the shared samples
     (three directions suffice to pin the full curvature behaviour).
     """
-    frames = _frames(a, b, corr, _SOLVE_TS, 2)
-    g1 = _check_g1(a, b, corr, frames, G1_TOL)
-    link = solve_g2_link(a, b, corr, g1.link, frames=frames)
-    link_ok = float(np.max(link.g2_oop)) < tol
-
-    fa, fb = frames
-    n = np.cross(fa.w, fa.t)
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
-    # normalize curvature units by the net diagonal so tol is scale-free
-    scale = link.scale
-    max_gap = 0.0
-    for direction in (fa.w, fa.t, fa.w + fa.t):
-        ka = normal_curvature(fa.w, fa.t, fa.ww, fa.wt, fa.tt, direction, n)
-        kb = normal_curvature(fb.w, fb.t, fb.ww, fb.wt, fb.tt, direction, n)
-        max_gap = max(max_gap, float(np.max(np.abs(ka - kb))) * scale)
-    oracle_ok = max_gap < tol
-
-    ok = g1.ok and link_ok and oracle_ok
-    return EdgeReport(
-        order=2, link_residual=float(np.max(link.g2_oop)), link_ok=link_ok,
-        oracle_residual=max_gap, oracle_ok=oracle_ok, ok=ok,
-        tol=tol, oracle_tol=tol, link=link, g1=g1,
-    )
+    return check_edges([(a, b, corr)], 2, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +524,14 @@ def check_g2_edge(
 # (u,v) = (1,1) corner, patch 2 to the right of 1, patch 4 above 1, patch 3
 # diagonal with V at its (0,0) corner.  The four links are directed
 # 1->2, 1->4, 2->3 and 4->3; V sits at edge parameter 1 on the first two
-# and at parameter 0 on the last two.
+# and at parameter 0 on the last two: at each link's last or first sample.
 _CORNER_EDGES = {
     "12": ("p1", "u1", "p2", "u0", 1.0),
     "14": ("p1", "v1", "p4", "v0", 1.0),
     "23": ("p2", "v1", "p3", "v0", 0.0),
     "43": ("p4", "u1", "p3", "u0", 0.0),
 }
+_AT_V = tuple(-1 if t_v == 1.0 else 0 for *_, t_v in _CORNER_EDGES.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,60 +544,96 @@ class CornerConfig:
     p4: BezierPatch
     links: dict  # keys "12", "14", "23", "43"
     scale: float
-    # order-2 frame pairs of the links at their solve samples, for solve_g2
-    # and link_values_at_vertex
+    # order-2 frames of the links at their solve samples, in the order of
+    # _CORNER_EDGES, for solve_g2
     frames: dict = field(repr=False)
+    # (lambda', kappa') at V per link key, for link_values_at_vertex
+    slopes: dict = field(repr=False)
 
     @classmethod
     def from_patches(
         cls, p1: BezierPatch, p2: BezierPatch, p3: BezierPatch, p4: BezierPatch,
     ) -> "CornerConfig":
-        patches = {"p1": p1, "p2": p2, "p3": p3, "p4": p4}
-        scale = bounding_diagonal(p1, p2, p3, p4)
-        v = p1.corner(1, 1)
-        for name, other in (("p2", p2.corner(0, 1)), ("p3", p3.corner(0, 0)),
-                            ("p4", p4.corner(1, 0))):
-            if np.linalg.norm(other - v) > G0_TOL * scale:
-                raise PreconditionError(f"{name} does not meet the common vertex V")
-        links, frames = {}, {}
-        for key, (an, a_side, bn, b_side, _) in _CORNER_EDGES.items():
-            corr = EdgeCorrespondence(a_side, b_side, a=an, b=bn)
-            frames[key] = _frames(patches[an], patches[bn], corr, _SOLVE_TS, 2)
-            links[key] = solve_edge_link(patches[an], patches[bn], corr, frames=frames[key])
-        return cls(p1=p1, p2=p2, p3=p3, p4=p4, links=links, scale=scale, frames=frames)
+        (config,) = corner_configs([(p1, p2, p3, p4)])
+        if isinstance(config, GeometryError):
+            raise config
+        return config
 
     def solve_g2(self) -> "CornerConfig":
         """Return a copy whose links carry the second-order functions mu, nu."""
-        patches = {"p1": self.p1, "p2": self.p2, "p3": self.p3, "p4": self.p4}
-        links = {}
-        for key, (an, a_side, bn, b_side, _) in _CORNER_EDGES.items():
-            corr = EdgeCorrespondence(a_side, b_side, a=an, b=bn)
-            links[key] = solve_g2_link(patches[an], patches[bn], corr, self.links[key],
-                                       frames=self.frames[key])
-        return replace(self, links=links)
+        links = _with_g2([self.links[key] for key in _CORNER_EDGES], self.frames)
+        return replace(self, links=dict(zip(_CORNER_EDGES, links)))
 
     def link_values_at_vertex(self) -> dict:
         """Link values (and derivatives) at the vertex V, per edge key.
 
         lambda, kappa (and mu, nu) are the link samples at V.  Differentiating
         b_w = lambda a_w + kappa a_t along the edge gives
-        b_wt - lambda a_wt - kappa a_tt = lambda' a_w + kappa' a_t, which is
-        solved in the frame at V, the sample of ``frames`` there.
+        b_wt - lambda a_wt - kappa a_tt = lambda' a_w + kappa' a_t, which
+        ``corner_configs`` solves in the frame at V when it builds the corner.
         """
         out = {}
-        for key, (*_, t_v) in _CORNER_EDGES.items():
+        for key, i in zip(_CORNER_EDGES, _AT_V):
             link = self.links[key]
-            i = -1 if t_v == 1.0 else 0  # V's sample, first or last
-            fa, fb = self.frames[key]
-            lam, kap = float(link.lam_samples[i]), float(link.kap_samples[i])
-            rhs = fb.wt[[i]] - lam * fa.wt[[i]] - kap * fa.tt[[i]]
-            _, ((dlam, dkap),) = _gram_solve(fa.w[[i]], fa.t[[i]], rhs)
-            entry = {"lam": lam, "kap": kap, "dlam": float(dlam), "dkap": float(dkap)}
+            dlam, dkap = self.slopes[key]
+            entry = {"lam": float(link.lam_samples[i]), "kap": float(link.kap_samples[i]),
+                     "dlam": dlam, "dkap": dkap}
             if link.mu_samples is not None:
                 entry["mu"] = float(link.mu_samples[i])
                 entry["nu"] = float(link.nu_samples[i])
             out[key] = entry
         return out
+
+
+def corner_configs(quads, order: int = 1) -> list:
+    """``CornerConfig.from_patches`` of many corners, with all their links in one batch.
+
+    ``quads`` holds (p1, p2, p3, p4) tuples.  Each entry of the result is
+    the corner's CornerConfig, or the GeometryError that ``from_patches``
+    raises for it.  Negative-lambda warnings come in corner and link order,
+    up to a corner's first failing link, as from one ``from_patches`` call
+    per corner.  With ``order=2`` the links also carry mu, nu, as after
+    ``CornerConfig.solve_g2``.
+    """
+    scales = [bounding_diagonal(*quad) for quad in quads]
+    results, pairs = [], []
+    for quad, scale in zip(quads, scales):
+        v = quad[0].corner(1, 1)
+        missing = [name for name, p, c in zip(("p2", "p3", "p4"), quad[1:],
+                                              ((0, 1), (0, 0), (1, 0)))
+                   if np.linalg.norm(p.corner(*c) - v) > G0_TOL * scale]
+        results.append(PreconditionError(f"{missing[0]} does not meet the common vertex V")
+                       if missing else None)
+        if not missing:  # roles p1..p4 are quad[0..3]
+            pairs += [(quad[int(an[1]) - 1], quad[int(bn[1]) - 1],
+                       EdgeCorrespondence(a_side, b_side, a=an, b=bn))
+                      for an, a_side, bn, b_side, _ in _CORNER_EDGES.values()]
+    if not pairs:
+        return results
+    batch = _LinkBatch(pairs, 2)
+    g2 = batch.second_order() if order == 2 else None
+    # lambda' and kappa' of every link, solved in the frame at V
+    f, e, i = batch.f, np.arange(len(pairs)), np.tile(_AT_V, len(pairs) // 4)
+    (a_w, _), (a_t, _), (a_wt, b_wt) = f["w"][:, e, i], f["t"][:, e, i], f["wt"][:, e, i]
+    rhs = b_wt - batch.lam[e, i][:, None] * a_wt - batch.kap[e, i][:, None] * f["tt"][0, e, i]
+    slopes = _solve(batch.g[e, i], a_w, a_t, rhs).tolist()
+    first = 0
+    for q, quad in enumerate(quads):
+        if results[q] is not None:
+            continue
+        links, own = {}, slice(first, first + 4)
+        first += 4
+        try:
+            for k, key in enumerate(_CORNER_EDGES, own.start):
+                batch.admit(k)
+                links[key] = batch.link(k, g2)
+        except GeometryError as err:
+            results[q] = err
+            continue
+        results[q] = CornerConfig(*quad, links=links, scale=scales[q],
+                                  frames={key: x[:, own] for key, x in f.items()},
+                                  slopes=dict(zip(_CORNER_EDGES, slopes[own])))
+    return results
 
 
 def theorem1_residuals(

@@ -438,12 +438,12 @@ def test_normal_curvature_analytic_paraboloid():
     from smoothpatch.continuity import _frames, normal_curvature
 
     p = paraboloid_patch()
-    frame = _frames(p, p, EdgeCorrespondence("u0", "u0"), np.array([0.0]), 2)[0]
-    n = np.cross(frame.w, frame.t)
+    f = {key: value[0, 0] for key, value in
+         _frames([(p, p, EdgeCorrespondence("u0", "u0"))], np.array([0.0]), 2).items()}
+    n = np.cross(f["w"], f["t"])
     n /= np.linalg.norm(n, axis=1, keepdims=True)
-    for direction in (frame.w, frame.t, frame.w + frame.t):
-        kn = normal_curvature(frame.w, frame.t, frame.ww, frame.wt, frame.tt,
-                              direction, n)
+    for direction in (f["w"], f["t"], f["w"] + f["t"]):
+        kn = normal_curvature(f["w"], f["t"], f["ww"], f["wt"], f["tt"], direction, n)
         np.testing.assert_allclose(np.abs(kn), 2.0, atol=1e-12)
 
 

@@ -1,32 +1,43 @@
-"""Shared edge evaluation: the edge jet, the cached basis, evaluation counts, golden reports."""
+"""Batched edge evaluation: edge jets, the cached basis, evaluation counts, golden reports."""
 
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoothpatch.continuity as continuity
 from smoothpatch.bezier import (
     BezierPatch,
     _basis_matrix,
-    _cached_basis,
-    _edge_jet,
+    _edge_jets,
     bernstein_basis,
     patch_derivative,
+    split_patch,
 )
 from smoothpatch.cli import find_corner_configs, main
 from smoothpatch.continuity import (
     SOLVE_SAMPLES,
     VERIFY_SAMPLES,
     CornerConfig,
+    check_edges,
     check_g1_edge,
     check_g2_edge,
+    corner_configs,
 )
-from smoothpatch.surfio import load_surface, save_surface
+from smoothpatch.surfio import SurfaceDocument, load_surface, save_surface
 
-from helpers import mixed_grid_document
+from helpers import (
+    _ORIENTATIONS,
+    _elevate_net,
+    mixed_grid_document,
+    oriented_grid_document,
+    smooth_patch,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_DOC = DATA / "mixed_grid.json"
@@ -40,51 +51,60 @@ GOLDEN_REPORTS = DATA / "mixed_grid_reports.json"
 def test_edge_jet_matches_patch_derivative(degrees, side):
     rng = np.random.default_rng(sum(degrees))
     p = BezierPatch(*degrees, rng.normal(size=(degrees[0] + 1, degrees[1] + 1, 3)))
+    q = BezierPatch(2, 2, rng.normal(size=(3, 3, 3)))  # a second degree group in the batch
     s = np.linspace(0.0, 1.0, 7)
-    jet = _edge_jet(p, side, s, 2)
-    assert set(jet) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
-    for (k, l), values in jet.items():
+    jets = _edge_jets([(p, side, False), (q, "u0", False), (p, side, True)], s, 2)
+    assert set(jets) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
+    for (k, l), values in jets.items():
+        assert values.shape == (3, len(s), 3)
         # (cross, along) orders -> (u, v) orders
         du, dv = (k, l) if side[0] == "u" else (l, k)
         fixed = 1.0 if side[1] == "1" else 0.0
-        for x, value in zip(s, values):
-            u, v = (fixed, x) if side[0] == "u" else (x, fixed)
-            np.testing.assert_allclose(value, patch_derivative(p, u, v, du, dv), atol=1e-12)
+        for row, params in ((0, s), (2, 1.0 - s)):  # the reversed side is read at 1 - s
+            for x, value in zip(params, values[row]):
+                u, v = (fixed, x) if side[0] == "u" else (x, fixed)
+                np.testing.assert_allclose(value, patch_derivative(p, u, v, du, dv), atol=1e-12)
 
 
 def test_edge_jet_stops_at_the_requested_order():
     p = BezierPatch(3, 3, np.random.default_rng(1).normal(size=(4, 4, 3)))
     s = np.linspace(0.0, 1.0, 5)
-    assert set(_edge_jet(p, "v1", s, 0)) == {(0, 0)}
-    assert set(_edge_jet(p, "v1", s, 1)) == {(0, 0), (1, 0), (0, 1)}
+    assert set(_edge_jets([(p, "v1", False)], s, 0)) == {(0, 0)}
+    assert set(_edge_jets([(p, "v1", False)], s, 1)) == {(0, 0), (1, 0), (0, 1)}
 
 
 def test_basis_matrix_is_cached_and_read_only():
     t = np.linspace(0.0, 1.0, 13)
-    first = _basis_matrix(4, t)
-    assert _basis_matrix(4, t.copy()) is first  # keyed by the samples, not the array
+    first = _basis_matrix(4, t.tobytes())
+    assert _basis_matrix(4, t.copy().tobytes()) is first  # keyed by the samples' bytes
     np.testing.assert_array_equal(first, bernstein_basis(4, t))
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0] = 2.0
     t[3] = 0.5  # mutating the caller's samples does not reach the cached matrix
-    assert _basis_matrix(4, np.linspace(0.0, 1.0, 13)) is first
-    assert _basis_matrix(4, t) is not first
-    assert _cached_basis.cache_info().maxsize is not None
+    assert _basis_matrix(4, np.linspace(0.0, 1.0, 13).tobytes()) is first
+    assert _basis_matrix(4, t.tobytes()) is not first
+    assert _basis_matrix.cache_info().maxsize is not None
 
 
 # --- evaluation counts ----------------------------------------------------------
 
 @pytest.fixture
 def jet_calls(monkeypatch):
-    """Record (patch, side, samples, order) of every edge evaluation in continuity."""
+    """Record each call of the side evaluator in continuity: its sides, samples and order.
+
+    A side is recorded as (patch id, side, bytes of the samples it is read
+    at), so a reversed side counts at ``1 - t``.
+    """
     calls = []
 
-    def counting(p, side, s, order):
-        calls.append((id(p), side, len(s), np.asarray(s).tobytes(), order))
-        return _edge_jet(p, side, s, order)
+    def counting(sides, t, order):
+        t = np.asarray(t, dtype=float)
+        calls.append(([(id(p), side, (1.0 - t if rev else t).tobytes()) for p, side, rev in sides],
+                      len(t), order))
+        return _edge_jets(sides, t, order)
 
-    monkeypatch.setattr(continuity, "_edge_jet", counting)
+    monkeypatch.setattr(continuity, "_edge_jets", counting)
     return calls
 
 
@@ -94,8 +114,12 @@ def _edge_cases():
 
 
 def _once_per_side_and_sample_set(calls):
-    per_key = Counter(call[:4] for call in calls)
+    per_key = Counter(side for sides, *_ in calls for side in sides)
     return all(n == 1 for n in per_key.values())
+
+
+def _sides(calls):
+    return sum(len(sides) for sides, *_ in calls)
 
 
 def test_check_g2_edge_evaluates_each_side_once_per_sample_set(jet_calls):
@@ -103,9 +127,13 @@ def test_check_g2_edge_evaluates_each_side_once_per_sample_set(jet_calls):
         jet_calls.clear()
         check_g2_edge(a, b, corr)
         assert _once_per_side_and_sample_set(jet_calls)
-        orders = {(n, order) for _, _, n, _, order in jet_calls}
+        orders = {(n, order) for _, n, order in jet_calls}
         assert orders == {(SOLVE_SAMPLES, 2), (VERIFY_SAMPLES, 1)}
-        assert len(jet_calls) == 4
+        assert len(jet_calls) == 2 and _sides(jet_calls) == 4
+    jet_calls.clear()
+    check_edges(_edge_cases(), 2)  # the batch: one call per sample set
+    assert _once_per_side_and_sample_set(jet_calls)
+    assert len(jet_calls) == 2 and _sides(jet_calls) == 4 * len(_edge_cases())
 
 
 def test_check_g1_edge_never_asks_for_second_order(jet_calls):
@@ -114,7 +142,12 @@ def test_check_g1_edge_never_asks_for_second_order(jet_calls):
         check_g1_edge(a, b, corr)
         assert _once_per_side_and_sample_set(jet_calls)
         assert {order for *_, order in jet_calls} == {1}
-        assert len(jet_calls) == 4
+        assert len(jet_calls) == 2 and _sides(jet_calls) == 4
+    jet_calls.clear()
+    check_edges(_edge_cases(), 1)
+    assert _once_per_side_and_sample_set(jet_calls)
+    assert {order for *_, order in jet_calls} == {1}
+    assert len(jet_calls) == 2 and _sides(jet_calls) == 4 * len(_edge_cases())
 
 
 def test_corner_config_solve_g2_reuses_the_link_frames(jet_calls):
@@ -126,7 +159,130 @@ def test_corner_config_solve_g2_reuses_the_link_frames(jet_calls):
         assert jet_calls == []
         jet_calls.clear()
         CornerConfig.from_patches(config.p1, config.p2, config.p3, config.p4)
-        assert len(jet_calls) == 8 and _once_per_side_and_sample_set(jet_calls)
+        assert len(jet_calls) == 1 and _sides(jet_calls) == 8
+        assert _once_per_side_and_sample_set(jet_calls)
+
+
+def _two_copies(doc):
+    """Two disjoint copies of ``doc``: the patches of the second get a ``'`` suffix."""
+    patches = dict(doc.patches)
+    patches.update({f"{name}'": p for name, p in doc.patches.items()})
+    edges = list(doc.edges) + [replace(c, a=f"{c.a}'", b=f"{c.b}'") for c in doc.edges]
+    return SurfaceDocument(patches=patches, edges=edges)
+
+
+@pytest.mark.parametrize("command", ["check-g1", "check-g2"])
+def test_evaluator_calls_per_check_do_not_grow_with_the_edge_count(jet_calls, tmp_path, capsys,
+                                                                   command):
+    double = tmp_path / "double.json"
+    save_surface(_two_copies(load_surface(GOLDEN_DOC)), double)
+    counts = []
+    for path in (GOLDEN_DOC, double):
+        jet_calls.clear()
+        main([command, str(path)])
+        counts.append((len(jet_calls), _sides(jet_calls)))
+    capsys.readouterr()
+    (calls_one, sides_one), (calls_two, sides_two) = counts
+    # edges at the solve samples, edges at the verify samples, corner links
+    assert calls_one == calls_two == 3
+    assert sides_two == 2 * sides_one
+
+
+# --- batched checks: each edge as if alone ------------------------------------------
+
+def _split_edge(spec, k):
+    """One edge between the halves of a split smooth patch, elevated and reoriented.
+
+    ``spec`` is (seed, split direction, base degrees, elevation of each half,
+    orientation index of each half); the halves reach bi-degrees up to (6, 6)
+    and every side pair, reversed or not.  Names carry ``k`` so that edges stay
+    distinct in one batch.
+    """
+    seed, direction, (du, dv), (ea_u, ea_v), (eb_u, eb_v), oa, ob = spec
+    g = smooth_patch(np.random.default_rng(seed), du, dv, span=2.0, z_scale=0.3)
+    low, high = split_patch(g, **{direction: 0.4})
+    other = (1, 0) if direction == "u" else (0, 1)
+    nets = {(0, 0): _elevate_net(low.net, du + ea_u, dv + ea_v),
+            other: _elevate_net(high.net, du + eb_u, dv + eb_v)}
+    doc = oriented_grid_document(nets, {(0, 0): _ORIENTATIONS[oa], other: _ORIENTATIONS[ob]})
+    (corr,) = doc.edges
+    return doc.patch(corr.a), doc.patch(corr.b), replace(corr, a=f"{corr.a}.{k}", b=f"{corr.b}.{k}")
+
+
+def _assert_same_report(got, want):
+    for name in ("order", "link_ok", "oracle_ok", "ok", "tol", "oracle_tol"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("link_residual", "oracle_residual"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+    assert abs(got.link.scale - want.link.scale) <= 1e-12
+    for name in ("lam_samples", "kap_samples", "oop", "mu_samples", "nu_samples", "g2_oop"):
+        g, w = getattr(got.link, name), getattr(want.link, name)
+        assert (g is None) == (w is None), name
+        if w is not None:
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12, err_msg=name)
+    assert (got.g1 is None) == (want.g1 is None)
+    if want.g1 is not None:
+        _assert_same_report(got.g1, want.g1)
+
+
+_EDGE_SPECS = st.tuples(
+    st.integers(0, 2**32 - 1), st.sampled_from("uv"),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(0, 7), st.integers(0, 7),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(specs=st.lists(_EDGE_SPECS, min_size=1, max_size=6), order=st.sampled_from((1, 2)),
+       data=st.data())
+def test_batched_edge_reports_equal_batch_of_one_under_any_order(specs, order, data):
+    edges = [_split_edge(spec, k) for k, spec in enumerate(specs)]
+    batch = check_edges(edges, order)
+    for edge, got in zip(edges, batch):
+        _assert_same_report(got, check_edges([edge], order)[0])
+    perm = data.draw(st.permutations(range(len(edges))))
+    for k, got in zip(perm, check_edges([edges[k] for k in perm], order)):
+        _assert_same_report(got, batch[k])
+
+
+def test_one_batch_of_every_side_pair_reversal_and_degree_group():
+    edges = [_split_edge((k, "uv"[k % 2], (1 + k % 3, 1 + k // 3 % 3), (k % 4, k // 4 % 4),
+                          (k // 2 % 4, k // 8 % 4), k % 8, k // 8), k) for k in range(64)]
+    assert len({(c.a_side, c.b_side) for *_, c in edges}) == 16
+    assert {c.reversed for *_, c in edges} == {False, True}
+    degrees = {(p.degree_u, p.degree_v) for a, b, _ in edges for p in (a, b)}
+    assert {d for pair in degrees for d in pair} == set(range(1, 7))
+    for order in (1, 2):
+        batch = check_edges(edges, order)
+        assert all(rep.ok for rep in batch)
+        for edge, got in zip(edges, batch):
+            _assert_same_report(got, check_edges([edge], order)[0])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_batched_corner_configs_equal_one_corner_at_a_time(order):
+    # the corners of two different documents in one batch, in both orders
+    found = (find_corner_configs(mixed_grid_document(), order)
+             + find_corner_configs(mixed_grid_document(np.random.default_rng(5)), order))
+    quads = [(c.p1, c.p2, c.p3, c.p4) for _, c in found]
+    for batch in (corner_configs(quads, order), corner_configs(quads[::-1], order)[::-1]):
+        for quad, got in zip(quads, batch):
+            want = CornerConfig.from_patches(*quad)
+            want = want.solve_g2() if order == 2 else want
+            for key, link in want.links.items():
+                for name in ("lam_samples", "kap_samples", "oop", "mu_samples", "nu_samples"):
+                    w, g = getattr(link, name), getattr(got.links[key], name)
+                    assert (g is None) == (w is None)
+                    if w is not None:
+                        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12)
+            got_v, want_v = got.link_values_at_vertex(), want.link_values_at_vertex()
+            assert list(got_v) == list(want_v)
+            for key in want_v:
+                assert list(got_v[key]) == list(want_v[key])
+                np.testing.assert_allclose(list(got_v[key].values()),
+                                           list(want_v[key].values()), rtol=0.0, atol=1e-12)
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@
 import functools
 import json
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothpatch.bezier import BezierPatch, _edge_jet, eval_grid, split_grid, split_patch
+from smoothpatch.bezier import BezierPatch, _edge_jets, eval_grid, split_grid, split_patch
 from smoothpatch.cli import find_corner_configs, main
-from smoothpatch.continuity import CornerConfig, EdgeCorrespondence
+from smoothpatch.continuity import EdgeCorrespondence, corner_configs
 from smoothpatch.construct import NinePatchRing
 from smoothpatch.surfio import (
     SurfaceDocument,
@@ -276,6 +278,90 @@ def test_cli_usage_error_is_exit_1(capsys):
     assert main(["no-such-command"]) == 1
 
 
+def test_main_builds_its_parser_once_and_answers_as_a_fresh_one(tmp_path, capsys):
+    from smoothpatch import cli
+
+    path = tmp_path / "pair.json"
+    save_surface(split_pair_doc(np.random.default_rng(123)), path)
+    calls = (["check-g1"], ["check-g1", str(path)], ["--help"])
+
+    def run(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(list(argv))
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    fresh = run(fresh=True)
+    cli._build_parser.cache_clear()
+    cached = run(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert cached == fresh
+    assert [code for code, *_ in fresh] == [1, 0, 0]
+    assert "usage: smoothpatch" in fresh[0][2] and "G1 overall: PASS" in fresh[1][1]
+
+
+def _folded(p):
+    """``p`` with every row reflected through its u0 row: its u-derivative on u0 flips sign."""
+    net = p.net.copy()
+    net[1:] = 2.0 * net[0] - net[1:]
+    return BezierPatch.from_net(net)
+
+
+def error_path_doc():
+    """Four split pairs joined u1 ~ u0: smooth, folded (lambda < 0), a G0 gap, folded."""
+    from smoothpatch.bezier import transform_patch
+
+    rng = np.random.default_rng(121)
+    patches, edges = {}, []
+    for name, make_b in (("a", lambda b: b), ("f", _folded),
+                         ("g", lambda b: transform_patch(b, shift=[0.0, 0.0, 1e-3])),
+                         ("h", _folded)):
+        left, right = split_patch(smooth_patch(rng, span=2.0, z_scale=0.3), u=0.5)
+        patches[f"{name}1"], patches[f"{name}2"] = left, make_b(right)
+        edges.append(EdgeCorrespondence("u1", "u0", a=f"{name}1", b=f"{name}2"))
+    return SurfaceDocument(patches=patches, edges=edges)
+
+
+@pytest.mark.parametrize("command", ["check-g1", "check-g2"])
+def test_check_stops_at_the_first_failing_edge_after_the_earlier_warnings(tmp_path, capsys,
+                                                                          command):
+    # the third edge has a G0 gap; the second and fourth have lambda < 0:
+    # only the warning of the second comes, as when edges were checked one by one
+    path = tmp_path / "errors.json"
+    save_surface(error_path_doc(), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("continuity failure: boundary curves of g1:u1 and g2:u0 do not coincide "
+                   "(normalized gap 3.365e-04 > 1.0e-09)\n")
+    assert [str(w.message) for w in caught] == [
+        "orientation-reversing join (f1:u1 ~ f2:u0): lambda is negative"]
+
+
+def test_find_corner_configs_skips_only_the_vertex_whose_link_raises():
+    rng = np.random.default_rng(122)
+    patches, edges = {}, []
+    for sq in ("s", "t"):
+        square, square_edges = _split_square(rng)
+        if sq == "t":  # a G0 gap inside the t1 ~ t2 link; the corners still meet at V
+            net = square["p2"].net.copy()
+            net[0, 1] += [0.0, 0.0, 1e-3]
+            square["p2"] = BezierPatch.from_net(net)
+        patches.update({f"{sq}{name[1]}": p for name, p in square.items()})
+        edges += [replace(c, a=f"{sq}{c.a[1]}", b=f"{sq}{c.b[1]}") for c in square_edges]
+    doc = SurfaceDocument(patches=patches, edges=edges)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        configs = find_corner_configs(doc)
+    assert [names for names, _ in configs] == [("s1", "s2", "s3", "s4")]
+    assert caught == []
+
+
 def test_cli_fill_hole_then_check(tmp_path, capsys):
     rng = np.random.default_rng(106)
     ring_path = tmp_path / "ring.json"
@@ -516,26 +602,28 @@ def test_find_corner_configs_skips_a_cycle_whose_patches_do_not_meet():
 
 
 def test_corner_search_evaluates_sides_only_in_corner_config(monkeypatch):
-    # every module that binds the edge evaluator is counted, so a geometric
+    # every module that binds the side evaluator is counted, so a geometric
     # search that samples side curves of its own would show up here
-    inside = []
-    from_patches = CornerConfig.from_patches.__func__.__code__
+    inside, sides = [], []
+    builder = corner_configs.__code__
 
-    def counting(p, side, s, order):
+    def counting(batch, t, order):
         frame = sys._getframe(1)
-        while frame is not None and frame.f_code is not from_patches:
+        while frame is not None and frame.f_code is not builder:
             frame = frame.f_back
         inside.append(frame is not None)
-        return _edge_jet(p, side, s, order)
+        sides.extend(batch)
+        return _edge_jets(batch, t, order)
 
     modules = [m for name, m in sys.modules.items()
-               if name.startswith("smoothpatch") and hasattr(m, "_edge_jet")]
+               if name.startswith("smoothpatch") and hasattr(m, "_edge_jets")]
     assert modules
     for module in modules:
-        monkeypatch.setattr(module, "_edge_jet", counting)
+        monkeypatch.setattr(module, "_edge_jets", counting)
     configs = find_corner_configs(mixed_grid_document())
     assert len(configs) == 4
-    assert len(inside) == 8 * len(configs) and all(inside)
+    # one batch for all corners, each link's two sides once
+    assert inside == [True] and len(sides) == 8 * len(configs)
 
 
 def test_cli_complete_4patch_rebuilds_its_own_output(tmp_path):
