@@ -250,8 +250,10 @@ def _edge_jets(sides, t: np.ndarray, order: int) -> dict:
         keep = slice(-(order + 1), None) if far else slice(0, order + 1)
         edge = -1 if far else 0
         rows = [sides[i][0].net[keep] if across_u else sides[i][0].net[:, keep] for i in idx]
+        # a view and slice writes where they apply: together they keep a
+        # one-edge link solve as fast as it was before batching
         nets = rows[0][None] if len(rows) == 1 else np.stack(rows)
-        if idx[-1] - idx[0] + 1 == len(idx):  # consecutive sides: write a slice
+        if idx[-1] - idx[0] + 1 == len(idx):
             idx = slice(idx[0], idx[-1] + 1)
         d_u, n = nets, degree_u
         for i in range(order + 1):

@@ -21,9 +21,9 @@ once and only up to the derivative order its consumers need.  At
 and, for G2, the second-order link and the curvature oracle; G1 checks stop
 at first order.  At ``VERIFY_SAMPLES`` the normal oracle asks for first
 order only.  One Gram matrix of a's tangent basis per edge and sample serves
-every solve in that basis.  Each step is one numpy call over arrays of shape
-(edges, samples, ...), and it does per edge exactly the arithmetic of a
-batch of one, so an edge's results do not depend on the batch it is in.
+the link solves in that basis.  Each step is one numpy call over arrays of
+shape (edges, samples, ...) that treats every edge alike, so an edge's
+results agree with its batch-of-one results to rounding (within 1e-12).
 ``CornerConfig`` keeps the frames of its four links for ``solve_g2``.
 
 Vertex values are read at V itself: the link samples there, and one solve
@@ -33,7 +33,6 @@ corners.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -141,19 +140,13 @@ class EdgeCorrespondence:
                 raise ValueError(f"unknown side {s!r}")
 
 
-# Vector helpers over the last axis.  _norm and _cross form their results
-# exactly as np.linalg.norm(x, axis=-1) and np.cross do, without the
-# argument handling that dominates on one edge's 33 samples.
-
 def _dot(x, y):
     return np.einsum("...j,...j->...", x, y)
 
 
-def _norm(x, keepdims: bool = False):
-    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
-
-
 def _cross(x, y):
+    # np.cross's argument handling costs ~25 us a call, ~10% of a one-edge
+    # solve_edge_link, which the constructions call edge by edge
     out = np.empty_like(x)
     out[..., 0] = x[..., 1] * y[..., 2] - x[..., 2] * y[..., 1]
     out[..., 1] = x[..., 2] * y[..., 0] - x[..., 0] * y[..., 2]
@@ -179,7 +172,7 @@ def _solve(g, e_w, e_t, rhs, scale=None):
     xy = np.linalg.solve(g, rv[..., None])[..., 0]
     if scale is None:
         return xy
-    return xy, _norm(rhs - xy[..., :1] * e_w - xy[..., 1:] * e_t) / scale
+    return xy, np.linalg.norm(rhs - xy[..., :1] * e_w - xy[..., 1:] * e_t, axis=-1) / scale
 
 
 def _name(corr: EdgeCorrespondence) -> str:
@@ -213,25 +206,10 @@ def _frames(pairs, t: np.ndarray, order: int) -> dict:
     return f
 
 
-def _scales(pairs) -> np.ndarray:
-    """``bounding_diagonal(a, b)`` per edge, from each patch's bounding box taken once.
-
-    The joint box of two nets is the max and min of their boxes, which is
-    exact, so each scale equals the one ``bounding_diagonal`` gives.
-    """
-    pts = {id(p): p.net.reshape(-1, 3) for a, b, _ in pairs for p in (a, b)}
-    lo = {key: x.min(axis=0) for key, x in pts.items()}
-    hi = {key: x.max(axis=0) for key, x in pts.items()}
-    diags = [np.maximum(hi[id(a)], hi[id(b)]) - np.minimum(lo[id(a)], lo[id(b)])
-             for a, b, _ in pairs]
-    # the square root of the dot product, as np.linalg.norm forms it for one vector
-    return np.array([math.sqrt(d.dot(d)) or 1.0 for d in diags])
-
-
 def g0_gap(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> float:
     """Largest distance between the identified boundary curves, scale-normalized."""
     pa, pb = _frames([(a, b, corr)], _SOLVE_TS, 0)["point"]
-    return float(_norm(pa - pb).max()) / bounding_diagonal(a, b)
+    return float(np.linalg.norm(pa - pb, axis=-1).max()) / bounding_diagonal(a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,21 +277,21 @@ class _LinkBatch:
     lambda.
     """
 
-    def __init__(self, pairs, order: int, frames=None):
+    def __init__(self, pairs, order: int):
         self.pairs = pairs
-        self.f = f = frames if frames is not None else _frames(pairs, _SOLVE_TS, order)
-        self.scale = _scales(pairs)
+        self.f = f = _frames(pairs, _SOLVE_TS, order)
+        self.scale = np.array([bounding_diagonal(a, b) for a, b, _ in pairs])
         scale = self.scale[:, None]
         (a_w, b_w), a_t = f["w"], f["t"][0]
         self.cross = _cross(a_w, a_t)  # zero where a tangent vector is zero
-        flat = (_norm(self.cross) < RANK_TOL * scale**2).any(axis=-1)
+        flat = (np.linalg.norm(self.cross, axis=-1) < RANK_TOL * scale**2).any(axis=-1)
         self.g = _gram(a_w, a_t)
         if flat.any():  # a degenerate edge must not stop the batch's solves
             self.g[flat] = np.eye(2)
         xy, self.oop = _solve(self.g, a_w, a_t, b_w, scale)
         self.lam, self.kap = xy[..., 0], xy[..., 1]
         self.negative = (self.lam < 0.0).any(axis=-1)
-        gaps = _norm(f["point"][0] - f["point"][1]).max(axis=-1) / self.scale
+        gaps = np.linalg.norm(f["point"][0] - f["point"][1], axis=-1).max(axis=-1) / self.scale
         vanishes = (np.abs(self.lam) < LAMBDA_MIN).any(axis=-1)
         self.errors = []
         for (*_, c), gap, is_flat, vanish in zip(pairs, gaps.tolist(), flat.tolist(),
@@ -357,19 +335,15 @@ def solve_edge_link(
     a: BezierPatch,
     b: BezierPatch,
     corr: EdgeCorrespondence,
-    *,
-    frames=None,
 ) -> EdgeLink:
     """Solve the first-order link cross_b = lambda*cross_a + kappa*tangent_a.
 
     At each of the ``SOLVE_SAMPLES`` edge parameters the two scalars are
     obtained by projecting b's cross-boundary derivative onto a's tangent
     basis; the out-of-plane component is recorded as the per-sample
-    residual.  ``frames`` is the edge's frames of order >= 1 at those
-    parameters (``_frames`` of this one edge) when the caller already holds
-    them; by default they are built here.
+    residual.
     """
-    batch = _LinkBatch([(a, b, corr)], 1, frames)
+    batch = _LinkBatch([(a, b, corr)], 1)
     batch.admit(0)
     return batch.link(0)
 
@@ -409,9 +383,10 @@ def check_edges(edges, order: int = 1, tol: float | None = None) -> list[EdgeRep
     # normal oracle: the angle between the normal *lines* of the two patches
     f = _frames(pairs, _VERIFY_TS, 1)
     n = _cross(f["w"], f["t"])
-    n /= _norm(n, keepdims=True)
+    n /= np.linalg.norm(n, axis=-1)[..., None]
     # atan2 keeps precision near zero
-    angle = np.arctan2(_norm(_cross(n[0], n[1])), np.abs(_dot(n[0], n[1]))).max(axis=-1)
+    sin = np.linalg.norm(_cross(n[0], n[1]), axis=-1)
+    angle = np.arctan2(sin, np.abs(_dot(n[0], n[1]))).max(axis=-1)
     g1_tol = tol if order == 1 else G1_TOL
     reports = [
         EdgeReport(order=1, link_residual=r, link_ok=r < g1_tol, oracle_residual=x,
@@ -426,12 +401,10 @@ def check_edges(edges, order: int = 1, tol: float | None = None) -> list[EdgeRep
     # independent directions, with a's unit normal, in units of the net
     # diagonal so that tol is scale-free
     f = batch.f
-    n = batch.cross / _norm(batch.cross, keepdims=True)
-    gram = np.stack([batch.g, _gram(f["w"][1], f["t"][1])])
+    n = batch.cross / np.linalg.norm(batch.cross, axis=-1)[..., None]
     gap = np.zeros(len(pairs))
     for direction in (f["w"][0], f["t"][0], f["w"][0] + f["t"][0]):
-        ka, kb = normal_curvature(f["w"], f["t"], f["ww"], f["wt"], f["tt"], direction, n,
-                                  gram=gram)
+        ka, kb = normal_curvature(f["w"], f["t"], f["ww"], f["wt"], f["tt"], direction, n)
         gap = np.fmax(gap, np.abs(ka - kb).max(axis=-1) * batch.scale)
     return [
         EdgeReport(order=2, link_residual=r, link_ok=r < tol, oracle_residual=x,
@@ -462,35 +435,30 @@ def solve_g2_link(
     b: BezierPatch,
     corr: EdgeCorrespondence,
     link: EdgeLink,
-    *,
-    frames=None,
 ) -> EdgeLink:
     """Solve the second-order link and return a copy of ``link`` with mu, nu.
 
     Forms R = b_ww - lambda^2 a_ww - 2 lambda kappa a_wt - kappa^2 a_tt per
     sample and resolves R = mu a_w + nu a_t in least squares.  A large
     out-of-plane component of R signals failure of curvature continuity; it
-    is recorded, not raised.  ``frames`` is the edge's frames of order 2 at
-    the samples of ``link`` (``_frames`` of this one edge) when the caller
-    already holds them; by default they are built here.
+    is recorded, not raised.
     """
-    f = frames if frames is not None else _frames([(a, b, corr)], link.ts, 2)
-    if (_norm(_cross(f["w"][0], f["t"][0])) < RANK_TOL * link.scale**2).any():
+    f = _frames([(a, b, corr)], link.ts, 2)
+    if (np.linalg.norm(_cross(f["w"][0], f["t"][0]), axis=-1) < RANK_TOL * link.scale**2).any():
         raise DegenerateParametrizationError(
             f"tangent vectors linearly dependent while solving second-order link {_name(corr)}"
         )
     return _with_g2([link], f)[0]
 
 
-def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal, *, gram=None) -> np.ndarray:
+def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarray:
     """Normal curvature in a 3D tangent ``direction``, per sample.
 
     The direction is decomposed in the (e_w, e_t) basis by least squares,
     then II/I is evaluated with the supplied unit ``normal`` (one common
-    normal must be used when comparing two patches).  ``gram`` is the Gram
-    matrix of (e_w, e_t) when the caller already holds it.
+    normal must be used when comparing two patches).
     """
-    g = _gram(e_w, e_t) if gram is None else gram
+    g = _gram(e_w, e_t)
     xy = _solve(g, e_w, e_t, direction)
     x, y = xy[..., 0], xy[..., 1]
     big_l = _dot(e_ww, normal)
