@@ -7,7 +7,9 @@ are fresh arrays.  Derivatives are computed from difference nets, which is
 exact for polynomial patches; finite differences are reserved for test
 oracles.  Along one side, derivatives up to order k need only the k + 1
 control rows nearest that side; ``_edge_jets`` evaluates them from those
-rows, for many sides at once, for the continuity checks.
+rows, for many sides at once, for the continuity checks.  It sums each
+Bernstein expansion in a fixed order, so a side's values do not depend on
+the other sides it is evaluated with.
 """
 
 from __future__ import annotations
@@ -215,15 +217,15 @@ def normal_vector(p: BezierPatch, u: float, v: float) -> np.ndarray:
 
 
 def _difference(nets: np.ndarray, degree: int, axis: int):
-    """Hodograph control points of a stack of degree-``degree`` Bezier forms.
+    """Hodograph control points of stacked degree-``degree`` Bezier forms along ``axis``.
 
-    ``axis`` is 1 for the rows (u) and 2 for the columns (v) of the nets.
+    ``axis`` is 0 for the rows (u) and 1 for the columns (v) of the nets.
     """
     if degree == 0:
         return np.zeros_like(nets), 0
-    if axis == 1:
-        return degree * (nets[:, 1:] - nets[:, :-1]), degree - 1
-    return degree * (nets[:, :, 1:] - nets[:, :, :-1]), degree - 1
+    if axis == 0:
+        return degree * (nets[1:] - nets[:-1]), degree - 1
+    return degree * (nets[:, 1:] - nets[:, :-1]), degree - 1
 
 
 def _edge_jets(sides, t: np.ndarray, order: int) -> dict:
@@ -235,41 +237,67 @@ def _edge_jets(sides, t: np.ndarray, order: int) -> dict:
     sides, in v on the v sides) and l times along it, k + l <= order, as an
     array of shape ``(len(sides), len(t), 3)``.  Sides are grouped by side,
     degrees and reversal; each group stacks the ``order + 1`` control rows
-    nearest its side, differences them (in u first, as ``derivative_net``
-    does) and sums each derivative's control row against the Bernstein
-    basis along the side in one ``einsum``.
+    nearest its side and differences them (in u first, as ``derivative_net``
+    does).  The derivative rows of all groups then go into one bucket per
+    Bernstein degree along the side and reversal, and each bucket is summed
+    against its basis in one pass: from +0.0, over the basis index in
+    ascending order.  That order is fixed, so a side's values are the same
+    bits whatever else is in the batch.
     """
     groups: dict[tuple, list] = {}
     for i, (p, side, rev) in enumerate(sides):
         groups.setdefault((side, p.degree_u, p.degree_v, bool(rev)), []).append(i)
     t = np.ascontiguousarray(t, dtype=float)
-    samples = {False: t.tobytes(), True: (1.0 - t).tobytes()}
-    jets: dict[tuple, np.ndarray] = {}
+    # (degree, reversed) -> key -> (side indices, rows of shape (degree + 1, sides * 3))
+    buckets: dict[tuple, dict] = {}
     for (side, degree_u, degree_v, rev), idx in groups.items():
         across_u, far = side[0] == "u", side[1] == "1"
         keep = slice(-(order + 1), None) if far else slice(0, order + 1)
         edge = -1 if far else 0
         rows = [sides[i][0].net[keep] if across_u else sides[i][0].net[:, keep] for i in idx]
-        # a view and slice writes where they apply: together they keep a
-        # one-edge link solve as fast as it was before batching
-        nets = rows[0][None] if len(rows) == 1 else np.stack(rows)
-        if idx[-1] - idx[0] + 1 == len(idx):
-            idx = slice(idx[0], idx[-1] + 1)
+        # (u, v, side, xyz); a view for one side keeps a one-edge link solve fast
+        nets = rows[0][:, :, None] if len(rows) == 1 else np.stack(rows, axis=2)
         d_u, n = nets, degree_u
         for i in range(order + 1):
             if i:
-                d_u, n = _difference(d_u, n, 1)
+                d_u, n = _difference(d_u, n, 0)
             d_uv, m = d_u, degree_v
             for j in range(order + 1 - i):
                 if j:
-                    d_uv, m = _difference(d_uv, m, 2)
+                    d_uv, m = _difference(d_uv, m, 1)
                 if across_u:
-                    key, row, k = (i, j), d_uv[:, edge], m
+                    key, row, k = (i, j), d_uv[edge], m
                 else:
-                    key, row, k = (j, i), d_uv[:, :, edge], n
+                    key, row, k = (j, i), d_uv[:, edge], n
+                at, key_rows = buckets.setdefault((k, rev), {}).setdefault(key, ([], []))
+                at += idx
+                key_rows.append(row.reshape(k + 1, -1))
+    jets: dict[tuple, np.ndarray] = {}
+    for (k, rev), keys in buckets.items():
+        rows = np.concatenate([row for _, key_rows in keys.values() for row in key_rows], axis=1)
+        basis = _basis_matrix(k, (1.0 - t if rev else t).tobytes())
+        # C order: after the transposed basis the products would be laid out
+        # column-major, and the sums below would stride through them
+        terms = np.multiply(basis.T[:, :, None], rows[:, None], order="C")
+        out = terms[0] + 0.0  # a sum from +0.0: -0.0 + 0.0 is +0.0
+        for term in terms[1:]:
+            out += term
+        values = out.reshape(len(t), rows.shape[1] // 3, 3).swapaxes(0, 1)
+        start = 0
+        for key, (at, _) in keys.items():
+            stop = start + len(at)
+            # like the view above, a copy where the bucket holds every side of
+            # the key and a slice write for a run of consecutive sides keep a
+            # one-edge link solve fast
+            if at == list(range(len(sides))):
+                jets[key] = values[start:stop].copy()
+            else:
                 if key not in jets:
                     jets[key] = np.empty((len(sides), len(t), 3))
-                jets[key][idx] = np.einsum("sk,gkc->gsc", _basis_matrix(k, samples[rev]), row)
+                if at == list(range(at[0], at[0] + len(at))):
+                    at = slice(at[0], at[0] + len(at))
+                jets[key][at] = values[start:stop]
+            start = stop
     return jets
 
 

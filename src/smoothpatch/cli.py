@@ -299,6 +299,8 @@ def _cmd_export(args) -> int:
         nu, nv = (int(x) for x in args.samples.split(","))
     except ValueError:
         raise SurfaceFormatError("--samples expects 'nu,nv' with two integers") from None
+    if nu < 1 or nv < 1:
+        raise SurfaceFormatError(f"--samples expects nu, nv >= 1, got {nu},{nv}")
     export_obj(doc, nu, nv, args.obj)
     print(f"wrote {args.obj}")
     return 0

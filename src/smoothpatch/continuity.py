@@ -21,10 +21,13 @@ once and only up to the derivative order its consumers need.  At
 and, for G2, the second-order link and the curvature oracle; G1 checks stop
 at first order.  At ``VERIFY_SAMPLES`` the normal oracle asks for first
 order only.  One Gram matrix of a's tangent basis per edge and sample serves
-the link solves in that basis.  Each step is one numpy call over arrays of
-shape (edges, samples, ...) that treats every edge alike, so an edge's
-results agree with its batch-of-one results to rounding (within 1e-12).
-``CornerConfig`` keeps the frames of its four links for ``solve_g2``.
+the link solves in that basis.  A side's jets are the same bits in any
+batch.  The steps after them are numpy calls over arrays of shape (edges,
+samples, ...) that treat every edge alike; their results agree with a batch
+of one within 1e-12, which is what the tests check.  The solve results are
+read-only, and each ``EdgeLink`` holds read-only views of them rather than
+copies.  ``CornerConfig`` keeps the frames of its four links for
+``solve_g2``.
 
 Vertex values are read at V itself: the link samples there, and one solve
 in the frame at V for the derivatives of lambda and kappa, batched over all
@@ -86,10 +89,17 @@ VERIFY_SAMPLES = 101
 
 
 def _frozen(arr):
-    """``arr`` as a read-only float64 array that owns its data; copied only if it is not one."""
-    if arr is None or (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                       and arr.flags.owndata and not arr.flags.writeable):
+    """``arr`` as a read-only float64 array whose memory is read-only; copied only if it is not one.
+
+    A read-only view of a read-only array is kept as it is: nothing can
+    write through either of them.
+    """
+    if arr is None:
         return arr
+    if isinstance(arr, np.ndarray) and arr.dtype == np.float64 and not arr.flags.writeable:
+        base = arr if arr.base is None else arr.base
+        if isinstance(base, np.ndarray) and not base.flags.writeable:
+            return arr
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
     return out
@@ -168,11 +178,19 @@ def _solve(g, e_w, e_t, rhs, scale=None):
     ``g`` is the Gram matrix of (e_w, e_t).  With ``scale``, also returns the
     norm of the part of rhs off the basis, over ``scale``.
     """
-    rv = np.stack([_dot(e_w, rhs), _dot(e_t, rhs)], axis=-1)
-    xy = np.linalg.solve(g, rv[..., None])[..., 0]
+    # filled in place: np.stack would cost a one-edge link solve ~3%
+    rv = np.empty(g.shape[:-1] + (1,))
+    rv[..., 0, 0] = _dot(e_w, rhs)
+    rv[..., 1, 0] = _dot(e_t, rhs)
+    xy = np.linalg.solve(g, rv)
+    # read-only, so that the links of a batch can keep views of the results
+    xy.flags.writeable = False
+    xy = xy[..., 0]
     if scale is None:
         return xy
-    return xy, np.linalg.norm(rhs - xy[..., :1] * e_w - xy[..., 1:] * e_t, axis=-1) / scale
+    oop = np.linalg.norm(rhs - xy[..., :1] * e_w - xy[..., 1:] * e_t, axis=-1) / scale
+    oop.flags.writeable = False
+    return xy, oop
 
 
 def _name(corr: EdgeCorrespondence) -> str:

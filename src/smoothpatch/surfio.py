@@ -79,8 +79,19 @@ class SurfaceDocument:
 
 # --- deterministic JSON emission -------------------------------------------
 
+def _float_array_template(shape) -> str:
+    """``%`` template that writes a float array of ``shape`` as nested JSON lists."""
+    if not shape:
+        return "%.17g"
+    inner = _float_array_template(shape[1:])
+    return "[" + ", ".join([inner] * shape[0]) + "]"
+
+
 def _emit(obj, out):
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        # the whole array in one formatting pass; "%.17g" % x is format(x, ".17g")
+        out.append(_float_array_template(obj.shape) % tuple(obj.ravel().tolist()))
+    elif isinstance(obj, dict):
         out.append("{")
         for k, key in enumerate(obj):
             if k:
@@ -125,7 +136,7 @@ def _document_dict(doc: SurfaceDocument) -> dict:
             "name": name,
             "degree_u": p.degree_u,
             "degree_v": p.degree_v,
-            "net": [list(pt) for pt in p.net.reshape(-1, 3)],
+            "net": p.net.reshape(-1, 3),
         })
     edges = [
         {"a": c.a, "a_side": c.a_side, "b": c.b, "b_side": c.b_side,

@@ -24,6 +24,7 @@ from smoothpatch.continuity import (
     SOLVE_SAMPLES,
     VERIFY_SAMPLES,
     CornerConfig,
+    EdgeLink,
     check_edges,
     check_g1_edge,
     check_g2_edge,
@@ -62,6 +63,41 @@ def test_edge_jet_matches_patch_derivative(degrees, side):
         fixed = 1.0 if side[1] == "1" else 0.0
         for row, params in ((0, s), (2, 1.0 - s)):  # the reversed side is read at 1 - s
             for x, value in zip(params, values[row]):
+                u, v = (fixed, x) if side[0] == "u" else (x, fixed)
+                np.testing.assert_allclose(value, patch_derivative(p, u, v, du, dv), atol=1e-12)
+
+
+_SIDE_SPECS = st.tuples(st.integers(0, 3), st.sampled_from(["u0", "u1", "v0", "v1"]), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(degrees=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), specs=st.lists(_SIDE_SPECS, min_size=1, max_size=10),
+       order=st.integers(0, 2), n=st.integers(0, 9), signed_zeros=st.booleans())
+def test_edge_jets_of_a_side_do_not_depend_on_its_batch(degrees, seed, specs, order, n,
+                                                         signed_zeros):
+    rng = np.random.default_rng(seed)
+    patches = []
+    for du, dv in degrees:
+        net = rng.uniform(-1.0, 1.0, size=(du + 1, dv + 1, 3))
+        if signed_zeros:  # exact zeros of both signs
+            net[rng.random(net.shape) < 0.3] = 0.0
+            net[rng.random(net.shape) < 0.3] = -0.0
+        patches.append(BezierPatch(du, dv, net))
+    # the same patch may appear more than once, on any side
+    sides = [(patches[i % len(patches)], side, rev) for i, side, rev in specs]
+    s = rng.random(n) if n % 2 else np.linspace(0.0, 1.0, n)
+    jets = _edge_jets(sides, s, order)
+    assert len(jets) == (order + 1) * (order + 2) // 2
+    for i, (p, side, rev) in enumerate(sides):
+        alone = _edge_jets([(p, side, rev)], s, order)
+        for (k, l), values in jets.items():
+            # the same bits, signs of zero included
+            np.testing.assert_array_equal(values[i], alone[k, l][0])
+            np.testing.assert_array_equal(np.signbit(values[i]), np.signbit(alone[k, l][0]))
+            du, dv = (k, l) if side[0] == "u" else (l, k)
+            fixed = 1.0 if side[1] == "1" else 0.0
+            for x, value in zip(1.0 - s if rev else s, values[i]):
                 u, v = (fixed, x) if side[0] == "u" else (x, fixed)
                 np.testing.assert_allclose(value, patch_derivative(p, u, v, du, dv), atol=1e-12)
 
@@ -161,6 +197,40 @@ def test_corner_config_solve_g2_reuses_the_link_frames(jet_calls):
         CornerConfig.from_patches(config.p1, config.p2, config.p3, config.p4)
         assert len(jet_calls) == 1 and _sides(jet_calls) == 8
         assert _once_per_side_and_sample_set(jet_calls)
+
+
+def test_links_of_a_batch_are_read_only_views_of_its_arrays(monkeypatch):
+    batches = []
+
+    class Recorded(continuity._LinkBatch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            batches.append(self)
+
+    monkeypatch.setattr(continuity, "_LinkBatch", Recorded)
+    reports = check_edges(_edge_cases(), 2)
+    (batch,) = batches
+    second = reports[0].link.mu_samples.base  # mu, nu of every link: one array
+    for e, report in enumerate(reports):
+        link = report.link
+        for name, whole in (("lam_samples", batch.lam), ("kap_samples", batch.kap),
+                            ("oop", batch.oop), ("mu_samples", second),
+                            ("nu_samples", second)):
+            arr = getattr(link, name)
+            assert np.shares_memory(arr, whole), name
+            for target in (arr, arr.base):
+                with pytest.raises(ValueError):
+                    target[0] = 1.0
+        np.testing.assert_array_equal(link.lam_samples, batch.lam[e])
+    g2_oop = reports[0].link.g2_oop.base
+    assert all(np.shares_memory(r.link.g2_oop, g2_oop) for r in reports)
+    # a writeable array is copied, so a later write to it cannot reach the link
+    ts = np.linspace(0.0, 1.0, 3)
+    link = EdgeLink(ts=ts, lam_samples=np.ones(3), kap_samples=np.zeros(3), oop=np.zeros(3),
+                    scale=1.0)
+    assert not np.shares_memory(link.ts, ts) and not link.ts.flags.writeable
+    ts[0] = 5.0
+    assert link.ts[0] == 0.0
 
 
 def _two_copies(doc):

@@ -19,6 +19,7 @@ from smoothpatch.construct import NinePatchRing
 from smoothpatch.surfio import (
     SurfaceDocument,
     SurfaceFormatError,
+    dumps_json,
     export_obj,
     load_surface,
     save_surface,
@@ -91,6 +92,16 @@ def test_roundtrip_preserves_values_exactly(tmp_path):
     for name in doc.patches:
         np.testing.assert_array_equal(again.patch(name).net, doc.patch(name).net)
     assert again.edges == doc.edges
+
+
+def test_dumps_json_writes_a_float_array_as_its_nested_lists():
+    values = [-0.0, 5e-324, 1e300, 0.1, 1.0, -2.5e-7]
+    for arr in (np.array(values).reshape(2, 3), np.array(values), np.array(values).reshape(3, 1, 2),
+                np.zeros((0, 3)), np.array(0.1)):
+        assert dumps_json(arr) == dumps_json(arr.tolist())
+    assert dumps_json({"net": np.array(values).reshape(2, 3)}) == (
+        '{"net": [[-0, 4.9406564584124654e-324, 1.0000000000000001e+300], '
+        '[0.10000000000000001, 1, -2.4999999999999999e-07]]}')
 
 
 def test_load_errors_name_the_field(tmp_path):
@@ -463,6 +474,20 @@ def test_cli_export(tmp_path):
     lines = obj.read_text().splitlines()
     assert sum(1 for l in lines if l.startswith("v ")) == 2 * 45
     assert main(["export", str(doc_path), "--obj", str(obj), "--samples", "bad"]) == 1
+
+
+@pytest.mark.parametrize("samples", ["0,5", "5,0", "-1,3"])
+def test_cli_export_rejects_samples_below_one(tmp_path, capsys, samples):
+    doc_path = tmp_path / "pair.json"
+    save_surface(split_pair_doc(np.random.default_rng(110)), doc_path)
+    capsys.readouterr()
+    obj = tmp_path / "out.obj"
+    # "--samples=..." so that argparse does not read "-1,3" as an option
+    assert main(["export", str(doc_path), "--obj", str(obj), f"--samples={samples}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --samples expects nu, nv >= 1, got {samples}\n"
+    assert not obj.exists()
 
 
 def test_find_corner_configs_on_grid():
