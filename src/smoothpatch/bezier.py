@@ -287,15 +287,12 @@ def _edge_jets(sides, t: np.ndarray, order: int) -> dict:
         for key, (at, _) in keys.items():
             stop = start + len(at)
             # like the view above, a copy where the bucket holds every side of
-            # the key and a slice write for a run of consecutive sides keep a
-            # one-edge link solve fast
+            # the key keeps a one-edge link solve fast
             if at == list(range(len(sides))):
                 jets[key] = values[start:stop].copy()
             else:
                 if key not in jets:
                     jets[key] = np.empty((len(sides), len(t), 3))
-                if at == list(range(at[0], at[0] + len(at))):
-                    at = slice(at[0], at[0] + len(at))
                 jets[key][at] = values[start:stop]
             start = stop
     return jets

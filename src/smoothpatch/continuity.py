@@ -237,6 +237,11 @@ class EdgeLink:
     ``oop`` holds the per-sample out-of-plane residual of the first-order
     link solve; ``g2_oop`` (after ``solve_g2_link``) the second-order one.
     All residuals are normalized by the joint net diagonal ``scale``.
+
+    The arrays are read-only.  A link from ``check_edges`` or
+    ``corner_configs`` holds strided views of its batch's result arrays, not
+    copies, so it keeps the results of every edge of the batch alive; a
+    caller that keeps a few links of a large batch should copy their arrays.
     """
 
     ts: np.ndarray
