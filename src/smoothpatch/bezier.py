@@ -9,7 +9,9 @@ oracles.  Along one side, derivatives up to order k need only the k + 1
 control rows nearest that side; ``_edge_jets`` evaluates them from those
 rows, for many sides at once, for the continuity checks.  It sums each
 Bernstein expansion in a fixed order, so a side's values do not depend on
-the other sides it is evaluated with.
+the other sides it is evaluated with.  ``_eval_grids`` evaluates whole patches
+on tensor grids the same way: it sums ``(B_i(u) * net[i, j]) * B_j(v)`` from
++0.0, i outer and j inner, the order of ``np.einsum("ai,ijc,bj->abc")``.
 """
 
 from __future__ import annotations
@@ -168,13 +170,29 @@ def eval_grid(p: BezierPatch, us, vs) -> np.ndarray:
     Independent of the de Casteljau path, which makes the two usable as
     cross-checks of one another.
     """
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    vs = np.atleast_1d(np.asarray(vs, dtype=float))
-    if us.min() < 0.0 or us.max() > 1.0 or vs.min() < 0.0 or vs.max() > 1.0:
+    return _eval_grids([p], us, vs)[0]
+
+
+def _eval_grids(patches, us, vs) -> np.ndarray:
+    """Points of many patches on one tensor grid, ``(patch, u, v, xyz)``; one pass per bi-degree."""
+    us, vs = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (us, vs))
+    if not (0.0 <= us.min() <= us.max() <= 1.0 and 0.0 <= vs.min() <= vs.max() <= 1.0):  # or NaN
         raise ValueError("sample parameters outside the unit square")
-    bu = bernstein_basis(p.degree_u, us)
-    bv = bernstein_basis(p.degree_v, vs)
-    return np.einsum("ai,ijc,bj->abc", bu, p.net, bv)
+    groups: dict[tuple, list] = {}
+    for k, p in enumerate(patches):
+        groups.setdefault((p.degree_u, p.degree_v), []).append(k)
+    out = np.empty((len(patches), len(us), len(vs), 3))
+    for (n, m), idx in groups.items():
+        bu = _basis_matrix(n, us.tobytes()).T
+        bv = _basis_matrix(m, vs.tobytes()).T
+        nets = np.stack([patches[k].net for k in idx])
+        acc = np.zeros((len(idx), 3, len(us), len(vs)))  # (patch, xyz, u, v)
+        for i in range(n + 1):
+            row = nets[:, i, :, :, None] * bu[i]  # (patch, j, xyz, u)
+            for j in range(m + 1):
+                acc += row[:, j, :, :, None] * bv[j]
+        out[idx] = acc.transpose(0, 2, 3, 1)
+    return out
 
 
 def derivative_net(p: BezierPatch, du: int = 0, dv: int = 0) -> BezierPatch:
@@ -421,18 +439,21 @@ def split_grid(p: BezierPatch, u_breaks, v_breaks):
     return [split_1d(col, v_breaks, "v") for col in columns]
 
 
-def tessellate(p: BezierPatch, nu: int, nv: int) -> TriangleMesh:
-    """Sample an (nu+1) x (nv+1) grid on the patch and triangulate it."""
+def _grid_faces(nu: int, nv: int) -> np.ndarray:
+    """Two triangles per cell of an (nu+1) x (nv+1) sample grid, as row-major vertex indices."""
     if nu < 1 or nv < 1:
         raise ValueError("tessellation requires nu, nv >= 1")
-    us = np.linspace(0.0, 1.0, nu + 1)
-    vs = np.linspace(0.0, 1.0, nv + 1)
-    verts = eval_grid(p, us, vs).reshape(-1, 3)
     # quad (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1)
     a = (np.arange(nu)[:, None] * (nv + 1) + np.arange(nv)).ravel()
     b, c, d = a + nv + 1, a + nv + 2, a + 1
-    faces = np.stack([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)], axis=1)
-    return TriangleMesh(verts, faces.reshape(-1, 3))
+    return np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+
+
+def tessellate(p: BezierPatch, nu: int, nv: int) -> TriangleMesh:
+    """Sample an (nu+1) x (nv+1) grid on the patch and triangulate it."""
+    faces = _grid_faces(nu, nv)
+    verts = eval_grid(p, np.linspace(0.0, 1.0, nu + 1), np.linspace(0.0, 1.0, nv + 1))
+    return TriangleMesh(verts.reshape(-1, 3), faces)
 
 
 def flip_u(p: BezierPatch) -> BezierPatch:

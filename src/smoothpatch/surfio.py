@@ -21,11 +21,13 @@ inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezier import BezierPatch, SIDES, tessellate
+from .bezier import BezierPatch, SIDES, _eval_grids, _grid_faces
 from .continuity import EdgeCorrespondence
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+_quote = json.JSONEncoder(ensure_ascii=False).encode  # escapes per RFC 8259
 
 
 class SurfaceFormatError(ValueError):
@@ -48,8 +51,8 @@ class SurfaceFormatError(ValueError):
 class SurfaceDocument:
     """Named patches plus the shared-edge records connecting them.
 
-    Each edge joins two different sides, and no two edges join the same pair
-    of sides.
+    Patch names hold no control character (Unicode category Cc, line breaks among
+    them), each edge joins two different sides, and no two edges join the same pair of sides.
     """
 
     patches: dict  # name -> BezierPatch, insertion-ordered
@@ -57,6 +60,9 @@ class SurfaceDocument:
     version: int = FORMAT_VERSION
 
     def __post_init__(self):
+        for k, name in enumerate(self.patches):
+            _expect(not re.search("[\x00-\x1f\x7f-\x9f]", name), f"patches[{k}].name",
+                    f"{name!r} contains a control character")
         seen = {}
         for k, corr in enumerate(self.edges):
             for name in (corr.a, corr.b):
@@ -108,8 +114,7 @@ def _emit(obj, out):
             _emit(item, out)
         out.append("]")
     elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'"{escaped}"')
+        out.append(_quote(obj))
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif obj is None:
@@ -158,8 +163,6 @@ def _expect(cond, where, msg):
 
 
 def load_surface(path) -> SurfaceDocument:
-    import json
-
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -218,15 +221,15 @@ def load_surface(path) -> SurfaceDocument:
 
 def export_obj(doc: SurfaceDocument, nu: int, nv: int, path) -> None:
     """Write one OBJ object per patch (o/v/f records, 1-based global indices)."""
+    faces = _grid_faces(nu, nv) + 1
+    grids = _eval_grids(list(doc.patches.values()), np.linspace(0.0, 1.0, nu + 1),
+                        np.linspace(0.0, 1.0, nv + 1))
+    per_patch = (nu + 1) * (nv + 1)
+    v_records, f_records = "v %.17g %.17g %.17g\n" * per_patch, "f %d %d %d\n" * len(faces)
     chunks = []
-    offset = 0
-    for name, patch in doc.patches.items():
-        mesh = tessellate(patch, nu, nv)
+    for k, (name, grid) in enumerate(zip(doc.patches, grids)):
         chunks.append(f"o {name}\n")
-        chunks.append("v %.17g %.17g %.17g\n" * len(mesh.vertices)
-                      % tuple(mesh.vertices.ravel().tolist()))
-        chunks.append("f %d %d %d\n" * len(mesh.faces)
-                      % tuple((mesh.faces + 1 + offset).ravel().tolist()))
-        offset += len(mesh.vertices)
+        chunks.append(v_records % tuple(grid.ravel().tolist()))
+        chunks.append(f_records % tuple((faces + k * per_patch).ravel().tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(chunks) or "\n")

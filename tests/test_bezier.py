@@ -80,6 +80,14 @@ def test_patch_eval_domain_check():
         patch_eval(p, 0.5, 1.1)
 
 
+@pytest.mark.parametrize("us, vs", [([np.nan], [0.5]), ([0.5], [0.2, np.nan]), ([0.0, np.nan], [1.0]),
+                                    ([-0.1], [0.5]), ([0.5], [1.1])])
+def test_eval_grid_domain_check(us, vs):
+    p = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
+    with pytest.raises(ValueError, match="outside the unit square"):
+        eval_grid(p, us, vs)
+
+
 def test_derivative_planar_patch():
     p = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
     for u, v in [(0.0, 0.0), (0.3, 0.8), (1.0, 1.0)]:

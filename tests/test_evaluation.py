@@ -1,4 +1,4 @@
-"""Batched edge evaluation: edge jets, the cached basis, evaluation counts, golden reports."""
+"""Batched evaluation: edge jets, patch grids, the cached basis, evaluation counts, golden reports."""
 
 import json
 from collections import Counter
@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothpatch.continuity as continuity
+import smoothpatch.surfio as surfio
 from smoothpatch.bezier import (
     BezierPatch,
     _basis_matrix,
     _edge_jets,
+    _eval_grids,
     bernstein_basis,
     patch_derivative,
     split_patch,
@@ -121,6 +123,51 @@ def test_basis_matrix_is_cached_and_read_only():
     assert _basis_matrix(4, np.linspace(0.0, 1.0, 13).tobytes()) is first
     assert _basis_matrix(4, t.tobytes()) is not first
     assert _basis_matrix.cache_info().maxsize is not None
+
+
+# --- the grid evaluator -----------------------------------------------------
+
+def _einsum_grid(p, us, vs):
+    """The per-patch reference: one einsum over the Bernstein bases and the net."""
+    bu, bv = bernstein_basis(p.degree_u, us), bernstein_basis(p.degree_v, vs)
+    return np.einsum("ai,ijc,bj->abc", bu, p.net, bv)
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+_GRID_SAMPLES = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=6),
+       _GRID_SAMPLES, _GRID_SAMPLES)
+def test_grid_evaluator_matches_a_per_patch_einsum_bit_for_bit(seed, degrees, us, vs):
+    rng = np.random.default_rng(seed)
+    patches = []
+    for n, m in degrees:
+        net = rng.normal(size=(n + 1, m + 1, 3)) * 10.0 ** rng.integers(-3, 4)
+        net[rng.random(net.shape) < 0.25] = -0.0
+        patches.append(BezierPatch(n, m, net))
+    grids = _eval_grids(patches, us, vs)
+    assert grids.shape == (len(patches), len(us), len(vs), 3)
+    for p, grid in zip(patches, grids):
+        np.testing.assert_array_equal(_bits(grid), _bits(_einsum_grid(p, np.array(us), np.array(vs))))
+
+
+def test_a_patch_grid_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(12)
+    patches = [BezierPatch(n, m, rng.normal(size=(n + 1, m + 1, 3)))
+               for n, m in [(3, 3), (2, 5), (3, 3), (6, 1), (2, 5), (3, 3)]]
+    us, vs = np.linspace(0.0, 1.0, 9), rng.random(4)
+    grids = _eval_grids(patches, us, vs)
+    backwards = _eval_grids(patches[::-1], us, vs)[::-1]
+    for k, p in enumerate(patches):
+        np.testing.assert_array_equal(_bits(_eval_grids([p], us, vs)[0]), _bits(grids[k]))
+        np.testing.assert_array_equal(_bits(backwards[k]), _bits(grids[k]))
+        np.testing.assert_array_equal(_bits(_eval_grids(patches[k:k + 2], us, vs)[0]), _bits(grids[k]))
 
 
 # --- evaluation counts ----------------------------------------------------------
@@ -256,6 +303,26 @@ def test_evaluator_calls_per_check_do_not_grow_with_the_edge_count(jet_calls, tm
     # edges at the solve samples, edges at the verify samples, corner links
     assert calls_one == calls_two == 3
     assert sides_two == 2 * sides_one
+
+
+def test_export_evaluates_the_whole_document_in_one_call(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counting(patches, us, vs):
+        calls.append(len(patches))
+        return _eval_grids(patches, us, vs)
+
+    monkeypatch.setattr(surfio, "_eval_grids", counting)
+    double = tmp_path / "double.json"
+    save_surface(_two_copies(load_surface(GOLDEN_DOC)), double)
+    counts = []
+    for path in (GOLDEN_DOC, double):
+        calls.clear()
+        assert main(["export", str(path), "--obj", str(tmp_path / "out.obj"), "--samples", "4,3"]) == 0
+        counts.append(list(calls))
+    capsys.readouterr()
+    n = len(load_surface(GOLDEN_DOC).patches)
+    assert counts == [[n], [2 * n]]
 
 
 # --- batched checks: each edge as if alone ------------------------------------------

@@ -104,6 +104,45 @@ def test_dumps_json_writes_a_float_array_as_its_nested_lists():
         '[0.10000000000000001, 1, -2.4999999999999999e-07]]}')
 
 
+@given(st.text())
+def test_dumps_json_round_trips_any_text(text):
+    assert json.loads(dumps_json(text)) == text
+    assert json.loads(dumps_json({text: [text, 1.5]})) == {text: [text, 1.5]}
+
+
+def test_dumps_json_escapes_only_what_json_requires():
+    assert dumps_json('a"b\\c é\u2028') == '"a\\"b\\\\c é\u2028"'
+    assert dumps_json("a\nb\tc\x00\x1f\x7f") == '"a\\nb\\tc\\u0000\\u001f\x7f"'
+
+
+@pytest.mark.parametrize("name", ["a\nv 9 9 9", "a\rb", "tab\tname", "nul\x00", "del\x7f", "nel\x85"])
+def test_patch_names_with_a_control_character_are_rejected(tmp_path, capsys, name):
+    patch = minimal_doc().patch("flat")
+    message = r"patches\[1\]\.name: .* contains a control character"
+    with pytest.raises(SurfaceFormatError, match=message):
+        SurfaceDocument(patches={"ok": patch, name: patch})
+    path = tmp_path / "doc.json"
+    save_surface(SurfaceDocument(patches={"ok": patch, "fine": patch}), path)
+    raw = json.loads(path.read_text())
+    raw["patches"][1]["name"] = name
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SurfaceFormatError, match=message):
+        load_surface(path)
+    obj = tmp_path / "out.obj"
+    capsys.readouterr()
+    assert main(["export", str(path), "--obj", str(obj)]) == 1
+    assert capsys.readouterr().err.startswith("error: patches[1].name: ")
+    assert not obj.exists()
+
+
+def test_patch_names_without_a_control_character_load(tmp_path):
+    patch = minimal_doc().patch("flat")
+    names = ["a b", "név", "\u2028", 'q"\\']
+    path = tmp_path / "doc.json"
+    save_surface(SurfaceDocument(patches={name: patch for name in names}), path)
+    assert list(load_surface(path).patches) == names
+
+
 def test_load_errors_name_the_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
