@@ -176,7 +176,7 @@ def eval_grid(p: BezierPatch, us, vs) -> np.ndarray:
 def _eval_grids(patches, us, vs) -> np.ndarray:
     """Points of many patches on one tensor grid, ``(patch, u, v, xyz)``; one pass per bi-degree."""
     us, vs = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (us, vs))
-    if not (0.0 <= us.min() <= us.max() <= 1.0 and 0.0 <= vs.min() <= vs.max() <= 1.0):  # or NaN
+    if not (0.0 <= us.min() <= us.max() <= 1.0 and 0.0 <= vs.min() <= vs.max() <= 1.0):  # NaN fails too
         raise ValueError("sample parameters outside the unit square")
     groups: dict[tuple, list] = {}
     for k, p in enumerate(patches):

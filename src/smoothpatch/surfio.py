@@ -61,8 +61,8 @@ class SurfaceDocument:
 
     def __post_init__(self):
         for k, name in enumerate(self.patches):
-            _expect(not re.search("[\x00-\x1f\x7f-\x9f]", name), f"patches[{k}].name",
-                    f"{name!r} contains a control character")
+            _expect(isinstance(name, str) and not re.search("[\x00-\x1f\x7f-\x9f]", name),
+                    f"patches[{k}].name", f"must be a string without control characters, got {name!r}")
         seen = {}
         for k, corr in enumerate(self.edges):
             for name in (corr.a, corr.b):
@@ -232,4 +232,4 @@ def export_obj(doc: SurfaceDocument, nu: int, nv: int, path) -> None:
         chunks.append(v_records % tuple(grid.ravel().tolist()))
         chunks.append(f_records % tuple((faces + k * per_patch).ravel().tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(chunks) or "\n")
+        fh.writelines(chunks or ["\n"])

@@ -118,7 +118,7 @@ def test_dumps_json_escapes_only_what_json_requires():
 @pytest.mark.parametrize("name", ["a\nv 9 9 9", "a\rb", "tab\tname", "nul\x00", "del\x7f", "nel\x85"])
 def test_patch_names_with_a_control_character_are_rejected(tmp_path, capsys, name):
     patch = minimal_doc().patch("flat")
-    message = r"patches\[1\]\.name: .* contains a control character"
+    message = r"patches\[1\]\.name: must be a string without control characters, got '"
     with pytest.raises(SurfaceFormatError, match=message):
         SurfaceDocument(patches={"ok": patch, name: patch})
     path = tmp_path / "doc.json"
@@ -133,6 +133,11 @@ def test_patch_names_with_a_control_character_are_rejected(tmp_path, capsys, nam
     assert main(["export", str(path), "--obj", str(obj)]) == 1
     assert capsys.readouterr().err.startswith("error: patches[1].name: ")
     assert not obj.exists()
+
+
+def test_patch_names_must_be_strings():
+    with pytest.raises(SurfaceFormatError, match=r"patches\[0\]\.name: must be a string"):
+        SurfaceDocument(patches={7: minimal_doc().patch("flat")})
 
 
 def test_patch_names_without_a_control_character_load(tmp_path):
