@@ -50,7 +50,6 @@ from .continuity import (
     solve_g2_link,
     theorem1_residuals,
     theorem2_residuals,
-    corner_configs,
 )
 from .construct import (
     HoleFillParams,

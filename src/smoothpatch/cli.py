@@ -20,14 +20,14 @@ import argparse
 import functools
 import sys
 
-from .bezier import SIDES, BezierPatch, flip_u, flip_v, transpose_patch
+from .bezier import SIDES
 from .continuity import (
+    CornerConfig,
     EdgeCorrespondence,
     GeometryError,
     check_edges,
     check_vertex_g1,
     check_vertex_g2,
-    corner_configs,
 )
 from .construct import NinePatchRing, build_fillet, complete_fourth_patch, fill_hole, fill_hole_deg6, solve_hole_params
 from .surfio import SurfaceDocument, SurfaceFormatError, dumps_json, export_obj, load_surface, save_surface
@@ -40,37 +40,23 @@ __all__ = ["main"]
 # the corners at edge parameter 0 and 1 of each side, as (iu, jv)
 _SIDE_ENDS = {"u0": ((0, 0), (0, 1)), "u1": ((1, 0), (1, 1)),
               "v0": ((0, 0), (1, 0)), "v1": ((0, 1), (1, 1))}
-# roles r1..r4 of CornerConfig's canonical arrangement: the corner at the
-# vertex, and the role of the u-neighbour (the patch across that u-side)
-_ROLE_CORNERS = ((1, 1), (0, 1), (0, 0), (1, 0))
-_U_NEIGHBOURS = (1, 0, 3, 2)
 
 
-def _orient(patch: BezierPatch, corner, side: str, target) -> BezierPatch:
-    """Reorient ``patch`` so that ``corner`` moves to ``target`` and ``side`` becomes a u-side."""
-    iu, jv = corner
-    if side[0] == "v":
-        patch, iu, jv = transpose_patch(patch), jv, iu
-    if iu != target[0]:
-        patch = flip_u(patch)
-    if jv != target[1]:
-        patch = flip_v(patch)
-    return patch
-
-
-def find_corner_configs(doc: SurfaceDocument, order: int = 1):
+def find_corner_configs(doc: SurfaceDocument, reports):
     """Detect 4-patch vertices and return (names-in-role-order, CornerConfig).
 
-    Each edge record glues the end corners of its two sides (b's ends swapped
-    when ``reversed``); the glued corners form the vertices.  A vertex
-    qualifies when it joins four corners of four distinct patches and each of
-    those corners' two sides is glued by exactly one record; the records then
-    close a 4-cycle through the four patches.  r1 is the smallest name, r2
-    and r4 its neighbours in sorted order, r3 the last one.  Each patch is
-    reoriented from its corner and the side it shares with its u-neighbour.
-    ``corner_configs`` then solves the links of all vertices in one batch
-    (with mu, nu for ``order=2``); a vertex whose patches do not meet, or
-    whose links fail, is skipped.
+    ``reports`` are the ``check_edges`` reports of ``doc.edges``, in order.
+    Each edge record glues the end corners of its two sides (b's ends
+    swapped when ``reversed``); the glued corners form the vertices.  A
+    vertex qualifies when it joins four corners of four distinct patches and
+    each of those corners' two sides is glued by exactly one record; the
+    records then close a 4-cycle through the four patches.  r1 is the
+    smallest name, r2 and r4 its neighbours in sorted order, r3 the last
+    one.  Each canonical link ("12" is r1 -> r2, and so on) is the record
+    joining its two roles, read at V by ``CornerConfig.from_links`` in the
+    record's own orientation: swapped when the record's a is the canonical
+    b, at the record's parameter of V.  No link is solved here; order-2
+    reports give configs with second-order values.
     """
     roots = {(name, corner): (name, corner) for name in doc.patches
              for corner in ((0, 0), (0, 1), (1, 0), (1, 1))}
@@ -80,37 +66,36 @@ def find_corner_configs(doc: SurfaceDocument, order: int = 1):
             key = roots[key]
         return key
 
-    glued: dict[tuple, list] = {key: [] for key in roots}  # corner -> [(side, other patch)]
-    for corr in doc.edges:
+    glued: dict[tuple, list] = {key: [] for key in roots}  # corner -> [(side, other patch, record)]
+    for k, corr in enumerate(doc.edges):
         ends_b = _SIDE_ENDS[corr.b_side][::-1] if corr.reversed else _SIDE_ENDS[corr.b_side]
         for ca, cb in zip(_SIDE_ENDS[corr.a_side], ends_b):
             roots[find((corr.a, ca))] = find((corr.b, cb))
-            glued[corr.a, ca].append((corr.a_side, corr.b))
-            glued[corr.b, cb].append((corr.b_side, corr.a))
+            glued[corr.a, ca].append((corr.a_side, corr.b, k))
+            glued[corr.b, cb].append((corr.b_side, corr.a, k))
     vertices: dict[tuple, list] = {}
     for key in roots:
         vertices.setdefault(find(key), []).append(key)
-    found, quads = [], []
+    found = []
     for corners in vertices.values():
         corner_of = dict(corners)
         if len(corners) != 4 or len(corner_of) != 4 or any(
-            sorted(side for side, _ in glued[name, (iu, jv)]) != [f"u{iu}", f"v{jv}"]
+            sorted(side for side, *_ in glued[name, (iu, jv)]) != [f"u{iu}", f"v{jv}"]
             for name, (iu, jv) in corners
         ):
             continue
-        side_to = {name: {other: side for side, other in glued[name, c]}
-                   for name, c in corners}
+        record = {name: {other: k for _, other, k in glued[name, c]} for name, c in corners}
         r1 = min(corner_of)
-        r2, r4 = sorted(side_to[r1])
+        r2, r4 = sorted(record[r1])
         (r3,) = set(corner_of) - {r1, r2, r4}
-        names = (r1, r2, r3, r4)
-        found.append(names)
-        quads.append(tuple(
-            _orient(doc.patches[name], corner_of[name], side_to[name][names[u]], target)
-            for name, target, u in zip(names, _ROLE_CORNERS, _U_NEIGHBOURS)
-        ))
-    return [(names, config) for names, config in zip(found, corner_configs(quads, order))
-            if not isinstance(config, GeometryError)]
+        links = {}
+        for key, a, b in (("12", r1, r2), ("14", r1, r4), ("23", r2, r3), ("43", r4, r3)):
+            k = record[a][b]
+            corr = doc.edges[k]
+            links[key] = (reports[k].link, _SIDE_ENDS[corr.a_side].index(corner_of[corr.a]),
+                          corr.a != a)
+        found.append(((r1, r2, r3, r4), CornerConfig.from_links(links)))
+    return found
 
 
 # --- check commands ---------------------------------------------------------
@@ -135,7 +120,7 @@ def _run_checks(doc: SurfaceDocument, order: int):
         })
         all_ok &= rep.ok
     vertex_rows = []
-    for names, config in find_corner_configs(doc, order):
+    for names, config in find_corner_configs(doc, reports):
         rep = check_vertex_g2(config) if order == 2 else check_vertex_g1(config)
         row = {
             "patches": list(names),

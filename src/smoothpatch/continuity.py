@@ -12,32 +12,31 @@ Conventions: shared edges must be parametrically matched (the identity
 reparametrization); cross-boundary directions always point from patch a
 into patch b, so joins cut from one smooth surface get lambda > 0.
 
-Evaluation is batched: ``check_edges`` checks any number of edges and
-``corner_configs`` builds any number of corners, each in one pass, and the
-one-edge functions are batches of one.  A batch evaluates both sides of all
-its edges in one call of ``bezier._edge_jets`` per sample set, each side
-once and only up to the derivative order its consumers need.  At
+Evaluation is batched: ``check_edges`` checks any number of edges in one
+pass, and the one-edge functions are batches of one.  A batch evaluates both
+sides of all its edges in one call of ``bezier._edge_jets`` per sample set,
+each side once and only up to the derivative order its consumers need.  At
 ``SOLVE_SAMPLES`` the frames serve the G0 test, the first-order link solve
-and, for G2, the second-order link and the curvature oracle; G1 checks stop
-at first order.  At ``VERIFY_SAMPLES`` the normal oracle asks for first
-order only.  One Gram matrix of a's tangent basis per edge and sample serves
-the link solves in that basis.  A side's jets are the same bits in any
-batch.  The steps after them are numpy calls over arrays of shape (edges,
-samples, ...) that treat every edge alike; their results agree with a batch
-of one within 1e-12, which is what the tests check.  The solve results are
-read-only, and each ``EdgeLink`` holds read-only views of them rather than
-copies.  ``CornerConfig`` keeps the frames of its four links for
-``solve_g2``.
+and, for G2, the second-order link, the derivatives of lambda and kappa at
+both ends and the curvature oracle; G1 checks stop at first order.  At
+``VERIFY_SAMPLES`` the normal oracle asks for first order only.  One Gram
+matrix of a's tangent basis per edge and sample serves the link solves in
+that basis.  A side's jets are the same bits in any batch.  The steps after
+them are numpy calls over arrays of shape (edges, samples, ...) that treat
+every edge alike; their results agree with a batch of one within 1e-12,
+which is what the tests check.  The solve results are read-only, and each
+``EdgeLink`` holds read-only views of them rather than copies.
 
-Vertex values are read at V itself: the link samples there, and one solve
-in the frame at V for the derivatives of lambda and kappa, batched over all
-corners.
+A ``CornerConfig`` holds the link values at a vertex V in the canonical
+arrangement, and solves nothing: each comes from one edge link's samples at
+V, read in that link's own orientation, through two closed-form maps (a
+link read from b to a, and a link whose parameter runs the other way).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,7 +67,6 @@ __all__ = [
     "solve_g2_link",
     "check_g2_edge",
     "check_edges",
-    "corner_configs",
     "check_vertex_g1",
     "check_vertex_g2",
     "theorem1_residuals",
@@ -237,11 +235,13 @@ class EdgeLink:
     ``oop`` holds the per-sample out-of-plane residual of the first-order
     link solve; ``g2_oop`` (after ``solve_g2_link``) the second-order one.
     All residuals are normalized by the joint net diagonal ``scale``.
+    ``end_slopes`` (also second order) holds (lambda', kappa') at the first
+    and the last sample, as rows.
 
-    The arrays are read-only.  A link from ``check_edges`` or
-    ``corner_configs`` holds strided views of its batch's result arrays, not
-    copies, so it keeps the results of every edge of the batch alive; a
-    caller that keeps a few links of a large batch should copy their arrays.
+    The arrays are read-only.  A link from ``check_edges`` holds strided
+    views of its batch's result arrays, not copies, so it keeps the results
+    of every edge of the batch alive; a caller that keeps a few links of a
+    large batch should copy their arrays.
     """
 
     ts: np.ndarray
@@ -252,10 +252,11 @@ class EdgeLink:
     mu_samples: np.ndarray | None = None
     nu_samples: np.ndarray | None = None
     g2_oop: np.ndarray | None = None
+    end_slopes: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("ts", "lam_samples", "kap_samples", "oop",
-                     "mu_samples", "nu_samples", "g2_oop"):
+                     "mu_samples", "nu_samples", "g2_oop", "end_slopes"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
@@ -264,10 +265,13 @@ class EdgeLink:
 
 
 def _second_order(f: dict, lam, kap, g, scale):
-    """mu, nu and the residual of R = mu a_w + nu a_t, per edge and sample.
+    """mu, nu and the residual of R = mu a_w + nu a_t per edge and sample, and the end slopes.
 
     R = b_ww - lambda^2 a_ww - 2 lambda kappa a_wt - kappa^2 a_tt; ``g`` is
-    the Gram matrix of (a_w, a_t).
+    the Gram matrix of (a_w, a_t).  Differentiating b_w = lambda a_w +
+    kappa a_t along the edge gives b_wt - lambda a_wt - kappa a_tt =
+    lambda' a_w + kappa' a_t, solved at the first and last sample of each
+    edge into (edges, 2, 2) end slopes.
     """
     rhs = (
         f["ww"][1]
@@ -276,18 +280,11 @@ def _second_order(f: dict, lam, kap, g, scale):
         - kap[..., None] ** 2 * f["tt"][0]
     )
     xy, oop = _solve(g, f["w"][0], f["t"][0], rhs, scale)
-    return xy[..., 0], xy[..., 1], oop
-
-
-def _with_g2(links: list, f: dict) -> list:
-    """Copies of ``links`` with mu, nu solved in their order-2 frames ``f``."""
-    mu, nu, g2_oop = _second_order(
-        f, np.stack([link.lam_samples for link in links]),
-        np.stack([link.kap_samples for link in links]), _gram(f["w"][0], f["t"][0]),
-        np.array([[link.scale] for link in links]),
-    )
-    return [replace(link, mu_samples=mu[j], nu_samples=nu[j], g2_oop=g2_oop[j])
-            for j, link in enumerate(links)]
+    ends = [0, -1]
+    a_w, a_t, a_wt, b_wt, a_tt = (x[:, ends] for x in (f["w"][0], f["t"][0], f["wt"][0],
+                                                       f["wt"][1], f["tt"][0]))
+    rhs = b_wt - lam[:, ends, None] * a_wt - kap[:, ends, None] * a_tt
+    return xy[..., 0], xy[..., 1], oop, _solve(g[:, ends], a_w, a_t, rhs)
 
 
 class _LinkBatch:
@@ -344,11 +341,11 @@ class _LinkBatch:
                           "lambda is negative", stacklevel=3)
 
     def link(self, e: int, g2=None) -> EdgeLink:
-        """Edge e's link, with mu, nu and their residual from ``g2`` when given."""
-        mu, nu, g2_oop = (None, None, None) if g2 is None else (x[e] for x in g2)
+        """Edge e's link, with mu, nu, their residual and the end slopes from ``g2`` when given."""
+        mu, nu, g2_oop, slopes = (None,) * 4 if g2 is None else (x[e] for x in g2)
         return EdgeLink(ts=_SOLVE_TS, lam_samples=self.lam[e], kap_samples=self.kap[e],
                         oop=self.oop[e], scale=float(self.scale[e]),
-                        mu_samples=mu, nu_samples=nu, g2_oop=g2_oop)
+                        mu_samples=mu, nu_samples=nu, g2_oop=g2_oop, end_slopes=slopes)
 
     def second_order(self):
         return _second_order(self.f, self.lam, self.kap, self.g, self.scale[:, None])
@@ -464,14 +461,17 @@ def solve_g2_link(
     Forms R = b_ww - lambda^2 a_ww - 2 lambda kappa a_wt - kappa^2 a_tt per
     sample and resolves R = mu a_w + nu a_t in least squares.  A large
     out-of-plane component of R signals failure of curvature continuity; it
-    is recorded, not raised.
+    is recorded, not raised.  The copy also carries the end slopes.
     """
     f = _frames([(a, b, corr)], link.ts, 2)
     if (np.linalg.norm(_cross(f["w"][0], f["t"][0]), axis=-1) < RANK_TOL * link.scale**2).any():
         raise DegenerateParametrizationError(
             f"tangent vectors linearly dependent while solving second-order link {_name(corr)}"
         )
-    return _with_g2([link], f)[0]
+    mu, nu, g2_oop, slopes = _second_order(f, link.lam_samples[None], link.kap_samples[None],
+                                           _gram(f["w"][0], f["t"][0]), link.scale)
+    return replace(link, mu_samples=mu[0], nu_samples=nu[0], g2_oop=g2_oop[0],
+                   end_slopes=slopes[0])
 
 
 def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarray:
@@ -515,116 +515,97 @@ def check_g2_edge(
 # (u,v) = (1,1) corner, patch 2 to the right of 1, patch 4 above 1, patch 3
 # diagonal with V at its (0,0) corner.  The four links are directed
 # 1->2, 1->4, 2->3 and 4->3; V sits at edge parameter 1 on the first two
-# and at parameter 0 on the last two: at each link's last or first sample.
+# and at parameter 0 on the last two.
 _CORNER_EDGES = {
-    "12": ("p1", "u1", "p2", "u0", 1.0),
-    "14": ("p1", "v1", "p4", "v0", 1.0),
-    "23": ("p2", "v1", "p3", "v0", 0.0),
-    "43": ("p4", "u1", "p3", "u0", 0.0),
+    "12": ("p1", "u1", "p2", "u0", 1),
+    "14": ("p1", "v1", "p4", "v0", 1),
+    "23": ("p2", "v1", "p3", "v0", 0),
+    "43": ("p4", "u1", "p3", "u0", 0),
 }
-_AT_V = tuple(-1 if t_v == 1.0 else 0 for *_, t_v in _CORNER_EDGES.values())
+_VALUE_NAMES = ("lam", "kap", "dlam", "dkap", "mu", "nu")
+
+
+def _canonical(values, swapped: bool, reversed_: bool) -> tuple:
+    """(lambda, kappa[, lambda', kappa', mu, nu]) of a link at V, mapped to a canonical link.
+
+    ``swapped``: the link runs from the canonical b to a.  Solving
+    b_w = lambda a_w + kappa a_t for a_w, with w turned around, gives the
+    link (1/lambda, kappa/lambda) and, through R, its mu and nu.
+    ``reversed_``: the canonical parameter is 1 - t, which turns the signs
+    of kappa, lambda' and nu.  The swap comes first: it keeps the link's
+    parameter.
+    """
+    lam, kap, dlam, dkap, mu, nu = (*values, 0.0, 0.0, 0.0, 0.0)[:6]
+    if swapped:
+        lam2, lam3 = lam * lam, lam * lam * lam
+        lam, kap, dlam, dkap, mu, nu = (
+            1.0 / lam, kap / lam, -dlam / lam2, (lam * dkap - kap * dlam) / lam2,
+            (mu - 2.0 * kap * dlam) / lam3,
+            (kap * mu - 2.0 * kap * kap * dlam + 2.0 * lam * kap * dkap - lam * nu) / lam3,
+        )
+    if reversed_:
+        kap, dlam, nu = -kap, -dlam, -nu
+    return (lam, kap, dlam, dkap, mu, nu)[:len(values)]
 
 
 @dataclass(frozen=True, eq=False)
 class CornerConfig:
-    """Four patches around a common vertex in the canonical arrangement."""
+    """Link values at the common vertex V of four patches, in the canonical arrangement.
 
-    p1: BezierPatch
-    p2: BezierPatch
-    p3: BezierPatch
-    p4: BezierPatch
-    links: dict  # keys "12", "14", "23", "43"
-    scale: float
-    # order-2 frames of the links at their solve samples, in the order of
-    # _CORNER_EDGES, for solve_g2
-    frames: dict = field(repr=False)
-    # (lambda', kappa') at V per link key, for link_values_at_vertex
-    slopes: dict = field(repr=False)
+    ``values`` maps each link key ("12", "14", "23", "43") to its lambda and
+    kappa at V (keys "lam", "kap") and, when built from second-order links,
+    lambda', kappa', mu and nu there ("dlam", "dkap", "mu", "nu").
+    """
+
+    values: dict
+
+    @classmethod
+    def from_links(cls, links: dict) -> "CornerConfig":
+        """The corner whose canonical links are read from ``links``, in their own orientation.
+
+        ``links`` maps each link key to (link, t, swapped): V is at the
+        link's edge parameter t (0 or 1), and ``swapped`` says that the link
+        runs from the canonical b to the canonical a.  Nothing is solved:
+        the values are the link's samples at V and its end slopes there,
+        mapped by ``_canonical``.
+        """
+        values = {}
+        for key, (link, t, swapped) in links.items():
+            i = -1 if t else 0
+            at_v = (float(link.lam_samples[i]), float(link.kap_samples[i]))
+            if link.mu_samples is not None:
+                at_v += (*link.end_slopes[t].tolist(), float(link.mu_samples[i]),
+                         float(link.nu_samples[i]))
+            mapped = _canonical(at_v, swapped, t != _CORNER_EDGES[key][-1])
+            values[key] = dict(zip(_VALUE_NAMES, mapped))
+        return cls(values)
 
     @classmethod
     def from_patches(
         cls, p1: BezierPatch, p2: BezierPatch, p3: BezierPatch, p4: BezierPatch,
     ) -> "CornerConfig":
-        (config,) = corner_configs([(p1, p2, p3, p4)])
-        if isinstance(config, GeometryError):
-            raise config
-        return config
+        """The corner of four patches in the canonical arrangement, with second-order values.
+
+        Its four links are solved in one batch, as ``check_edges`` solves
+        them, and read by ``from_links``, where both maps are the identity.
+        Raises the GeometryError of the first link that fails.
+        """
+        quad = {"p1": p1, "p2": p2, "p3": p3, "p4": p4}
+        batch = _LinkBatch([(quad[an], quad[bn], EdgeCorrespondence(a_side, b_side, a=an, b=bn))
+                            for an, a_side, bn, b_side, _ in _CORNER_EDGES.values()], 2)
+        for e in range(len(_CORNER_EDGES)):
+            batch.admit(e)
+        g2 = batch.second_order()
+        return cls.from_links({key: (batch.link(e, g2), t_v, False)
+                               for e, (key, (*_, t_v)) in enumerate(_CORNER_EDGES.items())})
 
     def solve_g2(self) -> "CornerConfig":
-        """Return a copy whose links carry the second-order functions mu, nu."""
-        links = _with_g2([self.links[key] for key in _CORNER_EDGES], self.frames)
-        return replace(self, links=dict(zip(_CORNER_EDGES, links)))
+        """This config, unchanged.
 
-    def link_values_at_vertex(self) -> dict:
-        """Link values (and derivatives) at the vertex V, per edge key.
-
-        lambda, kappa (and mu, nu) are the link samples at V.  Differentiating
-        b_w = lambda a_w + kappa a_t along the edge gives
-        b_wt - lambda a_wt - kappa a_tt = lambda' a_w + kappa' a_t, which
-        ``corner_configs`` solves in the frame at V when it builds the corner.
+        ``from_patches`` already gives the second-order values, and a
+        config read from first-order links cannot gain them here.
         """
-        out = {}
-        for key, i in zip(_CORNER_EDGES, _AT_V):
-            link = self.links[key]
-            dlam, dkap = self.slopes[key]
-            entry = {"lam": float(link.lam_samples[i]), "kap": float(link.kap_samples[i]),
-                     "dlam": dlam, "dkap": dkap}
-            if link.mu_samples is not None:
-                entry["mu"] = float(link.mu_samples[i])
-                entry["nu"] = float(link.nu_samples[i])
-            out[key] = entry
-        return out
-
-
-def corner_configs(quads, order: int = 1) -> list:
-    """``CornerConfig.from_patches`` of many corners, with all their links in one batch.
-
-    ``quads`` holds (p1, p2, p3, p4) tuples.  Each entry of the result is
-    the corner's CornerConfig, or the GeometryError that ``from_patches``
-    raises for it.  Negative-lambda warnings come in corner and link order,
-    up to a corner's first failing link, as from one ``from_patches`` call
-    per corner.  With ``order=2`` the links also carry mu, nu, as after
-    ``CornerConfig.solve_g2``.
-    """
-    scales = [bounding_diagonal(*quad) for quad in quads]
-    results, pairs = [], []
-    for quad, scale in zip(quads, scales):
-        v = quad[0].corner(1, 1)
-        missing = [name for name, p, c in zip(("p2", "p3", "p4"), quad[1:],
-                                              ((0, 1), (0, 0), (1, 0)))
-                   if np.linalg.norm(p.corner(*c) - v) > G0_TOL * scale]
-        results.append(PreconditionError(f"{missing[0]} does not meet the common vertex V")
-                       if missing else None)
-        if not missing:  # roles p1..p4 are quad[0..3]
-            pairs += [(quad[int(an[1]) - 1], quad[int(bn[1]) - 1],
-                       EdgeCorrespondence(a_side, b_side, a=an, b=bn))
-                      for an, a_side, bn, b_side, _ in _CORNER_EDGES.values()]
-    if not pairs:
-        return results
-    batch = _LinkBatch(pairs, 2)
-    g2 = batch.second_order() if order == 2 else None
-    # lambda' and kappa' of every link, solved in the frame at V
-    f, e, i = batch.f, np.arange(len(pairs)), np.tile(_AT_V, len(pairs) // 4)
-    (a_w, _), (a_t, _), (a_wt, b_wt) = f["w"][:, e, i], f["t"][:, e, i], f["wt"][:, e, i]
-    rhs = b_wt - batch.lam[e, i][:, None] * a_wt - batch.kap[e, i][:, None] * f["tt"][0, e, i]
-    slopes = _solve(batch.g[e, i], a_w, a_t, rhs).tolist()
-    first = 0
-    for q, quad in enumerate(quads):
-        if results[q] is not None:
-            continue
-        links, own = {}, slice(first, first + 4)
-        first += 4
-        try:
-            for k, key in enumerate(_CORNER_EDGES, own.start):
-                batch.admit(k)
-                links[key] = batch.link(k, g2)
-        except GeometryError as err:
-            results[q] = err
-            continue
-        results[q] = CornerConfig(*quad, links=links, scale=scales[q],
-                                  frames={key: x[:, own] for key, x in f.items()},
-                                  slopes=dict(zip(_CORNER_EDGES, slopes[own])))
-    return results
+        return self
 
 
 def theorem1_residuals(
@@ -688,7 +669,7 @@ class CompatReport:
 
 
 def _vertex_scalars(config: CornerConfig):
-    vals = config.link_values_at_vertex()
+    vals = config.values
     for key, entry in vals.items():
         if abs(entry["lam"]) < LAMBDA_MIN:
             raise DegenerateLinkError(f"lambda of link ({key}) vanishes at the vertex")
@@ -713,10 +694,10 @@ def check_vertex_g1(config: CornerConfig, tol: float = G1_TOL) -> CompatReport:
 
 def check_vertex_g2(config: CornerConfig, tol: float = G2_TOL) -> CompatReport:
     """Second-order compatibility at the vertex; needs mu, nu on all links."""
-    for key, link in config.links.items():
-        if link.mu_samples is None:
+    for key, entry in config.values.items():
+        if "mu" not in entry:
             raise PreconditionError(
-                f"link ({key}) has no second-order data; call CornerConfig.solve_g2 first"
+                f"link ({key}) has no second-order data; build the corner from order-2 links"
             )
     g1 = check_vertex_g1(config)
     vals = g1.vertex_values

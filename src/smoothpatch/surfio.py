@@ -65,9 +65,9 @@ class SurfaceDocument:
                     f"patches[{k}].name", f"must be a string without control characters, got {name!r}")
         seen = {}
         for k, corr in enumerate(self.edges):
-            for name in (corr.a, corr.b):
-                if name not in self.patches:
-                    raise SurfaceFormatError(f"edges: unknown patch name {name!r}")
+            for key in ("a", "b"):
+                name = getattr(corr, key)
+                _expect(name in self.patches, f"edges[{k}].{key}", f"unknown patch name {name!r}")
             ends = frozenset({(corr.a, corr.a_side), (corr.b, corr.b_side)})
             if len(ends) == 1:
                 raise SurfaceFormatError(

@@ -437,3 +437,73 @@ def oriented_grid_document(nets, ops):
             edges.append(EdgeCorrespondence(sa, sb, reversed=ra != rb,
                                             a=f"c{i}{j}", b=f"c{nb[0]}{nb[1]}"))
     return SurfaceDocument(patches=patches, edges=edges)
+
+
+# ---------------------------------------------------------------------------
+# the canonical corner arrangement by reorientation (reference for the vertex
+# values that check commands read from edge records)
+
+# roles r1..r4: the corner at the vertex, and the role of the u-neighbour
+_ROLE_CORNERS = ((1, 1), (0, 1), (0, 0), (1, 0))
+_U_NEIGHBOURS = (1, 0, 3, 2)
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def orient_patch(patch: BezierPatch, corner, side: str, target) -> BezierPatch:
+    """Reorient ``patch`` so that ``corner`` moves to ``target`` and ``side`` becomes a u-side."""
+    from smoothpatch.bezier import flip_u, flip_v, transpose_patch
+
+    iu, jv = corner
+    if side[0] == "v":
+        patch, iu, jv = transpose_patch(patch), jv, iu
+    if iu != target[0]:
+        patch = flip_u(patch)
+    if jv != target[1]:
+        patch = flip_v(patch)
+    return patch
+
+
+def reoriented_corner(doc, names):
+    """The patches ``names`` (r1..r4) of a vertex of ``doc``, reoriented into the canonical arrangement.
+
+    Each patch's corner at V is the one nearest the corner that r1 shares
+    with r3; its side toward its u-neighbour comes from the one record that
+    joins the two.
+    """
+    p = [doc.patch(name) for name in names]
+    v = min((p[0].corner(*c) for c in _CORNERS),
+            key=lambda x: min(np.linalg.norm(x - p[2].corner(*c)) for c in _CORNERS))
+    out = []
+    for k, (name, target) in enumerate(zip(names, _ROLE_CORNERS)):
+        corner = min(_CORNERS, key=lambda c: np.linalg.norm(p[k].corner(*c) - v))
+        neighbour = names[_U_NEIGHBOURS[k]]
+        (side,) = [c.a_side if c.a == name else c.b_side for c in doc.edges
+                   if {c.a, c.b} == {name, neighbour}]
+        out.append(orient_patch(p[k], corner, side, target))
+    return tuple(out)
+
+
+def swapped(corr):
+    """The same edge record with a and b exchanged."""
+    from smoothpatch.continuity import EdgeCorrespondence
+
+    return EdgeCorrespondence(corr.b_side, corr.a_side, reversed=corr.reversed,
+                              a=corr.b, b=corr.a)
+
+
+def slanted_grid_nets(rng, k=3, slant=0.04):
+    """Nets of a k x k split of one bi-quartic along slanted lines, as {(i, j): net}.
+
+    As in ``quad_split_config``, the composite is one smooth surface, so
+    every edge and vertex is exactly G2, and the slants make kappa, the
+    derivatives of lambda and kappa, mu and nu non-zero at the vertices.
+    Cell (i, j) meets cell (i + 1, j) across its u1 side and cell (i, j + 1)
+    across its v1 side, as ``oriented_grid_document`` expects.
+    """
+    net = smooth_net(rng, 5, 5, span=1.0, z_scale=0.25, xy_noise=0.03)
+    ticks = np.linspace(0.0, 1.0, k + 1)
+    pts = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1)
+    pts[1:-1, :, 0] += rng.uniform(-slant, slant, size=(k - 1, k + 1))
+    pts[:, 1:-1, 1] += rng.uniform(-slant, slant, size=(k + 1, k - 1))
+    return {(i, j): compose_with_quad(net, pts[i:i + 2, j:j + 2]).net
+            for i in range(k) for j in range(k)}

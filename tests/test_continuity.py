@@ -13,6 +13,7 @@ from smoothpatch.continuity import (
     EdgeCorrespondence,
     EdgeLink,
     PreconditionError,
+    check_edges,
     check_g1_edge,
     check_g2_edge,
     check_vertex_g1,
@@ -448,8 +449,16 @@ def test_normal_curvature_analytic_paraboloid():
 
 
 def test_vertex_g2_requires_solved_links():
+    # a corner read from first-order links has no mu, nu: the G2 check refuses it
     rng = np.random.default_rng(48)
     _, p1, p2, p4, p3 = split_corner(rng)
-    config = CornerConfig.from_patches(p1, p2, p3, p4)
-    with pytest.raises(PreconditionError):
+    reports = check_edges([(p1, p2, EdgeCorrespondence("u1", "u0")),
+                           (p1, p4, EdgeCorrespondence("v1", "v0")),
+                           (p2, p3, EdgeCorrespondence("v1", "v0")),
+                           (p4, p3, EdgeCorrespondence("u1", "u0"))], 1)
+    config = CornerConfig.from_links({key: (rep.link, t, False) for key, rep, t in
+                                      zip(("12", "14", "23", "43"), reports, (1, 1, 0, 0))})
+    assert check_vertex_g1(config).ok
+    with pytest.raises(PreconditionError, match="no second-order data"):
         check_vertex_g2(config)
+    assert check_vertex_g2(CornerConfig.from_patches(p1, p2, p3, p4)).ok

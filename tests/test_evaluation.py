@@ -30,7 +30,6 @@ from smoothpatch.continuity import (
     check_edges,
     check_g1_edge,
     check_g2_edge,
-    corner_configs,
 )
 from smoothpatch.surfio import SurfaceDocument, load_surface, save_surface
 
@@ -39,6 +38,8 @@ from helpers import (
     _elevate_net,
     mixed_grid_document,
     oriented_grid_document,
+    quad_split_config,
+    reoriented_corner,
     smooth_patch,
 )
 
@@ -233,17 +234,16 @@ def test_check_g1_edge_never_asks_for_second_order(jet_calls):
     assert len(jet_calls) == 2 and _sides(jet_calls) == 4 * len(_edge_cases())
 
 
-def test_corner_config_solve_g2_reuses_the_link_frames(jet_calls):
-    configs = find_corner_configs(mixed_grid_document())
-    assert len(configs) == 4
-    for _, config in configs:
+def test_corner_config_from_patches_evaluates_each_side_once(jet_calls):
+    for seed in range(3):
+        _, p1, p2, p3, p4 = quad_split_config(np.random.default_rng(seed))
         jet_calls.clear()
-        config.solve_g2()
-        assert jet_calls == []
-        jet_calls.clear()
-        CornerConfig.from_patches(config.p1, config.p2, config.p3, config.p4)
+        config = CornerConfig.from_patches(p1, p2, p3, p4)
         assert len(jet_calls) == 1 and _sides(jet_calls) == 8
         assert _once_per_side_and_sample_set(jet_calls)
+        assert {(n, order) for _, n, order in jet_calls} == {(SOLVE_SAMPLES, 2)}
+        jet_calls.clear()
+        assert config.solve_g2() is config and jet_calls == []
 
 
 def test_links_of_a_batch_are_read_only_views_of_its_arrays(monkeypatch):
@@ -300,9 +300,10 @@ def test_evaluator_calls_per_check_do_not_grow_with_the_edge_count(jet_calls, tm
         counts.append((len(jet_calls), _sides(jet_calls)))
     capsys.readouterr()
     (calls_one, sides_one), (calls_two, sides_two) = counts
-    # edges at the solve samples, edges at the verify samples, corner links
-    assert calls_one == calls_two == 3
-    assert sides_two == 2 * sides_one
+    # the solve and the verify sample sets, each side of each record once:
+    # the vertices solve nothing
+    assert calls_one == calls_two == 2
+    assert sides_one == 4 * len(load_surface(GOLDEN_DOC).edges) and sides_two == 2 * sides_one
 
 
 def test_export_evaluates_the_whole_document_in_one_call(monkeypatch, tmp_path, capsys):
@@ -400,26 +401,22 @@ def test_one_batch_of_every_side_pair_reversal_and_degree_group():
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_batched_corner_configs_equal_one_corner_at_a_time(order):
-    # the corners of two different documents in one batch, in both orders
-    found = (find_corner_configs(mixed_grid_document(), order)
-             + find_corner_configs(mixed_grid_document(np.random.default_rng(5)), order))
-    quads = [(c.p1, c.p2, c.p3, c.p4) for _, c in found]
-    for batch in (corner_configs(quads, order), corner_configs(quads[::-1], order)[::-1]):
-        for quad, got in zip(quads, batch):
-            want = CornerConfig.from_patches(*quad)
-            want = want.solve_g2() if order == 2 else want
-            for key, link in want.links.items():
-                for name in ("lam_samples", "kap_samples", "oop", "mu_samples", "nu_samples"):
-                    w, g = getattr(link, name), getattr(got.links[key], name)
-                    assert (g is None) == (w is None)
-                    if w is not None:
-                        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12)
-            got_v, want_v = got.link_values_at_vertex(), want.link_values_at_vertex()
-            assert list(got_v) == list(want_v)
-            for key in want_v:
-                assert list(got_v[key]) == list(want_v[key])
-                np.testing.assert_allclose(list(got_v[key].values()),
-                                           list(want_v[key].values()), rtol=0.0, atol=1e-12)
+    # the corners of two different documents, read from one batch of records,
+    # against from_patches of each corner's patches reoriented alone
+    first, second = mixed_grid_document(), mixed_grid_document(np.random.default_rng(5))
+    doc = SurfaceDocument(
+        patches={**first.patches, **{f"{name}'": p for name, p in second.patches.items()}},
+        edges=list(first.edges) + [replace(c, a=f"{c.a}'", b=f"{c.b}'") for c in second.edges])
+    reports = check_edges([(doc.patch(c.a), doc.patch(c.b), c) for c in doc.edges], order)
+    found = find_corner_configs(doc, reports)
+    assert len(found) == 8
+    for names, got in found:
+        want = CornerConfig.from_patches(*reoriented_corner(doc, names)).values
+        assert list(got.values) == list(want)
+        for key, entry in got.values.items():
+            assert list(entry) == list(want[key])[:2 if order == 1 else 6]
+            np.testing.assert_allclose(list(entry.values()), [want[key][n] for n in entry],
+                                       rtol=0.0, atol=1e-12)
 
 
 @pytest.fixture

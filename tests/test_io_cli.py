@@ -3,6 +3,7 @@
 import functools
 import json
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from smoothpatch.bezier import BezierPatch, _edge_jets, eval_grid, split_grid, split_patch
 from smoothpatch.cli import find_corner_configs, main
-from smoothpatch.continuity import EdgeCorrespondence, corner_configs
+from smoothpatch.continuity import CornerConfig, EdgeCorrespondence, check_edges
 from smoothpatch.construct import NinePatchRing
 from smoothpatch.surfio import (
     SurfaceDocument,
@@ -26,12 +27,16 @@ from smoothpatch.surfio import (
 )
 
 from helpers import (
+    _ORIENTATIONS,
     flat_crease_pair,
-    mixed_grid_document,
     oriented_grid_document,
+    quad_split_config,
     random_ring,
     random_strips,
+    reoriented_corner,
+    slanted_grid_nets,
     smooth_patch,
+    swapped,
     uniform_ring,
 )
 
@@ -231,6 +236,16 @@ def test_loader_rejects_malformed_edge_list(tmp_path):
         load_surface(path)
 
 
+def test_document_names_the_record_and_field_of_an_unknown_patch():
+    # as the loader does, a document built in code names the record and its field
+    doc = split_pair_doc(np.random.default_rng(106))
+    for key in ("a", "b"):
+        edges = [doc.edges[0], replace(doc.edges[0], **{key: "nowhere"})]
+        with pytest.raises(SurfaceFormatError,
+                           match=rf"^edges\[1\]\.{key}: unknown patch name 'nowhere'$"):
+            SurfaceDocument(patches=doc.patches, edges=edges)
+
+
 def test_ring_fixture_roundtrip_validates(tmp_path):
     rng = np.random.default_rng(101)
     doc = ring_doc(rng)
@@ -398,25 +413,6 @@ def test_check_stops_at_the_first_failing_edge_after_the_earlier_warnings(tmp_pa
         "orientation-reversing join (f1:u1 ~ f2:u0): lambda is negative"]
 
 
-def test_find_corner_configs_skips_only_the_vertex_whose_link_raises():
-    rng = np.random.default_rng(122)
-    patches, edges = {}, []
-    for sq in ("s", "t"):
-        square, square_edges = _split_square(rng)
-        if sq == "t":  # a G0 gap inside the t1 ~ t2 link; the corners still meet at V
-            net = square["p2"].net.copy()
-            net[0, 1] += [0.0, 0.0, 1e-3]
-            square["p2"] = BezierPatch.from_net(net)
-        patches.update({f"{sq}{name[1]}": p for name, p in square.items()})
-        edges += [replace(c, a=f"{sq}{c.a[1]}", b=f"{sq}{c.b[1]}") for c in square_edges]
-    doc = SurfaceDocument(patches=patches, edges=edges)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        configs = find_corner_configs(doc)
-    assert [names for names, _ in configs] == [("s1", "s2", "s3", "s4")]
-    assert caught == []
-
-
 def test_cli_fill_hole_then_check(tmp_path, capsys):
     rng = np.random.default_rng(106)
     ring_path = tmp_path / "ring.json"
@@ -547,14 +543,14 @@ def test_find_corner_configs_on_grid():
             EdgeCorrespondence("u1", "u0", a="p4", b="p3"),
         ],
     )
-    corners = find_corner_configs(doc)
+    corners = find_corner_configs(doc, _reports(doc))
     assert len(corners) == 1
     names, config = corners[0]
     assert set(names) == {"p1", "p2", "p3", "p4"}
 
 
 def test_find_corner_configs_handles_reoriented_patches():
-    # same grid, but one patch stored flipped: detection must reorient it
+    # same grid, but one patch stored flipped: its records carry the orientation
     from smoothpatch.bezier import flip_u, flip_v
 
     rng = np.random.default_rng(112)
@@ -569,41 +565,28 @@ def test_find_corner_configs_handles_reoriented_patches():
             EdgeCorrespondence("u1", "u1", a="p4", b="p3", reversed=True),
         ],
     )
-    corners = find_corner_configs(doc)
+    corners = find_corner_configs(doc, _reports(doc))
     assert len(corners) == 1
 
 
 # --- vertices from edge records ------------------------------------------------
 
-IDENTITY = (False, False, False)
+def _reports(doc, order=1):
+    return check_edges([(doc.patch(c.a), doc.patch(c.b), c) for c in doc.edges], order)
 
 
 @functools.lru_cache(maxsize=None)
 def _grid_nets():
-    """3x3 split of one bi-cubic; the centre cell is elevated to (4, 4)."""
-    from smoothpatch.bezier import elevation_matrix
-
-    g = smooth_patch(np.random.default_rng(113), span=3.0, z_scale=0.4, xy_noise=0.05)
-    cells = split_grid(g, [0.3, 0.65], [0.35, 0.7])
-    nets = {(i, j): cells[i][j].net for i in range(3) for j in range(3)}
-    e4 = elevation_matrix(3, 4)
-    nets[1, 1] = np.einsum("ai,ijc,bj->abc", e4, nets[1, 1], e4)
-    return nets
+    """3x3 split of one bi-quartic along slanted lines: every vertex value is non-zero."""
+    return slanted_grid_nets(np.random.default_rng(113))
 
 
-def _corner_nets(configs):
-    return {names: [c.p1.net, c.p2.net, c.p3.net, c.p4.net] for names, c in configs}
-
-
-@functools.lru_cache(maxsize=None)
-def _canonical_corners():
-    nets = _grid_nets()
-    return _corner_nets(find_corner_configs(oriented_grid_document(nets, {ij: IDENTITY
-                                                                          for ij in nets})))
-
-
-def _swapped(c):
-    return EdgeCorrespondence(c.b_side, c.a_side, reversed=c.reversed, a=c.b, b=c.a)
+def _assert_values_close(got: dict, want: dict):
+    assert list(got) == list(want)
+    for key in want:
+        assert list(got[key]) == list(want[key])
+        np.testing.assert_allclose(list(got[key].values()), list(want[key].values()),
+                                   rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -614,17 +597,99 @@ def _swapped(c):
     swaps=st.lists(st.booleans(), min_size=12, max_size=12),
 )
 def test_find_corner_configs_depends_only_on_topology(ops, patch_order, edge_order, swaps):
+    # the values at V read from the records, in any orientation of each cell
+    # and direction of each record, are those of the four patches reoriented
+    # into the canonical arrangement and solved there; order 2, so that all six
+    # values and both maps are compared
     nets = _grid_nets()
     doc = oriented_grid_document(nets, dict(zip(sorted(nets), ops)))
     names = list(doc.patches)
-    patches = {names[k]: doc.patches[names[k]] for k in patch_order}
-    edges = [_swapped(doc.edges[k]) if swap else doc.edges[k]
-             for k, swap in zip(edge_order, swaps)]
-    got = _corner_nets(find_corner_configs(SurfaceDocument(patches=patches, edges=edges)))
-    want = _canonical_corners()
-    assert sorted(got) == sorted(want) and len(want) == 4
-    for key, nets_want in want.items():
-        assert all(np.array_equal(a, b) for a, b in zip(got[key], nets_want))
+    doc = SurfaceDocument(patches={names[k]: doc.patches[names[k]] for k in patch_order},
+                          edges=[swapped(doc.edges[k]) if swap else doc.edges[k]
+                                 for k, swap in zip(edge_order, swaps)])
+    found = find_corner_configs(doc, _reports(doc, 2))
+    assert sorted(names for names, _ in found) == [
+        ("c00", "c01", "c11", "c10"), ("c01", "c02", "c12", "c11"),
+        ("c10", "c11", "c21", "c20"), ("c11", "c12", "c22", "c21")]
+    for names, config in found:
+        want = CornerConfig.from_patches(*reoriented_corner(doc, names)).values
+        _assert_values_close(config.values, want)
+
+
+# a corner of quad_split_config, exactly G2 or broken next to V, and its
+# vertex verdict: p1's twist at V breaks G1 along the 1-2 and 1-4 edges and
+# moves no datum at V; the boundary point next to V on the 1-2 edge, moved in
+# both patches, tilts the tangent plane at V
+_CORNER_KINDS = {"exact": True, "twist": True, "boundary": False}
+
+
+def _corner_doc(seed, kind, ops=((False, False, False),) * 4, swaps=(False,) * 4):
+    # the wide slant keeps kappa at V near 1e-2 or more, so that a wrong sign in
+    # a link map moves a G2 residual past its tolerance
+    _, p1, p2, p3, p4 = quad_split_config(np.random.default_rng(seed), slant=0.1)
+    du, dv = p1.degree_u, p1.degree_v
+    net1, net2 = p1.net.copy(), p2.net.copy()
+    if kind == "twist":
+        net1[du - 1, dv - 1] += [0.0, 0.0, 1e-2]
+    elif kind == "boundary":
+        net1[du, dv - 1] += [0.0, 0.0, 1e-2]
+        net2[0, dv - 1] += [0.0, 0.0, 1e-2]
+    nets = {(0, 0): net1, (1, 0): net2, (1, 1): p3.net, (0, 1): p4.net}
+    doc = oriented_grid_document(nets, dict(zip(sorted(nets), ops)))
+    return SurfaceDocument(patches=doc.patches,
+                           edges=[swapped(c) if swap else c for c, swap in zip(doc.edges, swaps)])
+
+
+def _vertex_verdicts(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report = Path(tmp) / "corner.json", Path(tmp) / "report.json"
+        save_surface(doc, path)
+        main([command, str(path), "--report", str(report)])
+        return [(row["patches"], row["ok"]) for row in json.loads(report.read_text())["vertices"]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 9),
+    kind=st.sampled_from(sorted(_CORNER_KINDS)),
+    ops=st.lists(st.sampled_from(_ORIENTATIONS), min_size=4, max_size=4),
+    swaps=st.lists(st.booleans(), min_size=4, max_size=4),
+    command=st.sampled_from(["check-g1", "check-g2"]),
+)
+def test_vertex_verdict_does_not_depend_on_the_parametrization(seed, kind, ops, swaps, command):
+    # the paper's universality claim: the compatibility conditions hold or
+    # fail whatever the orientation of each patch and direction of each record
+    names = ["c00", "c01", "c11", "c10"]
+    canonical = _vertex_verdicts(_corner_doc(seed, kind), command)
+    assert canonical == [(names, _CORNER_KINDS[kind])]
+    assert _vertex_verdicts(_corner_doc(seed, kind, ops, swaps), command) == canonical
+
+
+def test_check_warns_once_per_folded_record_naming_its_patches(tmp_path, capsys):
+    # a flat 2x2 split whose upper half is mirrored onto its lower half: the
+    # two records across the fold have lambda = -1
+    xs = np.linspace(0.0, 2.0, 4)
+    net = np.stack([*np.meshgrid(xs, xs, indexing="ij"), np.zeros((4, 4))], axis=-1)
+    ll, hl, lh, hh = split_patch(BezierPatch.from_net(net), u=0.5, v=0.5)
+
+    def mirrored(p):
+        return BezierPatch.from_net(p.net * [1.0, -1.0, 1.0] + [0.0, 2.0, 0.0])
+
+    doc = SurfaceDocument(
+        patches={"sw": ll, "se": hl, "ne": mirrored(hh), "nw": mirrored(lh)},
+        edges=[EdgeCorrespondence("u1", "u0", a="sw", b="se"),
+               EdgeCorrespondence("v1", "v0", a="sw", b="nw"),
+               EdgeCorrespondence("v1", "v0", a="se", b="ne"),
+               EdgeCorrespondence("u1", "u0", a="nw", b="ne")])
+    path = tmp_path / "folded.json"
+    save_surface(doc, path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check-g1", str(path)]) == 0
+    assert "vertex (ne, nw, sw, se)  max residual" in capsys.readouterr().out
+    assert [str(w.message) for w in caught] == [
+        "orientation-reversing join (sw:v1 ~ nw:v0): lambda is negative",
+        "orientation-reversing join (se:v1 ~ ne:v0): lambda is negative"]
 
 
 def _split_square(rng):
@@ -644,14 +709,14 @@ def test_find_corner_configs_skips_a_valence_3_boundary_vertex():
     patches, edges = _split_square(np.random.default_rng(114))
     del patches["p3"]
     doc = SurfaceDocument(patches=patches, edges=edges[:2])
-    assert find_corner_configs(doc) == []
+    assert find_corner_configs(doc, _reports(doc)) == []
 
 
 def test_find_corner_configs_skips_a_cycle_with_a_missing_edge_record():
     patches, edges = _split_square(np.random.default_rng(115))
     for k in range(4):
         doc = SurfaceDocument(patches=patches, edges=edges[:k] + edges[k + 1:])
-        assert find_corner_configs(doc) == []
+        assert find_corner_configs(doc, _reports(doc)) == []
 
 
 def test_find_corner_configs_skips_a_corner_glued_twice_on_one_side():
@@ -659,22 +724,17 @@ def test_find_corner_configs_skips_a_corner_glued_twice_on_one_side():
     # the canonical square, so only the records can reject it
     patches, edges = _split_square(np.random.default_rng(119))
     edges[1] = EdgeCorrespondence("u1", "v0", a="p1", b="p4")
-    assert find_corner_configs(SurfaceDocument(patches=patches, edges=edges)) == []
+    doc = SurfaceDocument(patches=patches, edges=edges)
+    # the records are read by topology only, so the edge reports are not consulted
+    assert find_corner_configs(doc, [None] * len(edges)) == []
 
 
-def test_find_corner_configs_skips_a_cycle_whose_patches_do_not_meet():
-    from smoothpatch.bezier import transform_patch
-
-    patches, edges = _split_square(np.random.default_rng(116))
-    patches["p3"] = transform_patch(patches["p3"], shift=[0.0, 0.0, 0.5])
-    assert find_corner_configs(SurfaceDocument(patches=patches, edges=edges)) == []
-
-
-def test_corner_search_evaluates_sides_only_in_corner_config(monkeypatch):
-    # every module that binds the side evaluator is counted, so a geometric
-    # search that samples side curves of its own would show up here
+@pytest.mark.parametrize("command", ["check-g1", "check-g2"])
+def test_check_commands_evaluate_sides_only_in_check_edges(monkeypatch, capsys, command):
+    # every module that binds the side evaluator is counted, so a vertex
+    # search that evaluated sides of its own would show up here
     inside, sides = [], []
-    builder = corner_configs.__code__
+    builder = check_edges.__code__
 
     def counting(batch, t, order):
         frame = sys._getframe(1)
@@ -689,10 +749,11 @@ def test_corner_search_evaluates_sides_only_in_corner_config(monkeypatch):
     assert modules
     for module in modules:
         monkeypatch.setattr(module, "_edge_jets", counting)
-    configs = find_corner_configs(mixed_grid_document())
-    assert len(configs) == 4
-    # one batch for all corners, each link's two sides once
-    assert inside == [True] and len(sides) == 8 * len(configs)
+    path = DATA / "mixed_grid.json"
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().out.count("vertex (") == 4
+    # the solve and the verify sample sets, each side of each record once
+    assert inside == [True, True] and len(sides) == 4 * len(load_surface(path).edges)
 
 
 def test_cli_complete_4patch_rebuilds_its_own_output(tmp_path):
