@@ -273,9 +273,7 @@ def _edge_jets(sides, t: np.ndarray, order: int) -> dict:
         keep = slice(-(order + 1), None) if far else slice(0, order + 1)
         edge = -1 if far else 0
         rows = [sides[i][0].net[keep] if across_u else sides[i][0].net[:, keep] for i in idx]
-        # (u, v, side, xyz); a view for one side keeps a one-edge link solve fast
-        nets = rows[0][:, :, None] if len(rows) == 1 else np.stack(rows, axis=2)
-        d_u, n = nets, degree_u
+        d_u, n = np.stack(rows, axis=2), degree_u  # (u, v, side, xyz)
         for i in range(order + 1):
             if i:
                 d_u, n = _difference(d_u, n, 0)
@@ -304,14 +302,9 @@ def _edge_jets(sides, t: np.ndarray, order: int) -> dict:
         start = 0
         for key, (at, _) in keys.items():
             stop = start + len(at)
-            # like the view above, a copy where the bucket holds every side of
-            # the key keeps a one-edge link solve fast
-            if at == list(range(len(sides))):
-                jets[key] = values[start:stop].copy()
-            else:
-                if key not in jets:
-                    jets[key] = np.empty((len(sides), len(t), 3))
-                jets[key][at] = values[start:stop]
+            if key not in jets:
+                jets[key] = np.empty((len(sides), len(t), 3))
+            jets[key][at] = values[start:stop]
             start = stop
     return jets
 

@@ -43,7 +43,7 @@ from .continuity import (
     DegenerateLinkError,
     EdgeCorrespondence,
     PreconditionError,
-    solve_edge_link,
+    _LinkBatch,
 )
 
 __all__ = [
@@ -134,38 +134,48 @@ def _require_bicubic(name: str, p: BezierPatch) -> None:
         raise PreconditionError(f"{name} must be bi-cubic, got ({p.degree_u}, {p.degree_v})")
 
 
-def _constant_lambda_link(a, b, corr, *, allow_linear_kappa=False):
-    """Solve a join expected to have constant lambda; returns (lambda, kappa0).
+def _join_constants(joins, *, allow_linear_kappa=False):
+    """(lambda, kappa0) of each join of a list expected to have constant lambda.
 
-    ``kappa0`` is the kappa value at edge parameter 0 when the join carries
-    the linear, vertex-vanishing kappa shape; zero otherwise.  Raises
-    PreconditionError if the join is not G1 or the link has the wrong shape.
+    ``joins`` holds (a, b, corr) triples, whose links are solved in one
+    batch.  ``kappa0`` is the kappa value at edge parameter 0 when the join
+    carries the linear, vertex-vanishing kappa shape; zero otherwise.  Joins
+    are taken in order: the first that is not G1 or whose link has the wrong
+    shape raises its error, after the negative-lambda warnings of the joins
+    before it.
     """
-    link = solve_edge_link(a, b, corr)
-    if link.max_oop > G1_TOL:
-        raise PreconditionError(
-            f"join {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side} is not G1 "
-            f"(residual {link.max_oop:.3e})"
-        )
-    lam = float(np.mean(link.lam_samples))
-    if np.max(np.abs(link.lam_samples - lam)) > _CONST_TOL * max(1.0, abs(lam)):
-        raise PreconditionError(
-            f"join {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side} has non-constant lambda"
-        )
-    kap0 = float(link.kap_samples[0])
-    if abs(kap0) < _CONST_TOL:
-        kap0 = 0.0
-    expected = kap0 * (1.0 - link.ts) if allow_linear_kappa else 0.0
-    if np.max(np.abs(link.kap_samples - expected)) > _CONST_TOL * max(1.0, abs(kap0)):
-        shape = "kappa0*(1-t)" if allow_linear_kappa else "zero"
-        raise PreconditionError(
-            f"join {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}: kappa is not {shape}"
-        )
-    if not allow_linear_kappa:
-        kap0 = 0.0
-    if abs(lam) < LAMBDA_MIN:
-        raise DegenerateLinkError(f"lambda vanishes on join {corr.a} ~ {corr.b}")
-    return lam, kap0
+    if not joins:
+        return []
+    batch = _LinkBatch(joins, 1)
+    constants = []
+    for e, (*_, corr) in enumerate(joins):
+        batch.admit(e)
+        link = batch.link(e)
+        if link.max_oop > G1_TOL:
+            raise PreconditionError(
+                f"join {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side} is not G1 "
+                f"(residual {link.max_oop:.3e})"
+            )
+        lam = float(np.mean(link.lam_samples))
+        if np.max(np.abs(link.lam_samples - lam)) > _CONST_TOL * max(1.0, abs(lam)):
+            raise PreconditionError(
+                f"join {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side} has non-constant lambda"
+            )
+        kap0 = float(link.kap_samples[0])
+        if abs(kap0) < _CONST_TOL:
+            kap0 = 0.0
+        expected = kap0 * (1.0 - link.ts) if allow_linear_kappa else 0.0
+        if np.max(np.abs(link.kap_samples - expected)) > _CONST_TOL * max(1.0, abs(kap0)):
+            shape = "kappa0*(1-t)" if allow_linear_kappa else "zero"
+            raise PreconditionError(
+                f"join {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}: kappa is not {shape}"
+            )
+        if not allow_linear_kappa:
+            kap0 = 0.0
+        if abs(lam) < LAMBDA_MIN:
+            raise DegenerateLinkError(f"lambda vanishes on join {corr.a} ~ {corr.b}")
+        constants.append((lam, kap0))
+    return constants
 
 
 class _Side(NamedTuple):
@@ -249,16 +259,6 @@ def _finish(net, interior_rule, default) -> BezierPatch:
 # ---------------------------------------------------------------------------
 # fourth patch completion
 
-def _corner_links(r1, r2, r4):
-    lam12, kap12_0 = _constant_lambda_link(
-        r1, r2, EdgeCorrespondence("u1", "u0", a="r1", b="r2"), allow_linear_kappa=True
-    )
-    lam14, kap14_0 = _constant_lambda_link(
-        r1, r4, EdgeCorrespondence("v1", "v0", a="r1", b="r4"), allow_linear_kappa=True
-    )
-    return lam12, kap12_0, lam14, kap14_0
-
-
 def complete_fourth_patch(
     r1: BezierPatch,
     r2: BezierPatch,
@@ -292,7 +292,10 @@ def complete_fourth_patch(
         _require_bicubic(name, p)
     if degree not in (4, 5):
         raise ValueError("fourth-patch degree must be 4 or 5")
-    lam12, kap12_0, lam14, kap14_0 = _corner_links(r1, r2, r4)
+    (lam12, kap12_0), (lam14, kap14_0) = _join_constants([
+        (r1, r2, EdgeCorrespondence("u1", "u0", a="r1", b="r2")),
+        (r1, r4, EdgeCorrespondence("v1", "v0", a="r1", b="r4")),
+    ], allow_linear_kappa=True)
     scale = bounding_diagonal(r1, r2, r4)
 
     if alpha23 is None:
@@ -403,13 +406,13 @@ class NinePatchRing:
             )
         for pos, p in patches.items():
             _require_bicubic(f"ring patch {pos}", p)
-        lambdas = {}
-        for key, (an, a_side, bn, b_side) in _RING_JOINS.items():
-            corr = EdgeCorrespondence(a_side, b_side, a=str(an), b=str(bn))
-            lam, _ = _constant_lambda_link(patches[an], patches[bn], corr)
-            lambdas[key] = lam
+        constants = _join_constants([
+            (patches[an], patches[bn], EdgeCorrespondence(a_side, b_side, a=str(an), b=str(bn)))
+            for an, a_side, bn, b_side in _RING_JOINS.values()
+        ])
+        lambdas = {key: lam for key, (lam, _) in zip(_RING_JOINS, constants)}
         scale = bounding_diagonal(*patches.values())
-        return cls(patches=dict(patches), lambdas=dict(lambdas), scale=scale)
+        return cls(patches=dict(patches), lambdas=lambdas, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -441,6 +444,13 @@ def _pinned_endpoints(ring: NinePatchRing) -> dict:
     }
 
 
+def _require_ring_lambdas(ring: NinePatchRing) -> None:
+    """Raise DegenerateLinkError naming the first ring lambda that vanishes."""
+    for key, value in ring.lambdas.items():
+        if abs(value) < LAMBDA_MIN:
+            raise DegenerateLinkError(f"ring lambda ({key}) is degenerate")
+
+
 def solve_hole_params(ring: NinePatchRing, free_choices=None) -> HoleFillParams:
     """Resolve the eight coefficient constraints of the (5,5) hole fill.
 
@@ -449,10 +459,8 @@ def solve_hole_params(ring: NinePatchRing, free_choices=None) -> HoleFillParams:
     lambdas.  The eight beta ordinates then follow by exact back
     substitution, one equation each.
     """
+    _require_ring_lambdas(ring)
     lam = ring.lambdas
-    for key, value in lam.items():
-        if abs(value) < LAMBDA_MIN:
-            raise DegenerateLinkError(f"ring lambda ({key}) is degenerate")
     ends = _pinned_endpoints(ring)
     if free_choices is None:
         alpha = {i: 0.5 * (ends[i][0] + ends[i][1]) for i in (4, 2, 6, 8)}
@@ -595,9 +603,7 @@ def fill_hole_deg6(ring: NinePatchRing, interior_rule=None) -> BezierPatch:
     there are no free coefficients.
     """
     ends = _pinned_endpoints(ring)
-    for key, value in ring.lambdas.items():
-        if abs(value) < LAMBDA_MIN:
-            raise DegenerateLinkError(f"ring lambda ({key}) is degenerate")
+    _require_ring_lambdas(ring)
     params = HoleFillParams(
         mode="deg6",
         alpha={},
@@ -627,18 +633,6 @@ def hole_twist_checks(ring: NinePatchRing, params: HoleFillParams | None = None)
 
 # ---------------------------------------------------------------------------
 # fillet surfaces
-
-def _strip_lambdas(strip, label):
-    """Constants of the internal joins of a strip of bi-cubics stacked in v."""
-    for n, p in enumerate(strip):
-        _require_bicubic(f"{label}[{n}]", p)
-    lams = []
-    for n in range(len(strip) - 1):
-        corr = EdgeCorrespondence("v1", "v0", a=f"{label}[{n}]", b=f"{label}[{n + 1}]")
-        lam, _ = _constant_lambda_link(strip[n], strip[n + 1], corr)
-        lams.append(lam)
-    return lams
-
 
 def _bridge_patch(left: BezierPatch, right: BezierPatch, lam_a: float, lam_b: float):
     """Bi-cubic patch joining left's u=1 edge to right's u=0 edge, G1 both ways."""
@@ -701,8 +695,15 @@ def build_fillet(strip_a, strip_b, n_rows=None, *, bridge_lambdas=(1.0, 1.0)):
         )
     strip_a = strip_a[:n_rows]
     strip_b = strip_b[:n_rows]
-    lam_a_internal = _strip_lambdas(strip_a, "strip_a")
-    lam_b_internal = _strip_lambdas(strip_b, "strip_b")
+    joins = []
+    for label, strip in (("strip_a", strip_a), ("strip_b", strip_b)):
+        for n, p in enumerate(strip):
+            _require_bicubic(f"{label}[{n}]", p)
+        joins += [(strip[n], strip[n + 1],
+                   EdgeCorrespondence("v1", "v0", a=f"{label}[{n}]", b=f"{label}[{n + 1}]"))
+                  for n in range(n_rows - 1)]
+    lam_internal = [lam for lam, _ in _join_constants(joins)]
+    lam_a_internal, lam_b_internal = lam_internal[:n_rows - 1], lam_internal[n_rows - 1:]
     lam_left, lam_right = bridge_lambdas
     if abs(lam_left) < LAMBDA_MIN or abs(lam_right) < LAMBDA_MIN:
         raise DegenerateLinkError("bridge lambdas must be non-zero")

@@ -13,7 +13,8 @@ reparametrization); cross-boundary directions always point from patch a
 into patch b, so joins cut from one smooth surface get lambda > 0.
 
 Evaluation is batched: ``check_edges`` checks any number of edges in one
-pass, and the one-edge functions are batches of one.  A batch evaluates both
+pass, and the one-edge functions are batches of one.  The constructions
+solve the joins of each call in one batch too.  A batch evaluates both
 sides of all its edges in one call of ``bezier._edge_jets`` per sample set,
 each side once and only up to the derivative order its consumers need.  At
 ``SOLVE_SAMPLES`` the frames serve the G0 test, the first-order link solve
@@ -152,16 +153,6 @@ def _dot(x, y):
     return np.einsum("...j,...j->...", x, y)
 
 
-def _cross(x, y):
-    # np.cross's argument handling costs ~25 us a call, ~10% of a one-edge
-    # solve_edge_link, which the constructions call edge by edge
-    out = np.empty_like(x)
-    out[..., 0] = x[..., 1] * y[..., 2] - x[..., 2] * y[..., 1]
-    out[..., 1] = x[..., 2] * y[..., 0] - x[..., 0] * y[..., 2]
-    out[..., 2] = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
-    return out
-
-
 def _gram(e_w, e_t):
     g = np.empty(e_w.shape[:-1] + (2, 2))
     g[..., 0, 0] = _dot(e_w, e_w)
@@ -176,7 +167,6 @@ def _solve(g, e_w, e_t, rhs, scale=None):
     ``g`` is the Gram matrix of (e_w, e_t).  With ``scale``, also returns the
     norm of the part of rhs off the basis, over ``scale``.
     """
-    # filled in place: np.stack would cost a one-edge link solve ~3%
     rv = np.empty(g.shape[:-1] + (1,))
     rv[..., 0, 0] = _dot(e_w, rhs)
     rv[..., 1, 0] = _dot(e_t, rhs)
@@ -303,7 +293,7 @@ class _LinkBatch:
         self.scale = np.array([bounding_diagonal(a, b) for a, b, _ in pairs])
         scale = self.scale[:, None]
         (a_w, b_w), a_t = f["w"], f["t"][0]
-        self.cross = _cross(a_w, a_t)  # zero where a tangent vector is zero
+        self.cross = np.cross(a_w, a_t)  # zero where a tangent vector is zero
         flat = (np.linalg.norm(self.cross, axis=-1) < RANK_TOL * scale**2).any(axis=-1)
         self.g = _gram(a_w, a_t)
         if flat.any():  # a degenerate edge must not stop the batch's solves
@@ -331,8 +321,7 @@ class _LinkBatch:
     def admit(self, e: int) -> None:
         """Raise edge e's error, or warn if lambda is negative on it.
 
-        The warning points at the code that called the public function
-        calling this, as ``solve_edge_link``'s warning always has.
+        The warning points at the code that called the function calling this.
         """
         if self.errors[e] is not None:
             raise self.errors[e]
@@ -402,10 +391,10 @@ def check_edges(edges, order: int = 1, tol: float | None = None) -> list[EdgeRep
         batch.admit(e)
     # normal oracle: the angle between the normal *lines* of the two patches
     f = _frames(pairs, _VERIFY_TS, 1)
-    n = _cross(f["w"], f["t"])
+    n = np.cross(f["w"], f["t"])
     n /= np.linalg.norm(n, axis=-1)[..., None]
     # atan2 keeps precision near zero
-    sin = np.linalg.norm(_cross(n[0], n[1]), axis=-1)
+    sin = np.linalg.norm(np.cross(n[0], n[1]), axis=-1)
     angle = np.arctan2(sin, np.abs(_dot(n[0], n[1]))).max(axis=-1)
     g1_tol = tol if order == 1 else G1_TOL
     reports = [
@@ -464,7 +453,7 @@ def solve_g2_link(
     is recorded, not raised.  The copy also carries the end slopes.
     """
     f = _frames([(a, b, corr)], link.ts, 2)
-    if (np.linalg.norm(_cross(f["w"][0], f["t"][0]), axis=-1) < RANK_TOL * link.scale**2).any():
+    if (np.linalg.norm(np.cross(f["w"][0], f["t"][0]), axis=-1) < RANK_TOL * link.scale**2).any():
         raise DegenerateParametrizationError(
             f"tangent vectors linearly dependent while solving second-order link {_name(corr)}"
         )

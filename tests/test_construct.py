@@ -1,5 +1,7 @@
 """Tests for the constructive algorithms: bands, fourth patch, holes, fillets."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from smoothpatch.bezier import (
 from smoothpatch.continuity import (
     CornerConfig,
     CornerConsistencyError,
+    DegenerateLinkError,
     EdgeCorrespondence,
     PreconditionError,
     check_g1_edge,
@@ -332,6 +335,48 @@ def test_ring_validation_requires_all_positions():
         ring_from(patches)
 
 
+def _moved(p, index, offset):
+    net = p.net.copy()
+    net[index] += offset
+    return BezierPatch.from_net(net)
+
+
+def _folded(p, side):
+    """``p`` mirrored through its boundary row on ``side`` ("u0" or "v0"): lambda turns negative."""
+    net = p.net.copy()
+    if side == "u0":
+        net[1:] = 2.0 * net[:1] - net[1:]
+    else:
+        net[:, 1:] = 2.0 * net[:, :1] - net[:, 1:]
+    return BezierPatch.from_net(net)
+
+
+def test_ring_joins_fail_in_order_after_the_warnings_before_them():
+    rng = np.random.default_rng(78)
+    patches, _ = uniform_ring(rng)
+    patches[4] = _folded(patches[4], "u0")  # "14" lambda = -1; "74" then has a gap
+    patches[6] = _moved(patches[6], (0, 1), [0.0, 0.0, 1e-3])  # "36": a G0 gap
+    patches[8] = _moved(patches[8], (1, 1), [0.0, 0.0, 1e-2])  # "78": not G1
+    patches[9] = _folded(patches[9], "u0")  # "96" lambda = -1, after "36"
+    with pytest.warns(UserWarning) as record:
+        with pytest.raises(PreconditionError,
+                           match=r"^boundary curves of 3:u1 and 6:u0 do not coincide "
+                                 r"\(normalized gap \S+ > 1\.0e-09\)$"):
+            ring_from(patches)
+    assert [str(w.message) for w in record] == [
+        "orientation-reversing join (1:u1 ~ 4:u0): lambda is negative"]
+
+
+def test_hole_fills_reject_a_degenerate_ring_lambda():
+    rng = np.random.default_rng(79)
+    ring = ring_from(uniform_ring(rng)[0])
+    degenerate = NinePatchRing(patches=ring.patches, lambdas={**ring.lambdas, "12": 0.0},
+                               scale=ring.scale)
+    for fill in (solve_hole_params, fill_hole_deg6):
+        with pytest.raises(DegenerateLinkError, match=r"^ring lambda \(12\) is degenerate$"):
+            fill(degenerate)
+
+
 def test_solve_hole_params_uniform_defaults():
     rng = np.random.default_rng(77)
     patches, _ = uniform_ring(rng)
@@ -602,6 +647,29 @@ def test_fillet_validates_strips():
     broken[1] = smooth_patch(rng)  # no longer joined to its neighbours
     with pytest.raises(PreconditionError):
         build_fillet(broken, strip_b)
+
+
+def _planar_strip(n_rows, x0):
+    """Bi-cubic unit squares stacked in v in the plane z = 0: every join is G1."""
+    grid = np.stack(np.meshgrid(np.arange(4) / 3.0, np.arange(4) / 3.0, indexing="ij"), axis=-1)
+    return [BezierPatch.from_net(np.concatenate([grid + [x0, r], np.zeros((4, 4, 1))], axis=-1))
+            for r in range(n_rows)]
+
+
+def test_fillet_strip_joins_fail_in_order():
+    strip_a, strip_b = _planar_strip(4, 0.0), _planar_strip(4, 2.5)
+    # strip_a[0] ~ strip_a[1]: still planar, so G1, but lambda grows along the join
+    net = strip_a[1].net.copy()
+    net[:, 1, 1] = net[:, 0, 1] + (0.2 + 0.1 * np.arange(4)) / 3.0
+    strip_a[1] = BezierPatch.from_net(net)
+    strip_a[3] = _moved(strip_a[3], (1, 0), [0.0, 0.0, 1e-3])  # a gap on a later join
+    strip_b[1] = _folded(strip_b[1], "v0")  # negative lambda on a join after both
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError,
+                           match=r"^join strip_a\[0\]:v1 ~ strip_a\[1\]:v0 has non-constant "
+                                 r"lambda$"):
+            build_fillet(strip_a, strip_b)
 
 
 def test_fillet_row_count_argument():

@@ -22,6 +22,7 @@ from smoothpatch.bezier import (
     split_patch,
 )
 from smoothpatch.cli import find_corner_configs, main
+from smoothpatch.construct import NinePatchRing, build_fillet, complete_fourth_patch
 from smoothpatch.continuity import (
     SOLVE_SAMPLES,
     VERIFY_SAMPLES,
@@ -36,9 +37,12 @@ from smoothpatch.surfio import SurfaceDocument, load_surface, save_surface
 from helpers import (
     _ORIENTATIONS,
     _elevate_net,
+    constructive_corner,
     mixed_grid_document,
     oriented_grid_document,
     quad_split_config,
+    random_ring,
+    random_strips,
     reoriented_corner,
     smooth_patch,
 )
@@ -304,6 +308,22 @@ def test_evaluator_calls_per_check_do_not_grow_with_the_edge_count(jet_calls, tm
     # the vertices solve nothing
     assert calls_one == calls_two == 2
     assert sides_one == 4 * len(load_surface(GOLDEN_DOC).edges) and sides_two == 2 * sides_one
+
+
+def test_constructions_read_their_joins_in_one_evaluator_call(jet_calls):
+    rng = np.random.default_rng(41)
+    complete_fourth_patch(*constructive_corner(rng)[:3])
+    assert [len(sides) for sides, *_ in jet_calls] == [4]  # its 2 corner joins
+    jet_calls.clear()
+    NinePatchRing.from_patches(random_ring(rng)[0])
+    assert [len(sides) for sides, *_ in jet_calls] == [16]  # the 8 ring joins
+    jet_calls.clear()
+    build_fillet(*random_strips(rng, 4))
+    # both strips' 3 + 3 internal joins, then the one ring (row 1); row 3 is three-sided
+    assert [len(sides) for sides, *_ in jet_calls] == [12, 16]
+    for call in jet_calls:
+        assert _once_per_side_and_sample_set([call])
+    assert {(n, order) for _, n, order in jet_calls} == {(SOLVE_SAMPLES, 1)}
 
 
 def test_export_evaluates_the_whole_document_in_one_call(monkeypatch, tmp_path, capsys):

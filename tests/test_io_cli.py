@@ -246,6 +246,16 @@ def test_document_names_the_record_and_field_of_an_unknown_patch():
             SurfaceDocument(patches=doc.patches, edges=edges)
 
 
+def test_loader_names_the_record_and_field_of_an_unknown_patch(tmp_path):
+    # the loader checks only that a name is a string; the document looks it up
+    path = tmp_path / "unknown.json"
+    for key, edge in (("a", ("nowhere", "u1", "q", "u0")), ("b", ("p", "u1", "nowhere", "u0"))):
+        _write_two_patch_doc(path, [("p", "v1", "q", "v0"), edge])
+        with pytest.raises(SurfaceFormatError,
+                           match=rf"^edges\[1\]\.{key}: unknown patch name 'nowhere'$"):
+            load_surface(path)
+
+
 def test_ring_fixture_roundtrip_validates(tmp_path):
     rng = np.random.default_rng(101)
     doc = ring_doc(rng)
