@@ -17,6 +17,7 @@ on tensor grids the same way: it sums ``(B_i(u) * net[i, j]) * B_j(v)`` from
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -482,3 +483,23 @@ def bounding_diagonal(*patches: BezierPatch) -> float:
     pts = np.concatenate([p.net.reshape(-1, 3) for p in patches])
     d = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     return d if d > 0.0 else 1.0
+
+
+def _pair_diagonals(pairs) -> np.ndarray:
+    """``bounding_diagonal(a, b)`` of each (a, b, ...) in ``pairs``, the same bits.
+
+    Each distinct patch's box is taken once.  Min and max are exact, so the
+    box of two boxes is the box of the two nets, and a 1x3 by 3x1 matmul
+    sums with the dot that ``np.linalg.norm`` of one vector takes.
+    """
+    slots = {}
+    index = np.array([[slots.setdefault(id(p), (len(slots), p))[0] for p in pair[:2]]
+                      for pair in pairs])
+    nets = [p.net.reshape(-1, 3) for _, p in slots.values()]
+    starts = list(itertools.accumulate([len(net) for net in nets[:-1]], initial=0))
+    pts = np.concatenate(nets)
+    d = (np.maximum.reduceat(pts, starts)[index].max(axis=1)
+         - np.minimum.reduceat(pts, starts)[index].min(axis=1))[:, None]
+    diag = np.sqrt(d @ d.transpose(0, 2, 1))[:, 0, 0]
+    diag[diag == 0.0] = 1.0
+    return diag

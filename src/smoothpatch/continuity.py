@@ -22,11 +22,14 @@ and, for G2, the second-order link, the derivatives of lambda and kappa at
 both ends and the curvature oracle; G1 checks stop at first order.  At
 ``VERIFY_SAMPLES`` the normal oracle asks for first order only.  One Gram
 matrix of a's tangent basis per edge and sample serves the link solves in
-that basis.  A side's jets are the same bits in any batch.  The steps after
-them are numpy calls over arrays of shape (edges, samples, ...) that treat
-every edge alike; their results agree with a batch of one within 1e-12,
-which is what the tests check.  The solve results are read-only, and each
-``EdgeLink`` holds read-only views of them rather than copies.
+that basis, each a 2x2 system solved in closed form; the curvature oracle
+forms one Gram matrix per side and solves its three directions in one call.
+Edge scales come from one bounding box per patch and batch.  A side's jets
+are the same bits in any batch.  The steps after them are numpy calls over
+arrays of shape (edges, samples, ...) that treat every edge alike; their
+results agree with a batch of one within 1e-12, which is what the tests
+check.  The solve results are read-only, and each ``EdgeLink`` holds
+read-only views of them rather than copies.
 
 A ``CornerConfig`` holds the link values at a vertex V in the canonical
 arrangement, and solves nothing: each comes from one edge link's samples at
@@ -41,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bezier import BezierPatch, _edge_jets, bounding_diagonal
+from .bezier import BezierPatch, _edge_jets, _pair_diagonals, bounding_diagonal
 
 __all__ = [
     "G0_TOL",
@@ -154,26 +157,24 @@ def _dot(x, y):
 
 
 def _gram(e_w, e_t):
-    g = np.empty(e_w.shape[:-1] + (2, 2))
-    g[..., 0, 0] = _dot(e_w, e_w)
-    g[..., 0, 1] = g[..., 1, 0] = _dot(e_w, e_t)
-    g[..., 1, 1] = _dot(e_t, e_t)
-    return g
+    """(g00, g01, g11), on the last axis: the Gram matrix of (e_w, e_t)."""
+    return np.stack([_dot(e_w, e_w), _dot(e_w, e_t), _dot(e_t, e_t)], axis=-1)
 
 
 def _solve(g, e_w, e_t, rhs, scale=None):
     """Coefficients (x, y), on the last axis, of the least-squares fit rhs = x*e_w + y*e_t.
 
-    ``g`` is the Gram matrix of (e_w, e_t).  With ``scale``, also returns the
-    norm of the part of rhs off the basis, over ``scale``.
+    ``g`` is the Gram matrix of (e_w, e_t) from ``_gram``; the 2x2 normal
+    equations are solved by Cramer's rule.  The arguments broadcast, so one
+    Gram matrix serves stacked right-hand sides.  With ``scale``, also
+    returns the norm of the part of rhs off the basis, over ``scale``.
     """
-    rv = np.empty(g.shape[:-1] + (1,))
-    rv[..., 0, 0] = _dot(e_w, rhs)
-    rv[..., 1, 0] = _dot(e_t, rhs)
-    xy = np.linalg.solve(g, rv)
+    g00, g01, g11 = np.moveaxis(g, -1, 0)
+    b0, b1 = _dot(e_w, rhs), _dot(e_t, rhs)
+    det = g00 * g11 - g01 * g01
+    xy = np.stack([g11 * b0 - g01 * b1, g00 * b1 - g01 * b0], axis=-1) / det[..., None]
     # read-only, so that the links of a batch can keep views of the results
     xy.flags.writeable = False
-    xy = xy[..., 0]
     if scale is None:
         return xy
     oop = np.linalg.norm(rhs - xy[..., :1] * e_w - xy[..., 1:] * e_t, axis=-1) / scale
@@ -281,7 +282,7 @@ class _LinkBatch:
     """First-order link solves of a batch of (a, b, corr) edges at ``SOLVE_SAMPLES``.
 
     The Gram matrix ``g`` of a's tangent basis, one per edge and sample,
-    serves this solve, the second-order one and the curvature oracle.
+    serves this solve and the second-order one.
     ``errors[e]`` is the GeometryError ``solve_edge_link`` raises for edge
     e, or None: a G0 gap comes first, then a rank failure, then a vanishing
     lambda.
@@ -290,14 +291,14 @@ class _LinkBatch:
     def __init__(self, pairs, order: int):
         self.pairs = pairs
         self.f = f = _frames(pairs, _SOLVE_TS, order)
-        self.scale = np.array([bounding_diagonal(a, b) for a, b, _ in pairs])
+        self.scale = _pair_diagonals(pairs)
         scale = self.scale[:, None]
         (a_w, b_w), a_t = f["w"], f["t"][0]
         self.cross = np.cross(a_w, a_t)  # zero where a tangent vector is zero
         flat = (np.linalg.norm(self.cross, axis=-1) < RANK_TOL * scale**2).any(axis=-1)
         self.g = _gram(a_w, a_t)
         if flat.any():  # a degenerate edge must not stop the batch's solves
-            self.g[flat] = np.eye(2)
+            self.g[flat] = (1.0, 0.0, 1.0)
         xy, self.oop = _solve(self.g, a_w, a_t, b_w, scale)
         self.lam, self.kap = xy[..., 0], xy[..., 1]
         self.negative = (self.lam < 0.0).any(axis=-1)
@@ -411,10 +412,9 @@ def check_edges(edges, order: int = 1, tol: float | None = None) -> list[EdgeRep
     # diagonal so that tol is scale-free
     f = batch.f
     n = batch.cross / np.linalg.norm(batch.cross, axis=-1)[..., None]
-    gap = np.zeros(len(pairs))
-    for direction in (f["w"][0], f["t"][0], f["w"][0] + f["t"][0]):
-        ka, kb = normal_curvature(f["w"], f["t"], f["ww"], f["wt"], f["tt"], direction, n)
-        gap = np.fmax(gap, np.abs(ka - kb).max(axis=-1) * batch.scale)
+    k = normal_curvature(f["w"], f["t"], f["ww"], f["wt"], f["tt"],
+                         np.stack([f["w"][0], f["t"][0], f["w"][0] + f["t"][0]])[:, None], n)
+    gap = np.abs(k[:, 0] - k[:, 1]).max(axis=(0, -1)) * batch.scale
     return [
         EdgeReport(order=2, link_residual=r, link_ok=r < tol, oracle_residual=x,
                    oracle_ok=x < tol, ok=g1.ok and r < tol and x < tol, tol=tol,
@@ -468,7 +468,10 @@ def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarra
 
     The direction is decomposed in the (e_w, e_t) basis by least squares,
     then II/I is evaluated with the supplied unit ``normal`` (one common
-    normal must be used when comparing two patches).
+    normal must be used when comparing two patches).  ``direction`` may
+    stack several directions on leading axes that broadcast against the
+    frame: the Gram matrix is formed once, all directions are solved in one
+    call, and the result has the broadcast shape.
     """
     g = _gram(e_w, e_t)
     xy = _solve(g, e_w, e_t, direction)
@@ -476,7 +479,7 @@ def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarra
     big_l = _dot(e_ww, normal)
     big_m = _dot(e_wt, normal)
     big_n = _dot(e_tt, normal)
-    first = x**2 * g[..., 0, 0] + 2 * x * y * g[..., 0, 1] + y**2 * g[..., 1, 1]
+    first = x**2 * g[..., 0] + 2 * x * y * g[..., 1] + y**2 * g[..., 2]
     second = x**2 * big_l + 2 * x * y * big_m + y**2 * big_n
     return second / first
 

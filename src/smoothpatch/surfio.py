@@ -122,7 +122,9 @@ def _emit(obj, out):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format(float(obj), ".17g"))
+        text = format(float(obj), ".17g")
+        # an integral value keeps a fraction, so that readers load a float
+        out.append(text + ".0" if text.lstrip("-").isdigit() else text)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -18,6 +18,7 @@ from smoothpatch.bezier import (
     _edge_jets,
     _eval_grids,
     bernstein_basis,
+    bounding_diagonal,
     patch_derivative,
     split_patch,
 )
@@ -284,6 +285,55 @@ def test_links_of_a_batch_are_read_only_views_of_its_arrays(monkeypatch):
     assert link.ts[0] == 0.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1.0, 30.0), st.floats(-3.0, 3.0))
+def test_closed_form_solve_matches_lapack_and_is_read_only(seed, cond, log_size):
+    # tangent bases of condition number at most `cond`, at any scale, and
+    # right-hand sides with a part off the basis
+    rng = np.random.default_rng(seed)
+    shape, size = (4, 5), 10.0**log_size
+    u, _ = np.linalg.qr(rng.standard_normal(shape + (3, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal(shape + (2, 2)))
+    s = size * np.stack([np.ones(shape), 1.0 / rng.uniform(1.0, cond, shape)], axis=-1)
+    e_w, e_t = np.moveaxis((u * s[..., None, :]) @ np.swapaxes(v, -1, -2), -1, 0)
+    rhs = size * rng.standard_normal(shape + (3,))
+    xy, oop = continuity._solve(continuity._gram(e_w, e_t), e_w, e_t, rhs, 2.0)
+    basis = np.stack([e_w, e_t], axis=-1)
+    gram = np.swapaxes(basis, -1, -2) @ basis
+    want = np.linalg.solve(gram, np.swapaxes(basis, -1, -2) @ rhs[..., None])[..., 0]
+    err = np.linalg.norm(xy - want, axis=-1) / np.linalg.norm(want, axis=-1)
+    assert err.max() <= 1e-12
+    off = np.linalg.norm(rhs - (basis @ want[..., None])[..., 0], axis=-1) / 2.0
+    np.testing.assert_allclose(oop, off, rtol=1e-12, atol=1e-12 * size)
+    assert not xy.flags.writeable and not oop.flags.writeable
+
+
+def test_stacked_normal_curvature_equals_one_direction_at_a_time():
+    rng = np.random.default_rng(81)
+    pairs = [(smooth_patch(rng), smooth_patch(rng), continuity.EdgeCorrespondence(a, b))
+             for a, b in (("u1", "u0"), ("v0", "v1"), ("u0", "v1"))]
+    f = continuity._frames(pairs, np.linspace(0.0, 1.0, 7), 2)
+    n = np.cross(f["w"][0], f["t"][0])
+    n /= np.linalg.norm(n, axis=-1)[..., None]
+    frame = (f["w"], f["t"], f["ww"], f["wt"], f["tt"])
+    directions = [f["w"][0], f["t"][0], f["w"][0] + 0.5 * f["t"][1]]
+    stacked = continuity.normal_curvature(*frame, np.stack(directions)[:, None], n)
+    assert stacked.shape == (3, 2, 3, 7)
+    for got, direction in zip(stacked, directions):
+        np.testing.assert_allclose(got, continuity.normal_curvature(*frame, direction, n),
+                                   rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("doc", [GOLDEN_DOC, None], ids=["stored", "built"])
+def test_batch_scales_are_the_bounding_diagonals_bit_for_bit(doc):
+    doc = load_surface(doc) if doc else mixed_grid_document()
+    pairs = [(doc.patch(c.a), doc.patch(c.b), c) for c in doc.edges]
+    boxes = [np.concatenate([a.net.reshape(-1, 3), b.net.reshape(-1, 3)]) for a, b, _ in pairs]
+    want = [float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) for pts in boxes]
+    assert continuity._LinkBatch(pairs, 1).scale.tolist() == want
+    assert [bounding_diagonal(a, b) for a, b, _ in pairs] == want
+
+
 def _two_copies(doc):
     """Two disjoint copies of ``doc``: the patches of the second get a ``'`` suffix."""
     patches = dict(doc.patches)
@@ -440,24 +490,27 @@ def test_batched_corner_configs_equal_one_corner_at_a_time(order):
 
 
 @pytest.fixture
-def lstsq_calls(monkeypatch):
-    """Count the least-squares fits, wherever they are called from."""
+def lapack_calls(monkeypatch):
+    """Count the least-squares fits and the LAPACK solves, wherever they are called from."""
     calls = []
-    lstsq = np.linalg.lstsq
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return lstsq(*args, **kwargs)
+    def counting(name, function):
+        def call(*args, **kwargs):
+            calls.append((name, args[0].shape))
+            return function(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    for name in ("lstsq", "solve"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return calls
 
 
 @pytest.mark.parametrize("command", ["check-g1", "check-g2"])
-def test_checks_fit_no_link_function(lstsq_calls, capsys, command):
+def test_checks_fit_no_link_function(lapack_calls, capsys, command):
+    # the 2x2 link systems are solved in closed form
     main([command, str(GOLDEN_DOC)])
     capsys.readouterr()
-    assert lstsq_calls == []
+    assert lapack_calls == []
 
 
 # --- golden reports ---------------------------------------------------------------

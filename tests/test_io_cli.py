@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import sys
 import tempfile
 import warnings
@@ -100,13 +101,34 @@ def test_roundtrip_preserves_values_exactly(tmp_path):
 
 
 def test_dumps_json_writes_a_float_array_as_its_nested_lists():
+    # integral values are the one difference: a float scalar gains ".0",
+    # and an array keeps its "%.17g" text so that saved documents keep their bytes
     values = [-0.0, 5e-324, 1e300, 0.1, 1.0, -2.5e-7]
-    for arr in (np.array(values).reshape(2, 3), np.array(values), np.array(values).reshape(3, 1, 2),
-                np.zeros((0, 3)), np.array(0.1)):
+    fractional = [-1.5, 5e-324, 1e300, 0.1, 1e-300, -2.5e-7]
+    for arr in (np.array(fractional).reshape(2, 3), np.array(fractional),
+                np.array(fractional).reshape(3, 1, 2), np.zeros((0, 3)), np.array(0.1)):
         assert dumps_json(arr) == dumps_json(arr.tolist())
     assert dumps_json({"net": np.array(values).reshape(2, 3)}) == (
         '{"net": [[-0, 4.9406564584124654e-324, 1.0000000000000001e+300], '
         '[0.10000000000000001, 1, -2.4999999999999999e-07]]}')
+    assert dumps_json(values) == (
+        '[-0.0, 4.9406564584124654e-324, 1.0000000000000001e+300, '
+        '0.10000000000000001, 1.0, -2.4999999999999999e-07]')
+
+
+def test_dumps_json_writes_an_integral_float_as_a_float():
+    assert dumps_json(0.0) == "0.0" and dumps_json(-0.0) == "-0.0"
+    assert dumps_json([1.0, np.float64(-3.0), 1e16]) == "[1.0, -3.0, 10000000000000000.0]"
+    for x, text in ((0.1, "0.10000000000000001"), (1e300, "1.0000000000000001e+300"),
+                    (5e-324, "4.9406564584124654e-324"), (-2.5e-7, "-2.4999999999999999e-07"),
+                    (1e17, "1e+17"), (float("nan"), "nan"), (float("-inf"), "-inf")):
+        assert dumps_json(x) == text
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_dumps_json_reads_back_every_finite_float_as_itself(x):
+    got = json.loads(dumps_json(x))
+    assert type(got) is float and got == x and math.copysign(1.0, got) == math.copysign(1.0, x)
 
 
 @given(st.text())
@@ -326,6 +348,36 @@ def test_cli_check_g1_pass_and_report(tmp_path, capsys):
     report2 = tmp_path / "report2.json"
     main(["check-g1", str(doc_path), "--report", str(report2)])
     assert report.read_bytes() == report2.read_bytes()
+
+
+def planar_grid_doc():
+    """Four bilinear patches tiling the square [0, 2]^2 of the plane z = 0."""
+    patches = {f"c{i}{j}": BezierPatch.from_net([[[i + a, j + b, 0] for b in (0, 1)]
+                                                 for a in (0, 1)])
+               for i in (0, 1) for j in (0, 1)}
+    edges = [EdgeCorrespondence("u1", "u0", a="c00", b="c10"),
+             EdgeCorrespondence("u1", "u0", a="c01", b="c11"),
+             EdgeCorrespondence("v1", "v0", a="c00", b="c01"),
+             EdgeCorrespondence("v1", "v0", a="c10", b="c11")]
+    return SurfaceDocument(patches=patches, edges=edges)
+
+
+@pytest.mark.parametrize("command", ["check-g1", "check-g2"])
+def test_check_report_of_a_planar_document_writes_zero_residuals_as_floats(tmp_path, capsys,
+                                                                           command):
+    doc_path = tmp_path / "plane.json"
+    save_surface(planar_grid_doc(), doc_path)
+    report_path = tmp_path / "report.json"
+    assert main([command, str(doc_path), "--report", str(report_path)]) == 0
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    oracle = "normal_angle" if command == "check-g1" else "curvature_gap"
+    values = [row[key] for row in report["edges"] for key in ("link_residual", oracle)]
+    (vertex,) = report["vertices"]
+    values += vertex["g1_residuals"] + [vertex["lambda_product_residual"]]
+    values += vertex.get("g2_residuals", [])
+    assert len(values) == (13 if command == "check-g1" else 19)
+    assert all(type(x) is float for x in values) and 0.0 in values, values
 
 
 def test_cli_check_g1_crease_fails(tmp_path, capsys):
