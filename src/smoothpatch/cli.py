@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .bezier import SIDES
@@ -293,6 +294,17 @@ def _cmd_export(args) -> int:
 
 # --- entry point -------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """The argument type of every float flag: a number that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and kept for the process."""
@@ -311,14 +323,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete-4patch", help="construct the diagonal patch of a G1 corner")
     p.add_argument("surface", help="document containing patches r1, r2, r4")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--alpha23", type=float, default=None)
-    p.add_argument("--alpha43", type=float, default=None)
-    p.add_argument("--lambda23-1", dest="lambda23_1", type=float, default=None)
-    p.add_argument("--lambda43-1", dest="lambda43_1", type=float, default=None)
-    p.add_argument("--kappa23-1", dest="kappa23_1", type=float, default=0.0)
-    p.add_argument("--kappa43-1", dest="kappa43_1", type=float, default=0.0)
-    p.add_argument("--beta2-23", dest="beta2_23", type=float, default=0.0)
-    p.add_argument("--beta2-43", dest="beta2_43", type=float, default=0.0)
+    p.add_argument("--alpha23", type=_finite_float, default=None)
+    p.add_argument("--alpha43", type=_finite_float, default=None)
+    p.add_argument("--lambda23-1", dest="lambda23_1", type=_finite_float, default=None)
+    p.add_argument("--lambda43-1", dest="lambda43_1", type=_finite_float, default=None)
+    p.add_argument("--kappa23-1", dest="kappa23_1", type=_finite_float, default=0.0)
+    p.add_argument("--kappa43-1", dest="kappa43_1", type=_finite_float, default=0.0)
+    p.add_argument("--beta2-23", dest="beta2_23", type=_finite_float, default=0.0)
+    p.add_argument("--beta2-43", dest="beta2_43", type=_finite_float, default=0.0)
     p.add_argument("--degree", type=int, choices=(4, 5), default=5)
     p.set_defaults(func=_cmd_complete)
 
@@ -326,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("surface", help="document containing patches r1..r9 except r5")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--deg6", action="store_true", help="bi-degree (6,6) fill (cubic lambdas)")
-    p.add_argument("--alpha", type=float, nargs=4, metavar=("A45", "A25", "A65", "A85"),
+    p.add_argument("--alpha", type=_finite_float, nargs=4, metavar=("A45", "A25", "A65", "A85"),
                    default=None, help="free alpha ordinates for the (5,5) fill")
     p.set_defaults(func=_cmd_fill_hole)
 
@@ -335,8 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("strip_b")
     p.add_argument("-n", "--rows", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--lambda-left", dest="lambda_left", type=float, default=1.0)
-    p.add_argument("--lambda-right", dest="lambda_right", type=float, default=1.0)
+    p.add_argument("--lambda-left", dest="lambda_left", type=_finite_float, default=1.0)
+    p.add_argument("--lambda-right", dest="lambda_right", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_fillet)
 
     p = sub.add_parser("export", help="tessellate all patches to a Wavefront OBJ")

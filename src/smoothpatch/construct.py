@@ -14,6 +14,11 @@ every such point is asserted, never averaged.  The twist at a corner two
 joins share is m*m times each join's mixed difference of boundary and band
 there (``_twists``); the twist checks compare the two.
 
+Each construction solves the joins it is given once, in one link batch.
+The fillet fills every odd row by the (5,5) hole fill, on a ring built from
+its strip-join constants and its exact bridge lambdas; the last row of an
+even fillet has an open-top ring, whose fill joins only the patches it has.
+
 Layout conventions: a nine-patch ring is indexed
 
         v ^   3  6  9
@@ -391,7 +396,8 @@ class NinePatchRing:
     Position p = 1 + 3*column + row of a 3x3 grid with the hole at 5.  All
     ring-internal joins must be G1 with constant lambda and zero kappa;
     ``from_patches`` verifies this and records the eight directed edge
-    constants.
+    constants.  ``build_fillet`` also builds open-top rings, with patches 2,
+    4 and 8 only; a fill joins the patches its ring has.
     """
 
     patches: dict
@@ -502,11 +508,13 @@ def hole_constraint_residuals(ring: NinePatchRing, params: HoleFillParams) -> np
 
 
 def _hole_sides(ring: NinePatchRing, params: HoleFillParams):
-    """The fill's degree and its four joins: left, right, bottom, top."""
+    """The fill's degree and its joins: left, right, bottom, top, where the ring has them."""
     ends = _pinned_endpoints(ring)
     m = {"deg5": 5, "deg6": 6}[params.mode]
     sides = []
     for pos, side in ((2, "u1"), (8, "u0"), (4, "v1"), (6, "v0")):
+        if pos not in ring.patches:
+            continue
         lo, hi = ends[pos]
         if m == 5:
             lam = [lo, params.alpha[pos], hi]
@@ -644,31 +652,8 @@ def _bridge_patch(left: BezierPatch, right: BezierPatch, lam_a: float, lam_b: fl
     return BezierPatch(3, 3, net)
 
 
-def _fill_three_sided(bottom, left, right, lam12, lam14, lam74, lam78, scale):
-    """A (5,5) fill constrained along its bottom, left and right edges only.
-
-    Used for the last fillet row when the strips have even length: the top
-    edge of this patch is an open boundary of the composite surface.  The
-    lambda functions on the two vertical edges default to their (constant)
-    bottom-corner values; the free top rows continue the side bands by the
-    parallelogram rule.
-    """
-    alpha45 = 0.5 * (lam12 + lam78)
-    alpha25, alpha85 = lam14, lam74
-    beta1_45 = 2.0 * (alpha25 - lam14) / (3.0 * lam14)
-    beta1_25 = 2.0 * (alpha45 - lam12) / (3.0 * lam12)
-    beta2_45 = -2.0 * (alpha85 - lam74) / (3.0 * lam74)
-    beta1_85 = 2.0 * (alpha45 - lam78) / (3.0 * lam78)
-    sides = [
-        _Side(left, "u1", [lam14, alpha25, lam14], [0.0, beta1_25, 0.0, 0.0]),
-        _Side(right, "u0", [lam74, alpha85, lam74], [0.0, beta1_85, 0.0, 0.0]),
-        _Side(bottom, "v1", [lam12, alpha45, lam78], [0.0, beta1_45, beta2_45, 0.0]),
-    ]
-    return _finish(_assemble(5, scale, sides), None, _continue_side_bands)
-
-
 def _continue_side_bands(net):
-    """Three-sided interior: columns 2 and 3 continue the left and right bands."""
+    """Open-top interior: columns 2 and 3 continue the left and right bands."""
     net[2, 2:] = net[1, 2:] + net[2, 1] - net[1, 1]
     net[3, 2:] = net[4, 2:] + net[3, 1] - net[4, 1]
     return net
@@ -680,9 +665,13 @@ def build_fillet(strip_a, strip_b, n_rows=None, *, bridge_lambdas=(1.0, 1.0)):
     ``strip_a`` and ``strip_b`` each hold N patches stacked in v (internally
     G1 with constant lambda and zero kappa); ``n_rows`` defaults to the full
     strip length.  Even rows of the middle column get bi-cubic bridge
-    patches joining both strips; odd rows are filled by the nine-patch hole
-    construction on the surrounding ring (the last row, for even N, by its
-    three-sided variant).  Returns the middle-column patches in row order.
+    patches joining both strips; odd rows are the (5,5) hole fills of the
+    surrounding rings.  The strip joins are solved once, in one batch, and
+    each ring is built from their constants and the bridge lambdas, which
+    the bridges make exact.  The last row of an even fillet fills an
+    open-top ring (left, bottom and right neighbours only), whose free top
+    rows continue the side bands.  Returns the middle-column patches in row
+    order.
     """
     strip_a = list(strip_a)
     strip_b = list(strip_b)
@@ -703,32 +692,26 @@ def build_fillet(strip_a, strip_b, n_rows=None, *, bridge_lambdas=(1.0, 1.0)):
                    EdgeCorrespondence("v1", "v0", a=f"{label}[{n}]", b=f"{label}[{n + 1}]"))
                   for n in range(n_rows - 1)]
     lam_internal = [lam for lam, _ in _join_constants(joins)]
-    lam_a_internal, lam_b_internal = lam_internal[:n_rows - 1], lam_internal[n_rows - 1:]
+    lam_a, lam_b = lam_internal[:n_rows - 1], lam_internal[n_rows - 1:]
     lam_left, lam_right = bridge_lambdas
-    if abs(lam_left) < LAMBDA_MIN or abs(lam_right) < LAMBDA_MIN:
-        raise DegenerateLinkError("bridge lambdas must be non-zero")
-
-    bridges = {}
-    for r in range(0, n_rows, 2):
-        bridges[r] = _bridge_patch(strip_a[r], strip_b[r], lam_left, lam_right)
+    if not all(np.isfinite(lam) and abs(lam) >= LAMBDA_MIN for lam in bridge_lambdas):
+        raise DegenerateLinkError("bridge lambdas must be finite and non-zero")
 
     middle = [None] * n_rows
-    for r, b in bridges.items():
-        middle[r] = b
+    for r in range(0, n_rows, 2):
+        middle[r] = _bridge_patch(strip_a[r], strip_b[r], lam_left, lam_right)
     for r in range(1, n_rows, 2):
-        if r + 1 < n_rows:
-            ring = NinePatchRing.from_patches({
-                1: strip_a[r - 1], 2: strip_a[r], 3: strip_a[r + 1],
-                4: bridges[r - 1], 6: bridges[r + 1],
-                7: strip_b[r - 1], 8: strip_b[r], 9: strip_b[r + 1],
-            })
-            middle[r] = fill_hole(ring)
-        else:
-            scale = bounding_diagonal(strip_a[r], strip_b[r], bridges[r - 1])
-            middle[r] = _fill_three_sided(
-                bridges[r - 1], strip_a[r], strip_b[r],
-                lam12=lam_a_internal[r - 1], lam14=lam_left,
-                lam74=1.0 / lam_right, lam78=lam_b_internal[r - 1],
-                scale=scale,
-            )
+        closed = r + 1 < n_rows
+        patches = {2: strip_a[r], 4: middle[r - 1], 8: strip_b[r]}
+        # the joins to the bridges are exact: lam_left, and 1/lam_right read from
+        # strip b; an open top keeps the bottom's vertical lambdas, and its equal
+        # top lambdas bend no band toward it
+        lambdas = {"12": lam_a[r - 1], "78": lam_b[r - 1], "14": lam_left, "36": lam_left,
+                   "74": 1.0 / lam_right, "96": 1.0 / lam_right, "32": 1.0, "98": 1.0}
+        if closed:
+            patches.update({1: strip_a[r - 1], 3: strip_a[r + 1], 6: middle[r + 1],
+                            7: strip_b[r - 1], 9: strip_b[r + 1]})
+            lambdas.update({"32": 1.0 / lam_a[r], "98": 1.0 / lam_b[r]})
+        ring = NinePatchRing(patches, lambdas, bounding_diagonal(*patches.values()))
+        middle[r] = fill_hole(ring, interior_rule=None if closed else _continue_side_bands)
     return middle

@@ -20,10 +20,11 @@ each side once and only up to the derivative order its consumers need.  At
 ``SOLVE_SAMPLES`` the frames serve the G0 test, the first-order link solve
 and, for G2, the second-order link, the derivatives of lambda and kappa at
 both ends and the curvature oracle; G1 checks stop at first order.  At
-``VERIFY_SAMPLES`` the normal oracle asks for first order only.  One Gram
-matrix of a's tangent basis per edge and sample serves the link solves in
-that basis, each a 2x2 system solved in closed form; the curvature oracle
-forms one Gram matrix per side and solves its three directions in one call.
+``VERIFY_SAMPLES`` the normal oracle asks for first order only.  One dual
+basis of a's tangent basis per edge and sample serves the link solves in
+that basis: each solve is two dot products with it, and its residual a
+third with the unit normal.  The curvature oracle forms one dual basis per
+side and solves its three directions in one call.
 Edge scales come from one bounding box per patch and batch.  A side's jets
 are the same bits in any batch.  The steps after them are numpy calls over
 arrays of shape (edges, samples, ...) that treat every edge alike; their
@@ -156,28 +157,32 @@ def _dot(x, y):
     return np.einsum("...j,...j->...", x, y)
 
 
-def _gram(e_w, e_t):
-    """(g00, g01, g11), on the last axis: the Gram matrix of (e_w, e_t)."""
-    return np.stack([_dot(e_w, e_w), _dot(e_w, e_t), _dot(e_t, e_t)], axis=-1)
+def _dual(e_w, e_t, n):
+    """The dual basis (e_t x n, n x e_w)/|n|^2 of (e_w, e_t) and the unit normal, on axis -2.
+
+    ``n`` is e_w x e_t.  The error of a solve with it grows with the basis's
+    condition number, not with its square as through the Gram matrix.  Where
+    n vanishes, the rows are zero.
+    """
+    nn = _dot(n, n)[..., None]
+    nn = np.where(nn > 0.0, nn, 1.0)
+    return np.stack([np.cross(e_t, n) / nn, np.cross(n, e_w) / nn, n / np.sqrt(nn)], axis=-2)
 
 
-def _solve(g, e_w, e_t, rhs, scale=None):
+def _solve(dual, rhs, scale=None):
     """Coefficients (x, y), on the last axis, of the least-squares fit rhs = x*e_w + y*e_t.
 
-    ``g`` is the Gram matrix of (e_w, e_t) from ``_gram``; the 2x2 normal
-    equations are solved by Cramer's rule.  The arguments broadcast, so one
-    Gram matrix serves stacked right-hand sides.  With ``scale``, also
-    returns the norm of the part of rhs off the basis, over ``scale``.
+    ``dual`` is the dual basis of (e_w, e_t) from ``_dual``.  The arguments
+    broadcast, so one dual basis serves stacked right-hand sides.  With
+    ``scale``, also returns the distance of rhs from the basis's plane, over
+    ``scale``.
     """
-    g00, g01, g11 = np.moveaxis(g, -1, 0)
-    b0, b1 = _dot(e_w, rhs), _dot(e_t, rhs)
-    det = g00 * g11 - g01 * g01
-    xy = np.stack([g11 * b0 - g01 * b1, g00 * b1 - g01 * b0], axis=-1) / det[..., None]
+    xy = np.stack([_dot(dual[..., 0, :], rhs), _dot(dual[..., 1, :], rhs)], axis=-1)
     # read-only, so that the links of a batch can keep views of the results
     xy.flags.writeable = False
     if scale is None:
         return xy
-    oop = np.linalg.norm(rhs - xy[..., :1] * e_w - xy[..., 1:] * e_t, axis=-1) / scale
+    oop = np.abs(_dot(dual[..., 2, :], rhs)) / scale
     oop.flags.writeable = False
     return xy, oop
 
@@ -255,11 +260,11 @@ class EdgeLink:
         return float(np.max(self.oop))
 
 
-def _second_order(f: dict, lam, kap, g, scale):
+def _second_order(f: dict, lam, kap, dual, scale):
     """mu, nu and the residual of R = mu a_w + nu a_t per edge and sample, and the end slopes.
 
-    R = b_ww - lambda^2 a_ww - 2 lambda kappa a_wt - kappa^2 a_tt; ``g`` is
-    the Gram matrix of (a_w, a_t).  Differentiating b_w = lambda a_w +
+    R = b_ww - lambda^2 a_ww - 2 lambda kappa a_wt - kappa^2 a_tt; ``dual``
+    is the dual basis of (a_w, a_t).  Differentiating b_w = lambda a_w +
     kappa a_t along the edge gives b_wt - lambda a_wt - kappa a_tt =
     lambda' a_w + kappa' a_t, solved at the first and last sample of each
     edge into (edges, 2, 2) end slopes.
@@ -270,18 +275,17 @@ def _second_order(f: dict, lam, kap, g, scale):
         - 2.0 * (lam * kap)[..., None] * f["wt"][0]
         - kap[..., None] ** 2 * f["tt"][0]
     )
-    xy, oop = _solve(g, f["w"][0], f["t"][0], rhs, scale)
+    xy, oop = _solve(dual, rhs, scale)
     ends = [0, -1]
-    a_w, a_t, a_wt, b_wt, a_tt = (x[:, ends] for x in (f["w"][0], f["t"][0], f["wt"][0],
-                                                       f["wt"][1], f["tt"][0]))
+    a_wt, b_wt, a_tt = (x[:, ends] for x in (f["wt"][0], f["wt"][1], f["tt"][0]))
     rhs = b_wt - lam[:, ends, None] * a_wt - kap[:, ends, None] * a_tt
-    return xy[..., 0], xy[..., 1], oop, _solve(g[:, ends], a_w, a_t, rhs)
+    return xy[..., 0], xy[..., 1], oop, _solve(dual[:, ends], rhs)
 
 
 class _LinkBatch:
     """First-order link solves of a batch of (a, b, corr) edges at ``SOLVE_SAMPLES``.
 
-    The Gram matrix ``g`` of a's tangent basis, one per edge and sample,
+    The dual basis ``dual`` of a's tangent basis, one per edge and sample,
     serves this solve and the second-order one.
     ``errors[e]`` is the GeometryError ``solve_edge_link`` raises for edge
     e, or None: a G0 gap comes first, then a rank failure, then a vanishing
@@ -296,10 +300,8 @@ class _LinkBatch:
         (a_w, b_w), a_t = f["w"], f["t"][0]
         self.cross = np.cross(a_w, a_t)  # zero where a tangent vector is zero
         flat = (np.linalg.norm(self.cross, axis=-1) < RANK_TOL * scale**2).any(axis=-1)
-        self.g = _gram(a_w, a_t)
-        if flat.any():  # a degenerate edge must not stop the batch's solves
-            self.g[flat] = (1.0, 0.0, 1.0)
-        xy, self.oop = _solve(self.g, a_w, a_t, b_w, scale)
+        self.dual = _dual(a_w, a_t, self.cross)
+        xy, self.oop = _solve(self.dual, b_w, scale)
         self.lam, self.kap = xy[..., 0], xy[..., 1]
         self.negative = (self.lam < 0.0).any(axis=-1)
         gaps = np.linalg.norm(f["point"][0] - f["point"][1], axis=-1).max(axis=-1) / self.scale
@@ -338,7 +340,7 @@ class _LinkBatch:
                         mu_samples=mu, nu_samples=nu, g2_oop=g2_oop, end_slopes=slopes)
 
     def second_order(self):
-        return _second_order(self.f, self.lam, self.kap, self.g, self.scale[:, None])
+        return _second_order(self.f, self.lam, self.kap, self.dual, self.scale[:, None])
 
 
 def solve_edge_link(
@@ -453,12 +455,13 @@ def solve_g2_link(
     is recorded, not raised.  The copy also carries the end slopes.
     """
     f = _frames([(a, b, corr)], link.ts, 2)
-    if (np.linalg.norm(np.cross(f["w"][0], f["t"][0]), axis=-1) < RANK_TOL * link.scale**2).any():
+    cross = np.cross(f["w"][0], f["t"][0])
+    if (np.linalg.norm(cross, axis=-1) < RANK_TOL * link.scale**2).any():
         raise DegenerateParametrizationError(
             f"tangent vectors linearly dependent while solving second-order link {_name(corr)}"
         )
     mu, nu, g2_oop, slopes = _second_order(f, link.lam_samples[None], link.kap_samples[None],
-                                           _gram(f["w"][0], f["t"][0]), link.scale)
+                                           _dual(f["w"][0], f["t"][0], cross), link.scale)
     return replace(link, mu_samples=mu[0], nu_samples=nu[0], g2_oop=g2_oop[0],
                    end_slopes=slopes[0])
 
@@ -470,16 +473,15 @@ def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarra
     then II/I is evaluated with the supplied unit ``normal`` (one common
     normal must be used when comparing two patches).  ``direction`` may
     stack several directions on leading axes that broadcast against the
-    frame: the Gram matrix is formed once, all directions are solved in one
+    frame: the dual basis is formed once, all directions are solved in one
     call, and the result has the broadcast shape.
     """
-    g = _gram(e_w, e_t)
-    xy = _solve(g, e_w, e_t, direction)
+    xy, off = _solve(_dual(e_w, e_t, np.cross(e_w, e_t)), direction, 1.0)
     x, y = xy[..., 0], xy[..., 1]
     big_l = _dot(e_ww, normal)
     big_m = _dot(e_wt, normal)
     big_n = _dot(e_tt, normal)
-    first = x**2 * g[..., 0] + 2 * x * y * g[..., 1] + y**2 * g[..., 2]
+    first = _dot(direction, direction) - off**2  # the squared length of its projection
     second = x**2 * big_l + 2 * x * y * big_m + y**2 * big_n
     return second / first
 

@@ -625,6 +625,21 @@ def test_fillet_random_strips_all_edges_g1():
         assert check_g1_edge(middle[r], middle[r + 1], EdgeCorrespondence("v1", "v0")).ok
 
 
+@pytest.mark.parametrize("seed, n_rows", [(0, 3), (1, 5), (2, 6), (3, 7)])
+def test_fillet_rows_are_the_hole_fills_of_their_solved_rings(seed, n_rows):
+    # the fillet builds each ring from the strip joins and the bridge
+    # lambdas; solving the ring's eight joins must give the same fill
+    strip_a, strip_b = random_strips(np.random.default_rng(960 + seed), n_rows)
+    middle = build_fillet(strip_a, strip_b, bridge_lambdas=(1.3, 0.8))
+    for r in range(1, n_rows - 1, 2):
+        ring = ring_from({1: strip_a[r - 1], 2: strip_a[r], 3: strip_a[r + 1],
+                          4: middle[r - 1], 6: middle[r + 1],
+                          7: strip_b[r - 1], 8: strip_b[r], 9: strip_b[r + 1]})
+        want = fill_hole(ring).net
+        diag = np.linalg.norm(np.ptp(want.reshape(-1, 3), axis=0))
+        np.testing.assert_allclose(middle[r].net, want, rtol=0, atol=1e-14 * diag)
+
+
 def test_fillet_even_strip_count_has_open_top():
     rng = np.random.default_rng(92)
     strip_a, strip_b = random_strips(rng, 2)
@@ -647,6 +662,13 @@ def test_fillet_validates_strips():
     broken[1] = smooth_patch(rng)  # no longer joined to its neighbours
     with pytest.raises(PreconditionError):
         build_fillet(broken, strip_b)
+
+
+@pytest.mark.parametrize("lams", [(0.0, 1.0), (1.0, -1e-9), (np.nan, 1.0), (1.0, np.inf)])
+def test_fillet_rejects_zero_and_non_finite_bridge_lambdas(lams):
+    strip_a, strip_b = random_strips(np.random.default_rng(94), 3)
+    with pytest.raises(DegenerateLinkError, match=r"^bridge lambdas must be finite and non-zero$"):
+        build_fillet(strip_a, strip_b, bridge_lambdas=lams)
 
 
 def _planar_strip(n_rows, x0):

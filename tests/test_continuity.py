@@ -1,5 +1,7 @@
 """Edge-link solving, G1/G2 edge checks and vertex compatibility tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,29 @@ def test_degenerate_parametrization_error():
     good = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
     with pytest.raises(DegenerateParametrizationError):
         solve_edge_link(degenerate, good, EdgeCorrespondence("u1", "u0"))
+
+
+def _skewed_pair(theta):
+    """Two planar bi-cubics with an exact C1 join whose u and v tangents meet at ``theta``."""
+    g = np.arange(4) / 3.0
+    s, t = np.meshgrid(g, g, indexing="ij")
+    e_u, e_v = np.array([1.0, 0.0, 0.0]), np.array([np.cos(theta), np.sin(theta), 0.0])
+    return [BezierPatch.from_net((s + s0)[..., None] * e_u + t[..., None] * e_v)
+            for s0 in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1e-5, 1e-8])
+def test_skewed_tangent_basis_keeps_its_digits(theta):
+    # the tangents are not parallel by RANK_TOL, so the join passes with
+    # lambda = 1; through the Gram matrix the solve lost cond^2 digits: a
+    # false FAIL at 1e-5 and a division warning at 1e-8
+    a, b = _skewed_pair(theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (check_g1_edge, check_g2_edge):
+            rep = check(a, b, U1_U0)
+            assert rep.ok
+            assert np.abs(rep.link.lam_samples - 1.0).max() < 1e-7
 
 
 def test_degenerate_link_error():

@@ -297,7 +297,7 @@ def test_closed_form_solve_matches_lapack_and_is_read_only(seed, cond, log_size)
     s = size * np.stack([np.ones(shape), 1.0 / rng.uniform(1.0, cond, shape)], axis=-1)
     e_w, e_t = np.moveaxis((u * s[..., None, :]) @ np.swapaxes(v, -1, -2), -1, 0)
     rhs = size * rng.standard_normal(shape + (3,))
-    xy, oop = continuity._solve(continuity._gram(e_w, e_t), e_w, e_t, rhs, 2.0)
+    xy, oop = continuity._solve(continuity._dual(e_w, e_t, np.cross(e_w, e_t)), rhs, 2.0)
     basis = np.stack([e_w, e_t], axis=-1)
     gram = np.swapaxes(basis, -1, -2) @ basis
     want = np.linalg.solve(gram, np.swapaxes(basis, -1, -2) @ rhs[..., None])[..., 0]
@@ -369,8 +369,8 @@ def test_constructions_read_their_joins_in_one_evaluator_call(jet_calls):
     assert [len(sides) for sides, *_ in jet_calls] == [16]  # the 8 ring joins
     jet_calls.clear()
     build_fillet(*random_strips(rng, 4))
-    # both strips' 3 + 3 internal joins, then the one ring (row 1); row 3 is three-sided
-    assert [len(sides) for sides, *_ in jet_calls] == [12, 16]
+    # both strips' 3 + 3 internal joins, read once: the rings of rows 1 and 3 solve none
+    assert [len(sides) for sides, *_ in jet_calls] == [12]
     for call in jet_calls:
         assert _once_per_side_and_sample_set([call])
     assert {(n, order) for _, n, order in jet_calls} == {(SOLVE_SAMPLES, 1)}

@@ -534,6 +534,41 @@ def test_cli_fillet(tmp_path):
     assert len(doc.patches) == 12
 
 
+def _construction_inputs(tmp_path, command):
+    """Input arguments of a construction command, written from seeded patches."""
+    rng = np.random.default_rng(113)
+    if command == "fillet":
+        paths = []
+        for label, strip in zip("ab", random_strips(rng, 2)):
+            paths.append(tmp_path / f"{label}.json")
+            save_surface(SurfaceDocument(patches={f"{label}{r}": p for r, p in enumerate(strip)}),
+                         paths[-1])
+        return [str(paths[0]), str(paths[1]), "-n", "2"]
+    path = tmp_path / "in.json"
+    if command == "fill-hole":
+        save_surface(ring_doc(rng, random_ring), path)
+    else:
+        ll, hl, lh, _ = split_patch(smooth_patch(rng, span=2.0, z_scale=0.3), u=0.5, v=0.5)
+        save_surface(SurfaceDocument(patches={"r1": ll, "r2": hl, "r4": lh}), path)
+    return [str(path)]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("fillet", ["--lambda-left", "nan"]),
+    ("complete-4patch", ["--kappa23-1", "inf"]),
+    ("complete-4patch", ["--alpha23", "nan"]),
+    ("fill-hole", ["--alpha", "nan", "1", "1", "1"]),
+])
+def test_cli_rejects_non_finite_floats(tmp_path, capsys, command, flags):
+    argv = [command, *_construction_inputs(tmp_path, command), "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 0  # the inputs are valid without the flag
+    capsys.readouterr()
+    assert main([*argv, *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flags[0]}: expected a finite number, got '{flags[1]}'" in err
+    assert "Traceback" not in err
+
+
 def test_export_obj_golden_bytes(tmp_path):
     # captured before the OBJ records were formatted per patch in one pass
     out = tmp_path / "mixed_grid.obj"
