@@ -71,7 +71,6 @@ __all__ = [
 # sample-based shape tolerances for validating neighbour joins
 _CONST_TOL = 1e-7
 _ASSERT_TOL = 1e-9
-_DUAL_FORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -252,10 +251,10 @@ def _twists(m: int, sides) -> dict:
             if len(t) == 2}
 
 
-def _finish(net, interior_rule, default) -> BezierPatch:
-    """Set the free interior of an assembled net (``default`` unless a rule is given)."""
+def _finish(net, rule) -> BezierPatch:
+    """Set the free interior of an assembled net by ``rule``."""
     m = net.shape[0] - 1
-    net = (default if interior_rule is None else interior_rule)(net)
+    net = rule(net)
     if np.any(np.isnan(net)):
         raise CornerConsistencyError("interior rule left control points undefined")
     return BezierPatch(m, m, net)
@@ -277,10 +276,7 @@ def complete_fourth_patch(
     kappa43_1: float = 0.0,
     beta2_23: float = 0.0,
     beta2_43: float = 0.0,
-    beta23: float | None = None,
-    beta43: float | None = None,
     degree: int = 5,
-    interior_rule=None,
 ) -> BezierPatch:
     """Construct the diagonal patch closing a G1 corner of three bi-cubics.
 
@@ -291,7 +287,9 @@ def complete_fourth_patch(
     coefficients default so that a corner cut from one smooth surface is
     extended seamlessly.  ``degree=4`` selects the less flexible bi-degree
     (4,4) construction (linear lambda, quadratic kappa), which requires
-    zero-kappa corner joins.
+    zero-kappa corner joins and computes each inner kappa ordinate from the
+    far lambda.  The corner control point both joins determine is asserted;
+    the interior points close parallelograms on the two bands.
     """
     for name, p in (("r1", r1), ("r2", r2), ("r4", r4)):
         _require_bicubic(name, p)
@@ -325,11 +323,6 @@ def complete_fourth_patch(
             )
         b23 = (lambda43_1 - lam12) / (2.0 * lam12)
         b43 = (lambda23_1 - lam14) / (2.0 * lam14)
-        for given, computed, name in ((beta23, b23, "beta23"), (beta43, b43, "beta43")):
-            if given is not None and abs(given - computed) > _ASSERT_TOL:
-                raise PreconditionError(
-                    f"{name}={given} violates the (4,4) coefficient constraints"
-                )
         lam_o23, kap_o23 = [lam14, lambda23_1], [0.0, b23, kappa23_1]
         lam_o43, kap_o43 = [lam12, lambda43_1], [0.0, b43, kappa43_1]
 
@@ -340,7 +333,7 @@ def complete_fourth_patch(
         raise CornerConsistencyError(
             f"corner control point disagrees between the two construction routes: {exc}"
         ) from None
-    return _finish(net, interior_rule, _continue_bands)
+    return _finish(net, _continue_bands)
 
 
 def _continue_bands(net):
@@ -531,13 +524,14 @@ def default_interior(net, degree: int) -> np.ndarray:
 
     For degree 5 the four interior points follow the parallelogram rule
     from the adjacent band points.  For degree 6 the 3x3 interior block is
-    built corner-first; the mid-edge points have two equivalent forms which
-    are asserted equal, and the centre is their prescribed combination.
+    built corner-first: each corner closes a parallelogram on its band
+    points, each mid-edge point moves the band point beside it by the mean
+    of its two corners' offsets from the band, and the centre is their
+    prescribed combination.  Each point is written once and nothing is
+    asserted here; the doubly-determined border points are asserted when
+    the net is assembled.
     """
-    net = np.array(net, dtype=float)
-    scale = float(np.linalg.norm(np.nanmax(net, axis=(0, 1)) - np.nanmin(net, axis=(0, 1))))
-    scale = scale if scale > 0 else 1.0
-    q = net
+    q = np.array(net, dtype=float)
     if degree == 5:
         q[2, 2] = q[2, 1] + q[1, 2] - q[1, 1]
         q[3, 2] = q[3, 1] + q[4, 2] - q[4, 1]
@@ -550,35 +544,10 @@ def default_interior(net, degree: int) -> np.ndarray:
     q[4, 2] = q[4, 1] + q[5, 2] - q[5, 1]
     q[2, 4] = q[2, 5] + q[1, 4] - q[1, 5]
     q[4, 4] = q[4, 5] + q[5, 4] - q[5, 5]
-
-    def dual(primary, alternative, name):
-        gap = float(np.linalg.norm(primary - alternative))
-        if gap > _DUAL_FORM_TOL * scale:
-            raise CornerConsistencyError(
-                f"interior point {name}: alternative forms differ by {gap / scale:.3e}"
-            )
-        return primary
-
-    q[2, 3] = dual(
-        q[1, 3] + 0.5 * (q[2, 2] + q[2, 4]) - 0.5 * (q[1, 2] + q[1, 4]),
-        q[1, 3] + 0.5 * (q[2, 1] + q[2, 5]) - 0.5 * (q[1, 1] + q[1, 5]),
-        "(2,3)",
-    )
-    q[3, 2] = dual(
-        q[3, 1] + 0.5 * (q[2, 2] + q[4, 2]) - 0.5 * (q[2, 1] + q[4, 1]),
-        q[3, 1] + 0.5 * (q[1, 2] + q[5, 2]) - 0.5 * (q[1, 1] + q[5, 1]),
-        "(3,2)",
-    )
-    q[3, 4] = dual(
-        q[3, 5] + 0.5 * (q[2, 4] + q[4, 4]) - 0.5 * (q[2, 5] + q[4, 5]),
-        q[3, 5] + 0.5 * (q[1, 4] + q[5, 4]) - 0.5 * (q[1, 5] + q[5, 5]),
-        "(3,4)",
-    )
-    q[4, 3] = dual(
-        q[5, 3] + 0.5 * (q[4, 2] + q[4, 4]) - 0.5 * (q[5, 2] + q[5, 4]),
-        q[5, 3] + 0.5 * (q[4, 1] + q[4, 5]) - 0.5 * (q[5, 1] + q[5, 5]),
-        "(4,3)",
-    )
+    q[2, 3] = q[1, 3] + 0.5 * (q[2, 2] + q[2, 4]) - 0.5 * (q[1, 2] + q[1, 4])
+    q[3, 2] = q[3, 1] + 0.5 * (q[2, 2] + q[4, 2]) - 0.5 * (q[2, 1] + q[4, 1])
+    q[3, 4] = q[3, 5] + 0.5 * (q[2, 4] + q[4, 4]) - 0.5 * (q[2, 5] + q[4, 5])
+    q[4, 3] = q[5, 3] + 0.5 * (q[4, 2] + q[4, 4]) - 0.5 * (q[5, 2] + q[5, 4])
     q[3, 3] = 0.5 * (q[2, 3] + q[4, 3] + q[3, 2] + q[3, 4]) - 0.25 * (
         q[2, 2] + q[4, 2] + q[2, 4] + q[4, 4]
     )
@@ -600,11 +569,11 @@ def fill_hole(ring: NinePatchRing, params: HoleFillParams | None = None,
     if params.mode != "deg5":
         raise ValueError("params were resolved for a different construction mode")
     m, sides = _hole_sides(ring, params)
-    return _finish(_assemble(m, ring.scale, sides), interior_rule,
-                   lambda net: default_interior(net, m))
+    return _finish(_assemble(m, ring.scale, sides),
+                   interior_rule or (lambda net: default_interior(net, m)))
 
 
-def fill_hole_deg6(ring: NinePatchRing, interior_rule=None) -> BezierPatch:
+def fill_hole_deg6(ring: NinePatchRing) -> BezierPatch:
     """Fill the ring with a bi-degree (6,6) patch using cubic lambdas, zero kappa.
 
     The inner lambda ordinates are fully pinned by the ring constants, so
@@ -619,8 +588,7 @@ def fill_hole_deg6(ring: NinePatchRing, interior_rule=None) -> BezierPatch:
         alpha2={i: ends[i][1] for i in (2, 4, 6, 8)},
     )
     m, sides = _hole_sides(ring, params)
-    return _finish(_assemble(m, ring.scale, sides), interior_rule,
-                   lambda net: default_interior(net, m))
+    return _finish(_assemble(m, ring.scale, sides), lambda net: default_interior(net, m))
 
 
 def hole_twist_checks(ring: NinePatchRing, params: HoleFillParams | None = None) -> dict:
@@ -696,6 +664,10 @@ def build_fillet(strip_a, strip_b, n_rows=None, *, bridge_lambdas=(1.0, 1.0)):
     lam_left, lam_right = bridge_lambdas
     if not all(np.isfinite(lam) and abs(lam) >= LAMBDA_MIN for lam in bridge_lambdas):
         raise DegenerateLinkError("bridge lambdas must be finite and non-zero")
+    if abs(1.0 / lam_right) < LAMBDA_MIN:  # strip b joins the bridges by 1/lam_right
+        raise DegenerateLinkError(
+            f"right bridge lambda ({lam_right:g}) is degenerate: 1/lambda is below {LAMBDA_MIN:g}"
+        )
 
     middle = [None] * n_rows
     for r in range(0, n_rows, 2):

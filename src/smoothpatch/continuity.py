@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bezier import BezierPatch, _edge_jets, _pair_diagonals, bounding_diagonal
+from .bezier import BezierPatch, _edge_jets, _pair_diagonals
 
 __all__ = [
     "G0_TOL",
@@ -195,10 +195,10 @@ def _frames(pairs, t: np.ndarray, order: int) -> dict:
     """Derivatives along both sides of a batch of (a, b, corr) edges, in shared edge coordinates.
 
     ``w`` is the transversal coordinate (positive from patch a into patch
-    b), ``t`` the shared edge parameter.  Maps "point", from order 1 "w" and
-    "t", from order 2 "ww", "wt" and "tt", to arrays of shape (2, edges,
-    samples, 3) whose first index picks patch a or b.  All sides come from
-    one call of the side evaluator.
+    b), ``t`` the shared edge parameter; ``order`` is 1 or 2.  Maps "point",
+    "w" and "t", from order 2 also "ww", "wt" and "tt", to arrays of shape
+    (2, edges, samples, 3) whose first index picks patch a or b.  All sides
+    come from one call of the side evaluator.
     """
     sides = ([(a, c.a_side, False) for a, _, c in pairs]
              + [(b, c.b_side, c.reversed) for _, b, c in pairs])
@@ -210,9 +210,7 @@ def _frames(pairs, t: np.ndarray, order: int) -> dict:
                      [1.0 if c.b_side in ("u0", "v0") else -1.0 for *_, c in pairs]])
     along = np.array([[1.0] * len(pairs), [-1.0 if c.reversed else 1.0 for *_, c in pairs]])
     into, along = into[..., None, None], along[..., None, None]
-    f = {"point": jet[0, 0]}
-    if order >= 1:
-        f.update(w=into * jet[1, 0], t=along * jet[0, 1])
+    f = {"point": jet[0, 0], "w": into * jet[1, 0], "t": along * jet[0, 1]}
     if order >= 2:
         f.update(ww=jet[2, 0], wt=into * along * jet[1, 1], tt=jet[0, 2])
     return f
@@ -220,8 +218,7 @@ def _frames(pairs, t: np.ndarray, order: int) -> dict:
 
 def g0_gap(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> float:
     """Largest distance between the identified boundary curves, scale-normalized."""
-    pa, pb = _frames([(a, b, corr)], _SOLVE_TS, 0)["point"]
-    return float(np.linalg.norm(pa - pb, axis=-1).max()) / bounding_diagonal(a, b)
+    return float(_LinkBatch([(a, b, corr)], 1).gaps[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,13 +280,14 @@ def _second_order(f: dict, lam, kap, dual, scale):
 
 
 class _LinkBatch:
-    """First-order link solves of a batch of (a, b, corr) edges at ``SOLVE_SAMPLES``.
+    """Link solves of a batch of (a, b, corr) edges at ``SOLVE_SAMPLES``, up to ``order``.
 
     The dual basis ``dual`` of a's tangent basis, one per edge and sample,
-    serves this solve and the second-order one.
-    ``errors[e]`` is the GeometryError ``solve_edge_link`` raises for edge
-    e, or None: a G0 gap comes first, then a rank failure, then a vanishing
-    lambda.
+    serves the first-order solve and, at order 2, the second-order one,
+    whose (mu, nu, residual, end slopes) are ``g2``.  ``gaps`` holds each
+    edge's normalized G0 gap.  ``errors[e]`` is the GeometryError
+    ``solve_edge_link`` raises for edge e, or None: a G0 gap comes first,
+    then a rank failure, then a vanishing lambda.
     """
 
     def __init__(self, pairs, order: int):
@@ -304,10 +302,11 @@ class _LinkBatch:
         xy, self.oop = _solve(self.dual, b_w, scale)
         self.lam, self.kap = xy[..., 0], xy[..., 1]
         self.negative = (self.lam < 0.0).any(axis=-1)
-        gaps = np.linalg.norm(f["point"][0] - f["point"][1], axis=-1).max(axis=-1) / self.scale
+        self.g2 = _second_order(f, self.lam, self.kap, self.dual, scale) if order >= 2 else None
+        self.gaps = np.linalg.norm(f["point"][0] - f["point"][1], axis=-1).max(axis=-1) / self.scale
         vanishes = (np.abs(self.lam) < LAMBDA_MIN).any(axis=-1)
         self.errors = []
-        for (*_, c), gap, is_flat, vanish in zip(pairs, gaps.tolist(), flat.tolist(),
+        for (*_, c), gap, is_flat, vanish in zip(pairs, self.gaps.tolist(), flat.tolist(),
                                                  vanishes.tolist()):
             err = None
             if gap > G0_TOL:
@@ -332,15 +331,12 @@ class _LinkBatch:
             warnings.warn(f"orientation-reversing join ({_name(self.pairs[e][2])}): "
                           "lambda is negative", stacklevel=3)
 
-    def link(self, e: int, g2=None) -> EdgeLink:
-        """Edge e's link, with mu, nu, their residual and the end slopes from ``g2`` when given."""
-        mu, nu, g2_oop, slopes = (None,) * 4 if g2 is None else (x[e] for x in g2)
+    def link(self, e: int) -> EdgeLink:
+        """Edge e's link, with mu, nu, their residual and the end slopes at order 2."""
+        mu, nu, g2_oop, slopes = (None,) * 4 if self.g2 is None else (x[e] for x in self.g2)
         return EdgeLink(ts=_SOLVE_TS, lam_samples=self.lam[e], kap_samples=self.kap[e],
                         oop=self.oop[e], scale=float(self.scale[e]),
                         mu_samples=mu, nu_samples=nu, g2_oop=g2_oop, end_slopes=slopes)
-
-    def second_order(self):
-        return _second_order(self.f, self.lam, self.kap, self.dual, self.scale[:, None])
 
 
 def solve_edge_link(
@@ -400,15 +396,15 @@ def check_edges(edges, order: int = 1, tol: float | None = None) -> list[EdgeRep
     sin = np.linalg.norm(np.cross(n[0], n[1]), axis=-1)
     angle = np.arctan2(sin, np.abs(_dot(n[0], n[1]))).max(axis=-1)
     g1_tol = tol if order == 1 else G1_TOL
+    links = [batch.link(e) for e in range(len(pairs))]
     reports = [
         EdgeReport(order=1, link_residual=r, link_ok=r < g1_tol, oracle_residual=x,
                    oracle_ok=x < NORMAL_ANGLE_TOL, ok=r < g1_tol and x < NORMAL_ANGLE_TOL,
-                   tol=g1_tol, oracle_tol=NORMAL_ANGLE_TOL, link=batch.link(e))
-        for e, (r, x) in enumerate(zip(batch.oop.max(axis=-1).tolist(), angle.tolist()))
+                   tol=g1_tol, oracle_tol=NORMAL_ANGLE_TOL, link=link)
+        for link, r, x in zip(links, batch.oop.max(axis=-1).tolist(), angle.tolist())
     ]
     if order == 1:
         return reports
-    g2 = batch.second_order()
     # curvature oracle: both patches' normal curvatures in three pairwise
     # independent directions, with a's unit normal, in units of the net
     # diagonal so that tol is scale-free
@@ -420,8 +416,8 @@ def check_edges(edges, order: int = 1, tol: float | None = None) -> list[EdgeRep
     return [
         EdgeReport(order=2, link_residual=r, link_ok=r < tol, oracle_residual=x,
                    oracle_ok=x < tol, ok=g1.ok and r < tol and x < tol, tol=tol,
-                   oracle_tol=tol, link=batch.link(e, g2), g1=g1)
-        for e, (g1, r, x) in enumerate(zip(reports, g2[2].max(axis=-1).tolist(), gap.tolist()))
+                   oracle_tol=tol, link=g1.link, g1=g1)
+        for g1, r, x in zip(reports, batch.g2[2].max(axis=-1).tolist(), gap.tolist())
     ]
 
 
@@ -589,8 +585,7 @@ class CornerConfig:
                             for an, a_side, bn, b_side, _ in _CORNER_EDGES.values()], 2)
         for e in range(len(_CORNER_EDGES)):
             batch.admit(e)
-        g2 = batch.second_order()
-        return cls.from_links({key: (batch.link(e, g2), t_v, False)
+        return cls.from_links({key: (batch.link(e), t_v, False)
                                for e, (key, (*_, t_v)) in enumerate(_CORNER_EDGES.items())})
 
     def solve_g2(self) -> "CornerConfig":
@@ -652,14 +647,6 @@ class CompatReport:
     g2_tol: float | None = None
     g2_ok: bool | None = None
     vertex_values: dict | None = None
-
-    @property
-    def verdicts(self):
-        out = [bool(r < self.tol) for r in self.g1_residuals]
-        out.append(bool(self.lambda_product_residual < self.tol))
-        if self.g2_residuals is not None:
-            out.extend(bool(r < self.g2_tol) for r in self.g2_residuals)
-        return out
 
 
 def _vertex_scalars(config: CornerConfig):

@@ -1,9 +1,12 @@
 """Tests for the constructive algorithms: bands, fourth patch, holes, fillets."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import smoothpatch.construct as construct
 from smoothpatch.bezier import (
@@ -225,10 +228,6 @@ def test_fourth_patch_degree44_mode():
         (r4, r3, EdgeCorrespondence("u1", "u0")),
     ):
         assert check_g1_edge(a, b, corr).ok
-    # explicit betas violating the constraints are rejected
-    with pytest.raises(PreconditionError):
-        complete_fourth_patch(r1, r2, r4, degree=4, lambda23_1=lam23_1,
-                              lambda43_1=lam43_1, beta23=1.0)
 
 
 def test_fourth_patch_degree44_rejects_kappa_corner():
@@ -557,6 +556,42 @@ def test_fill_hole_affine_equivariance():
         fill_mapped.net, fill.net @ (1.7 * rot).T + shift, atol=1e-9)
 
 
+def _ring_input(rng):
+    return random_ring(rng)[0]
+
+
+def _strips_input(rng):
+    return {(label, r): p for label, strip in zip("ab", random_strips(rng, 4))
+            for r, p in enumerate(strip)}
+
+
+_TRANSLATED = {
+    "fill_hole": (_ring_input, lambda ps: [fill_hole(ring_from(ps))]),
+    "fill_hole_deg6": (_ring_input, lambda ps: [fill_hole_deg6(ring_from(ps))]),
+    "complete_fourth_patch": (lambda rng: dict(zip("124", constructive_corner(rng)[:3])),
+                              lambda ps: [complete_fourth_patch(ps["1"], ps["2"], ps["4"])]),
+    "build_fillet": (_strips_input,
+                     lambda ps: build_fillet([ps["a", r] for r in range(4)],
+                                             [ps["b", r] for r in range(4)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRANSLATED))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       offset=st.tuples(*[st.floats(-1e6, 1e6, allow_subnormal=False)] * 3))
+@example(seed=2, offset=(1e6, -1e6, 5e5))
+def test_constructions_commute_with_translation(name, seed, offset):
+    # a doubly-determined point is asserted relative to the input's size, so
+    # moving the input far from the origin must change nothing but the position
+    make_input, construct_from = _TRANSLATED[name]
+    patches = make_input(np.random.default_rng(seed))
+    moved = {k: transform_patch(p, shift=offset) for k, p in patches.items()}
+    diag = bounding_diagonal(*patches.values())
+    for got, want in zip(construct_from(moved), construct_from(patches), strict=True):
+        np.testing.assert_allclose(got.net, want.net + offset, rtol=0, atol=1e-9 * diag)
+
+
 def test_fill_hole_custom_interior_rule():
     # the interior hook may place the four free points anywhere without
     # affecting any edge condition
@@ -669,6 +704,18 @@ def test_fillet_rejects_zero_and_non_finite_bridge_lambdas(lams):
     strip_a, strip_b = random_strips(np.random.default_rng(94), 3)
     with pytest.raises(DegenerateLinkError, match=r"^bridge lambdas must be finite and non-zero$"):
         build_fillet(strip_a, strip_b, bridge_lambdas=lams)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3])
+@pytest.mark.parametrize("lam_right", [1e9, -1e9])
+def test_fillet_names_a_right_bridge_lambda_whose_reciprocal_vanishes(n_rows, lam_right):
+    # the bridges join strip b by 1/lam_right, which the hole fills read as a
+    # ring lambda; the error must name the bridge lambda, on every length
+    strip_a, strip_b = random_strips(np.random.default_rng(5), n_rows)
+    with pytest.raises(DegenerateLinkError,
+                       match="^" + re.escape(f"right bridge lambda ({lam_right:g}) is "
+                                             "degenerate: 1/lambda is below 1e-08") + "$"):
+        build_fillet(strip_a, strip_b, bridge_lambdas=(1.0, lam_right))
 
 
 def _planar_strip(n_rows, x0):

@@ -285,6 +285,18 @@ def test_links_of_a_batch_are_read_only_views_of_its_arrays(monkeypatch):
     assert link.ts[0] == 0.0
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_check_edges_builds_one_link_per_edge(monkeypatch, order):
+    built = []
+    real = continuity.EdgeLink
+    monkeypatch.setattr(continuity, "EdgeLink", lambda **kw: built.append(kw) or real(**kw))
+    reports = check_edges(_edge_cases(), order)
+    assert len(built) == len(reports)
+    # a G2 report and its G1 sub-report share the link, which carries mu and nu
+    assert all(r.g1 is None or r.g1.link is r.link for r in reports)
+    assert all((r.link.mu_samples is None) == (order == 1) for r in reports)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(1.0, 30.0), st.floats(-3.0, 3.0))
 def test_closed_form_solve_matches_lapack_and_is_read_only(seed, cond, log_size):

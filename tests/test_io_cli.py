@@ -569,6 +569,17 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, command, flags):
     assert "Traceback" not in err
 
 
+def test_cli_fillet_names_a_degenerate_right_bridge_lambda(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = ["fillet", *_construction_inputs(tmp_path, "fillet"), "-o", str(out),
+            "--lambda-right", "1e9"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("continuity failure: right bridge lambda (1e+09) is degenerate: "
+                   "1/lambda is below 1e-08\n")
+    assert not out.exists()
+
+
 def test_export_obj_golden_bytes(tmp_path):
     # captured before the OBJ records were formatted per patch in one pass
     out = tmp_path / "mixed_grid.obj"
