@@ -5,13 +5,13 @@ indexed ``net[i, j]`` with ``i`` running along the u direction and ``j``
 along v.  Every operation here is pure: inputs are never mutated, results
 are fresh arrays.  Derivatives are computed from difference nets, which is
 exact for polynomial patches; finite differences are reserved for test
-oracles.  Along one side, derivatives up to order k need only the k + 1
-control rows nearest that side; ``_edge_jets`` evaluates them from those
-rows, for many sides at once, for the continuity checks.  It sums each
-Bernstein expansion in a fixed order, so a side's values do not depend on
-the other sides it is evaluated with.  ``_eval_grids`` evaluates whole patches
-on tensor grids the same way: it sums ``(B_i(u) * net[i, j]) * B_j(v)`` from
-+0.0, i outer and j inner, the order of ``np.einsum("ai,ijc,bj->abc")``.
+oracles.  ``_edge_jets`` evaluates many sides at once, for any number of
+sample sets in one call: derivatives up to order k along a side need only
+its k + 1 nearest control rows, which it differences once and sums against
+each set's basis, term by term from +0.0, so a side's values do not depend
+on what else is evaluated with it.  ``_eval_grids`` evaluates whole patches
+on tensor grids: it sums ``(B_i(u) * net[i, j]) * B_j(v)`` from +0.0, i
+outer and j inner, the order of ``np.einsum("ai,ijc,bj->abc")``.
 """
 
 from __future__ import annotations
@@ -198,20 +198,11 @@ def _eval_grids(patches, us, vs) -> np.ndarray:
 
 def derivative_net(p: BezierPatch, du: int = 0, dv: int = 0) -> BezierPatch:
     """Difference-net (hodograph) patch whose evaluation is the partial derivative."""
-    net = p.net
-    n, m = p.degree_u, p.degree_v
+    net, n, m = p.net, p.degree_u, p.degree_v
     for _ in range(du):
-        if n == 0:
-            net = np.zeros_like(net)
-            break
-        net = n * (net[1:] - net[:-1])
-        n -= 1
+        net, n = _difference(net, n, 0)
     for _ in range(dv):
-        if m == 0:
-            net = np.zeros_like(net)
-            break
-        net = m * (net[:, 1:] - net[:, :-1])
-        m -= 1
+        net, m = _difference(net, m, 1)
     # degree-0 vector fields are stored as degree-1 patches with equal rows
     if n == 0:
         net = np.repeat(net, 2, axis=0)
@@ -247,39 +238,41 @@ def _difference(nets: np.ndarray, degree: int, axis: int):
     return degree * (nets[:, 1:] - nets[:, :-1]), degree - 1
 
 
-def _edge_jets(sides, t: np.ndarray, order: int) -> dict:
-    """Points and partial derivatives of many patches along one side each, up to ``order``.
+def _edge_jets(sides, requests) -> list:
+    """Points and partial derivatives of many patches along one side each, per sample set.
 
     ``sides`` holds ``(patch, side, reversed)`` triples; a reversed side is
-    evaluated at ``1 - t``, so ``t`` is a shared parameter.  Key ``(k, l)``
-    maps to the derivative taken k times across the side (in u on the u
-    sides, in v on the v sides) and l times along it, k + l <= order, as an
-    array of shape ``(len(sides), len(t), 3)``.  Sides are grouped by side,
-    degrees and reversal; each group stacks the ``order + 1`` control rows
-    nearest its side and differences them (in u first, as ``derivative_net``
-    does).  The derivative rows of all groups then go into one bucket per
-    Bernstein degree along the side and reversal, and each bucket is summed
-    against its basis in one pass: from +0.0, over the basis index in
-    ascending order.  That order is fixed, so a side's values are the same
-    bits whatever else is in the batch.
+    evaluated at ``1 - t``, so ``t`` is a shared parameter.  ``requests``
+    holds ``(t, order)`` pairs, and the result one dict per request: key
+    ``(k, l)`` maps to the derivative taken k times across the side (in u on
+    the u sides, in v on the v sides) and l times along it, k + l <= order,
+    as an array of shape ``(len(sides), len(t), 3)``.  Sides are grouped by
+    side, degrees and reversal; each group stacks the control rows nearest
+    its side and differences them (in u first, as ``derivative_net`` does)
+    once, to the highest order requested.  The derivative rows of all groups
+    go into one matrix per Bernstein degree along the side and reversal,
+    lowest orders first, and each request sums the leading columns of each
+    matrix against its own basis, from +0.0 and term by term in ascending
+    basis index.  That order is fixed, so a side's values are the same bits
+    whatever else is in the batch or requested with it.
     """
+    top = max(order for _, order in requests)
     groups: dict[tuple, list] = {}
     for i, (p, side, rev) in enumerate(sides):
         groups.setdefault((side, p.degree_u, p.degree_v, bool(rev)), []).append(i)
-    t = np.ascontiguousarray(t, dtype=float)
     # (degree, reversed) -> key -> (side indices, rows of shape (degree + 1, sides * 3))
     buckets: dict[tuple, dict] = {}
     for (side, degree_u, degree_v, rev), idx in groups.items():
         across_u, far = side[0] == "u", side[1] == "1"
-        keep = slice(-(order + 1), None) if far else slice(0, order + 1)
+        keep = slice(-(top + 1), None) if far else slice(0, top + 1)
         edge = -1 if far else 0
         rows = [sides[i][0].net[keep] if across_u else sides[i][0].net[:, keep] for i in idx]
         d_u, n = np.stack(rows, axis=2), degree_u  # (u, v, side, xyz)
-        for i in range(order + 1):
+        for i in range(top + 1):
             if i:
                 d_u, n = _difference(d_u, n, 0)
             d_uv, m = d_u, degree_v
-            for j in range(order + 1 - i):
+            for j in range(top + 1 - i):
                 if j:
                     d_uv, m = _difference(d_uv, m, 1)
                 if across_u:
@@ -289,25 +282,33 @@ def _edge_jets(sides, t: np.ndarray, order: int) -> dict:
                 at, key_rows = buckets.setdefault((k, rev), {}).setdefault(key, ([], []))
                 at += idx
                 key_rows.append(row.reshape(k + 1, -1))
-    jets: dict[tuple, np.ndarray] = {}
-    for (k, rev), keys in buckets.items():
-        rows = np.concatenate([row for _, key_rows in keys.values() for row in key_rows], axis=1)
-        basis = _basis_matrix(k, (1.0 - t if rev else t).tobytes())
-        # C order: after the transposed basis the products would be laid out
-        # column-major, and the sums below would stride through them
-        terms = np.multiply(basis.T[:, :, None], rows[:, None], order="C")
-        out = terms[0] + 0.0  # a sum from +0.0: -0.0 + 0.0 is +0.0
-        for term in terms[1:]:
-            out += term
-        values = out.reshape(len(t), rows.shape[1] // 3, 3).swapaxes(0, 1)
-        start = 0
-        for key, (at, _) in keys.items():
-            stop = start + len(at)
-            if key not in jets:
-                jets[key] = np.empty((len(sides), len(t), 3))
-            jets[key][at] = values[start:stop]
-            start = stop
-    return jets
+    for bucket, keys in buckets.items():  # lowest orders first: a request's columns lead
+        keys = sorted(keys.items(), key=lambda item: sum(item[0]))
+        buckets[bucket] = ([(key, at) for key, (at, _) in keys],
+                           np.concatenate([row for _, (_, rows) in keys for row in rows], axis=1))
+    results = []
+    for t, order in requests:
+        t = np.ascontiguousarray(t, dtype=float)
+        jets: dict[tuple, np.ndarray] = {}
+        for (k, rev), (keys, rows) in buckets.items():
+            keys = [(key, at) for key, at in keys if sum(key) <= order]
+            if not keys:
+                continue
+            width = 3 * sum(len(at) for _, at in keys)
+            basis = _basis_matrix(k, (1.0 - t if rev else t).tobytes())
+            out, term = np.zeros((len(t), width)), np.empty((len(t), width))
+            for b in range(k + 1):  # -0.0 + 0.0 is +0.0
+                out += np.multiply(basis[:, b, None], rows[b, :width], out=term)
+            values = out.reshape(len(t), width // 3, 3).swapaxes(0, 1)
+            start = 0
+            for key, at in keys:
+                stop = start + len(at)
+                if key not in jets:
+                    jets[key] = np.empty((len(sides), len(t), 3))
+                jets[key][at] = values[start:stop]
+                start = stop
+        results.append(jets)
+    return results
 
 
 def _product_matrix(n: int, coeffs) -> np.ndarray:

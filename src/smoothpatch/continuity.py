@@ -13,24 +13,18 @@ reparametrization); cross-boundary directions always point from patch a
 into patch b, so joins cut from one smooth surface get lambda > 0.
 
 Evaluation is batched: ``check_edges`` checks any number of edges in one
-pass, and the one-edge functions are batches of one.  The constructions
-solve the joins of each call in one batch too.  A batch evaluates both
-sides of all its edges in one call of ``bezier._edge_jets`` per sample set,
-each side once and only up to the derivative order its consumers need.  At
-``SOLVE_SAMPLES`` the frames serve the G0 test, the first-order link solve
-and, for G2, the second-order link, the derivatives of lambda and kappa at
-both ends and the curvature oracle; G1 checks stop at first order.  At
-``VERIFY_SAMPLES`` the normal oracle asks for first order only.  One dual
-basis of a's tangent basis per edge and sample serves the link solves in
-that basis: each solve is two dot products with it, and its residual a
-third with the unit normal.  The curvature oracle forms one dual basis per
-side and solves its three directions in one call.
-Edge scales come from one bounding box per patch and batch.  A side's jets
-are the same bits in any batch.  The steps after them are numpy calls over
-arrays of shape (edges, samples, ...) that treat every edge alike; their
-results agree with a batch of one within 1e-12, which is what the tests
-check.  The solve results are read-only, and each ``EdgeLink`` holds
-read-only views of them rather than copies.
+pass, the one-edge functions are batches of one, and each construction
+solves its joins in one batch.  A check makes one call of
+``bezier._edge_jets`` for both sides of all its edges and both sample sets,
+each side once per set.  At ``SOLVE_SAMPLES`` (first order for G1, second
+for G2) the frames serve the G0 test, the link solves, the end slopes and
+the curvature oracle.  At ``VERIFY_SAMPLES`` the normal oracle has
+first-order frames of its own: they share the differenced control rows
+with the solve's, never a sum.  Each link solve goes through the dual basis
+of a's tangent basis, one per edge and sample; the curvature oracle solves
+its three directions in one call.  A side's jets are the same bits in any
+batch, and the later steps agree with a batch of one within 1e-12.  Each
+``EdgeLink`` of a batch holds read-only views of its results, not copies.
 
 A ``CornerConfig`` holds the link values at a vertex V in the canonical
 arrangement, and solves nothing: each comes from one edge link's samples at
@@ -191,29 +185,32 @@ def _name(corr: EdgeCorrespondence) -> str:
     return f"{corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}"
 
 
-def _frames(pairs, t: np.ndarray, order: int) -> dict:
+def _frames(pairs, requests) -> list:
     """Derivatives along both sides of a batch of (a, b, corr) edges, in shared edge coordinates.
 
     ``w`` is the transversal coordinate (positive from patch a into patch
-    b), ``t`` the shared edge parameter; ``order`` is 1 or 2.  Maps "point",
-    "w" and "t", from order 2 also "ww", "wt" and "tt", to arrays of shape
-    (2, edges, samples, 3) whose first index picks patch a or b.  All sides
-    come from one call of the side evaluator.
+    b), ``t`` the shared edge parameter.  ``requests`` holds (t, order)
+    pairs, order 1 or 2, and the result one dict per request: it maps
+    "point", "w" and "t", from order 2 also "ww", "wt" and "tt", to arrays
+    of shape (2, edges, samples, 3) whose first index picks patch a or b.
+    All sides and requests come from one call of the side evaluator.
     """
     sides = ([(a, c.a_side, False) for a, _, c in pairs]
              + [(b, c.b_side, c.reversed) for _, b, c in pairs])
-    jet = {key: value.reshape(2, len(pairs), len(t), 3)
-           for key, value in _edge_jets(sides, t, order).items()}
     # +1 where a patch's own cross parameter grows with w, and where its
     # own edge parameter grows with t
     into = np.array([[1.0 if c.a_side in ("u1", "v1") else -1.0 for *_, c in pairs],
                      [1.0 if c.b_side in ("u0", "v0") else -1.0 for *_, c in pairs]])
     along = np.array([[1.0] * len(pairs), [-1.0 if c.reversed else 1.0 for *_, c in pairs]])
     into, along = into[..., None, None], along[..., None, None]
-    f = {"point": jet[0, 0], "w": into * jet[1, 0], "t": along * jet[0, 1]}
-    if order >= 2:
-        f.update(ww=jet[2, 0], wt=into * along * jet[1, 1], tt=jet[0, 2])
-    return f
+    frames = []
+    for jets in _edge_jets(sides, requests):
+        jet = {key: value.reshape(2, len(pairs), *value.shape[1:]) for key, value in jets.items()}
+        f = {"point": jet[0, 0], "w": into * jet[1, 0], "t": along * jet[0, 1]}
+        if (2, 0) in jet:
+            f.update(ww=jet[2, 0], wt=into * along * jet[1, 1], tt=jet[0, 2])
+        frames.append(f)
+    return frames
 
 
 def g0_gap(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> float:
@@ -282,17 +279,18 @@ def _second_order(f: dict, lam, kap, dual, scale):
 class _LinkBatch:
     """Link solves of a batch of (a, b, corr) edges at ``SOLVE_SAMPLES``, up to ``order``.
 
-    The dual basis ``dual`` of a's tangent basis, one per edge and sample,
-    serves the first-order solve and, at order 2, the second-order one,
-    whose (mu, nu, residual, end slopes) are ``g2``.  ``gaps`` holds each
-    edge's normalized G0 gap.  ``errors[e]`` is the GeometryError
-    ``solve_edge_link`` raises for edge e, or None: a G0 gap comes first,
-    then a rank failure, then a vanishing lambda.
+    ``f`` is the batch's frames there, when the caller has them from a
+    larger evaluator call.  The dual basis ``dual`` of a's tangent basis,
+    one per edge and sample, serves the first-order solve and, at order 2,
+    the second-order one, whose (mu, nu, residual, end slopes) are ``g2``.
+    ``gaps`` holds each edge's normalized G0 gap.  ``errors[e]`` is the
+    GeometryError ``solve_edge_link`` raises for edge e, or None: a G0 gap
+    comes first, then a rank failure, then a vanishing lambda.
     """
 
-    def __init__(self, pairs, order: int):
+    def __init__(self, pairs, order: int, f=None):
         self.pairs = pairs
-        self.f = f = _frames(pairs, _SOLVE_TS, order)
+        self.f = f = _frames(pairs, [(_SOLVE_TS, order)])[0] if f is None else f
         self.scale = _pair_diagonals(pairs)
         scale = self.scale[:, None]
         (a_w, b_w), a_t = f["w"], f["t"][0]
@@ -385,11 +383,12 @@ def check_edges(edges, order: int = 1, tol: float | None = None) -> list[EdgeRep
     if not pairs:
         return []
     tol = (G1_TOL if order == 1 else G2_TOL) if tol is None else tol
-    batch = _LinkBatch(pairs, order)
+    # one side-evaluator call; the normal oracle's frames share only the differenced rows
+    solve_f, f = _frames(pairs, [(_SOLVE_TS, order), (_VERIFY_TS, 1)])
+    batch = _LinkBatch(pairs, order, solve_f)
     for e in range(len(pairs)):
         batch.admit(e)
     # normal oracle: the angle between the normal *lines* of the two patches
-    f = _frames(pairs, _VERIFY_TS, 1)
     n = np.cross(f["w"], f["t"])
     n /= np.linalg.norm(n, axis=-1)[..., None]
     # atan2 keeps precision near zero
@@ -450,7 +449,7 @@ def solve_g2_link(
     out-of-plane component of R signals failure of curvature continuity; it
     is recorded, not raised.  The copy also carries the end slopes.
     """
-    f = _frames([(a, b, corr)], link.ts, 2)
+    (f,) = _frames([(a, b, corr)], [(link.ts, 2)])
     cross = np.cross(f["w"][0], f["t"][0])
     if (np.linalg.norm(cross, axis=-1) < RANK_TOL * link.scale**2).any():
         raise DegenerateParametrizationError(

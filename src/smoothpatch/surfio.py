@@ -21,6 +21,7 @@ inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -61,13 +62,15 @@ class SurfaceDocument:
 
     def __post_init__(self):
         for k, name in enumerate(self.patches):
-            _expect(isinstance(name, str) and not re.search("[\x00-\x1f\x7f-\x9f]", name),
-                    f"patches[{k}].name", f"must be a string without control characters, got {name!r}")
+            if not isinstance(name, str) or re.search("[\x00-\x1f\x7f-\x9f]", name):
+                raise SurfaceFormatError(f"patches[{k}].name: must be a string without control "
+                                         f"characters, got {name!r}")
         seen = {}
         for k, corr in enumerate(self.edges):
             for key in ("a", "b"):
                 name = getattr(corr, key)
-                _expect(name in self.patches, f"edges[{k}].{key}", f"unknown patch name {name!r}")
+                if name not in self.patches:
+                    raise SurfaceFormatError(f"edges[{k}].{key}: unknown patch name {name!r}")
             ends = frozenset({(corr.a, corr.a_side), (corr.b, corr.b_side)})
             if len(ends) == 1:
                 raise SurfaceFormatError(
@@ -94,18 +97,24 @@ def _float_array_template(shape) -> str:
 
 
 def _emit(obj, out):
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        # the whole array in one formatting pass; "%.17g" % x is format(x, ".17g")
-        out.append(_float_array_template(obj.shape) % tuple(obj.ravel().tolist()))
+    # the commonest types of a report first; bool before int, its base
+    if isinstance(obj, (float, np.floating)):
+        text = format(float(obj), ".17g")
+        # an integral value keeps a fraction, so that readers load a float
+        out.append(text + ".0" if text.lstrip("-").isdigit() else text)
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for k, key in enumerate(obj):
             if k:
                 out.append(", ")
-            _emit(str(key), out)
+            out.append(_quote(str(key)))
             out.append(": ")
             _emit(obj[key], out)
         out.append("}")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for k, item in enumerate(obj):
@@ -113,18 +122,13 @@ def _emit(obj, out):
                 out.append(", ")
             _emit(item, out)
         out.append("]")
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        text = format(float(obj), ".17g")
-        # an integral value keeps a fraction, so that readers load a float
-        out.append(text + ".0" if text.lstrip("-").isdigit() else text)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        # the whole array in one formatting pass; "%.17g" % x is format(x, ".17g")
+        out.append(_float_array_template(obj.shape) % tuple(obj.ravel().tolist()))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -159,61 +163,88 @@ def save_surface(doc: SurfaceDocument, path) -> None:
         fh.write("\n")
 
 
-def _expect(cond, where, msg):
-    if not cond:
-        raise SurfaceFormatError(f"{where}: {msg}")
+def _points(points, name=None):
+    """``(array, None)`` for [x, y, z] triples of finite numbers, else ``(None, message)``."""
+    try:  # types first: a string or boolean coordinate would convert silently; null is NaN
+        numbers = set(map(type, itertools.chain.from_iterable(points))) <= {int, float, type(None)}
+        arr = np.array(points, dtype=float) if numbers else None
+    except (TypeError, ValueError):  # a point that is no list, or ragged points
+        arr = None
+    except OverflowError:  # an integer beyond the float range
+        arr = np.full((len(points), 3), np.inf)
+    if arr is None or arr.shape != (len(points), 3):
+        return None, f"points of patch {name!r} must be [x, y, z] triples of numbers"
+    if not np.isfinite(arr).all():
+        return None, f"patch {name!r} has non-finite coordinates"
+    return arr, None
 
 
 def load_surface(path) -> SurfaceDocument:
+    """Read a surface document; a malformed one raises ``SurfaceFormatError`` naming the field.
+
+    The points of all patches are converted in one ``np.array``.  Only when
+    they fail is each patch's read again, to name the first patch at fault.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
             raise SurfaceFormatError(f"{path}: not valid JSON ({exc})") from None
-    _expect(isinstance(raw, dict), "document", "top level must be an object")
-    _expect(raw.get("version") == FORMAT_VERSION, "version",
-            f"expected {FORMAT_VERSION}, got {raw.get('version')!r}")
-    _expect(isinstance(raw.get("patches"), list), "patches", "must be a list")
-    patches: dict[str, BezierPatch] = {}
-    for k, entry in enumerate(raw["patches"]):
-        where = f"patches[{k}]"
-        _expect(isinstance(entry, dict), where, "must be an object")
-        name = entry.get("name")
-        _expect(isinstance(name, str) and name, f"{where}.name", "must be a non-empty string")
-        _expect(name not in patches, f"{where}.name", f"duplicate patch name {name!r}")
-        du, dv = entry.get("degree_u"), entry.get("degree_v")
-        for key, deg in (("degree_u", du), ("degree_v", dv)):
-            _expect(isinstance(deg, int) and not isinstance(deg, bool) and deg >= 1,
-                    f"{where}.{key}", "must be an integer >= 1")
-        net = entry.get("net")
-        _expect(isinstance(net, list), f"{where}.net", "must be a list of [x, y, z]")
-        expected = (du + 1) * (dv + 1)
-        _expect(
-            len(net) == expected, f"{where}.net",
-            f"patch {name!r} needs {expected} points for bi-degree ({du}, {dv}), got {len(net)}",
-        )
-        try:
-            arr = np.array(net, dtype=float).reshape(du + 1, dv + 1, 3)
-        except (ValueError, TypeError):
-            raise SurfaceFormatError(
-                f"{where}.net: points of patch {name!r} must be [x, y, z] triples"
-            ) from None
-        _expect(np.all(np.isfinite(arr)), f"{where}.net",
-                f"patch {name!r} has non-finite coordinates")
-        patches[name] = BezierPatch(du, dv, arr)
+    if not isinstance(raw, dict):
+        raise SurfaceFormatError("document: top level must be an object")
+    if type(raw.get("version")) is not int or raw["version"] != FORMAT_VERSION:  # true == 1 too
+        raise SurfaceFormatError(f"version: expected {FORMAT_VERSION}, got {raw.get('version')!r}")
+    if not isinstance(raw.get("patches"), list):
+        raise SurfaceFormatError("patches: must be a list")
+    heads, fault = {}, None  # name -> (index, degrees, net) of the patches before the first fault
+    try:
+        for k, entry in enumerate(raw["patches"]):
+            if not isinstance(entry, dict):
+                raise SurfaceFormatError(f"patches[{k}]: must be an object")
+            name, du, dv, net = (entry.get(key) for key in ("name", "degree_u", "degree_v", "net"))
+            if not isinstance(name, str) or not name:
+                raise SurfaceFormatError(f"patches[{k}].name: must be a non-empty string")
+            if name in heads:
+                raise SurfaceFormatError(f"patches[{k}].name: duplicate patch name {name!r}")
+            for key, deg in (("degree_u", du), ("degree_v", dv)):
+                if not isinstance(deg, int) or isinstance(deg, bool) or deg < 1:
+                    raise SurfaceFormatError(f"patches[{k}].{key}: must be an integer >= 1")
+            if not isinstance(net, list):
+                raise SurfaceFormatError(f"patches[{k}].net: must be a list of [x, y, z]")
+            if len(net) != (du + 1) * (dv + 1):
+                raise SurfaceFormatError(
+                    f"patches[{k}].net: patch {name!r} needs {(du + 1) * (dv + 1)} points for "
+                    f"bi-degree ({du}, {dv}), got {len(net)}")
+            heads[name] = (k, du, dv, net)
+    except SurfaceFormatError as exc:  # raised after the points of the patches before it
+        fault = exc
+    arr, why = _points([point for *_, net in heads.values() for point in net])
+    if why is not None:  # name the first patch at fault
+        for name, (k, *_, net) in heads.items():
+            if (why := _points(net, name)[1]) is not None:
+                raise SurfaceFormatError(f"patches[{k}].net: {why}")
+    if fault is not None:
+        raise fault
+    patches, start = {}, 0
+    for name, (_, du, dv, net) in heads.items():
+        patches[name] = BezierPatch(du, dv, arr[start:start + len(net)].reshape(du + 1, dv + 1, 3))
+        start += len(net)
+    records = raw.get("edges", [])
+    if not isinstance(records, list):
+        raise SurfaceFormatError("edges: must be a list")
     edges = []
-    _expect(isinstance(raw.get("edges", []), list), "edges", "must be a list")
-    for k, entry in enumerate(raw.get("edges", [])):
-        where = f"edges[{k}]"
-        _expect(isinstance(entry, dict), where, "must be an object")
+    for k, entry in enumerate(records):
+        if not isinstance(entry, dict):
+            raise SurfaceFormatError(f"edges[{k}]: must be an object")
         for key in ("a", "b"):  # SurfaceDocument checks that a string names a patch
-            _expect(isinstance(entry.get(key), str), f"{where}.{key}",
-                    f"unknown patch name {entry.get(key)!r}")
+            if not isinstance(entry.get(key), str):
+                raise SurfaceFormatError(f"edges[{k}].{key}: unknown patch name {entry.get(key)!r}")
         for key in ("a_side", "b_side"):
-            _expect(entry.get(key) in SIDES, f"{where}.{key}",
-                    f"must be one of {SIDES}")
+            if entry.get(key) not in SIDES:
+                raise SurfaceFormatError(f"edges[{k}].{key}: must be one of {SIDES}")
         rev = entry.get("reversed", False)
-        _expect(isinstance(rev, bool), f"{where}.reversed", "must be a boolean")
+        if not isinstance(rev, bool):
+            raise SurfaceFormatError(f"edges[{k}].reversed: must be a boolean")
         edges.append(EdgeCorrespondence(
             a_side=entry["a_side"], b_side=entry["b_side"], reversed=rev,
             a=entry["a"], b=entry["b"],

@@ -465,7 +465,7 @@ def test_normal_curvature_analytic_paraboloid():
 
     p = paraboloid_patch()
     f = {key: value[0, 0] for key, value in
-         _frames([(p, p, EdgeCorrespondence("u0", "u0"))], np.array([0.0]), 2).items()}
+         _frames([(p, p, EdgeCorrespondence("u0", "u0"))], [(np.array([0.0]), 2)])[0].items()}
     n = np.cross(f["w"], f["t"])
     n /= np.linalg.norm(n, axis=1, keepdims=True)
     for direction in (f["w"], f["t"], f["w"] + f["t"]):

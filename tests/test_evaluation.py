@@ -62,7 +62,7 @@ def test_edge_jet_matches_patch_derivative(degrees, side):
     p = BezierPatch(*degrees, rng.normal(size=(degrees[0] + 1, degrees[1] + 1, 3)))
     q = BezierPatch(2, 2, rng.normal(size=(3, 3, 3)))  # a second degree group in the batch
     s = np.linspace(0.0, 1.0, 7)
-    jets = _edge_jets([(p, side, False), (q, "u0", False), (p, side, True)], s, 2)
+    jets = _edge_jets([(p, side, False), (q, "u0", False), (p, side, True)], [(s, 2)])[0]
     assert set(jets) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
     for (k, l), values in jets.items():
         assert values.shape == (3, len(s), 3)
@@ -75,6 +75,17 @@ def test_edge_jet_matches_patch_derivative(degrees, side):
                 np.testing.assert_allclose(value, patch_derivative(p, u, v, du, dv), atol=1e-12)
 
 
+def _random_patches(rng, degrees, signed_zeros):
+    patches = []
+    for du, dv in degrees:
+        net = rng.uniform(-1.0, 1.0, size=(du + 1, dv + 1, 3))
+        if signed_zeros:  # exact zeros of both signs
+            net[rng.random(net.shape) < 0.3] = 0.0
+            net[rng.random(net.shape) < 0.3] = -0.0
+        patches.append(BezierPatch(du, dv, net))
+    return patches
+
+
 _SIDE_SPECS = st.tuples(st.integers(0, 3), st.sampled_from(["u0", "u1", "v0", "v1"]), st.booleans())
 
 
@@ -85,20 +96,14 @@ _SIDE_SPECS = st.tuples(st.integers(0, 3), st.sampled_from(["u0", "u1", "v0", "v
 def test_edge_jets_of_a_side_do_not_depend_on_its_batch(degrees, seed, specs, order, n,
                                                          signed_zeros):
     rng = np.random.default_rng(seed)
-    patches = []
-    for du, dv in degrees:
-        net = rng.uniform(-1.0, 1.0, size=(du + 1, dv + 1, 3))
-        if signed_zeros:  # exact zeros of both signs
-            net[rng.random(net.shape) < 0.3] = 0.0
-            net[rng.random(net.shape) < 0.3] = -0.0
-        patches.append(BezierPatch(du, dv, net))
+    patches = _random_patches(rng, degrees, signed_zeros)
     # the same patch may appear more than once, on any side
     sides = [(patches[i % len(patches)], side, rev) for i, side, rev in specs]
     s = rng.random(n) if n % 2 else np.linspace(0.0, 1.0, n)
-    jets = _edge_jets(sides, s, order)
+    jets = _edge_jets(sides, [(s, order)])[0]
     assert len(jets) == (order + 1) * (order + 2) // 2
     for i, (p, side, rev) in enumerate(sides):
-        alone = _edge_jets([(p, side, rev)], s, order)
+        alone = _edge_jets([(p, side, rev)], [(s, order)])[0]
         for (k, l), values in jets.items():
             # the same bits, signs of zero included
             np.testing.assert_array_equal(values[i], alone[k, l][0])
@@ -110,11 +115,39 @@ def test_edge_jets_of_a_side_do_not_depend_on_its_batch(degrees, seed, specs, or
                 np.testing.assert_allclose(value, patch_derivative(p, u, v, du, dv), atol=1e-12)
 
 
+_REQUESTS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2), st.booleans()),
+                     min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degrees=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), specs=st.lists(_SIDE_SPECS, min_size=1, max_size=10),
+       requests=_REQUESTS, signed_zeros=st.booleans())
+def test_each_request_of_an_edge_jets_call_equals_a_call_of_its_own(degrees, seed, specs,
+                                                                    requests, signed_zeros):
+    # one call differences each side's rows once, to the highest order asked
+    # for; every sample set must still get the bits a call of its own gives
+    rng = np.random.default_rng(seed)
+    patches = _random_patches(rng, degrees, signed_zeros)
+    sides = [(patches[i % len(patches)], side, rev) for i, side, rev in specs]
+    sets = [(rng.random(n) if spread else np.linspace(0.0, 1.0, n), order)
+            for n, order, spread in requests]
+    together = _edge_jets(sides, sets)
+    assert len(together) == len(sets)
+    for jets, request in zip(together, sets):
+        (alone,) = _edge_jets(sides, [request])
+        assert set(jets) == set(alone)
+        for key, values in jets.items():
+            assert values.shape == alone[key].shape
+            np.testing.assert_array_equal(values, alone[key])
+            np.testing.assert_array_equal(np.signbit(values), np.signbit(alone[key]))
+
+
 def test_edge_jet_stops_at_the_requested_order():
     p = BezierPatch(3, 3, np.random.default_rng(1).normal(size=(4, 4, 3)))
     s = np.linspace(0.0, 1.0, 5)
-    assert set(_edge_jets([(p, "v1", False)], s, 0)) == {(0, 0)}
-    assert set(_edge_jets([(p, "v1", False)], s, 1)) == {(0, 0), (1, 0), (0, 1)}
+    assert set(_edge_jets([(p, "v1", False)], [(s, 0)])[0]) == {(0, 0)}
+    assert set(_edge_jets([(p, "v1", False)], [(s, 1)])[0]) == {(0, 0), (1, 0), (0, 1)}
 
 
 def test_basis_matrix_is_cached_and_read_only():
@@ -180,18 +213,22 @@ def test_a_patch_grid_does_not_depend_on_its_batch():
 
 @pytest.fixture
 def jet_calls(monkeypatch):
-    """Record each call of the side evaluator in continuity: its sides, samples and order.
+    """Record each call of the side evaluator in continuity: per request, sides, samples, order.
 
-    A side is recorded as (patch id, side, bytes of the samples it is read
-    at), so a reversed side counts at ``1 - t``.
+    A call is recorded as a list with one (sides, samples, order) entry per
+    sample set.  A side is recorded as (patch id, side, bytes of the samples
+    it is read at), so a reversed side counts at ``1 - t``.
     """
     calls = []
 
-    def counting(sides, t, order):
-        t = np.asarray(t, dtype=float)
-        calls.append(([(id(p), side, (1.0 - t if rev else t).tobytes()) for p, side, rev in sides],
-                      len(t), order))
-        return _edge_jets(sides, t, order)
+    def counting(sides, requests):
+        record = []
+        for t, order in requests:
+            t = np.asarray(t, dtype=float)
+            record.append(([(id(p), side, (1.0 - t if rev else t).tobytes())
+                            for p, side, rev in sides], len(t), order))
+        calls.append(record)
+        return _edge_jets(sides, requests)
 
     monkeypatch.setattr(continuity, "_edge_jets", counting)
     return calls
@@ -203,12 +240,17 @@ def _edge_cases():
 
 
 def _once_per_side_and_sample_set(calls):
-    per_key = Counter(side for sides, *_ in calls for side in sides)
+    per_key = Counter(side for call in calls for sides, *_ in call for side in sides)
     return all(n == 1 for n in per_key.values())
 
 
 def _sides(calls):
-    return sum(len(sides) for sides, *_ in calls)
+    return sum(len(sides) for call in calls for sides, *_ in call)
+
+
+def _sample_sets(calls):
+    """Per call, the (samples, order) of each of its requests, in order."""
+    return [[(n, order) for _, n, order in call] for call in calls]
 
 
 def test_check_g2_edge_evaluates_each_side_once_per_sample_set(jet_calls):
@@ -216,13 +258,14 @@ def test_check_g2_edge_evaluates_each_side_once_per_sample_set(jet_calls):
         jet_calls.clear()
         check_g2_edge(a, b, corr)
         assert _once_per_side_and_sample_set(jet_calls)
-        orders = {(n, order) for _, n, order in jet_calls}
-        assert orders == {(SOLVE_SAMPLES, 2), (VERIFY_SAMPLES, 1)}
-        assert len(jet_calls) == 2 and _sides(jet_calls) == 4
+        # one call, whose two sample sets each read both sides
+        assert _sample_sets(jet_calls) == [[(SOLVE_SAMPLES, 2), (VERIFY_SAMPLES, 1)]]
+        assert [len(sides) for sides, *_ in jet_calls[0]] == [2, 2]
     jet_calls.clear()
-    check_edges(_edge_cases(), 2)  # the batch: one call per sample set
+    check_edges(_edge_cases(), 2)  # the batch: one call for both sample sets
     assert _once_per_side_and_sample_set(jet_calls)
-    assert len(jet_calls) == 2 and _sides(jet_calls) == 4 * len(_edge_cases())
+    assert _sample_sets(jet_calls) == [[(SOLVE_SAMPLES, 2), (VERIFY_SAMPLES, 1)]]
+    assert [len(sides) for sides, *_ in jet_calls[0]] == [2 * len(_edge_cases())] * 2
 
 
 def test_check_g1_edge_never_asks_for_second_order(jet_calls):
@@ -230,13 +273,13 @@ def test_check_g1_edge_never_asks_for_second_order(jet_calls):
         jet_calls.clear()
         check_g1_edge(a, b, corr)
         assert _once_per_side_and_sample_set(jet_calls)
-        assert {order for *_, order in jet_calls} == {1}
-        assert len(jet_calls) == 2 and _sides(jet_calls) == 4
+        assert _sample_sets(jet_calls) == [[(SOLVE_SAMPLES, 1), (VERIFY_SAMPLES, 1)]]
+        assert [len(sides) for sides, *_ in jet_calls[0]] == [2, 2]
     jet_calls.clear()
     check_edges(_edge_cases(), 1)
     assert _once_per_side_and_sample_set(jet_calls)
-    assert {order for *_, order in jet_calls} == {1}
-    assert len(jet_calls) == 2 and _sides(jet_calls) == 4 * len(_edge_cases())
+    assert _sample_sets(jet_calls) == [[(SOLVE_SAMPLES, 1), (VERIFY_SAMPLES, 1)]]
+    assert [len(sides) for sides, *_ in jet_calls[0]] == [2 * len(_edge_cases())] * 2
 
 
 def test_corner_config_from_patches_evaluates_each_side_once(jet_calls):
@@ -246,7 +289,7 @@ def test_corner_config_from_patches_evaluates_each_side_once(jet_calls):
         config = CornerConfig.from_patches(p1, p2, p3, p4)
         assert len(jet_calls) == 1 and _sides(jet_calls) == 8
         assert _once_per_side_and_sample_set(jet_calls)
-        assert {(n, order) for _, n, order in jet_calls} == {(SOLVE_SAMPLES, 2)}
+        assert _sample_sets(jet_calls) == [[(SOLVE_SAMPLES, 2)]]
         jet_calls.clear()
         assert config.solve_g2() is config and jet_calls == []
 
@@ -324,7 +367,7 @@ def test_stacked_normal_curvature_equals_one_direction_at_a_time():
     rng = np.random.default_rng(81)
     pairs = [(smooth_patch(rng), smooth_patch(rng), continuity.EdgeCorrespondence(a, b))
              for a, b in (("u1", "u0"), ("v0", "v1"), ("u0", "v1"))]
-    f = continuity._frames(pairs, np.linspace(0.0, 1.0, 7), 2)
+    (f,) = continuity._frames(pairs, [(np.linspace(0.0, 1.0, 7), 2)])
     n = np.cross(f["w"][0], f["t"][0])
     n /= np.linalg.norm(n, axis=-1)[..., None]
     frame = (f["w"], f["t"], f["ww"], f["wt"], f["tt"])
@@ -366,26 +409,27 @@ def test_evaluator_calls_per_check_do_not_grow_with_the_edge_count(jet_calls, tm
         counts.append((len(jet_calls), _sides(jet_calls)))
     capsys.readouterr()
     (calls_one, sides_one), (calls_two, sides_two) = counts
-    # the solve and the verify sample sets, each side of each record once:
-    # the vertices solve nothing
-    assert calls_one == calls_two == 2
+    # one call for the solve and the verify sample sets, each side of each
+    # record once per set: the vertices solve nothing
+    assert calls_one == calls_two == 1
     assert sides_one == 4 * len(load_surface(GOLDEN_DOC).edges) and sides_two == 2 * sides_one
 
 
 def test_constructions_read_their_joins_in_one_evaluator_call(jet_calls):
     rng = np.random.default_rng(41)
     complete_fourth_patch(*constructive_corner(rng)[:3])
-    assert [len(sides) for sides, *_ in jet_calls] == [4]  # its 2 corner joins
+    assert _sides(jet_calls) == 4 and len(jet_calls) == 1  # its 2 corner joins
+    assert _sample_sets(jet_calls) == [[(SOLVE_SAMPLES, 1)]]
     jet_calls.clear()
     NinePatchRing.from_patches(random_ring(rng)[0])
-    assert [len(sides) for sides, *_ in jet_calls] == [16]  # the 8 ring joins
+    assert _sides(jet_calls) == 16 and len(jet_calls) == 1  # the 8 ring joins
+    assert _sample_sets(jet_calls) == [[(SOLVE_SAMPLES, 1)]]
     jet_calls.clear()
     build_fillet(*random_strips(rng, 4))
     # both strips' 3 + 3 internal joins, read once: the rings of rows 1 and 3 solve none
-    assert [len(sides) for sides, *_ in jet_calls] == [12]
-    for call in jet_calls:
-        assert _once_per_side_and_sample_set([call])
-    assert {(n, order) for _, n, order in jet_calls} == {(SOLVE_SAMPLES, 1)}
+    assert _sides(jet_calls) == 12 and len(jet_calls) == 1
+    assert _once_per_side_and_sample_set(jet_calls)
+    assert _sample_sets(jet_calls) == [[(SOLVE_SAMPLES, 1)]]
 
 
 def test_export_evaluates_the_whole_document_in_one_call(monkeypatch, tmp_path, capsys):

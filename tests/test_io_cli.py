@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 from smoothpatch.bezier import BezierPatch, _edge_jets, eval_grid, split_grid, split_patch
 from smoothpatch.cli import find_corner_configs, main
-from smoothpatch.continuity import CornerConfig, EdgeCorrespondence, check_edges
+from smoothpatch.continuity import (
+    SOLVE_SAMPLES,
+    VERIFY_SAMPLES,
+    CornerConfig,
+    EdgeCorrespondence,
+    check_edges,
+)
 from smoothpatch.construct import NinePatchRing
 from smoothpatch.surfio import (
     SurfaceDocument,
@@ -220,6 +226,76 @@ def test_loader_rejects_boolean_degree(tmp_path):
     path = tmp_path / "bool_degree.json"
     _write_two_patch_doc(path, [], degree_u="true")
     with pytest.raises(SurfaceFormatError, match=r"patches\[0\]\.degree_u"):
+        load_surface(path)
+
+
+@pytest.mark.parametrize("coordinate", ['"0"', "true", "false"])
+def test_loader_rejects_a_coordinate_that_is_no_number(tmp_path, capsys, coordinate):
+    # a string or a boolean would convert to a float silently; the second
+    # patch carries it, so the error must name that patch
+    path = tmp_path / "coordinate.json"
+    _write_two_patch_doc(path, [])
+    text = path.read_text()
+    at = text.rindex("[1,1,0]")
+    path.write_text(text[:at] + f"[1,1,{coordinate}]" + text[at + len("[1,1,0]"):])
+    message = r"^patches\[1\]\.net: points of patch 'q' must be \[x, y, z\] triples of numbers$"
+    with pytest.raises(SurfaceFormatError, match=message):
+        load_surface(path)
+    assert main(["check-g1", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: patches[1].net: points of patch 'q'") and "Traceback" not in err
+
+
+_TRIPLES = "points of patch 'q' must be [x, y, z] triples of numbers"
+_NON_FINITE = "patch 'q' has non-finite coordinates"
+
+
+@pytest.mark.parametrize("point, why", [("[1,1]", _TRIPLES), ("[1,1,0,0]", _TRIPLES),
+                                        ("[[1],1,0]", _TRIPLES), ("1", _TRIPLES),
+                                        ("[1,1,null]", _NON_FINITE), ("[1,1,1e999]", _NON_FINITE),
+                                        ("[1,1,1" + "0" * 400 + "]", _NON_FINITE)],
+                         ids=["short", "long", "nested", "number", "null", "inf", "huge-int"])
+def test_loader_names_the_patch_whose_points_are_malformed(tmp_path, point, why):
+    # the first patch is well formed, so the one-pass conversion of all
+    # points must fall back to naming the second
+    path = tmp_path / "points.json"
+    _write_two_patch_doc(path, [])
+    text = path.read_text()
+    at = text.rindex("[1,1,0]")
+    path.write_text(text[:at] + point + text[at + len("[1,1,0]"):])
+    with pytest.raises(SurfaceFormatError) as info:
+        load_surface(path)
+    assert str(info.value) == f"patches[1].net: {why}"
+
+
+@pytest.mark.parametrize("version, number", [("true", "0"), ("1.0", "0"), ("1", "1" * 5000)],
+                         ids=["boolean-version", "float-version", "too-many-digits"])
+def test_loader_rejects_a_version_or_number_json_reads_loosely(tmp_path, capsys, version, number):
+    # true == 1 and 1.0 == 1 in Python; a 5000-digit integer makes the JSON
+    # reader raise ValueError rather than JSONDecodeError (on Pythons that
+    # limit integer digits; elsewhere it loads, and overflows a float)
+    path = tmp_path / "loose.json"
+    path.write_text(f'{{"version": {version}, "patches": [{{"name": "p", "degree_u": 1, '
+                    f'"degree_v": 1, "net": [[0,0,{number}],[0,1,0],[1,0,0],[1,1,0]]}}]}}')
+    why = "version" if number == "0" else "not valid JSON|non-finite"
+    with pytest.raises(SurfaceFormatError, match=why):
+        load_surface(path)
+    assert main(["check-g1", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_loader_names_a_points_fault_before_a_later_field_fault(tmp_path):
+    # patches are checked in order: patch 0's points fail before patch 1's degree
+    path = tmp_path / "order.json"
+    _write_two_patch_doc(path, [])
+    raw = json.loads(path.read_text())
+    raw["patches"][1]["degree_u"] = 0
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SurfaceFormatError, match=r"^patches\[1\]\.degree_u: must be an integer"):
+        load_surface(path)
+    raw["patches"][0]["net"][0][2] = "0"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SurfaceFormatError, match=r"^patches\[0\]\.net: points of patch 'p'"):
         load_surface(path)
 
 
@@ -844,13 +920,13 @@ def test_check_commands_evaluate_sides_only_in_check_edges(monkeypatch, capsys, 
     inside, sides = [], []
     builder = check_edges.__code__
 
-    def counting(batch, t, order):
+    def counting(batch, requests):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code is not builder:
             frame = frame.f_back
         inside.append(frame is not None)
-        sides.extend(batch)
-        return _edge_jets(batch, t, order)
+        sides.append([(len(batch), len(t), order) for t, order in requests])
+        return _edge_jets(batch, requests)
 
     modules = [m for name, m in sys.modules.items()
                if name.startswith("smoothpatch") and hasattr(m, "_edge_jets")]
@@ -860,8 +936,10 @@ def test_check_commands_evaluate_sides_only_in_check_edges(monkeypatch, capsys, 
     path = DATA / "mixed_grid.json"
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().out.count("vertex (") == 4
-    # the solve and the verify sample sets, each side of each record once
-    assert inside == [True, True] and len(sides) == 4 * len(load_surface(path).edges)
+    # one call: the solve and the verify sample sets, each side of each record once per set
+    n_sides, order = 2 * len(load_surface(path).edges), 1 if command == "check-g1" else 2
+    assert inside == [True]
+    assert sides == [[(n_sides, SOLVE_SAMPLES, order), (n_sides, VERIFY_SAMPLES, 1)]]
 
 
 def test_cli_complete_4patch_rebuilds_its_own_output(tmp_path):
