@@ -5,8 +5,9 @@ indexed ``net[i, j]`` with ``i`` running along the u direction and ``j``
 along v.  Every operation here is pure: inputs are never mutated, results
 are fresh arrays.  Derivatives are computed from difference nets, which is
 exact for polynomial patches; finite differences are reserved for test
-oracles.  ``_edge_jets`` evaluates many sides at once, for any number of
-sample sets in one call: derivatives up to order k along a side need only
+oracles.  Every reader of the control rows along a side goes through
+``_side_view``.  ``_edge_jets`` evaluates many sides at once, for any number
+of sample sets in one call: derivatives up to order k along a side need only
 its k + 1 nearest control rows, which it differences once and sums against
 each set's basis, term by term from +0.0, so a side's values do not depend
 on what else is evaluated with it.  ``_eval_grids`` evaluates whole patches
@@ -238,66 +239,71 @@ def _difference(nets: np.ndarray, degree: int, axis: int):
     return degree * (nets[:, 1:] - nets[:, :-1]), degree - 1
 
 
+def _side_view(net: np.ndarray, side: str, reversed_: bool = False) -> np.ndarray:
+    """A view of ``net`` whose ``[k, t]`` is the point k rows in from ``side``, t along it.
+
+    t runs against the patch's own edge parameter when ``reversed_``.
+    """
+    view = net if side[0] == "u" else net.swapaxes(0, 1)
+    if side[1] == "1":
+        view = view[::-1]
+    return view[:, ::-1] if reversed_ else view
+
+
 def _edge_jets(sides, requests) -> list:
     """Points and partial derivatives of many patches along one side each, per sample set.
 
-    ``sides`` holds ``(patch, side, reversed)`` triples; a reversed side is
-    evaluated at ``1 - t``, so ``t`` is a shared parameter.  ``requests``
-    holds ``(t, order)`` pairs, and the result one dict per request: key
-    ``(k, l)`` maps to the derivative taken k times across the side (in u on
-    the u sides, in v on the v sides) and l times along it, k + l <= order,
-    as an array of shape ``(len(sides), len(t), 3)``.  Sides are grouped by
-    side, degrees and reversal; each group stacks the control rows nearest
-    its side and differences them (in u first, as ``derivative_net`` does)
-    once, to the highest order requested.  The derivative rows of all groups
-    go into one matrix per Bernstein degree along the side and reversal,
-    lowest orders first, and each request sums the leading columns of each
-    matrix against its own basis, from +0.0 and term by term in ascending
-    basis index.  That order is fixed, so a side's values are the same bits
-    whatever else is in the batch or requested with it.
+    ``sides`` holds ``(patch, side, reversed)`` triples, each read through
+    ``_side_view``, so ``t`` is a shared parameter that runs backwards along
+    a reversed side.  ``requests`` holds ``(t, order)`` pairs, and the
+    result one dict per request: key ``(k, l)`` maps to the derivative taken
+    k times into the patch, across the side, and l times along the shared
+    t, k + l <= order, as an array of shape ``(len(sides), len(t), 3)``.
+    Sides are grouped by the shape of their view; each group stacks the
+    control rows nearest its side and differences them (across first) once,
+    to the highest order requested.  The derivative rows of all groups go
+    into one matrix per Bernstein degree along the side, lowest orders
+    first, and each request sums the leading columns of each matrix against
+    its own basis at t, from +0.0 and term by term in ascending basis index.
+    That order is fixed, so a side's values are the same bits whatever else
+    is in the batch or requested with it.
     """
     top = max(order for _, order in requests)
     groups: dict[tuple, list] = {}
     for i, (p, side, rev) in enumerate(sides):
-        groups.setdefault((side, p.degree_u, p.degree_v, bool(rev)), []).append(i)
-    # (degree, reversed) -> key -> (side indices, rows of shape (degree + 1, sides * 3))
-    buckets: dict[tuple, dict] = {}
-    for (side, degree_u, degree_v, rev), idx in groups.items():
-        across_u, far = side[0] == "u", side[1] == "1"
-        keep = slice(-(top + 1), None) if far else slice(0, top + 1)
-        edge = -1 if far else 0
-        rows = [sides[i][0].net[keep] if across_u else sides[i][0].net[:, keep] for i in idx]
-        d_u, n = np.stack(rows, axis=2), degree_u  # (u, v, side, xyz)
-        for i in range(top + 1):
-            if i:
-                d_u, n = _difference(d_u, n, 0)
-            d_uv, m = d_u, degree_v
-            for j in range(top + 1 - i):
-                if j:
-                    d_uv, m = _difference(d_uv, m, 1)
-                if across_u:
-                    key, row, k = (i, j), d_uv[edge], m
-                else:
-                    key, row, k = (j, i), d_uv[:, edge], n
-                at, key_rows = buckets.setdefault((k, rev), {}).setdefault(key, ([], []))
+        view = _side_view(p.net, side, rev)
+        groups.setdefault(view.shape[:2], []).append((i, view[:top + 1]))
+    # degree along the side -> key -> (side indices, rows of shape (degree + 1, sides * 3))
+    buckets: dict[int, dict] = {}
+    for shape, members in groups.items():
+        idx = [i for i, _ in members]
+        d_w, n = np.stack([view for _, view in members], axis=2), shape[0] - 1  # (k, t, side, xyz)
+        for k in range(top + 1):
+            if k:
+                d_w, n = _difference(d_w, n, 0)
+            d_wt, degree = d_w, shape[1] - 1
+            for l in range(top + 1 - k):
+                if l:
+                    d_wt, degree = _difference(d_wt, degree, 1)
+                at, key_rows = buckets.setdefault(degree, {}).setdefault((k, l), ([], []))
                 at += idx
-                key_rows.append(row.reshape(k + 1, -1))
-    for bucket, keys in buckets.items():  # lowest orders first: a request's columns lead
+                key_rows.append(d_wt[0].reshape(degree + 1, -1))
+    for degree, keys in buckets.items():  # lowest orders first: a request's columns lead
         keys = sorted(keys.items(), key=lambda item: sum(item[0]))
-        buckets[bucket] = ([(key, at) for key, (at, _) in keys],
+        buckets[degree] = ([(key, at) for key, (at, _) in keys],
                            np.concatenate([row for _, (_, rows) in keys for row in rows], axis=1))
     results = []
     for t, order in requests:
         t = np.ascontiguousarray(t, dtype=float)
         jets: dict[tuple, np.ndarray] = {}
-        for (k, rev), (keys, rows) in buckets.items():
+        for degree, (keys, rows) in buckets.items():
             keys = [(key, at) for key, at in keys if sum(key) <= order]
             if not keys:
                 continue
             width = 3 * sum(len(at) for _, at in keys)
-            basis = _basis_matrix(k, (1.0 - t if rev else t).tobytes())
+            basis = _basis_matrix(degree, t.tobytes())
             out, term = np.zeros((len(t), width)), np.empty((len(t), width))
-            for b in range(k + 1):  # -0.0 + 0.0 is +0.0
+            for b in range(degree + 1):  # -0.0 + 0.0 is +0.0
                 out += np.multiply(basis[:, b, None], rows[b, :width], out=term)
             values = out.reshape(len(t), width // 3, 3).swapaxes(0, 1)
             start = 0
@@ -359,15 +365,10 @@ def boundary_row(p: BezierPatch, side: str, offset: int = 0) -> np.ndarray:
     """
     if side not in SIDES:
         raise ValueError(f"unknown side {side!r}, expected one of {SIDES}")
-    if side[0] == "u":
-        if not 0 <= offset <= p.degree_u:
-            raise ValueError(f"offset {offset} out of range for degree {p.degree_u}")
-        idx = offset if side == "u0" else p.degree_u - offset
-        return p.net[idx].copy()
-    if not 0 <= offset <= p.degree_v:
-        raise ValueError(f"offset {offset} out of range for degree {p.degree_v}")
-    idx = offset if side == "v0" else p.degree_v - offset
-    return p.net[:, idx].copy()
+    view = _side_view(p.net, side)
+    if not 0 <= offset < len(view):
+        raise ValueError(f"offset {offset} out of range for degree {len(view) - 1}")
+    return view[offset].copy()
 
 
 def _split_axis0(net: np.ndarray, t: float):

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .bezier import BezierPatch, _product_matrix, boundary_row, bounding_diagonal, elevate_row
+from .bezier import BezierPatch, _product_matrix, _side_view, bounding_diagonal, elevate_row
 from .continuity import (
     G1_TOL,
     LAMBDA_MIN,
@@ -71,6 +71,7 @@ __all__ = [
 # sample-based shape tolerances for validating neighbour joins
 _CONST_TOL = 1e-7
 _ASSERT_TOL = 1e-9
+_NET_INDICES = np.stack(np.indices((17, 17)), -1)  # (i, j) of each point of a net up to (16, 16)
 
 
 @dataclass(frozen=True)
@@ -197,15 +198,14 @@ class _Side(NamedTuple):
 
     def rows(self, m: int):
         """The new patch's boundary row and band row (the next one in) at degree m."""
-        bnd = boundary_row(self.patch, self.side, 0)
-        row0 = elevate_row(bnd, m)
-        inr = boundary_row(self.patch, self.side, 1)
-        return row0, row0 + g1_band_offsets(bnd, inr, self.lam, self.kap) / m
+        view = _side_view(self.patch.net, self.side)
+        row0 = elevate_row(view[0], m)
+        return row0, row0 + g1_band_offsets(view[0], view[1], self.lam, self.kap) / m
 
     def points(self, m: int, offset: int):
         """Net indices (i, j) of the new patch's row ``offset`` rows in from the join."""
-        k = offset if self.side[1] == "1" else m - offset
-        return [(k, t) if self.side[0] == "u" else (t, k) for t in range(m + 1)]
+        indices = _NET_INDICES[:m + 1, :m + 1]  # the join is m rows in from self.side
+        return [tuple(ij) for ij in _side_view(indices, self.side)[m - offset].tolist()]
 
 
 def _assemble(m: int, scale: float, sides) -> np.ndarray:

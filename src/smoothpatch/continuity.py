@@ -16,15 +16,17 @@ Evaluation is batched: ``check_edges`` checks any number of edges in one
 pass, the one-edge functions are batches of one, and each construction
 solves its joins in one batch.  A check makes one call of
 ``bezier._edge_jets`` for both sides of all its edges and both sample sets,
-each side once per set.  At ``SOLVE_SAMPLES`` (first order for G1, second
-for G2) the frames serve the G0 test, the link solves, the end slopes and
-the curvature oracle.  At ``VERIFY_SAMPLES`` the normal oracle has
-first-order frames of its own: they share the differenced control rows
-with the solve's, never a sum.  Each link solve goes through the dual basis
-of a's tangent basis, one per edge and sample; the curvature oracle solves
-its three directions in one call.  A side's jets are the same bits in any
-batch, and the later steps agree with a batch of one within 1e-12.  Each
-``EdgeLink`` of a batch holds read-only views of its results, not copies.
+each side once per set, read into its patch and along the shared edge
+parameter, so only a's derivatives across the edge change sign.  At
+``SOLVE_SAMPLES`` (first order for G1, second for G2) the frames serve the
+G0 test, the link solves, the end slopes and the curvature oracle.  At
+``VERIFY_SAMPLES`` the normal oracle has first-order frames of its own:
+they share the differenced control rows with the solve's, never a sum.
+Each link solve goes through the dual basis of a's tangent basis, one per
+edge and sample; the curvature oracle solves its three directions in one
+call.  A side's jets are the same bits in any batch, and the later steps
+agree with a batch of one within 1e-12.  Each ``EdgeLink`` of a batch
+holds read-only views of its results, not copies.
 
 A ``CornerConfig`` holds the link values at a vertex V in the canonical
 arrangement, and solves nothing: each comes from one edge link's samples at
@@ -197,18 +199,14 @@ def _frames(pairs, requests) -> list:
     """
     sides = ([(a, c.a_side, False) for a, _, c in pairs]
              + [(b, c.b_side, c.reversed) for _, b, c in pairs])
-    # +1 where a patch's own cross parameter grows with w, and where its
-    # own edge parameter grows with t
-    into = np.array([[1.0 if c.a_side in ("u1", "v1") else -1.0 for *_, c in pairs],
-                     [1.0 if c.b_side in ("u0", "v0") else -1.0 for *_, c in pairs]])
-    along = np.array([[1.0] * len(pairs), [-1.0 if c.reversed else 1.0 for *_, c in pairs]])
-    into, along = into[..., None, None], along[..., None, None]
+    # a's rows run away from b, so its odd derivatives across the edge change sign
+    into = np.array([-1.0, 1.0])[:, None, None, None]
     frames = []
     for jets in _edge_jets(sides, requests):
         jet = {key: value.reshape(2, len(pairs), *value.shape[1:]) for key, value in jets.items()}
-        f = {"point": jet[0, 0], "w": into * jet[1, 0], "t": along * jet[0, 1]}
+        f = {"point": jet[0, 0], "w": into * jet[1, 0], "t": jet[0, 1]}
         if (2, 0) in jet:
-            f.update(ww=jet[2, 0], wt=into * along * jet[1, 1], tt=jet[0, 2])
+            f.update(ww=jet[2, 0], wt=into * jet[1, 1], tt=jet[0, 2])
         frames.append(f)
     return frames
 
@@ -447,18 +445,16 @@ def solve_g2_link(
     Forms R = b_ww - lambda^2 a_ww - 2 lambda kappa a_wt - kappa^2 a_tt per
     sample and resolves R = mu a_w + nu a_t in least squares.  A large
     out-of-plane component of R signals failure of curvature continuity; it
-    is recorded, not raised.  The copy also carries the end slopes.
+    is recorded, not raised.  The copy also carries the end slopes.  The
+    edge is solved as a batch of one at ``SOLVE_SAMPLES``, as ``link`` is.
     """
-    (f,) = _frames([(a, b, corr)], [(link.ts, 2)])
-    cross = np.cross(f["w"][0], f["t"][0])
-    if (np.linalg.norm(cross, axis=-1) < RANK_TOL * link.scale**2).any():
-        raise DegenerateParametrizationError(
-            f"tangent vectors linearly dependent while solving second-order link {_name(corr)}"
-        )
-    mu, nu, g2_oop, slopes = _second_order(f, link.lam_samples[None], link.kap_samples[None],
-                                           _dual(f["w"][0], f["t"][0], cross), link.scale)
-    return replace(link, mu_samples=mu[0], nu_samples=nu[0], g2_oop=g2_oop[0],
-                   end_slopes=slopes[0])
+    if not np.array_equal(link.ts, _SOLVE_TS):
+        raise ValueError(f"link of {_name(corr)} is not sampled at SOLVE_SAMPLES")
+    batch = _LinkBatch([(a, b, corr)], 2)
+    if batch.errors[0] is not None:
+        raise batch.errors[0]
+    mu, nu, g2_oop, slopes = (x[0] for x in batch.g2)
+    return replace(link, mu_samples=mu, nu_samples=nu, g2_oop=g2_oop, end_slopes=slopes)
 
 
 def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarray:

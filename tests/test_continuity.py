@@ -222,6 +222,28 @@ def test_degenerate_parametrization_error():
         solve_edge_link(degenerate, good, EdgeCorrespondence("u1", "u0"))
 
 
+def test_solve_g2_link_is_a_batch_of_one():
+    # the second-order values are the batch's, bit for bit
+    rng = np.random.default_rng(32)
+    left, right = split_patch(smooth_patch(rng, 5, 5), u=0.4)
+    g2 = solve_g2_link(left, right, U1_U0, solve_edge_link(left, right, U1_U0))
+    want = check_edges([(left, right, U1_U0)], 2)[0].link
+    for name in ("mu_samples", "nu_samples", "g2_oop", "end_slopes"):
+        np.testing.assert_array_equal(getattr(g2, name), getattr(want, name))
+    # a rank failure is the batch's error for the edge
+    net = np.zeros((2, 2, 3))
+    net[:, 1, 1] = 1.0
+    link = solve_edge_link(FLAT_A, FLAT_B, U1_U0)
+    with pytest.raises(DegenerateParametrizationError, match="linearly dependent"):
+        solve_g2_link(BezierPatch.from_net(net), FLAT_A, U1_U0, link)
+    # a link sampled elsewhere is refused, never mixed with the solve samples
+    ts = np.linspace(0.0, 1.0, 5)
+    other = EdgeLink(ts=ts, lam_samples=np.full(5, 2.0), kap_samples=np.ones(5),
+                     oop=np.zeros(5), scale=link.scale)
+    with pytest.raises(ValueError, match="not sampled at SOLVE_SAMPLES"):
+        solve_g2_link(FLAT_A, FLAT_B, U1_U0, other)
+
+
 def _skewed_pair(theta):
     """Two planar bi-cubics with an exact C1 join whose u and v tangents meet at ``theta``."""
     g = np.arange(4) / 3.0
@@ -348,6 +370,47 @@ def test_twist_at_v_moves_the_edges_not_the_vertex_residuals():
         assert rep.ok
         assert max(rep.g1_residuals.max(), rep.lambda_product_residual) < 1e-12
         assert rep.g2_residuals.max() < 1e-12
+
+
+def _vertex_residuals(config):
+    """Theorem 1 and Theorem 2 residuals at V, and the largest link value there (at least 1)."""
+    vals = config.values
+    order = ("12", "14", "23", "43")
+    t1, product = theorem1_residuals(*[vals[key][x] for key in order for x in ("lam", "kap")])
+    t2 = theorem2_residuals(*[vals[key][x] for key in order
+                              for x in ("lam", "kap", "dlam", "dkap", "mu", "nu")])
+    size = max(1.0, *(abs(x) for entry in vals.values() for x in entry.values()))
+    return max(t1.max(), product), t2.max(), size
+
+
+@pytest.mark.filterwarnings("ignore:orientation-reversing join")
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), noise=st.floats(1e-3, 0.1))
+def test_theorems_hold_wherever_the_boundary_curves_are_shared(seed, noise):
+    # the paper's conditions are necessary: four patches that share only
+    # their boundary curves at V, and so the tangent plane there, satisfy
+    # Theorems 1 and 2 within rounding, whatever their other control points
+    # (the noise may turn lambda negative away from V; the links still solve)
+    rng = np.random.default_rng(seed)
+    _, *quad = quad_split_config(rng)
+    patches = []
+    for p, (i, j) in zip(quad, ((-1, -1), (0, -1), (0, 0), (-1, 0))):  # V at net[i, j]
+        net = p.net.copy()
+        free = np.ones(net.shape[:2], dtype=bool)
+        free[i, :] = free[:, j] = False  # the rows through V lie on the shared curves
+        net[free] += rng.normal(scale=noise, size=(free.sum(), 3))
+        patches.append(BezierPatch.from_net(net))
+    t1, t2, size = _vertex_residuals(CornerConfig.from_patches(*patches))
+    bound1, bound2 = 1e-12 * size**2, 1e-12 * size**3  # the degrees of the two sets of terms
+    assert t1 < bound1 and t2 < bound2
+    # tilting the tangent plane at V (the point next to V on the 1-2 curve,
+    # in both patches) breaks both theorems
+    p1, p2, p3, p4 = (p.net.copy() for p in patches)
+    p1[-1, -2, 2] += 1e-2
+    p2[0, -2, 2] += 1e-2
+    tilted = CornerConfig.from_patches(*(BezierPatch.from_net(net) for net in (p1, p2, p3, p4)))
+    t1, t2, size = _vertex_residuals(tilted)
+    assert t1 > 1e-12 * size**2 and t2 > 1e-12 * size**3
 
 
 def test_vertex_g1_requires_common_vertex():

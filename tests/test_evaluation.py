@@ -17,13 +17,14 @@ from smoothpatch.bezier import (
     _basis_matrix,
     _edge_jets,
     _eval_grids,
+    _side_view,
     bernstein_basis,
     bounding_diagonal,
     patch_derivative,
     split_patch,
 )
 from smoothpatch.cli import find_corner_configs, main
-from smoothpatch.construct import NinePatchRing, build_fillet, complete_fourth_patch
+from smoothpatch.construct import NinePatchRing, _Side, build_fillet, complete_fourth_patch
 from smoothpatch.continuity import (
     SOLVE_SAMPLES,
     VERIFY_SAMPLES,
@@ -66,13 +67,16 @@ def test_edge_jet_matches_patch_derivative(degrees, side):
     assert set(jets) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
     for (k, l), values in jets.items():
         assert values.shape == (3, len(s), 3)
-        # (cross, along) orders -> (u, v) orders
+        # (into, along) orders -> (u, v) orders; into a far side is -u or -v
         du, dv = (k, l) if side[0] == "u" else (l, k)
         fixed = 1.0 if side[1] == "1" else 0.0
-        for row, params in ((0, s), (2, 1.0 - s)):  # the reversed side is read at 1 - s
+        sign = (-1.0) ** k if side[1] == "1" else 1.0
+        # the reversed side runs backwards: it is read at 1 - s, along -t
+        for row, params, along in ((0, s, 1.0), (2, 1.0 - s, (-1.0) ** l)):
             for x, value in zip(params, values[row]):
                 u, v = (fixed, x) if side[0] == "u" else (x, fixed)
-                np.testing.assert_allclose(value, patch_derivative(p, u, v, du, dv), atol=1e-12)
+                np.testing.assert_allclose(value, sign * along * patch_derivative(p, u, v, du, dv),
+                                           atol=1e-12)
 
 
 def _random_patches(rng, degrees, signed_zeros):
@@ -110,9 +114,12 @@ def test_edge_jets_of_a_side_do_not_depend_on_its_batch(degrees, seed, specs, or
             np.testing.assert_array_equal(np.signbit(values[i]), np.signbit(alone[k, l][0]))
             du, dv = (k, l) if side[0] == "u" else (l, k)
             fixed = 1.0 if side[1] == "1" else 0.0
+            # into the patch on far sides, along the shared t on reversed ones
+            sign = (-1.0) ** (k * (side[1] == "1") + l * rev)
             for x, value in zip(1.0 - s if rev else s, values[i]):
                 u, v = (fixed, x) if side[0] == "u" else (x, fixed)
-                np.testing.assert_allclose(value, patch_derivative(p, u, v, du, dv), atol=1e-12)
+                np.testing.assert_allclose(value, sign * patch_derivative(p, u, v, du, dv),
+                                           atol=1e-12)
 
 
 _REQUESTS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2), st.booleans()),
@@ -148,6 +155,28 @@ def test_edge_jet_stops_at_the_requested_order():
     s = np.linspace(0.0, 1.0, 5)
     assert set(_edge_jets([(p, "v1", False)], [(s, 0)])[0]) == {(0, 0)}
     assert set(_edge_jets([(p, "v1", False)], [(s, 1)])[0]) == {(0, 0), (1, 0), (0, 1)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(degrees=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       side=st.sampled_from(["u0", "u1", "v0", "v1"]), rev=st.booleans())
+def test_side_view_and_side_points_follow_the_index_formulas(degrees, side, rev):
+    # explicit index formulas are the reference for the view and the join points
+    n, m = degrees
+    net = np.arange((n + 1) * (m + 1) * 3, dtype=float).reshape(n + 1, m + 1, 3)
+    view = _side_view(net, side, rev)
+    across, along = (n, m) if side[0] == "u" else (m, n)
+    assert view.shape == (across + 1, along + 1, 3) and np.shares_memory(view, net)
+    for k in range(across + 1):
+        i = k if side[1] == "0" else across - k  # k rows in from the side
+        for t in range(along + 1):
+            j = along - t if rev else t  # t runs backwards on a reversed side
+            np.testing.assert_array_equal(view[k, t], net[i, j] if side[0] == "u" else net[j, i])
+    # a new (n, n) patch joined across the neighbour's side lies beyond it
+    for offset in range(n + 1):
+        k = offset if side[1] == "1" else n - offset
+        want = [(k, t) if side[0] == "u" else (t, k) for t in range(n + 1)]
+        assert _Side(None, side, None, None).points(n, offset) == want
 
 
 def test_basis_matrix_is_cached_and_read_only():
