@@ -259,61 +259,48 @@ def _edge_jets(sides, requests) -> list:
     result one dict per request: key ``(k, l)`` maps to the derivative taken
     k times into the patch, across the side, and l times along the shared
     t, k + l <= order, as an array of shape ``(len(sides), len(t), 3)``.
-    Sides are grouped by the shape of their view; each group stacks the
-    control rows nearest its side and differences them (across first) once,
-    to the highest order requested.  The derivative rows of all groups go
-    into one matrix per Bernstein degree along the side, lowest orders
-    first, and each request sums the leading columns of each matrix against
-    its own basis at t, from +0.0 and term by term in ascending basis index.
-    That order is fixed, so a side's values are the same bits whatever else
-    is in the batch or requested with it.
+    Sides are grouped by the shape of their view.  Each group stacks the
+    control rows nearest its side, differences them across once, to the
+    highest order requested, and differences the first row of each result
+    along t once per l.  Each request then sums the group's coefficients for
+    every k <= order - l against its basis at t, from +0.0 and term by term
+    in ascending basis index.  That order is fixed, so a side's values are
+    the same bits whatever else is in the batch or requested with it.
     """
+    requests = [(np.ascontiguousarray(t, dtype=float), order) for t, order in requests]
+    t_bytes = [t.tobytes() for t, _ in requests]
     top = max(order for _, order in requests)
     groups: dict[tuple, list] = {}
     for i, (p, side, rev) in enumerate(sides):
         view = _side_view(p.net, side, rev)
         groups.setdefault(view.shape[:2], []).append((i, view[:top + 1]))
-    # degree along the side -> key -> (side indices, rows of shape (degree + 1, sides * 3))
-    buckets: dict[int, dict] = {}
-    for shape, members in groups.items():
+    results = [{} for _ in requests]
+    for (rows, cols), members in groups.items():
         idx = [i for i, _ in members]
-        d_w, n = np.stack([view for _, view in members], axis=2), shape[0] - 1  # (k, t, side, xyz)
-        for k in range(top + 1):
-            if k:
-                d_w, n = _difference(d_w, n, 0)
-            d_wt, degree = d_w, shape[1] - 1
-            for l in range(top + 1 - k):
-                if l:
-                    d_wt, degree = _difference(d_wt, degree, 1)
-                at, key_rows = buckets.setdefault(degree, {}).setdefault((k, l), ([], []))
-                at += idx
-                key_rows.append(d_wt[0].reshape(degree + 1, -1))
-    for degree, keys in buckets.items():  # lowest orders first: a request's columns lead
-        keys = sorted(keys.items(), key=lambda item: sum(item[0]))
-        buckets[degree] = ([(key, at) for key, (at, _) in keys],
-                           np.concatenate([row for _, (_, rows) in keys for row in rows], axis=1))
-    results = []
-    for t, order in requests:
-        t = np.ascontiguousarray(t, dtype=float)
-        jets: dict[tuple, np.ndarray] = {}
-        for degree, (keys, rows) in buckets.items():
-            keys = [(key, at) for key, at in keys if sum(key) <= order]
-            if not keys:
-                continue
-            width = 3 * sum(len(at) for _, at in keys)
-            basis = _basis_matrix(degree, t.tobytes())
-            out, term = np.zeros((len(t), width)), np.empty((len(t), width))
-            for b in range(degree + 1):  # -0.0 + 0.0 is +0.0
-                out += np.multiply(basis[:, b, None], rows[b, :width], out=term)
-            values = out.reshape(len(t), width // 3, 3).swapaxes(0, 1)
-            start = 0
-            for key, at in keys:
-                stop = start + len(at)
-                if key not in jets:
-                    jets[key] = np.empty((len(sides), len(t), 3))
-                jets[key][at] = values[start:stop]
-                start = stop
-        results.append(jets)
+        d_w, n = np.stack([view for _, view in members], axis=2), rows - 1  # (k, t, side, xyz)
+        firsts = [d_w[0]]
+        for _ in range(top):
+            d_w, n = _difference(d_w, n, 0)
+            firsts.append(d_w[0])
+        d_t, degree = np.stack(firsts, axis=1), cols - 1  # (t, k, side, xyz)
+        for l in range(top + 1):
+            if l:
+                d_t, degree = _difference(d_t, degree, 0)
+            coeffs = d_t.reshape(degree + 1, -1)
+            for (t, order), key, jets in zip(requests, t_bytes, results):
+                if order < l:
+                    continue
+                ks = order - l + 1
+                width = 3 * ks * len(idx)
+                basis = _basis_matrix(degree, key)
+                out, term = np.zeros((len(t), width)), np.empty((len(t), width))
+                for b in range(degree + 1):  # -0.0 + 0.0 is +0.0
+                    out += np.multiply(basis[:, b, None], coeffs[b, :width], out=term)
+                values = out.reshape(len(t), ks, len(idx), 3)
+                for k in range(ks):
+                    if (k, l) not in jets:
+                        jets[k, l] = np.empty((len(sides), len(t), 3))
+                    jets[k, l][idx] = values[:, k].swapaxes(0, 1)
     return results
 
 

@@ -21,7 +21,9 @@ import functools
 import math
 import sys
 
-from .bezier import SIDES
+import numpy as np
+
+from .bezier import SIDES, _side_view
 from .continuity import (
     CornerConfig,
     EdgeCorrespondence,
@@ -38,9 +40,10 @@ __all__ = ["main"]
 
 # --- corner detection -------------------------------------------------------
 
-# the corners at edge parameter 0 and 1 of each side, as (iu, jv)
-_SIDE_ENDS = {"u0": ((0, 0), (0, 1)), "u1": ((1, 0), (1, 1)),
-              "v0": ((0, 0), (1, 0)), "v1": ((0, 1), (1, 1))}
+# the corners at edge parameter 0 and 1 of each side, as (iu, jv), by side and reversal
+_CORNERS = np.stack(np.indices((2, 2)), -1)  # _CORNERS[iu, jv] is (iu, jv)
+_SIDE_ENDS = {(side, rev): [tuple(c) for c in _side_view(_CORNERS, side, rev)[0].tolist()]
+              for side in SIDES for rev in (False, True)}
 
 
 def find_corner_configs(doc: SurfaceDocument, reports):
@@ -69,8 +72,7 @@ def find_corner_configs(doc: SurfaceDocument, reports):
 
     glued: dict[tuple, list] = {key: [] for key in roots}  # corner -> [(side, other patch, record)]
     for k, corr in enumerate(doc.edges):
-        ends_b = _SIDE_ENDS[corr.b_side][::-1] if corr.reversed else _SIDE_ENDS[corr.b_side]
-        for ca, cb in zip(_SIDE_ENDS[corr.a_side], ends_b):
+        for ca, cb in zip(_SIDE_ENDS[corr.a_side, False], _SIDE_ENDS[corr.b_side, corr.reversed]):
             roots[find((corr.a, ca))] = find((corr.b, cb))
             glued[corr.a, ca].append((corr.a_side, corr.b, k))
             glued[corr.b, cb].append((corr.b_side, corr.a, k))
@@ -93,7 +95,7 @@ def find_corner_configs(doc: SurfaceDocument, reports):
         for key, a, b in (("12", r1, r2), ("14", r1, r4), ("23", r2, r3), ("43", r4, r3)):
             k = record[a][b]
             corr = doc.edges[k]
-            links[key] = (reports[k].link, _SIDE_ENDS[corr.a_side].index(corner_of[corr.a]),
+            links[key] = (reports[k].link, _SIDE_ENDS[corr.a_side, False].index(corner_of[corr.a]),
                           corr.a != a)
         found.append(((r1, r2, r3, r4), CornerConfig.from_links(links)))
     return found

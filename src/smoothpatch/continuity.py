@@ -75,7 +75,7 @@ __all__ = [
     "normal_curvature",
 ]
 
-# Default tolerances, applied after normalizing by the joint bounding-box
+# Tolerances, applied after normalizing by the joint bounding-box
 # diagonal of the nets involved (so they are scale-free).
 G0_TOL = 1e-9
 G1_TOL = 1e-8
@@ -362,25 +362,21 @@ class EdgeReport:
     oracle_residual: float  # max normal angle (G1) / normal-curvature gap (G2)
     oracle_ok: bool
     ok: bool
-    tol: float
-    oracle_tol: float
     link: EdgeLink
     g1: "EdgeReport | None" = None  # for order 2: the underlying G1 report
 
 
-def check_edges(edges, order: int = 1, tol: float | None = None) -> list[EdgeReport]:
+def check_edges(edges, order: int = 1) -> list[EdgeReport]:
     """G1 (order 1) or G2 (order 2) checks of many shared edges in one batched pass.
 
     ``edges`` holds (a, b, corr) triples.  Each report is the one
-    ``check_g1_edge`` or ``check_g2_edge`` gives for that edge alone, with
-    ``tol`` defaulting to ``G1_TOL`` or ``G2_TOL``.  Edges are taken in
-    order: the first whose link solve fails raises its error, after the
-    negative-lambda warnings of the edges before it.
+    ``check_g1_edge`` or ``check_g2_edge`` gives for that edge alone.  Edges
+    are taken in order: the first whose link solve fails raises its error,
+    after the negative-lambda warnings of the edges before it.
     """
     pairs = list(edges)
     if not pairs:
         return []
-    tol = (G1_TOL if order == 1 else G2_TOL) if tol is None else tol
     # one side-evaluator call; the normal oracle's frames share only the differenced rows
     solve_f, f = _frames(pairs, [(_SOLVE_TS, order), (_VERIFY_TS, 1)])
     batch = _LinkBatch(pairs, order, solve_f)
@@ -392,46 +388,40 @@ def check_edges(edges, order: int = 1, tol: float | None = None) -> list[EdgeRep
     # atan2 keeps precision near zero
     sin = np.linalg.norm(np.cross(n[0], n[1]), axis=-1)
     angle = np.arctan2(sin, np.abs(_dot(n[0], n[1]))).max(axis=-1)
-    g1_tol = tol if order == 1 else G1_TOL
     links = [batch.link(e) for e in range(len(pairs))]
     reports = [
-        EdgeReport(order=1, link_residual=r, link_ok=r < g1_tol, oracle_residual=x,
-                   oracle_ok=x < NORMAL_ANGLE_TOL, ok=r < g1_tol and x < NORMAL_ANGLE_TOL,
-                   tol=g1_tol, oracle_tol=NORMAL_ANGLE_TOL, link=link)
+        EdgeReport(order=1, link_residual=r, link_ok=r < G1_TOL, oracle_residual=x,
+                   oracle_ok=x < NORMAL_ANGLE_TOL, ok=r < G1_TOL and x < NORMAL_ANGLE_TOL,
+                   link=link)
         for link, r, x in zip(links, batch.oop.max(axis=-1).tolist(), angle.tolist())
     ]
     if order == 1:
         return reports
     # curvature oracle: both patches' normal curvatures in three pairwise
     # independent directions, with a's unit normal, in units of the net
-    # diagonal so that tol is scale-free
+    # diagonal so that G2_TOL is scale-free
     f = batch.f
     n = batch.cross / np.linalg.norm(batch.cross, axis=-1)[..., None]
     k = normal_curvature(f["w"], f["t"], f["ww"], f["wt"], f["tt"],
                          np.stack([f["w"][0], f["t"][0], f["w"][0] + f["t"][0]])[:, None], n)
     gap = np.abs(k[:, 0] - k[:, 1]).max(axis=(0, -1)) * batch.scale
     return [
-        EdgeReport(order=2, link_residual=r, link_ok=r < tol, oracle_residual=x,
-                   oracle_ok=x < tol, ok=g1.ok and r < tol and x < tol, tol=tol,
-                   oracle_tol=tol, link=g1.link, g1=g1)
+        EdgeReport(order=2, link_residual=r, link_ok=r < G2_TOL, oracle_residual=x,
+                   oracle_ok=x < G2_TOL, ok=g1.ok and r < G2_TOL and x < G2_TOL,
+                   link=g1.link, g1=g1)
         for g1, r, x in zip(reports, batch.g2[2].max(axis=-1).tolist(), gap.tolist())
     ]
 
 
-def check_g1_edge(
-    a: BezierPatch,
-    b: BezierPatch,
-    corr: EdgeCorrespondence,
-    tol: float = G1_TOL,
-) -> EdgeReport:
+def check_g1_edge(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> EdgeReport:
     """Tangent-plane continuity along a shared edge, tested two ways.
 
     (i) link test: the out-of-plane residual of ``solve_edge_link`` stays
-    below ``tol``; (ii) normal oracle: the angle between the two surface
+    below ``G1_TOL``; (ii) normal oracle: the angle between the two surface
     normals (as unoriented lines) stays below ``NORMAL_ANGLE_TOL`` at the
     ``VERIFY_SAMPLES`` shared samples.  The verdict is the conjunction.
     """
-    return check_edges([(a, b, corr)], 1, tol)[0]
+    return check_edges([(a, b, corr)], 1)[0]
 
 
 def solve_g2_link(
@@ -477,20 +467,15 @@ def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarra
     return second / first
 
 
-def check_g2_edge(
-    a: BezierPatch,
-    b: BezierPatch,
-    corr: EdgeCorrespondence,
-    tol: float = G2_TOL,
-) -> EdgeReport:
+def check_g2_edge(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> EdgeReport:
     """Curvature continuity along a shared edge, tested two ways.
 
-    (i) the second-order link residual stays below ``tol``; (ii) curvature
-    oracle: the normal curvatures of both patches agree within ``tol`` in
+    (i) the second-order link residual stays below ``G2_TOL``; (ii) curvature
+    oracle: the normal curvatures of both patches agree within ``G2_TOL`` in
     three pairwise independent tangent directions at the shared samples
     (three directions suffice to pin the full curvature behaviour).
     """
-    return check_edges([(a, b, corr)], 2, tol)[0]
+    return check_edges([(a, b, corr)], 2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +621,8 @@ class CompatReport:
 
     g1_residuals: np.ndarray  # 4 values
     lambda_product_residual: float
-    tol: float
     ok: bool
     g2_residuals: np.ndarray | None = None
-    g2_tol: float | None = None
     g2_ok: bool | None = None
     vertex_values: dict | None = None
 
@@ -652,7 +635,7 @@ def _vertex_scalars(config: CornerConfig):
     return vals
 
 
-def check_vertex_g1(config: CornerConfig, tol: float = G1_TOL) -> CompatReport:
+def check_vertex_g1(config: CornerConfig) -> CompatReport:
     """First-order compatibility of the four link functions at the vertex."""
     vals = _vertex_scalars(config)
     res, product = theorem1_residuals(
@@ -661,14 +644,14 @@ def check_vertex_g1(config: CornerConfig, tol: float = G1_TOL) -> CompatReport:
         vals["23"]["lam"], vals["23"]["kap"],
         vals["43"]["lam"], vals["43"]["kap"],
     )
-    ok = bool(np.all(res < tol) and product < tol)
+    ok = bool(np.all(res < G1_TOL) and product < G1_TOL)
     return CompatReport(
-        g1_residuals=res, lambda_product_residual=product, tol=tol, ok=ok,
+        g1_residuals=res, lambda_product_residual=product, ok=ok,
         vertex_values=vals,
     )
 
 
-def check_vertex_g2(config: CornerConfig, tol: float = G2_TOL) -> CompatReport:
+def check_vertex_g2(config: CornerConfig) -> CompatReport:
     """Second-order compatibility at the vertex; needs mu, nu on all links."""
     for key, entry in config.values.items():
         if "mu" not in entry:
@@ -682,10 +665,9 @@ def check_vertex_g2(config: CornerConfig, tol: float = G2_TOL) -> CompatReport:
         e = vals[key]
         args.extend([e["lam"], e["kap"], e["dlam"], e["dkap"], e["mu"], e["nu"]])
     res = theorem2_residuals(*args)
-    g2_ok = bool(np.all(res < tol))
+    g2_ok = bool(np.all(res < G2_TOL))
     return CompatReport(
         g1_residuals=g1.g1_residuals,
         lambda_product_residual=g1.lambda_product_residual,
-        tol=g1.tol, ok=g1.ok and g2_ok,
-        g2_residuals=res, g2_tol=tol, g2_ok=g2_ok, vertex_values=vals,
+        ok=g1.ok and g2_ok, g2_residuals=res, g2_ok=g2_ok, vertex_values=vals,
     )

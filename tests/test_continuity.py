@@ -26,16 +26,21 @@ from smoothpatch.continuity import (
     theorem1_residuals,
     theorem2_residuals,
 )
+from smoothpatch.cli import find_corner_configs
+from smoothpatch.surfio import SurfaceDocument
 
 from helpers import (
+    _ORIENTATIONS,
     creased_pair,
     flat_crease_pair,
     g1_pair,
+    oriented_grid_document,
     paraboloid_patch,
     quad_split_config,
     rigid_motion,
     smooth_patch,
     split_corner,
+    swapped,
 )
 
 FLAT_A = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
@@ -385,12 +390,17 @@ def _vertex_residuals(config):
 
 @pytest.mark.filterwarnings("ignore:orientation-reversing join")
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), noise=st.floats(1e-3, 0.1))
-def test_theorems_hold_wherever_the_boundary_curves_are_shared(seed, noise):
+@given(seed=st.integers(0, 2**32 - 1), noise=st.floats(1e-3, 0.1),
+       ops=st.lists(st.sampled_from(_ORIENTATIONS), min_size=4, max_size=4),
+       swaps=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_theorems_hold_wherever_the_boundary_curves_are_shared(seed, noise, ops, swaps):
     # the paper's conditions are necessary: four patches that share only
     # their boundary curves at V, and so the tangent plane there, satisfy
     # Theorems 1 and 2 within rounding, whatever their other control points
-    # (the noise may turn lambda negative away from V; the links still solve)
+    # (the noise may turn lambda negative away from V; the links still solve),
+    # both in the canonical arrangement and as the check commands read them
+    # from a document with each patch in any orientation and each record
+    # either way round
     rng = np.random.default_rng(seed)
     _, *quad = quad_split_config(rng)
     patches = []
@@ -400,9 +410,17 @@ def test_theorems_hold_wherever_the_boundary_curves_are_shared(seed, noise):
         free[i, :] = free[:, j] = False  # the rows through V lie on the shared curves
         net[free] += rng.normal(scale=noise, size=(free.sum(), 3))
         patches.append(BezierPatch.from_net(net))
-    t1, t2, size = _vertex_residuals(CornerConfig.from_patches(*patches))
-    bound1, bound2 = 1e-12 * size**2, 1e-12 * size**3  # the degrees of the two sets of terms
-    assert t1 < bound1 and t2 < bound2
+    nets = {(0, 0): patches[0].net, (1, 0): patches[1].net, (1, 1): patches[2].net,
+            (0, 1): patches[3].net}
+    doc = oriented_grid_document(nets, dict(zip(sorted(nets), ops)))
+    doc = SurfaceDocument(patches=doc.patches,
+                          edges=[swapped(c) if swap else c for c, swap in zip(doc.edges, swaps)])
+    reports = check_edges([(doc.patch(c.a), doc.patch(c.b), c) for c in doc.edges], 2)
+    ((_, read),) = find_corner_configs(doc, reports)
+    for config in (CornerConfig.from_patches(*patches), read):
+        t1, t2, size = _vertex_residuals(config)
+        bound1, bound2 = 1e-12 * size**2, 1e-12 * size**3  # the degrees of the two sets of terms
+        assert t1 < bound1 and t2 < bound2
     # tilting the tangent plane at V (the point next to V on the 1-2 curve,
     # in both patches) breaks both theorems
     p1, p2, p3, p4 = (p.net.copy() for p in patches)

@@ -503,7 +503,7 @@ def _split_edge(spec, k):
 
 
 def _assert_same_report(got, want):
-    for name in ("order", "link_ok", "oracle_ok", "ok", "tol", "oracle_tol"):
+    for name in ("order", "link_ok", "oracle_ok", "ok"):
         assert getattr(got, name) == getattr(want, name), name
     for name in ("link_residual", "oracle_residual"):
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
