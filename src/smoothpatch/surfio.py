@@ -14,9 +14,11 @@ The surface schema is deliberately minimal and diff-friendly::
       ]
     }
 
-Floats are written with 17 significant digits so documents round-trip
-exactly, and all emitters order fields deterministically so identical
-inputs produce byte-identical files.
+Documents and reports are written by ``json.dumps``: a float is the shortest
+text that reads back as the same float (``repr``), so documents round-trip
+exactly, and fields keep a fixed order, so identical inputs produce
+byte-identical files.  Patch names hold no control character and no lone
+surrogate, so every writer (JSON, OBJ) can encode them as UTF-8.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-_quote = json.JSONEncoder(ensure_ascii=False).encode  # escapes per RFC 8259
 
 
 class SurfaceFormatError(ValueError):
@@ -53,7 +54,8 @@ class SurfaceDocument:
     """Named patches plus the shared-edge records connecting them.
 
     Patch names hold no control character (Unicode category Cc, line breaks among
-    them), each edge joins two different sides, and no two edges join the same pair of sides.
+    them) and no surrogate code point (U+D800-U+DFFF, which UTF-8 cannot encode),
+    each edge joins two different sides, and no two edges join the same pair of sides.
     """
 
     patches: dict  # name -> BezierPatch, insertion-ordered
@@ -62,9 +64,9 @@ class SurfaceDocument:
 
     def __post_init__(self):
         for k, name in enumerate(self.patches):
-            if not isinstance(name, str) or re.search("[\x00-\x1f\x7f-\x9f]", name):
+            if not isinstance(name, str) or re.search("[\x00-\x1f\x7f-\x9f\ud800-\udfff]", name):
                 raise SurfaceFormatError(f"patches[{k}].name: must be a string without control "
-                                         f"characters, got {name!r}")
+                                         f"characters or surrogates, got {name!r}")
         seen = {}
         for k, corr in enumerate(self.edges):
             for key in ("a", "b"):
@@ -86,58 +88,15 @@ class SurfaceDocument:
             raise SurfaceFormatError(f"patches: no patch named {name!r}") from None
 
 
-# --- deterministic JSON emission -------------------------------------------
-
-def _float_array_template(shape) -> str:
-    """``%`` template that writes a float array of ``shape`` as nested JSON lists."""
-    if not shape:
-        return "%.17g"
-    inner = _float_array_template(shape[1:])
-    return "[" + ", ".join([inner] * shape[0]) + "]"
-
-
-def _emit(obj, out):
-    # the commonest types of a report first; bool before int, its base
-    if isinstance(obj, (float, np.floating)):
-        text = format(float(obj), ".17g")
-        # an integral value keeps a fraction, so that readers load a float
-        out.append(text + ".0" if text.lstrip("-").isdigit() else text)
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for k, key in enumerate(obj):
-            if k:
-                out.append(", ")
-            out.append(_quote(str(key)))
-            out.append(": ")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                out.append(", ")
-            _emit(item, out)
-        out.append("]")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        # the whole array in one formatting pass; "%.17g" % x is format(x, ".17g")
-        out.append(_float_array_template(obj.shape) % tuple(obj.ravel().tolist()))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _numpy_to_python(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_json(obj) -> str:
-    """Serialize with 17-significant-digit floats and stable field order."""
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    """``json.dumps`` that also writes numpy arrays and scalars; fields keep their order."""
+    return json.dumps(obj, ensure_ascii=False, default=_numpy_to_python)
 
 
 def _document_dict(doc: SurfaceDocument) -> dict:
