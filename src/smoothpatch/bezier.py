@@ -100,9 +100,27 @@ def _basis_matrix(n: int, t_bytes: bytes) -> np.ndarray:
     return out
 
 
+def _frozen(arr) -> np.ndarray:
+    """``arr`` as a read-only float64 array whose memory is read-only; copied only if it is not one.
+
+    A read-only view of a read-only array is kept as it is: nothing can
+    write through either of them.
+    """
+    if isinstance(arr, np.ndarray) and arr.dtype == np.float64 and not arr.flags.writeable:
+        base = arr if arr.base is None else arr.base
+        if isinstance(base, np.ndarray) and not base.flags.writeable:
+            return arr
+    out = np.array(arr, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class BezierPatch:
-    """Rectangular control net of 3D points with bi-degree (degree_u, degree_v)."""
+    """Rectangular control net of 3D points with bi-degree (degree_u, degree_v).
+
+    The net is read-only: a net in read-only memory is kept as a view, any other copied.
+    """
 
     degree_u: int
     degree_v: int
@@ -111,13 +129,12 @@ class BezierPatch:
     def __post_init__(self):
         if self.degree_u < 1 or self.degree_v < 1:
             raise ValueError("patch degrees must be >= 1")
-        net = np.array(self.net, dtype=float)
+        net = _frozen(self.net)
         expect = (self.degree_u + 1, self.degree_v + 1, 3)
         if net.shape != expect:
             raise ValueError(f"net shape {net.shape} does not match degrees, expected {expect}")
         if not np.all(np.isfinite(net)):
             raise ValueError("control net contains non-finite coordinates")
-        net.flags.writeable = False
         object.__setattr__(self, "net", net)
 
     @classmethod
@@ -304,21 +321,32 @@ def _edge_jets(sides, requests) -> list:
     return results
 
 
+@functools.lru_cache(maxsize=128)
+def _product_weights(n: int, big_l: int):
+    """Read-only weights and ordinate indices of ``_product_matrix``, cached by the degrees.
+
+    Entry (i, j) weighs ordinate i - j by C(n, j) C(L, i - j) / C(n + L, i), divided in
+    integers; off the band it reads ordinate L + 1, the padded zero, with weight 0.0.
+    """
+    i, j = np.indices((n + big_l + 1, n + 1))
+    weights = np.array([[binom(n, b) * binom(big_l, a - b) / binom(n + big_l, a)
+                         for b in range(n + 1)] for a in range(n + big_l + 1)])
+    index = np.where((i >= j) & (i - j <= big_l), i - j, big_l + 1)
+    weights.flags.writeable = index.flags.writeable = False
+    return weights, index
+
+
 def _product_matrix(n: int, coeffs) -> np.ndarray:
     """Matrix P with P @ c = the Bernstein coefficients of f * g.
 
     ``c`` holds the degree-n Bernstein coefficients of g and ``coeffs`` the
     Bernstein ordinates of f, of degree L = len(coeffs) - 1; the product has
-    degree n + L (Farouki & Rajan, CAGD 1988).
+    degree n + L (Farouki & Rajan, CAGD 1988).  Its entries are the cached
+    weights times the ordinates they index.
     """
     f = np.asarray(coeffs, dtype=float)
-    big_l = f.size - 1
-    mat = np.zeros((n + big_l + 1, n + 1))
-    for i in range(n + big_l + 1):
-        den = binom(n + big_l, i)
-        for j in range(max(0, i - big_l), min(n, i) + 1):
-            mat[i, j] = binom(n, j) * binom(big_l, i - j) / den * f[i - j]
-    return mat
+    weights, index = _product_weights(n, f.size - 1)
+    return weights * np.append(f, 0.0)[index]
 
 
 def elevation_matrix(n: int, target: int) -> np.ndarray:

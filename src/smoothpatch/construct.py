@@ -35,10 +35,9 @@ diagonally).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .bezier import BezierPatch, _product_matrix, _side_view, bounding_diagonal, elevate_row
 from .continuity import (
@@ -48,7 +47,9 @@ from .continuity import (
     DegenerateLinkError,
     EdgeCorrespondence,
     PreconditionError,
+    _SOLVE_TS,
     _LinkBatch,
+    _name,
 )
 
 __all__ = [
@@ -71,7 +72,6 @@ __all__ = [
 # sample-based shape tolerances for validating neighbour joins
 _CONST_TOL = 1e-7
 _ASSERT_TOL = 1e-9
-_NET_INDICES = np.stack(np.indices((17, 17)), -1)  # (i, j) of each point of a net up to (16, 16)
 
 
 @dataclass(frozen=True)
@@ -142,44 +142,36 @@ def _require_bicubic(name: str, p: BezierPatch) -> None:
 def _join_constants(joins, *, allow_linear_kappa=False):
     """(lambda, kappa0) of each join of a list expected to have constant lambda.
 
-    ``joins`` holds (a, b, corr) triples, whose links are solved in one
-    batch.  ``kappa0`` is the kappa value at edge parameter 0 when the join
-    carries the linear, vertex-vanishing kappa shape; zero otherwise.  Joins
-    are taken in order: the first that is not G1 or whose link has the wrong
-    shape raises its error, after the negative-lambda warnings of the joins
-    before it.
+    ``joins`` holds (a, b, corr) triples, solved in one batch and tested on
+    its arrays.  ``kappa0`` is the kappa value at edge parameter 0 when the
+    join carries the linear, vertex-vanishing kappa shape; zero otherwise.
+    Joins are taken in order: the first that is not G1 or whose link has the
+    wrong shape raises its error, after the negative-lambda warnings before it.
     """
     if not joins:
         return []
     batch = _LinkBatch(joins, 1)
+    oop = batch.oop.max(axis=-1)
+    lam = batch.lam.mean(axis=-1)
+    lam_varies = (np.abs(batch.lam - lam[:, None]).max(axis=-1)
+                  > _CONST_TOL * np.maximum(1.0, abs(lam)))
+    kap0 = np.where(abs(batch.kap[:, 0]) < _CONST_TOL, 0.0, batch.kap[:, 0])
+    expected = kap0[:, None] * (1.0 - _SOLVE_TS) if allow_linear_kappa else 0.0
+    kap_bent = (np.abs(batch.kap - expected).max(axis=-1)
+                > _CONST_TOL * np.maximum(1.0, abs(kap0)))
     constants = []
     for e, (*_, corr) in enumerate(joins):
         batch.admit(e)
-        link = batch.link(e)
-        if link.max_oop > G1_TOL:
-            raise PreconditionError(
-                f"join {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side} is not G1 "
-                f"(residual {link.max_oop:.3e})"
-            )
-        lam = float(np.mean(link.lam_samples))
-        if np.max(np.abs(link.lam_samples - lam)) > _CONST_TOL * max(1.0, abs(lam)):
-            raise PreconditionError(
-                f"join {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side} has non-constant lambda"
-            )
-        kap0 = float(link.kap_samples[0])
-        if abs(kap0) < _CONST_TOL:
-            kap0 = 0.0
-        expected = kap0 * (1.0 - link.ts) if allow_linear_kappa else 0.0
-        if np.max(np.abs(link.kap_samples - expected)) > _CONST_TOL * max(1.0, abs(kap0)):
+        if oop[e] > G1_TOL:
+            raise PreconditionError(f"join {_name(corr)} is not G1 (residual {oop[e]:.3e})")
+        if lam_varies[e]:
+            raise PreconditionError(f"join {_name(corr)} has non-constant lambda")
+        if kap_bent[e]:
             shape = "kappa0*(1-t)" if allow_linear_kappa else "zero"
-            raise PreconditionError(
-                f"join {corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}: kappa is not {shape}"
-            )
-        if not allow_linear_kappa:
-            kap0 = 0.0
-        if abs(lam) < LAMBDA_MIN:
+            raise PreconditionError(f"join {_name(corr)}: kappa is not {shape}")
+        if abs(lam[e]) < LAMBDA_MIN:
             raise DegenerateLinkError(f"lambda vanishes on join {corr.a} ~ {corr.b}")
-        constants.append((lam, kap0))
+        constants.append((float(lam[e]), float(kap0[e]) if allow_linear_kappa else 0.0))
     return constants
 
 
@@ -193,8 +185,8 @@ class _Side(NamedTuple):
 
     patch: BezierPatch
     side: str
-    lam: ArrayLike
-    kap: ArrayLike
+    lam: Sequence[float]
+    kap: Sequence[float]
 
     def rows(self, m: int):
         """The new patch's boundary row and band row (the next one in) at degree m."""
@@ -202,34 +194,46 @@ class _Side(NamedTuple):
         row0 = elevate_row(view[0], m)
         return row0, row0 + g1_band_offsets(view[0], view[1], self.lam, self.kap) / m
 
-    def points(self, m: int, offset: int):
-        """Net indices (i, j) of the new patch's row ``offset`` rows in from the join."""
-        indices = _NET_INDICES[:m + 1, :m + 1]  # the join is m rows in from self.side
-        return [tuple(ij) for ij in _side_view(indices, self.side)[m - offset].tolist()]
+    def points(self, m: int, offset: int) -> np.ndarray:
+        """Flat net indices (m+1)*i + j of the new patch's row ``offset`` rows in from the join."""
+        indices = np.arange((m + 1) ** 2).reshape(m + 1, m + 1)
+        return _side_view(indices, self.side)[m - offset]  # the join is m rows in from self.side
 
 
 def _assemble(m: int, scale: float, sides) -> np.ndarray:
     """A fresh (m+1)x(m+1) net holding every side's boundary row, then every band.
 
-    Rows are written in the order the sides are listed; points no side
-    writes stay NaN.  A point written twice must agree within
-    ``_ASSERT_TOL * scale`` and is never averaged.
+    Rows are written in the order the sides are listed, in one scatter; points
+    no side writes stay NaN, and a write with NaN in x counts as no write.  A
+    point written twice must agree within ``_ASSERT_TOL * scale`` and is never
+    averaged: the first later write that disagrees, in write order, is raised.
     """
-    net = np.full((m + 1, m + 1, 3), np.nan)
+    if not sides:
+        return np.full((m + 1, m + 1, 3), np.nan)
     rows = [side.rows(m) for side in sides]
-    for offset, what in ((0, "boundary"), (1, "band")):
-        for side, row in zip(sides, rows):
-            for (i, j), value in zip(side.points(m, offset), row[offset]):
-                if np.isnan(net[i, j, 0]):
-                    net[i, j] = value
-                    continue
-                gap = float(np.linalg.norm(net[i, j] - value))
-                if gap > _ASSERT_TOL * scale:
-                    raise CornerConsistencyError(
-                        f"control point ({i},{j}) doubly determined with gap "
-                        f"{gap / scale:.3e} ({what} across {side.side})"
-                    )
-    return net
+    index = np.concatenate([side.points(m, offset) for offset in (0, 1) for side in sides])
+    values = np.concatenate([row[offset] for offset in (0, 1) for row in rows])
+    n, writes = len(index), np.arange(len(index))
+    # the lowest rank takes a point: its first write with x a number, else its last write
+    rank = np.where(np.isnan(values[:, 0]), 2 * n - writes, writes)
+    taken = np.full((m + 1) ** 2, 2 * n + 1)
+    np.minimum.at(taken, index, rank)
+    net = np.full(((m + 1) ** 2, 3), np.nan)
+    written = taken <= 2 * n
+    net[written] = values[np.where(taken < n, taken, 2 * n - taken)[written]]
+    later = np.flatnonzero(writes > taken[index])
+    diff = values[later] - net[index[later]]
+    gaps = np.sqrt(diff[:, None] @ diff[:, :, None])[:, 0, 0]  # the bits of np.linalg.norm
+    failing = np.flatnonzero(gaps > _ASSERT_TOL * scale)
+    if failing.size:
+        k, gap = later[failing[0]], float(gaps[failing[0]])
+        row = k // (m + 1)
+        raise CornerConsistencyError(
+            f"control point ({index[k] // (m + 1)},{index[k] % (m + 1)}) doubly determined with "
+            f"gap {gap / scale:.3e} ({('boundary', 'band')[row // len(sides)]} across "
+            f"{sides[row % len(sides)].side})"
+        )
+    return net.reshape(m + 1, m + 1, 3)
 
 
 def _twists(m: int, sides) -> dict:
@@ -246,7 +250,7 @@ def _twists(m: int, sides) -> dict:
         ends = side.points(m, 0)
         for e, k in ((0, 1), (m, m - 1)):
             twist = m * m * (row1[k] - row0[k] - row1[e] + row0[e])
-            found.setdefault(ends[e], {})[side.side[0]] = twist
+            found.setdefault(divmod(int(ends[e]), m + 1), {})[side.side[0]] = twist
     return {corner: TwistCheck(q23=t["v"], q43=t["u"]) for corner, t in found.items()
             if len(t) == 2}
 

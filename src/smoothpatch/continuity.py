@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bezier import BezierPatch, _edge_jets, _pair_diagonals
+from .bezier import BezierPatch, _edge_jets, _frozen, _pair_diagonals
 
 __all__ = [
     "G0_TOL",
@@ -85,23 +85,6 @@ LAMBDA_MIN = 1e-8
 RANK_TOL = 1e-10
 SOLVE_SAMPLES = 33
 VERIFY_SAMPLES = 101
-
-
-def _frozen(arr):
-    """``arr`` as a read-only float64 array whose memory is read-only; copied only if it is not one.
-
-    A read-only view of a read-only array is kept as it is: nothing can
-    write through either of them.
-    """
-    if arr is None:
-        return arr
-    if isinstance(arr, np.ndarray) and arr.dtype == np.float64 and not arr.flags.writeable:
-        base = arr if arr.base is None else arr.base
-        if isinstance(base, np.ndarray) and not base.flags.writeable:
-            return arr
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 _SOLVE_TS = _frozen(np.linspace(0.0, 1.0, SOLVE_SAMPLES))
@@ -153,6 +136,14 @@ def _dot(x, y):
     return np.einsum("...j,...j->...", x, y)
 
 
+def _cross(x, y):
+    """``np.cross(x, y)`` of 3-vectors on the last axis: its products and differences, its bits."""
+    x, y = np.asarray(x), np.asarray(y)
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
+
+
 def _dual(e_w, e_t, n):
     """The dual basis (e_t x n, n x e_w)/|n|^2 of (e_w, e_t) and the unit normal, on axis -2.
 
@@ -162,7 +153,7 @@ def _dual(e_w, e_t, n):
     """
     nn = _dot(n, n)[..., None]
     nn = np.where(nn > 0.0, nn, 1.0)
-    return np.stack([np.cross(e_t, n) / nn, np.cross(n, e_w) / nn, n / np.sqrt(nn)], axis=-2)
+    return np.stack([_cross(e_t, n) / nn, _cross(n, e_w) / nn, n / np.sqrt(nn)], axis=-2)
 
 
 def _solve(dual, rhs, scale=None):
@@ -245,7 +236,8 @@ class EdgeLink:
     def __post_init__(self):
         for name in ("ts", "lam_samples", "kap_samples", "oop",
                      "mu_samples", "nu_samples", "g2_oop", "end_slopes"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def max_oop(self) -> float:
@@ -292,7 +284,7 @@ class _LinkBatch:
         self.scale = _pair_diagonals(pairs)
         scale = self.scale[:, None]
         (a_w, b_w), a_t = f["w"], f["t"][0]
-        self.cross = np.cross(a_w, a_t)  # zero where a tangent vector is zero
+        self.cross = _cross(a_w, a_t)  # zero where a tangent vector is zero
         flat = (np.linalg.norm(self.cross, axis=-1) < RANK_TOL * scale**2).any(axis=-1)
         self.dual = _dual(a_w, a_t, self.cross)
         xy, self.oop = _solve(self.dual, b_w, scale)
@@ -383,10 +375,10 @@ def check_edges(edges, order: int = 1) -> list[EdgeReport]:
     for e in range(len(pairs)):
         batch.admit(e)
     # normal oracle: the angle between the normal *lines* of the two patches
-    n = np.cross(f["w"], f["t"])
+    n = _cross(f["w"], f["t"])
     n /= np.linalg.norm(n, axis=-1)[..., None]
     # atan2 keeps precision near zero
-    sin = np.linalg.norm(np.cross(n[0], n[1]), axis=-1)
+    sin = np.linalg.norm(_cross(n[0], n[1]), axis=-1)
     angle = np.arctan2(sin, np.abs(_dot(n[0], n[1]))).max(axis=-1)
     links = [batch.link(e) for e in range(len(pairs))]
     reports = [
@@ -457,7 +449,7 @@ def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarra
     frame: the dual basis is formed once, all directions are solved in one
     call, and the result has the broadcast shape.
     """
-    xy, off = _solve(_dual(e_w, e_t, np.cross(e_w, e_t)), direction, 1.0)
+    xy, off = _solve(_dual(e_w, e_t, _cross(e_w, e_t)), direction, 1.0)
     x, y = xy[..., 0], xy[..., 1]
     big_l = _dot(e_ww, normal)
     big_m = _dot(e_wt, normal)

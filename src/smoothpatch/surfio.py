@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+_NAME = re.compile("[^\x00-\x1f\x7f-\x9f\ud800-\udfff]+")  # no control character or surrogate
 
 
 class SurfaceFormatError(ValueError):
@@ -53,9 +54,10 @@ class SurfaceFormatError(ValueError):
 class SurfaceDocument:
     """Named patches plus the shared-edge records connecting them.
 
-    Patch names hold no control character (Unicode category Cc, line breaks among
-    them) and no surrogate code point (U+D800-U+DFFF, which UTF-8 cannot encode),
-    each edge joins two different sides, and no two edges join the same pair of sides.
+    Patch names are non-empty and hold no control character (Unicode category Cc, line
+    breaks among them) and no surrogate (U+D800-U+DFFF, which UTF-8 cannot encode), each
+    edge joins two different sides, no two edges join the same pair of sides, and the
+    version is ``FORMAT_VERSION``: every document that constructs saves and loads back.
     """
 
     patches: dict  # name -> BezierPatch, insertion-ordered
@@ -63,10 +65,12 @@ class SurfaceDocument:
     version: int = FORMAT_VERSION
 
     def __post_init__(self):
+        if type(self.version) is not int or self.version != FORMAT_VERSION:
+            raise SurfaceFormatError(f"version: expected {FORMAT_VERSION}, got {self.version!r}")
         for k, name in enumerate(self.patches):
-            if not isinstance(name, str) or re.search("[\x00-\x1f\x7f-\x9f\ud800-\udfff]", name):
-                raise SurfaceFormatError(f"patches[{k}].name: must be a string without control "
-                                         f"characters or surrogates, got {name!r}")
+            if not isinstance(name, str) or not _NAME.fullmatch(name):
+                raise SurfaceFormatError(f"patches[{k}].name: must be a non-empty string without "
+                                         f"control characters or surrogates, got {name!r}")
         seen = {}
         for k, corr in enumerate(self.edges):
             for key in ("a", "b"):
@@ -135,14 +139,16 @@ def _points(points, name=None):
         return None, f"points of patch {name!r} must be [x, y, z] triples of numbers"
     if not np.isfinite(arr).all():
         return None, f"patch {name!r} has non-finite coordinates"
+    arr.flags.writeable = False
     return arr, None
 
 
 def load_surface(path) -> SurfaceDocument:
     """Read a surface document; a malformed one raises ``SurfaceFormatError`` naming the field.
 
-    The points of all patches are converted in one ``np.array``.  Only when
-    they fail is each patch's read again, to name the first patch at fault.
+    The points of all patches are converted in one read-only ``np.array``,
+    and each patch's net is a view of it.  Only when they fail is each
+    patch's read again, to name the first patch at fault.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -161,7 +167,7 @@ def load_surface(path) -> SurfaceDocument:
             if not isinstance(entry, dict):
                 raise SurfaceFormatError(f"patches[{k}]: must be an object")
             name, du, dv, net = (entry.get(key) for key in ("name", "degree_u", "degree_v", "net"))
-            if not isinstance(name, str) or not name:
+            if not isinstance(name, str):  # SurfaceDocument checks the rest of the name rule
                 raise SurfaceFormatError(f"patches[{k}].name: must be a non-empty string")
             if name in heads:
                 raise SurfaceFormatError(f"patches[{k}].name: duplicate patch name {name!r}")

@@ -507,3 +507,50 @@ def slanted_grid_nets(rng, k=3, slant=0.04):
     pts[:, 1:-1, 1] += rng.uniform(-slant, slant, size=(k + 1, k - 1))
     return {(i, j): compose_with_quad(net, pts[i:i + 2, j:j + 2]).net
             for i in range(k) for j in range(k)}
+
+
+# ---------------------------------------------------------------------------
+# per-entry references for the array-shaped construction primitives
+
+def product_matrix_reference(n: int, coeffs) -> np.ndarray:
+    """The Bernstein product matrix filled entry by entry (Farouki & Rajan, CAGD 1988).
+
+    Entry (i, j) is C(n, j) C(L, i - j) / C(n + L, i) * f[i - j], the
+    binomials multiplied and divided as integers; entries off the band are
+    +0.0.
+    """
+    f = np.asarray(coeffs, dtype=float)
+    big_l = f.size - 1
+    mat = np.zeros((n + big_l + 1, n + 1))
+    for i in range(n + big_l + 1):
+        for j in range(max(0, i - big_l), min(n, i) + 1):
+            mat[i, j] = binom(n, j) * binom(big_l, i - j) / binom(n + big_l, i) * f[i - j]
+    return mat
+
+
+def assemble_reference(m: int, scale: float, sides) -> np.ndarray:
+    """A construction net written and checked one control point at a time.
+
+    Every side's boundary row, then every band, in the order the sides are
+    listed.  A point whose x is NaN counts as unwritten; a later write to a
+    written point must lie within 1e-9 * scale of it, or the first that does
+    not raises ``CornerConsistencyError`` naming the point.
+    """
+    from smoothpatch.continuity import CornerConsistencyError
+
+    net = np.full((m + 1, m + 1, 3), np.nan)
+    rows = [side.rows(m) for side in sides]
+    for offset, what in ((0, "boundary"), (1, "band")):
+        for side, row in zip(sides, rows):
+            for flat, value in zip(side.points(m, offset).tolist(), row[offset]):
+                i, j = divmod(flat, m + 1)
+                if np.isnan(net[i, j, 0]):
+                    net[i, j] = value
+                    continue
+                gap = float(np.linalg.norm(net[i, j] - value))
+                if gap > 1e-9 * scale:
+                    raise CornerConsistencyError(
+                        f"control point ({i},{j}) doubly determined with gap "
+                        f"{gap / scale:.3e} ({what} across {side.side})"
+                    )
+    return net

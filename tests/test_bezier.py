@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothpatch.bezier import (
     BezierPatch,
@@ -22,8 +24,9 @@ from smoothpatch.bezier import (
     tessellate,
     transform_patch,
 )
+from smoothpatch.bezier import _product_matrix, _product_weights
 
-from helpers import rigid_motion, smooth_patch
+from helpers import product_matrix_reference, rigid_motion, smooth_patch
 
 
 def test_bernstein_endpoint():
@@ -162,6 +165,28 @@ def test_elevation_coefficients_match_exact_rationals():
     for (i, j), frac in exact.items():
         expected[i, j] = float(frac)
     np.testing.assert_array_equal(mat, expected)
+
+
+_ORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e300]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 16), ordinates=st.lists(_ORDINATES, min_size=1, max_size=7))
+def test_product_matrix_is_the_entry_by_entry_product_bit_for_bit(n, ordinates):
+    # compared as int64 so that a -0.0 must stay -0.0 and off-band entries +0.0
+    got = _product_matrix(n, ordinates)
+    want = product_matrix_reference(n, ordinates)
+    assert got.shape == want.shape and got.flags.writeable
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_product_weights_are_cached_by_the_degrees_and_read_only():
+    weights, index = _product_weights(3, 2)
+    assert _product_weights(3, 2)[0] is weights
+    assert not weights.flags.writeable and not index.flags.writeable
+    # off the band, a zero weight reads the padded zero ordinate L + 1
+    assert index[0, 1] == 3 and weights[0, 1] == 0.0 and index[5, 3] == 2
 
 
 def test_elevation_preserves_curve():

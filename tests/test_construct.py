@@ -1,5 +1,6 @@
 """Tests for the constructive algorithms: bands, fourth patch, holes, fillets."""
 
+import functools
 import re
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smoothpatch.construct as construct
+import smoothpatch.continuity as continuity
 from smoothpatch.bezier import (
     BezierPatch,
     bernstein_basis,
@@ -42,9 +44,10 @@ from smoothpatch.construct import (
     hole_twist_checks,
     solve_hole_params,
 )
-from smoothpatch.construct import _Side, _assemble, _pinned_endpoints
+from smoothpatch.construct import _Side, _assemble, _hole_sides, _pinned_endpoints
 
 from helpers import (
+    assemble_reference,
     constructive_corner,
     flat_crease_pair,
     kappa_corner,
@@ -292,6 +295,62 @@ def test_assemble_rejects_a_doubly_determined_point_and_names_it():
         for order in ([left, bad], [bad, left]):
             with pytest.raises(CornerConsistencyError, match=message):
                 _assemble(5, scale, order)
+
+
+@functools.cache
+def _assembly_cases():
+    """(degree, scale, sides) of a fourth patch and of (5,5), (6,6) and open-top hole fills."""
+    r1, r2, r4, lam12, lam14 = constructive_corner(np.random.default_rng(98))
+    cases = [(5, bounding_diagonal(r1, r2, r4), _corner_sides(r2, r4, lam12, lam14))]
+    ring = ring_from(random_ring(np.random.default_rng(99))[0])
+    ends = _pinned_endpoints(ring)
+    deg6 = HoleFillParams(mode="deg6", alpha={}, alpha1={i: ends[i][0] for i in ends},
+                          alpha2={i: ends[i][1] for i in ends})
+    open_top = NinePatchRing({k: ring.patches[k] for k in (2, 4, 8)}, ring.lambdas, ring.scale)
+    for r, params in ((ring, solve_hole_params(ring)), (ring, deg6),
+                      (open_top, solve_hole_params(ring))):
+        m, sides = _hole_sides(r, params)
+        cases.append((m, r.scale, sides))
+    return cases
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(0, 3), data=st.data())
+def test_assemble_matches_the_point_by_point_reference(case, data):
+    # any side order, one link ordinate moved by nothing, round-off, a gap
+    # near the tolerance, a large gap or NaN: the same bits or the same error
+    m, scale, sides = _assembly_cases()[case]
+    sides = list(data.draw(st.permutations(sides)))
+    k, name = data.draw(st.integers(0, len(sides) - 1)), data.draw(st.sampled_from(["lam", "kap"]))
+    ordinates = np.array(getattr(sides[k], name), dtype=float)
+    ordinates[data.draw(st.integers(0, len(ordinates) - 1))] += data.draw(
+        st.sampled_from([0.0, 1e-15, 1e-11, 1e-9, 1e-6, 0.1, np.nan]))
+    sides[k] = sides[k]._replace(**{name: ordinates})
+    try:
+        want = assemble_reference(m, scale, sides)
+    except CornerConsistencyError as exc:
+        with pytest.raises(CornerConsistencyError) as got:
+            _assemble(m, scale, sides)
+        assert str(got.value) == str(exc)
+        return
+    got = _assemble(m, scale, sides)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_constructions_build_no_edge_link(monkeypatch):
+    # every join test reads the link batch's arrays
+    built = []
+    real = continuity.EdgeLink
+    monkeypatch.setattr(continuity, "EdgeLink", lambda **kw: built.append(kw) or real(**kw))
+    rng = np.random.default_rng(100)
+    r1, r2, r4, _, _ = constructive_corner(rng)
+    complete_fourth_patch(r1, r2, r4)
+    complete_fourth_patch(r1, r2, r4, degree=4)
+    ring = ring_from(random_ring(rng)[0])
+    fill_hole(ring)
+    fill_hole_deg6(ring)
+    build_fillet(*random_strips(rng, 4))
+    assert built == []
 
 
 def test_fourth_patch_names_both_routes_on_a_corner_mismatch(monkeypatch):

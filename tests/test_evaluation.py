@@ -172,11 +172,12 @@ def test_side_view_and_side_points_follow_the_index_formulas(degrees, side, rev)
         for t in range(along + 1):
             j = along - t if rev else t  # t runs backwards on a reversed side
             np.testing.assert_array_equal(view[k, t], net[i, j] if side[0] == "u" else net[j, i])
-    # a new (n, n) patch joined across the neighbour's side lies beyond it
+    # a new (n, n) patch joined across the neighbour's side lies beyond it; its
+    # row's points are flat net indices (n+1)*i + j
     for offset in range(n + 1):
         k = offset if side[1] == "1" else n - offset
-        want = [(k, t) if side[0] == "u" else (t, k) for t in range(n + 1)]
-        assert _Side(None, side, None, None).points(n, offset) == want
+        want = [(n + 1) * k + t if side[0] == "u" else (n + 1) * t + k for t in range(n + 1)]
+        assert _Side(None, side, None, None).points(n, offset).tolist() == want
 
 
 def test_basis_matrix_is_cached_and_read_only():
@@ -390,6 +391,21 @@ def test_closed_form_solve_matches_lapack_and_is_read_only(seed, cond, log_size)
     off = np.linalg.norm(rhs - (basis @ want[..., None])[..., 0], axis=-1) / 2.0
     np.testing.assert_allclose(oop, off, rtol=1e-12, atol=1e-12 * size)
     assert not xy.flags.writeable and not oop.flags.writeable
+
+
+_COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                         st.floats(-1e150, 1e150, allow_nan=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.lists(_COORDINATES, min_size=6, max_size=6),
+       y=st.lists(_COORDINATES, min_size=3, max_size=3))
+def test_private_cross_is_np_cross_bit_for_bit(x, y):
+    # broadcast a (2, 3) stack against one vector, as the oracles do
+    x, y = np.reshape(x, (2, 3)), np.array(y)
+    for a, b in ((x, y), (y, x), (x, x[::-1])):
+        np.testing.assert_array_equal(continuity._cross(a, b).view(np.int64),
+                                      np.cross(a, b).view(np.int64))
 
 
 def test_stacked_normal_curvature_equals_one_direction_at_a_time():

@@ -127,6 +127,58 @@ def test_roundtrip_preserves_values_exactly(doc):
     assert again.edges == doc.edges
 
 
+@st.composite
+def _any_documents(draw):
+    """Documents of any names, edge records between them and version, valid or not."""
+    patch = minimal_doc().patch("flat")
+    names = draw(st.lists(st.text(max_size=3), max_size=3, unique=True))
+    edges = []
+    if names:
+        ends = st.tuples(st.sampled_from(names), st.sampled_from(SIDES))
+        for (a, a_side), (b, b_side), rev in draw(st.lists(
+                st.tuples(ends, ends, st.booleans()), max_size=3)):
+            edges.append(EdgeCorrespondence(a_side, b_side, rev, a=a, b=b))
+    version = draw(st.sampled_from([1, 1, 1, 2, 0, True]))
+    return dict.fromkeys(names, patch), edges, version
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_documents())
+def test_every_document_that_constructs_saves_and_loads_back(parts):
+    patches, edges, version = parts
+    try:
+        doc = SurfaceDocument(patches=patches, edges=edges, version=version)
+    except SurfaceFormatError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        save_surface(doc, path)
+        again = load_surface(path)
+    assert list(again.patches) == list(doc.patches) and again.edges == doc.edges
+    assert again.version == doc.version
+
+
+def test_a_loaded_net_is_a_read_only_view_of_one_array(tmp_path):
+    path = tmp_path / "doc.json"
+    save_surface(split_pair_doc(np.random.default_rng(7)), path)
+    left, right = load_surface(path).patches.values()
+    assert left.net.base is right.net.base  # one converted array for all patches
+    for net in (left.net, left.net.base):
+        with pytest.raises(ValueError):
+            net[0, 0] = 1.0
+    with pytest.raises(ValueError):  # a view of read-only memory cannot be made writeable
+        left.net.flags.writeable = True
+    # a writeable input, or a read-only view of writeable memory, is copied
+    net = np.zeros((2, 2, 3))
+    view = net.view()
+    view.flags.writeable = False
+    for source in (net, view):
+        patch = BezierPatch(1, 1, source)
+        assert not np.shares_memory(patch.net, net) and not patch.net.flags.writeable
+    net[0, 0, 0] = 5.0
+    assert patch.net[0, 0, 0] == 0.0
+
+
 def test_dumps_json_writes_a_float_array_as_its_nested_lists():
     # an array is written as its nested lists: integral values gain ".0" as scalars do
     values = [-0.0, 5e-324, 1e300, 0.1, 1.0, -2.5e-7]
@@ -170,11 +222,13 @@ def test_dumps_json_escapes_only_what_json_requires():
 
 
 @pytest.mark.parametrize("name", ["a\nv 9 9 9", "a\rb", "tab\tname", "nul\x00", "del\x7f", "nel\x85",
-                                  "\ud800x"])
+                                  "\ud800x", ""])
 def test_patch_names_with_a_control_character_are_rejected(tmp_path, capsys, name):
-    # a lone surrogate is valid JSON text, but no writer can encode it as UTF-8
+    # a lone surrogate is valid JSON text, but no writer can encode it as UTF-8;
+    # the empty name is rejected by the same rule, so the loader need not check it
     patch = minimal_doc().patch("flat")
-    message = r"patches\[1\]\.name: must be a string without control characters or surrogates, got '"
+    message = (r"patches\[1\]\.name: must be a non-empty string without control characters or "
+               r"surrogates, got '")
     with pytest.raises(SurfaceFormatError, match=message):
         SurfaceDocument(patches={"ok": patch, name: patch})
     path = tmp_path / "doc.json"
@@ -192,7 +246,7 @@ def test_patch_names_with_a_control_character_are_rejected(tmp_path, capsys, nam
 
 
 def test_patch_names_must_be_strings():
-    with pytest.raises(SurfaceFormatError, match=r"patches\[0\]\.name: must be a string"):
+    with pytest.raises(SurfaceFormatError, match=r"patches\[0\]\.name: must be a non-empty string"):
         SurfaceDocument(patches={7: minimal_doc().patch("flat")})
 
 
