@@ -7,6 +7,9 @@ Three pairs of patches share a boundary curve:
      neighbour (different parametric speeds)    -> G1 passes anyway
   3. the same pair folded by 30 degrees         -> both tests fail
 
+Each one-edge check is a batch of one: its result holds arrays whose first
+index is the edge, as ``check_edges`` returns them for many edges.
+
 Run:  python3 demos/02_edge_continuity.py
 """
 
@@ -24,10 +27,10 @@ from smoothpatch import (
 corr = EdgeCorrespondence("u1", "u0")
 
 
-def show(label, report):
-    print(f"{label:34s} link {report.link_residual:9.2e}   "
-          f"oracle {report.oracle_residual:9.2e}   "
-          f"{'PASS' if report.ok else 'FAIL'}")
+def show(label, checks):
+    print(f"{label:34s} link {checks.link_residual[0]:9.2e}   "
+          f"oracle {checks.oracle_residual[0]:9.2e}   "
+          f"{'PASS' if checks.ok[0] else 'FAIL'}")
 
 
 # 1. split halves: the link solver recovers lambda == 1, kappa == 0
@@ -38,8 +41,8 @@ net[:, :, 1] = np.linspace(0, 2, 4)[None, :]
 net[:, :, 2] = rng.normal(scale=0.3, size=(4, 4))
 left, right = split_patch(BezierPatch.from_net(net), u=0.5)
 link = solve_edge_link(left, right, corr)
-print("split halves: lambda =", np.round(link.lam_samples[0], 12),
-      " kappa =", np.round(link.kap_samples[0], 12))
+print("split halves: lambda =", np.round(link.lam[0, 0], 12),
+      " kappa =", np.round(link.kap[0, 0], 12))
 show("split halves, G1", check_g1_edge(left, right, corr))
 show("split halves, G2", check_g2_edge(left, right, corr))
 
@@ -49,8 +52,8 @@ show("split halves, G2", check_g2_edge(left, right, corr))
 flat = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
 fast = BezierPatch.from_net([[[1, 0, 0], [1, 1, 0]], [[4, 1, 0], [4, 2, 0]]])
 link = solve_edge_link(flat, fast, corr)
-print("\nmismatched speeds: lambda =", link.lam_samples[0],
-      " kappa =", link.kap_samples[0])
+print("\nmismatched speeds: lambda =", link.lam[0, 0],
+      " kappa =", link.kap[0, 0])
 show("coplanar, mismatched speeds", check_g1_edge(flat, fast, corr))
 
 # 3. a 30 degree crease breaks both the link test and the normal oracle

@@ -16,7 +16,7 @@ from smoothpatch import (
     BezierPatch,
     EdgeCorrespondence,
     LinkCoefficients,
-    check_g1_edge,
+    check_edges,
     complete_fourth_patch,
     fourth_patch_twist_check,
 )
@@ -57,13 +57,10 @@ print(f"corner lambdas: lam12 = {lam12}, lam14 = {lam14}")
 
 r3 = complete_fourth_patch(r1, r2, r4, alpha23=1.2 * lam14, alpha43=0.9 * lam12)
 print(f"fourth patch bi-degree: ({r3.degree_u}, {r3.degree_v})")
-for label, a, b, corr in (
-    ("r2 ~ r3", r2, r3, EdgeCorrespondence("v1", "v0")),
-    ("r4 ~ r3", r4, r3, EdgeCorrespondence("u1", "u0")),
-):
-    rep = check_g1_edge(a, b, corr)
-    print(f"  {label}: residual {rep.link_residual:.2e}  "
-          f"{'PASS' if rep.ok else 'FAIL'}")
+checks = check_edges([(r2, r3, EdgeCorrespondence("v1", "v0")),
+                      (r4, r3, EdgeCorrespondence("u1", "u0"))])
+for label, residual, ok in zip(("r2 ~ r3", "r4 ~ r3"), checks.link_residual, checks.ok):
+    print(f"  {label}: residual {residual:.2e}  {'PASS' if ok else 'FAIL'}")
 
 print("\ntwist consistency as the coefficient constraint is violated:")
 coeffs43 = LinkCoefficients(lam12, lam12, lam12)

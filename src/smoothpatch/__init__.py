@@ -35,9 +35,8 @@ from .continuity import (
     CornerConsistencyError,
     DegenerateLinkError,
     DegenerateParametrizationError,
+    EdgeChecks,
     EdgeCorrespondence,
-    EdgeLink,
-    EdgeReport,
     GeometryError,
     PreconditionError,
     check_edges,

@@ -291,7 +291,8 @@ def _edge_jets(sides, requests) -> list:
     for i, (p, side, rev) in enumerate(sides):
         view = _side_view(p.net, side, rev)
         groups.setdefault(view.shape[:2], []).append((i, view[:top + 1]))
-    results = [{} for _ in requests]
+    results = [{(k, l): np.empty((len(sides), len(t), 3))
+                for k in range(order + 1) for l in range(order + 1 - k)} for t, order in requests]
     for (rows, cols), members in groups.items():
         idx = [i for i, _ in members]
         d_w, n = np.stack([view for _, view in members], axis=2), rows - 1  # (k, t, side, xyz)
@@ -315,8 +316,6 @@ def _edge_jets(sides, requests) -> list:
                     out += np.multiply(basis[:, b, None], coeffs[b, :width], out=term)
                 values = out.reshape(len(t), ks, len(idx), 3)
                 for k in range(ks):
-                    if (k, l) not in jets:
-                        jets[k, l] = np.empty((len(sides), len(t), 3))
                     jets[k, l][idx] = values[:, k].swapaxes(0, 1)
     return results
 
@@ -509,6 +508,8 @@ def _pair_diagonals(pairs) -> np.ndarray:
     box of two boxes is the box of the two nets, and a 1x3 by 3x1 matmul
     sums with the dot that ``np.linalg.norm`` of one vector takes.
     """
+    if not pairs:
+        return np.ones(0)
     slots = {}
     index = np.array([[slots.setdefault(id(p), (len(slots), p))[0] for p in pair[:2]]
                       for pair in pairs])

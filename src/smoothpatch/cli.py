@@ -46,10 +46,10 @@ _SIDE_ENDS = {(side, rev): [tuple(c) for c in _side_view(_CORNERS, side, rev)[0]
               for side in SIDES for rev in (False, True)}
 
 
-def find_corner_configs(doc: SurfaceDocument, reports):
+def find_corner_configs(doc: SurfaceDocument, checks):
     """Detect 4-patch vertices and return (names-in-role-order, CornerConfig).
 
-    ``reports`` are the ``check_edges`` reports of ``doc.edges``, in order.
+    ``checks`` is the ``check_edges`` result of ``doc.edges``, in order.
     Each edge record glues the end corners of its two sides (b's ends
     swapped when ``reversed``); the glued corners form the vertices.  A
     vertex qualifies when it joins four corners of four distinct patches and
@@ -60,7 +60,7 @@ def find_corner_configs(doc: SurfaceDocument, reports):
     joining its two roles, read at V by ``CornerConfig.from_links`` in the
     record's own orientation: swapped when the record's a is the canonical
     b, at the record's parameter of V.  No link is solved here; order-2
-    reports give configs with second-order values.
+    checks give configs with second-order values.
     """
     roots = {(name, corner): (name, corner) for name in doc.patches
              for corner in ((0, 0), (0, 1), (1, 0), (1, 1))}
@@ -95,7 +95,7 @@ def find_corner_configs(doc: SurfaceDocument, reports):
         for key, a, b in (("12", r1, r2), ("14", r1, r4), ("23", r2, r3), ("43", r4, r3)):
             k = record[a][b]
             corr = doc.edges[k]
-            links[key] = (reports[k].link, _SIDE_ENDS[corr.a_side, False].index(corner_of[corr.a]),
+            links[key] = (checks, k, _SIDE_ENDS[corr.a_side, False].index(corner_of[corr.a]),
                           corr.a != a)
         found.append(((r1, r2, r3, r4), CornerConfig.from_links(links)))
     return found
@@ -108,22 +108,18 @@ def _fmt(x: float) -> str:
 
 
 def _run_checks(doc: SurfaceDocument, order: int):
-    edge_rows = []
-    all_ok = True
     oracle_name = "normal_angle" if order == 1 else "curvature_gap"
-    reports = check_edges([(doc.patch(c.a), doc.patch(c.b), c) for c in doc.edges], order)
-    for corr, rep in zip(doc.edges, reports):
-        edge_rows.append({
-            "a": corr.a, "a_side": corr.a_side, "b": corr.b, "b_side": corr.b_side,
-            "reversed": bool(corr.reversed),
-            "link_residual": float(rep.link_residual),
-            oracle_name: float(rep.oracle_residual),
-            "link_ok": bool(rep.link_ok), "oracle_ok": bool(rep.oracle_ok),
-            "ok": bool(rep.ok),
-        })
-        all_ok &= rep.ok
+    checks = check_edges([(doc.patch(c.a), doc.patch(c.b), c) for c in doc.edges], order)
+    columns = (getattr(checks, name).tolist()
+               for name in ("link_residual", "oracle_residual", "link_ok", "oracle_ok", "ok"))
+    edge_rows = [{
+        "a": corr.a, "a_side": corr.a_side, "b": corr.b, "b_side": corr.b_side,
+        "reversed": bool(corr.reversed), "link_residual": residual, oracle_name: oracle,
+        "link_ok": link_ok, "oracle_ok": oracle_ok, "ok": ok,
+    } for corr, residual, oracle, link_ok, oracle_ok, ok in zip(doc.edges, *columns)]
+    all_ok = all(row["ok"] for row in edge_rows)
     vertex_rows = []
-    for names, config in find_corner_configs(doc, reports):
+    for names, config in find_corner_configs(doc, checks):
         rep = check_vertex_g2(config) if order == 2 else check_vertex_g1(config)
         row = {
             "patches": list(names),

@@ -13,11 +13,15 @@ reparametrization); cross-boundary directions always point from patch a
 into patch b, so joins cut from one smooth surface get lambda > 0.
 
 Evaluation is batched: ``check_edges`` checks any number of edges in one
-pass, the one-edge functions are batches of one, and each construction
-solves its joins in one batch.  A check makes one call of
-``bezier._edge_jets`` for both sides of all its edges and both sample sets,
-each side once per set, read into its patch and along the shared edge
-parameter, so only a's derivatives across the edge change sign.  At
+pass and returns one ``EdgeChecks``, whose read-only arrays (link samples,
+residuals and verdicts) are indexed by edge.  The one-edge functions are
+batches of one, and each construction solves its joins in one batch.  A
+check makes one call of ``bezier._edge_jets`` for both sides of all its
+edges and both sample sets, each side once per set, read into its patch and
+along the shared edge parameter, so only a's derivatives across the edge
+change sign.  Each edge's frames are then divided by the power of two next
+above its scale (see ``_frames``), so that the solves and oracles neither
+overflow nor underflow for scales from 1e-150 to 1e150.  At
 ``SOLVE_SAMPLES`` (first order for G1, second for G2) the frames serve the
 G0 test, the link solves, the end slopes and the curvature oracle.  At
 ``VERIFY_SAMPLES`` the normal oracle has first-order frames of its own:
@@ -25,11 +29,10 @@ they share the differenced control rows with the solve's, never a sum.
 Each link solve goes through the dual basis of a's tangent basis, one per
 edge and sample; the curvature oracle solves its three directions in one
 call.  A side's jets are the same bits in any batch, and the later steps
-agree with a batch of one within 1e-12.  Each ``EdgeLink`` of a batch
-holds read-only views of its results, not copies.
+agree with a batch of one within 1e-12.
 
 A ``CornerConfig`` holds the link values at a vertex V in the canonical
-arrangement, and solves nothing: each comes from one edge link's samples at
+arrangement, and solves nothing: each comes from one edge's link samples at
 V, read in that link's own orientation, through two closed-form maps (a
 link read from b to a, and a link whose parameter runs the other way).
 """
@@ -37,7 +40,7 @@ link read from b to a, and a link whose parameter runs the other way).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +61,7 @@ __all__ = [
     "CornerConsistencyError",
     "PreconditionError",
     "EdgeCorrespondence",
-    "EdgeLink",
-    "EdgeReport",
+    "EdgeChecks",
     "CornerConfig",
     "CompatReport",
     "g0_gap",
@@ -117,7 +119,7 @@ class EdgeCorrespondence:
 
     ``reversed`` means b's edge parameter runs opposite to a's.  The two
     boundary curves must coincide pointwise under this identification;
-    ``solve_edge_link`` verifies that before solving.
+    ``check_edges`` verifies that before solving.
     """
 
     a_side: str
@@ -165,7 +167,7 @@ def _solve(dual, rhs, scale=None):
     ``scale``.
     """
     xy = np.stack([_dot(dual[..., 0, :], rhs), _dot(dual[..., 1, :], rhs)], axis=-1)
-    # read-only, so that the links of a batch can keep views of the results
+    # read-only, so that a check's columns can be views of the results
     xy.flags.writeable = False
     if scale is None:
         return xy
@@ -178,28 +180,35 @@ def _name(corr: EdgeCorrespondence) -> str:
     return f"{corr.a}:{corr.a_side} ~ {corr.b}:{corr.b_side}"
 
 
-def _frames(pairs, requests) -> list:
-    """Derivatives along both sides of a batch of (a, b, corr) edges, in shared edge coordinates.
+def _frames(pairs, requests) -> tuple:
+    """Each edge's scale and the derivatives along both sides of a batch of (a, b, corr) edges.
 
-    ``w`` is the transversal coordinate (positive from patch a into patch
-    b), ``t`` the shared edge parameter.  ``requests`` holds (t, order)
-    pairs, order 1 or 2, and the result one dict per request: it maps
-    "point", "w" and "t", from order 2 also "ww", "wt" and "tt", to arrays
-    of shape (2, edges, samples, 3) whose first index picks patch a or b.
-    All sides and requests come from one call of the side evaluator.
+    The scale is the joint net diagonal of the edge's two patches.  ``w`` is
+    the transversal coordinate (positive from patch a into patch b), ``t``
+    the shared edge parameter.  ``requests`` holds (t, order) pairs, order 1
+    or 2, and the frames are one dict per request: it maps "point", "w" and
+    "t", from order 2 also "ww", "wt" and "tt", to arrays of shape (2,
+    edges, samples, 3) whose first index picks patch a or b.  All sides and
+    requests come from one call of the side evaluator.  Each edge's frames
+    are divided by the power of two 2^e with 2^(e-1) <= scale < 2^e.  The
+    division is exact, and it keeps |a_w x a_t|^2, which grows as the fourth
+    power of the scale, a normal float for scales from 1e-150 to 1e150.
     """
+    scale = _pair_diagonals(pairs)
+    unit = np.ldexp(1.0, -np.frexp(scale)[1])[:, None, None]
     sides = ([(a, c.a_side, False) for a, _, c in pairs]
              + [(b, c.b_side, c.reversed) for _, b, c in pairs])
     # a's rows run away from b, so its odd derivatives across the edge change sign
     into = np.array([-1.0, 1.0])[:, None, None, None]
     frames = []
     for jets in _edge_jets(sides, requests):
-        jet = {key: value.reshape(2, len(pairs), *value.shape[1:]) for key, value in jets.items()}
+        jet = {key: value.reshape(2, len(pairs), *value.shape[1:]) * unit
+               for key, value in jets.items()}
         f = {"point": jet[0, 0], "w": into * jet[1, 0], "t": jet[0, 1]}
         if (2, 0) in jet:
             f.update(ww=jet[2, 0], wt=into * jet[1, 1], tt=jet[0, 2])
         frames.append(f)
-    return frames
+    return scale, frames
 
 
 def g0_gap(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> float:
@@ -207,44 +216,7 @@ def g0_gap(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> float:
     return float(_LinkBatch([(a, b, corr)], 1).gaps[0])
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeLink:
-    """Link functions along one shared edge, as their samples at ``ts``.
-
-    ``oop`` holds the per-sample out-of-plane residual of the first-order
-    link solve; ``g2_oop`` (after ``solve_g2_link``) the second-order one.
-    All residuals are normalized by the joint net diagonal ``scale``.
-    ``end_slopes`` (also second order) holds (lambda', kappa') at the first
-    and the last sample, as rows.
-
-    The arrays are read-only.  A link from ``check_edges`` holds strided
-    views of its batch's result arrays, not copies, so it keeps the results
-    of every edge of the batch alive; a caller that keeps a few links of a
-    large batch should copy their arrays.
-    """
-
-    ts: np.ndarray
-    lam_samples: np.ndarray
-    kap_samples: np.ndarray
-    oop: np.ndarray
-    scale: float
-    mu_samples: np.ndarray | None = None
-    nu_samples: np.ndarray | None = None
-    g2_oop: np.ndarray | None = None
-    end_slopes: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("ts", "lam_samples", "kap_samples", "oop",
-                     "mu_samples", "nu_samples", "g2_oop", "end_slopes"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _frozen(getattr(self, name)))
-
-    @property
-    def max_oop(self) -> float:
-        return float(np.max(self.oop))
-
-
-def _second_order(f: dict, lam, kap, dual, scale):
+def _second_order(f: dict, lam, kap, dual, size):
     """mu, nu and the residual of R = mu a_w + nu a_t per edge and sample, and the end slopes.
 
     R = b_ww - lambda^2 a_ww - 2 lambda kappa a_wt - kappa^2 a_tt; ``dual``
@@ -259,7 +231,7 @@ def _second_order(f: dict, lam, kap, dual, scale):
         - 2.0 * (lam * kap)[..., None] * f["wt"][0]
         - kap[..., None] ** 2 * f["tt"][0]
     )
-    xy, oop = _solve(dual, rhs, scale)
+    xy, oop = _solve(dual, rhs, size)
     ends = [0, -1]
     a_wt, b_wt, a_tt = (x[:, ends] for x in (f["wt"][0], f["wt"][1], f["tt"][0]))
     rhs = b_wt - lam[:, ends, None] * a_wt - kap[:, ends, None] * a_tt
@@ -269,29 +241,35 @@ def _second_order(f: dict, lam, kap, dual, scale):
 class _LinkBatch:
     """Link solves of a batch of (a, b, corr) edges at ``SOLVE_SAMPLES``, up to ``order``.
 
-    ``f`` is the batch's frames there, when the caller has them from a
-    larger evaluator call.  The dual basis ``dual`` of a's tangent basis,
-    one per edge and sample, serves the first-order solve and, at order 2,
-    the second-order one, whose (mu, nu, residual, end slopes) are ``g2``.
-    ``gaps`` holds each edge's normalized G0 gap.  ``errors[e]`` is the
-    GeometryError ``solve_edge_link`` raises for edge e, or None: a G0 gap
+    ``scale`` and ``f`` are the batch's scales and frames there from
+    ``_frames``, when the caller has them from a larger evaluator call;
+    ``size`` is each scale in its frames' units.  The dual basis ``dual`` of
+    a's tangent basis, one per edge and sample, serves the first-order solve
+    (``lam``, ``kap`` and their residual ``oop``) and, at order 2, the
+    second-order one (``mu``, ``nu``, ``g2_oop`` and ``end_slopes``, None at
+    order 1).  ``gaps`` holds each edge's normalized G0 gap.  ``errors[e]``
+    is the GeometryError that checking edge e raises, or None: a G0 gap
     comes first, then a rank failure, then a vanishing lambda.
     """
 
-    def __init__(self, pairs, order: int, f=None):
-        self.pairs = pairs
-        self.f = f = _frames(pairs, [(_SOLVE_TS, order)])[0] if f is None else f
-        self.scale = _pair_diagonals(pairs)
-        scale = self.scale[:, None]
+    def __init__(self, pairs, order: int, scale=None, f=None):
+        if f is None:
+            scale, (f,) = _frames(pairs, [(_SOLVE_TS, order)])
+        self.pairs, self.f, self.scale = pairs, f, scale
+        self.size = np.frexp(scale)[0]
+        size = self.size[:, None]
         (a_w, b_w), a_t = f["w"], f["t"][0]
         self.cross = _cross(a_w, a_t)  # zero where a tangent vector is zero
-        flat = (np.linalg.norm(self.cross, axis=-1) < RANK_TOL * scale**2).any(axis=-1)
+        flat = (np.linalg.norm(self.cross, axis=-1) < RANK_TOL * size**2).any(axis=-1)
         self.dual = _dual(a_w, a_t, self.cross)
-        xy, self.oop = _solve(self.dual, b_w, scale)
+        xy, self.oop = _solve(self.dual, b_w, size)
         self.lam, self.kap = xy[..., 0], xy[..., 1]
         self.negative = (self.lam < 0.0).any(axis=-1)
-        self.g2 = _second_order(f, self.lam, self.kap, self.dual, scale) if order >= 2 else None
-        self.gaps = np.linalg.norm(f["point"][0] - f["point"][1], axis=-1).max(axis=-1) / self.scale
+        self.mu = self.nu = self.g2_oop = self.end_slopes = None
+        if order >= 2:
+            self.mu, self.nu, self.g2_oop, self.end_slopes = _second_order(
+                f, self.lam, self.kap, self.dual, size)
+        self.gaps = np.linalg.norm(f["point"][0] - f["point"][1], axis=-1).max(axis=-1) / self.size
         vanishes = (np.abs(self.lam) < LAMBDA_MIN).any(axis=-1)
         self.errors = []
         for (*_, c), gap, is_flat, vanish in zip(pairs, self.gaps.tolist(), flat.tolist(),
@@ -319,59 +297,56 @@ class _LinkBatch:
             warnings.warn(f"orientation-reversing join ({_name(self.pairs[e][2])}): "
                           "lambda is negative", stacklevel=3)
 
-    def link(self, e: int) -> EdgeLink:
-        """Edge e's link, with mu, nu, their residual and the end slopes at order 2."""
-        mu, nu, g2_oop, slopes = (None,) * 4 if self.g2 is None else (x[e] for x in self.g2)
-        return EdgeLink(ts=_SOLVE_TS, lam_samples=self.lam[e], kap_samples=self.kap[e],
-                        oop=self.oop[e], scale=float(self.scale[e]),
-                        mu_samples=mu, nu_samples=nu, g2_oop=g2_oop, end_slopes=slopes)
 
+@dataclass(frozen=True, eq=False)
+class EdgeChecks:
+    """Checks of a batch of shared edges, as read-only arrays whose first index is the edge.
 
-def solve_edge_link(
-    a: BezierPatch,
-    b: BezierPatch,
-    corr: EdgeCorrespondence,
-) -> EdgeLink:
-    """Solve the first-order link cross_b = lambda*cross_a + kappa*tangent_a.
+    Link columns: ``lam`` and ``kap`` hold lambda and kappa at the
+    ``SOLVE_SAMPLES`` edge parameters ``ts``, and ``oop`` the out-of-plane
+    residual of the first-order solve there.  At order 2, ``mu``, ``nu`` and
+    their residual ``g2_oop`` have the same shape, and ``end_slopes`` holds
+    (lambda', kappa') at the first and the last sample, as (edges, 2, 2);
+    they are None at order 1.  Residuals are normalized by ``scale``, each
+    edge's joint net diagonal.
 
-    At each of the ``SOLVE_SAMPLES`` edge parameters the two scalars are
-    obtained by projecting b's cross-boundary derivative onto a's tangent
-    basis; the out-of-plane component is recorded as the per-sample
-    residual.
+    Verdict columns: ``link_residual`` is the largest ``oop`` (``g2_oop`` at
+    order 2) and ``oracle_residual`` the largest normal angle (the
+    normal-curvature gap at order 2); ``link_ok`` and ``oracle_ok`` compare
+    them with their tolerances, and ``ok`` is both.  At order 2, ``ok`` also
+    needs ``g1_ok``, the G1 verdict.
     """
-    batch = _LinkBatch([(a, b, corr)], 1)
-    batch.admit(0)
-    return batch.link(0)
+
+    order: int
+    ts: np.ndarray
+    scale: np.ndarray
+    lam: np.ndarray
+    kap: np.ndarray
+    oop: np.ndarray
+    link_residual: np.ndarray
+    oracle_residual: np.ndarray
+    link_ok: np.ndarray
+    oracle_ok: np.ndarray
+    ok: np.ndarray
+    mu: np.ndarray | None = None
+    nu: np.ndarray | None = None
+    g2_oop: np.ndarray | None = None
+    end_slopes: np.ndarray | None = None
+    g1_ok: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class EdgeReport:
-    """Outcome of an edge continuity check: the link test plus its oracle."""
-
-    order: int  # 1 or 2
-    link_residual: float
-    link_ok: bool
-    oracle_residual: float  # max normal angle (G1) / normal-curvature gap (G2)
-    oracle_ok: bool
-    ok: bool
-    link: EdgeLink
-    g1: "EdgeReport | None" = None  # for order 2: the underlying G1 report
-
-
-def check_edges(edges, order: int = 1) -> list[EdgeReport]:
+def check_edges(edges, order: int = 1) -> EdgeChecks:
     """G1 (order 1) or G2 (order 2) checks of many shared edges in one batched pass.
 
-    ``edges`` holds (a, b, corr) triples.  Each report is the one
-    ``check_g1_edge`` or ``check_g2_edge`` gives for that edge alone.  Edges
+    ``edges`` holds (a, b, corr) triples.  Row e of each column is what
+    ``check_g1_edge`` or ``check_g2_edge`` gives for edge e alone.  Edges
     are taken in order: the first whose link solve fails raises its error,
     after the negative-lambda warnings of the edges before it.
     """
     pairs = list(edges)
-    if not pairs:
-        return []
     # one side-evaluator call; the normal oracle's frames share only the differenced rows
-    solve_f, f = _frames(pairs, [(_SOLVE_TS, order), (_VERIFY_TS, 1)])
-    batch = _LinkBatch(pairs, order, solve_f)
+    scale, (solve_f, f) = _frames(pairs, [(_SOLVE_TS, order), (_VERIFY_TS, 1)])
+    batch = _LinkBatch(pairs, order, scale, solve_f)
     for e in range(len(pairs)):
         batch.admit(e)
     # normal oracle: the angle between the normal *lines* of the two patches
@@ -379,64 +354,74 @@ def check_edges(edges, order: int = 1) -> list[EdgeReport]:
     n /= np.linalg.norm(n, axis=-1)[..., None]
     # atan2 keeps precision near zero
     sin = np.linalg.norm(_cross(n[0], n[1]), axis=-1)
-    angle = np.arctan2(sin, np.abs(_dot(n[0], n[1]))).max(axis=-1)
-    links = [batch.link(e) for e in range(len(pairs))]
-    reports = [
-        EdgeReport(order=1, link_residual=r, link_ok=r < G1_TOL, oracle_residual=x,
-                   oracle_ok=x < NORMAL_ANGLE_TOL, ok=r < G1_TOL and x < NORMAL_ANGLE_TOL,
-                   link=link)
-        for link, r, x in zip(links, batch.oop.max(axis=-1).tolist(), angle.tolist())
-    ]
-    if order == 1:
-        return reports
-    # curvature oracle: both patches' normal curvatures in three pairwise
-    # independent directions, with a's unit normal, in units of the net
-    # diagonal so that G2_TOL is scale-free
-    f = batch.f
-    n = batch.cross / np.linalg.norm(batch.cross, axis=-1)[..., None]
-    k = normal_curvature(f["w"], f["t"], f["ww"], f["wt"], f["tt"],
-                         np.stack([f["w"][0], f["t"][0], f["w"][0] + f["t"][0]])[:, None], n)
-    gap = np.abs(k[:, 0] - k[:, 1]).max(axis=(0, -1)) * batch.scale
-    return [
-        EdgeReport(order=2, link_residual=r, link_ok=r < G2_TOL, oracle_residual=x,
-                   oracle_ok=x < G2_TOL, ok=g1.ok and r < G2_TOL and x < G2_TOL,
-                   link=g1.link, g1=g1)
-        for g1, r, x in zip(reports, batch.g2[2].max(axis=-1).tolist(), gap.tolist())
-    ]
+    oracle_residual = np.arctan2(sin, np.abs(_dot(n[0], n[1]))).max(axis=-1)
+    link_residual = batch.oop.max(axis=-1)
+    link_ok, oracle_ok = link_residual < G1_TOL, oracle_residual < NORMAL_ANGLE_TOL
+    ok, g1_ok = link_ok & oracle_ok, None
+    if order == 2:
+        # curvature oracle: both patches' normal curvatures in three pairwise
+        # independent directions, with a's unit normal, in units of the net
+        # diagonal so that G2_TOL is scale-free
+        f = batch.f
+        n = batch.cross / np.linalg.norm(batch.cross, axis=-1)[..., None]
+        k = normal_curvature(f["w"], f["t"], f["ww"], f["wt"], f["tt"],
+                             np.stack([f["w"][0], f["t"][0], f["w"][0] + f["t"][0]])[:, None], n)
+        oracle_residual = np.abs(k[:, 0] - k[:, 1]).max(axis=(0, -1)) * batch.size
+        link_residual = batch.g2_oop.max(axis=-1)
+        link_ok, oracle_ok = link_residual < G2_TOL, oracle_residual < G2_TOL
+        ok, g1_ok = ok & link_ok & oracle_ok, ok
+    checks = EdgeChecks(order, _SOLVE_TS, batch.scale, batch.lam, batch.kap, batch.oop,
+                        link_residual, oracle_residual, link_ok, oracle_ok, ok,
+                        batch.mu, batch.nu, batch.g2_oop, batch.end_slopes, g1_ok)
+    for column in vars(checks).values():
+        if isinstance(column, np.ndarray):
+            column.flags.writeable = False
+    return checks
 
 
-def check_g1_edge(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> EdgeReport:
-    """Tangent-plane continuity along a shared edge, tested two ways.
+def check_g1_edge(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> EdgeChecks:
+    """Tangent-plane continuity along a shared edge, tested two ways, as a batch of one.
 
-    (i) link test: the out-of-plane residual of ``solve_edge_link`` stays
-    below ``G1_TOL``; (ii) normal oracle: the angle between the two surface
+    (i) link test: the out-of-plane residual of the link solve stays below
+    ``G1_TOL``; (ii) normal oracle: the angle between the two surface
     normals (as unoriented lines) stays below ``NORMAL_ANGLE_TOL`` at the
     ``VERIFY_SAMPLES`` shared samples.  The verdict is the conjunction.
     """
-    return check_edges([(a, b, corr)], 1)[0]
+    return check_edges([(a, b, corr)], 1)
 
 
-def solve_g2_link(
-    a: BezierPatch,
-    b: BezierPatch,
-    corr: EdgeCorrespondence,
-    link: EdgeLink,
-) -> EdgeLink:
-    """Solve the second-order link and return a copy of ``link`` with mu, nu.
+def check_g2_edge(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> EdgeChecks:
+    """Curvature continuity along a shared edge, tested two ways, as a batch of one.
+
+    (i) the second-order link residual stays below ``G2_TOL``; (ii) curvature
+    oracle: the normal curvatures of both patches agree within ``G2_TOL`` in
+    three pairwise independent tangent directions at the shared samples
+    (three directions suffice to pin the full curvature behaviour).
+    """
+    return check_edges([(a, b, corr)], 2)
+
+
+def solve_edge_link(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> EdgeChecks:
+    """The first-order link cross_b = lambda*cross_a + kappa*tangent_a of one edge.
+
+    At each of the ``SOLVE_SAMPLES`` edge parameters the two scalars are
+    obtained by projecting b's cross-boundary derivative onto a's tangent
+    basis; the out-of-plane component is recorded as the per-sample
+    residual.  This is ``check_g1_edge``: its link columns hold the solve.
+    """
+    return check_edges([(a, b, corr)], 1)
+
+
+def solve_g2_link(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> EdgeChecks:
+    """The second-order link of one edge, with the first-order one: ``check_g2_edge``.
 
     Forms R = b_ww - lambda^2 a_ww - 2 lambda kappa a_wt - kappa^2 a_tt per
     sample and resolves R = mu a_w + nu a_t in least squares.  A large
     out-of-plane component of R signals failure of curvature continuity; it
-    is recorded, not raised.  The copy also carries the end slopes.  The
-    edge is solved as a batch of one at ``SOLVE_SAMPLES``, as ``link`` is.
+    is recorded in ``g2_oop``, not raised.  The result also carries the
+    end slopes.
     """
-    if not np.array_equal(link.ts, _SOLVE_TS):
-        raise ValueError(f"link of {_name(corr)} is not sampled at SOLVE_SAMPLES")
-    batch = _LinkBatch([(a, b, corr)], 2)
-    if batch.errors[0] is not None:
-        raise batch.errors[0]
-    mu, nu, g2_oop, slopes = (x[0] for x in batch.g2)
-    return replace(link, mu_samples=mu, nu_samples=nu, g2_oop=g2_oop, end_slopes=slopes)
+    return check_edges([(a, b, corr)], 2)
 
 
 def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarray:
@@ -457,17 +442,6 @@ def normal_curvature(e_w, e_t, e_ww, e_wt, e_tt, direction, normal) -> np.ndarra
     first = _dot(direction, direction) - off**2  # the squared length of its projection
     second = x**2 * big_l + 2 * x * y * big_m + y**2 * big_n
     return second / first
-
-
-def check_g2_edge(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> EdgeReport:
-    """Curvature continuity along a shared edge, tested two ways.
-
-    (i) the second-order link residual stays below ``G2_TOL``; (ii) curvature
-    oracle: the normal curvatures of both patches agree within ``G2_TOL`` in
-    three pairwise independent tangent directions at the shared samples
-    (three directions suffice to pin the full curvature behaviour).
-    """
-    return check_edges([(a, b, corr)], 2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,19 +499,20 @@ class CornerConfig:
     def from_links(cls, links: dict) -> "CornerConfig":
         """The corner whose canonical links are read from ``links``, in their own orientation.
 
-        ``links`` maps each link key to (link, t, swapped): V is at the
-        link's edge parameter t (0 or 1), and ``swapped`` says that the link
-        runs from the canonical b to the canonical a.  Nothing is solved:
-        the values are the link's samples at V and its end slopes there,
-        mapped by ``_canonical``.
+        ``links`` maps each link key to (checks, e, t, swapped): the link is
+        edge e of ``checks``, a ``check_edges`` result, V is at its edge
+        parameter t (0 or 1), and ``swapped`` says that it runs from the
+        canonical b to the canonical a.  Nothing is solved: the values are
+        the link's samples at V and its end slopes there, mapped by
+        ``_canonical``.
         """
         values = {}
-        for key, (link, t, swapped) in links.items():
+        for key, (checks, e, t, swapped) in links.items():
             i = -1 if t else 0
-            at_v = (float(link.lam_samples[i]), float(link.kap_samples[i]))
-            if link.mu_samples is not None:
-                at_v += (*link.end_slopes[t].tolist(), float(link.mu_samples[i]),
-                         float(link.nu_samples[i]))
+            at_v = (float(checks.lam[e, i]), float(checks.kap[e, i]))
+            if checks.mu is not None:
+                at_v += (*checks.end_slopes[e, t].tolist(), float(checks.mu[e, i]),
+                         float(checks.nu[e, i]))
             mapped = _canonical(at_v, swapped, t != _CORNER_EDGES[key][-1])
             values[key] = dict(zip(_VALUE_NAMES, mapped))
         return cls(values)
@@ -549,15 +524,16 @@ class CornerConfig:
         """The corner of four patches in the canonical arrangement, with second-order values.
 
         Its four links are solved in one batch, as ``check_edges`` solves
-        them, and read by ``from_links``, where both maps are the identity.
-        Raises the GeometryError of the first link that fails.
+        them, and ``from_links`` reads the batch's columns, where both maps
+        are the identity.  Raises the GeometryError of the first link that
+        fails.
         """
         quad = {"p1": p1, "p2": p2, "p3": p3, "p4": p4}
         batch = _LinkBatch([(quad[an], quad[bn], EdgeCorrespondence(a_side, b_side, a=an, b=bn))
                             for an, a_side, bn, b_side, _ in _CORNER_EDGES.values()], 2)
         for e in range(len(_CORNER_EDGES)):
             batch.admit(e)
-        return cls.from_links({key: (batch.link(e), t_v, False)
+        return cls.from_links({key: (batch, e, t_v, False)
                                for e, (key, (*_, t_v)) in enumerate(_CORNER_EDGES.items())})
 
     def solve_g2(self) -> "CornerConfig":

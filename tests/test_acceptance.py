@@ -19,6 +19,7 @@ from smoothpatch.bezier import (
 from smoothpatch.continuity import (
     CornerConfig,
     EdgeCorrespondence,
+    check_edges,
     check_g1_edge,
     check_vertex_g1,
     check_vertex_g2,
@@ -175,13 +176,10 @@ def test_criterion_05_fourth_patch_completion():
         alpha43 = rng.uniform(0.5, 2.0)
         r3 = complete_fourth_patch(r1, r2, r4, alpha23=alpha23, alpha43=alpha43)
         assert (r3.degree_u, r3.degree_v) == (5, 5)
-        for a, b, corr in (
-            (r2, r3, EdgeCorrespondence("v1", "v0")),
-            (r4, r3, EdgeCorrespondence("u1", "u0")),
-        ):
-            rep = check_g1_edge(a, b, corr)
-            assert rep.ok and rep.link_residual < 1e-9
-            worst_edge = max(worst_edge, rep.link_residual)
+        checks = check_edges([(r2, r3, EdgeCorrespondence("v1", "v0")),
+                              (r4, r3, EdgeCorrespondence("u1", "u0"))])
+        assert checks.ok.all() and (checks.link_residual < 1e-9).all()
+        worst_edge = max(worst_edge, checks.link_residual.max())
         coeffs23 = LinkCoefficients(lam14, alpha23, lam14, 0.0,
                                     2 * (alpha43 - lam12) / (3 * lam12), 0.0, 0.0)
         coeffs43 = LinkCoefficients(lam12, alpha43, lam12, 0.0,
@@ -195,16 +193,13 @@ def test_criterion_05_fourth_patch_completion():
 
 
 def _hole_edge_residuals(patches, fill):
-    out = []
-    for a, b, corr in (
+    checks = check_edges([
         (patches[4], fill, EdgeCorrespondence("v1", "v0")),
         (patches[2], fill, EdgeCorrespondence("u1", "u0")),
         (fill, patches[6], EdgeCorrespondence("v1", "v0")),
         (fill, patches[8], EdgeCorrespondence("u1", "u0")),
-    ):
-        rep = check_g1_edge(a, b, corr)
-        out.append((rep.ok, rep.link_residual))
-    return out
+    ])
+    return list(zip(checks.ok.tolist(), checks.link_residual.tolist()))
 
 
 def test_criterion_06_hole_filling_deg5():
@@ -248,7 +243,7 @@ def test_criterion_07_hole_filling_deg6():
         # the inner cubic ordinates are pinned to the ring constants exactly
         link = solve_edge_link(patches[4], fill, EdgeCorrespondence("v1", "v0"))
         np.testing.assert_allclose(
-            link.lam_samples,
+            link.lam[0],
             bernstein_basis(3, link.ts) @ [lam["12"], lam["12"], lam["78"], lam["78"]],
             atol=1e-8)
     _report(7, f"20 rings at (6,6): edges {worst_edge:.2e} < 1e-8, pinning exact")
@@ -278,17 +273,13 @@ def test_criterion_09_fillet():
     strip_a, strip_b = cols[0], cols[2]
     middle = build_fillet(strip_a, strip_b)
     grid = [strip_a, middle, strip_b]
-    worst_edge = 0.0
-    for r in range(4):
-        for c in range(2):
-            rep = check_g1_edge(grid[c][r], grid[c + 1][r], EdgeCorrespondence("u1", "u0"))
-            assert rep.ok and rep.link_residual < 1e-9
-            worst_edge = max(worst_edge, rep.link_residual)
-    for r in range(3):
-        for c in range(3):
-            rep = check_g1_edge(grid[c][r], grid[c][r + 1], EdgeCorrespondence("v1", "v0"))
-            assert rep.ok and rep.link_residual < 1e-9
-            worst_edge = max(worst_edge, rep.link_residual)
+    checks = check_edges(
+        [(grid[c][r], grid[c + 1][r], EdgeCorrespondence("u1", "u0"))
+         for r in range(4) for c in range(2)]
+        + [(grid[c][r], grid[c][r + 1], EdgeCorrespondence("v1", "v0"))
+           for r in range(3) for c in range(3)])
+    assert checks.ok.all() and (checks.link_residual < 1e-9).all()
+    worst_edge = checks.link_residual.max()
     worst_vertex = 0.0
     for c in range(2):
         for r in range(3):
@@ -308,11 +299,11 @@ def test_criterion_10_oracle_agreement():
     for seed in range(100):
         a, b, _, _ = g1_pair(np.random.default_rng(10_000 + seed))
         rep = check_g1_edge(a, b, EdgeCorrespondence("u1", "u0"))
-        assert rep.link_ok and rep.oracle_ok  # both say pass
-        disagreements += rep.link_ok != rep.oracle_ok
+        assert rep.link_ok[0] and rep.oracle_ok[0]  # both say pass
+        disagreements += rep.link_ok[0] != rep.oracle_ok[0]
         a, b = creased_pair(np.random.default_rng(20_000 + seed))
         rep = check_g1_edge(a, b, EdgeCorrespondence("u1", "u0"))
-        assert (not rep.link_ok) and (not rep.oracle_ok)  # both say fail
-        disagreements += rep.link_ok != rep.oracle_ok
+        assert (not rep.link_ok[0]) and (not rep.oracle_ok[0])  # both say fail
+        disagreements += rep.link_ok[0] != rep.oracle_ok[0]
     assert disagreements == 0
     _report(10, "link and normal oracles agree on 100 pass + 100 crease instances")

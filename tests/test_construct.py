@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smoothpatch.construct as construct
-import smoothpatch.continuity as continuity
 from smoothpatch.bezier import (
     BezierPatch,
     bernstein_basis,
@@ -26,6 +25,7 @@ from smoothpatch.continuity import (
     DegenerateLinkError,
     EdgeCorrespondence,
     PreconditionError,
+    check_edges,
     check_g1_edge,
     check_vertex_g1,
 )
@@ -64,14 +64,13 @@ def ring_from(patches):
     return NinePatchRing.from_patches(patches)
 
 
-def hole_edge_reports(patches, fill):
-    corrs = [
+def hole_edge_checks(patches, fill):
+    return check_edges([
         (patches[4], fill, EdgeCorrespondence("v1", "v0", a="4", b="5")),
         (patches[2], fill, EdgeCorrespondence("u1", "u0", a="2", b="5")),
         (fill, patches[6], EdgeCorrespondence("v1", "v0", a="5", b="6")),
         (fill, patches[8], EdgeCorrespondence("u1", "u0", a="5", b="8")),
-    ]
-    return [check_g1_edge(a, b, c) for a, b, c in corrs]
+    ])
 
 
 # --- row propagation ---------------------------------------------------------
@@ -169,7 +168,7 @@ def test_fourth_patch_default_betas_vanish_for_uniform_corner():
     r3 = complete_fourth_patch(p1, p2, p4, alpha23=1.0, alpha43=1.0)
     from smoothpatch.continuity import solve_edge_link
     link = solve_edge_link(p2, r3, EdgeCorrespondence("v1", "v0"))
-    np.testing.assert_allclose(link.kap_samples, 0.0, atol=1e-11)
+    np.testing.assert_allclose(link.kap[0], 0.0, atol=1e-11)
 
 
 def test_fourth_patch_beta_algebra():
@@ -182,7 +181,7 @@ def test_fourth_patch_beta_algebra():
     from smoothpatch.continuity import solve_edge_link
     link = solve_edge_link(r2, r3, EdgeCorrespondence("v1", "v0"))
     np.testing.assert_allclose(
-        link.kap_samples, bernstein_basis(3, link.ts) @ [0.0, b, 0.0, 0.0], atol=1e-9)
+        link.kap[0], bernstein_basis(3, link.ts) @ [0.0, b, 0.0, 0.0], atol=1e-9)
 
 
 def test_fourth_patch_vertex_compatibility():
@@ -337,22 +336,6 @@ def test_assemble_matches_the_point_by_point_reference(case, data):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_constructions_build_no_edge_link(monkeypatch):
-    # every join test reads the link batch's arrays
-    built = []
-    real = continuity.EdgeLink
-    monkeypatch.setattr(continuity, "EdgeLink", lambda **kw: built.append(kw) or real(**kw))
-    rng = np.random.default_rng(100)
-    r1, r2, r4, _, _ = constructive_corner(rng)
-    complete_fourth_patch(r1, r2, r4)
-    complete_fourth_patch(r1, r2, r4, degree=4)
-    ring = ring_from(random_ring(rng)[0])
-    fill_hole(ring)
-    fill_hole_deg6(ring)
-    build_fillet(*random_strips(rng, 4))
-    assert built == []
-
-
 def test_fourth_patch_names_both_routes_on_a_corner_mismatch(monkeypatch):
     rng = np.random.default_rng(97)
     r1, r2, r4, _, _ = constructive_corner(rng)
@@ -473,8 +456,8 @@ def test_fill_hole_uniform_matches_elevated_center():
     elevated = np.einsum("ik,klc,jl->ijc", up, center.net, up)
     assert np.abs(fill.net[:, :2] - elevated[:, :2]).max() < 1e-11
     assert np.abs(fill.net[:2, :] - elevated[:2, :]).max() < 1e-11
-    for rep in hole_edge_reports(patches, fill):
-        assert rep.ok and rep.link_residual < 1e-9
+    checks = hole_edge_checks(patches, fill)
+    assert checks.ok.all() and (checks.link_residual < 1e-9).all()
 
 
 def test_fill_hole_random_rings():
@@ -483,8 +466,8 @@ def test_fill_hole_random_rings():
         ring = ring_from(patches)
         fill = fill_hole(ring)
         assert (fill.degree_u, fill.degree_v) == (5, 5)
-        for rep in hole_edge_reports(patches, fill):
-            assert rep.ok and rep.link_residual < 1e-8
+        checks = hole_edge_checks(patches, fill)
+        assert checks.ok.all() and (checks.link_residual < 1e-8).all()
 
 
 def test_fill_hole_vertex_compatibility():
@@ -532,8 +515,8 @@ def test_fill_hole_deg6_uniform():
     ring = ring_from(patches)
     fill = fill_hole_deg6(ring)
     assert (fill.degree_u, fill.degree_v) == (6, 6)
-    for rep in hole_edge_reports(patches, fill):
-        assert rep.ok and rep.link_residual < 1e-9
+    checks = hole_edge_checks(patches, fill)
+    assert checks.ok.all() and (checks.link_residual < 1e-9).all()
 
 
 def test_fill_hole_deg6_lambda_ordinates_pinned():
@@ -546,9 +529,9 @@ def test_fill_hole_deg6_lambda_ordinates_pinned():
     from smoothpatch.continuity import solve_edge_link
     link = solve_edge_link(patches[4], fill, EdgeCorrespondence("v1", "v0"))
     np.testing.assert_allclose(
-        link.lam_samples,
+        link.lam[0],
         bernstein_basis(3, link.ts) @ [lam["12"], lam["12"], lam["78"], lam["78"]], atol=1e-8)
-    np.testing.assert_allclose(link.kap_samples, 0.0, atol=1e-9)
+    np.testing.assert_allclose(link.kap[0], 0.0, atol=1e-9)
 
 
 def test_default_interior_parallelogram_rule():
@@ -666,8 +649,7 @@ def test_fill_hole_custom_interior_rule():
         return net
 
     fill = fill_hole(ring, interior_rule=centroid_rule)
-    for rep in hole_edge_reports(patches, fill):
-        assert rep.ok
+    assert hole_edge_checks(patches, fill).ok.all()
     np.testing.assert_allclose(fill.net[2, 2], fill.net[3, 3], atol=1e-12)
 
 

@@ -1,6 +1,7 @@
 """Batched evaluation: edge jets, patch grids, the cached basis, evaluation counts, golden reports."""
 
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -29,7 +30,7 @@ from smoothpatch.continuity import (
     SOLVE_SAMPLES,
     VERIFY_SAMPLES,
     CornerConfig,
-    EdgeLink,
+    EdgeChecks,
     check_edges,
     check_g1_edge,
     check_g2_edge,
@@ -333,41 +334,58 @@ def test_links_of_a_batch_are_read_only_views_of_its_arrays(monkeypatch):
             batches.append(self)
 
     monkeypatch.setattr(continuity, "_LinkBatch", Recorded)
-    reports = check_edges(_edge_cases(), 2)
+    checks = check_edges(_edge_cases(), 2)
     (batch,) = batches
-    second = reports[0].link.mu_samples.base  # mu, nu of every link: one array
-    for e, report in enumerate(reports):
-        link = report.link
-        for name, whole in (("lam_samples", batch.lam), ("kap_samples", batch.kap),
-                            ("oop", batch.oop), ("mu_samples", second),
-                            ("nu_samples", second)):
-            arr = getattr(link, name)
-            assert np.shares_memory(arr, whole), name
-            for target in (arr, arr.base):
-                with pytest.raises(ValueError):
-                    target[0] = 1.0
-        np.testing.assert_array_equal(link.lam_samples, batch.lam[e])
-    g2_oop = reports[0].link.g2_oop.base
-    assert all(np.shares_memory(r.link.g2_oop, g2_oop) for r in reports)
-    # a writeable array is copied, so a later write to it cannot reach the link
-    ts = np.linspace(0.0, 1.0, 3)
-    link = EdgeLink(ts=ts, lam_samples=np.ones(3), kap_samples=np.zeros(3), oop=np.zeros(3),
-                    scale=1.0)
-    assert not np.shares_memory(link.ts, ts) and not link.ts.flags.writeable
-    ts[0] = 5.0
-    assert link.ts[0] == 0.0
+    # the link columns are the batch's solve results, not copies
+    for name in ("lam", "kap", "oop", "mu", "nu", "g2_oop", "end_slopes"):
+        column = getattr(checks, name)
+        assert column is getattr(batch, name), name
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+        assert column.base is None or not column.base.flags.writeable, name
+    assert checks.mu.base is checks.nu.base  # mu, nu of every edge: one array
+
+
+_EDGE_COLUMNS = ("scale", "lam", "kap", "oop", "link_residual", "oracle_residual", "link_ok",
+                 "oracle_ok", "ok", "mu", "nu", "g2_oop", "end_slopes", "g1_ok")
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_check_edges_builds_one_link_per_edge(monkeypatch, order):
-    built = []
-    real = continuity.EdgeLink
-    monkeypatch.setattr(continuity, "EdgeLink", lambda **kw: built.append(kw) or real(**kw))
-    reports = check_edges(_edge_cases(), order)
-    assert len(built) == len(reports)
-    # a G2 report and its G1 sub-report share the link, which carries mu and nu
-    assert all(r.g1 is None or r.g1.link is r.link for r in reports)
-    assert all((r.link.mu_samples is None) == (order == 1) for r in reports)
+def test_check_edges_returns_read_only_columns_and_builds_nothing_per_edge(order):
+    # one frozen result of arrays indexed by edge; apart from admitting each
+    # edge (raising its error or warning), the Python calls of the check do
+    # not depend on the number of edges
+    edge = _edge_cases()[0]
+
+    def profiled(n):
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == continuity.__file__:
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            checks = check_edges([edge] * n, order)
+        finally:
+            sys.setprofile(None)
+        return checks, calls
+
+    (one, calls_one), (many, calls_many) = profiled(1), profiled(6)
+    assert calls_many - calls_one == Counter(admit=5) and not calls_one - calls_many
+    assert isinstance(many, EdgeChecks) and many.order == order
+    assert many.ts is continuity._SOLVE_TS and not many.ts.flags.writeable
+    for name in _EDGE_COLUMNS:
+        column = getattr(many, name)
+        if column is None:
+            assert order == 1 and name in ("mu", "nu", "g2_oop", "end_slopes", "g1_ok"), name
+            continue
+        assert len(column) == 6 and not column.flags.writeable, name
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+        np.testing.assert_array_equal(column, np.repeat(getattr(one, name), 6, axis=0))
+    with pytest.raises(AttributeError):
+        many.ok = many.link_ok
 
 
 @settings(max_examples=100, deadline=None)
@@ -412,7 +430,7 @@ def test_stacked_normal_curvature_equals_one_direction_at_a_time():
     rng = np.random.default_rng(81)
     pairs = [(smooth_patch(rng), smooth_patch(rng), continuity.EdgeCorrespondence(a, b))
              for a, b in (("u1", "u0"), ("v0", "v1"), ("u0", "v1"))]
-    (f,) = continuity._frames(pairs, [(np.linspace(0.0, 1.0, 7), 2)])
+    _, (f,) = continuity._frames(pairs, [(np.linspace(0.0, 1.0, 7), 2)])
     n = np.cross(f["w"][0], f["t"][0])
     n /= np.linalg.norm(n, axis=-1)[..., None]
     frame = (f["w"], f["t"], f["ww"], f["wt"], f["tt"])
@@ -519,19 +537,21 @@ def _split_edge(spec, k):
 
 
 def _assert_same_report(got, want):
-    for name in ("order", "link_ok", "oracle_ok", "ok"):
-        assert getattr(got, name) == getattr(want, name), name
-    for name in ("link_residual", "oracle_residual"):
-        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
-    assert abs(got.link.scale - want.link.scale) <= 1e-12
-    for name in ("lam_samples", "kap_samples", "oop", "mu_samples", "nu_samples", "g2_oop"):
-        g, w = getattr(got.link, name), getattr(want.link, name)
-        assert (g is None) == (w is None), name
-        if w is not None:
-            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12, err_msg=name)
-    assert (got.g1 is None) == (want.g1 is None)
-    if want.g1 is not None:
-        _assert_same_report(got.g1, want.g1)
+    """Edge ``got`` of one check result against edge ``want`` of another: (checks, e) pairs."""
+    (got, g), (want, w) = got, want
+    assert got.order == want.order
+    for name in ("link_ok", "oracle_ok", "ok", "g1_ok"):
+        column = getattr(want, name)
+        assert (column is None) == (getattr(got, name) is None), name
+        if column is not None:
+            assert getattr(got, name)[g] == column[w], name
+    for name in ("scale", "link_residual", "oracle_residual", "lam", "kap", "oop", "mu", "nu",
+                 "g2_oop", "end_slopes"):
+        column = getattr(want, name)
+        assert (column is None) == (getattr(got, name) is None), name
+        if column is not None:
+            np.testing.assert_allclose(getattr(got, name)[g], column[w], rtol=0.0, atol=1e-12,
+                                       err_msg=name)
 
 
 _EDGE_SPECS = st.tuples(
@@ -549,11 +569,12 @@ _EDGE_SPECS = st.tuples(
 def test_batched_edge_reports_equal_batch_of_one_under_any_order(specs, order, data):
     edges = [_split_edge(spec, k) for k, spec in enumerate(specs)]
     batch = check_edges(edges, order)
-    for edge, got in zip(edges, batch):
-        _assert_same_report(got, check_edges([edge], order)[0])
+    for e, edge in enumerate(edges):
+        _assert_same_report((batch, e), (check_edges([edge], order), 0))
     perm = data.draw(st.permutations(range(len(edges))))
-    for k, got in zip(perm, check_edges([edges[k] for k in perm], order)):
-        _assert_same_report(got, batch[k])
+    permuted = check_edges([edges[k] for k in perm], order)
+    for e, k in enumerate(perm):
+        _assert_same_report((permuted, e), (batch, k))
 
 
 def test_one_batch_of_every_side_pair_reversal_and_degree_group():
@@ -565,9 +586,9 @@ def test_one_batch_of_every_side_pair_reversal_and_degree_group():
     assert {d for pair in degrees for d in pair} == set(range(1, 7))
     for order in (1, 2):
         batch = check_edges(edges, order)
-        assert all(rep.ok for rep in batch)
-        for edge, got in zip(edges, batch):
-            _assert_same_report(got, check_edges([edge], order)[0])
+        assert batch.ok.all()
+        for e, edge in enumerate(edges):
+            _assert_same_report((batch, e), (check_edges([edge], order), 0))
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -578,8 +599,8 @@ def test_batched_corner_configs_equal_one_corner_at_a_time(order):
     doc = SurfaceDocument(
         patches={**first.patches, **{f"{name}'": p for name, p in second.patches.items()}},
         edges=list(first.edges) + [replace(c, a=f"{c.a}'", b=f"{c.b}'") for c in second.edges])
-    reports = check_edges([(doc.patch(c.a), doc.patch(c.b), c) for c in doc.edges], order)
-    found = find_corner_configs(doc, reports)
+    checks = check_edges([(doc.patch(c.a), doc.patch(c.b), c) for c in doc.edges], order)
+    found = find_corner_configs(doc, checks)
     assert len(found) == 8
     for names, got in found:
         want = CornerConfig.from_patches(*reoriented_corner(doc, names)).values

@@ -1,0 +1,170 @@
+"""Check commands on documents at extreme scales and on fuzzed documents."""
+
+import contextlib
+import copy
+import functools
+import io
+import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from smoothpatch.bezier import SIDES, BezierPatch
+from smoothpatch.cli import main
+from smoothpatch.surfio import SurfaceDocument, load_surface, save_surface
+
+from helpers import _ORIENTATIONS, oriented_grid_document, slanted_grid_nets
+
+GOLDEN_DOC = Path(__file__).parent / "data" / "mixed_grid.json"
+COMMANDS = ("check-g1", "check-g2")
+
+
+def _run(command, path, report=None):
+    """(exit code, stdout, stderr, warnings) of one command run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = [command, str(path)] + (["--report", str(report)] if report else [])
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+# --- scale --------------------------------------------------------------------
+
+@functools.cache
+def _documents():
+    nets = slanted_grid_nets(np.random.default_rng(121))
+    split = oriented_grid_document(nets, {ij: _ORIENTATIONS[k % 8]
+                                          for k, ij in enumerate(sorted(nets))})
+    return {"golden": load_surface(GOLDEN_DOC), "split": split}
+
+
+def _scaled(doc, k):
+    factor = 10.0**k
+    return SurfaceDocument(patches={name: BezierPatch.from_net(p.net * factor)
+                                    for name, p in doc.patches.items()}, edges=doc.edges)
+
+
+@functools.cache
+def _row_verdicts(name, k, command):
+    """Exit code and each printed row's name and verdict, for one scaled document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        save_surface(_scaled(_documents()[name], k), path)
+        code, out, err, caught = _run(command, path)
+    assert caught == [] and err == "", (caught, err)
+    return code, [(line.split("  ")[0], line.split()[-1]) for line in out.splitlines()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-150, 150), name=st.sampled_from(["golden", "split"]),
+       command=st.sampled_from(COMMANDS))
+@example(k=150, name="golden", command="check-g2")
+@example(k=-150, name="golden", command="check-g2")
+@example(k=120, name="split", command="check-g1")
+@example(k=-120, name="split", command="check-g1")
+def test_verdicts_do_not_depend_on_the_scale(k, name, command):
+    # tolerances are relative to each edge's net diagonal, and the frames are
+    # divided by a power of two next to it, so the squared cross products of
+    # the solves and oracles neither overflow nor underflow
+    got, want = _row_verdicts(name, k, command), _row_verdicts(name, 0, command)
+    assert got == want
+    assert len(want[1]) > 1 and want[0] == (2 if name == "golden" else 0)
+
+
+# --- fuzzed documents ---------------------------------------------------------
+
+_RAW = json.loads(GOLDEN_DOC.read_text())
+_OFFSETS = (1e-12, 1e-9, 1e-6, 1e-3)
+
+
+def _mutation(draw, raw):
+    """Apply one drawn mutation to the raw document ``raw``, in place."""
+    edges, patches = raw["edges"], raw["patches"]
+    kind = draw(st.sampled_from(["flip", "drop", "swap", "duplicate", "ends", "wrong_side",
+                                 "collapse", "all_equal", "off_surface"]))
+    if kind in ("flip", "drop", "swap", "duplicate", "ends", "wrong_side") and not edges:
+        return
+    e = draw(st.integers(0, len(edges) - 1)) if edges else None
+    if kind == "flip":
+        edges[e]["reversed"] = not edges[e]["reversed"]
+    elif kind == "drop":
+        del edges[e]
+    elif kind == "swap":
+        f = draw(st.integers(0, len(edges) - 1))
+        edges[e], edges[f] = edges[f], edges[e]
+    elif kind == "duplicate":
+        edges.insert(draw(st.integers(0, len(edges))), dict(edges[e]))
+    elif kind == "ends":
+        rec = edges[e]
+        rec["a"], rec["b"], rec["a_side"], rec["b_side"] = (
+            rec["b"], rec["a"], rec["b_side"], rec["a_side"])
+    elif kind == "wrong_side":
+        end = draw(st.sampled_from(["a_side", "b_side"]))
+        edges[e][end] = draw(st.sampled_from([s for s in SIDES if s != edges[e][end]]))
+    else:
+        patch = draw(st.sampled_from(patches))
+        net = np.reshape(patch["net"], (patch["degree_u"] + 1, patch["degree_v"] + 1, 3))
+        if kind == "collapse":
+            side = draw(st.sampled_from(SIDES))
+            row = (0 if side[1] == "0" else -1)
+            if side[0] == "u":
+                net[row, :] = net[row, 0]
+            else:
+                net[:, row] = net[0, row]
+        elif kind == "all_equal":
+            net[...] = net[0, 0]
+        else:
+            i = draw(st.integers(0, net.shape[0] - 1))
+            j = draw(st.integers(0, net.shape[1] - 1))
+            net[i, j, draw(st.integers(0, 2))] += draw(st.sampled_from(_OFFSETS))
+        patch["net"] = net.reshape(-1, 3).tolist()
+
+
+@st.composite
+def _fuzzed(draw):
+    raw = copy.deepcopy(_RAW)
+    for _ in range(draw(st.integers(1, 3))):
+        _mutation(draw, raw)
+    return raw
+
+
+def _non_finite(row):
+    values = [v for key, v in row.items() if key not in ("ok", "link_ok", "oracle_ok", "reversed")
+              and isinstance(v, float)]
+    values += row.get("g1_residuals", []) + row.get("g2_residuals", [])
+    return not all(math.isfinite(v) for v in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=_fuzzed(), command=st.sampled_from(COMMANDS))
+def test_fuzzed_documents_give_an_exit_code_and_stable_reports(raw, command):
+    # a mutated golden document either fails to load with one named error, or
+    # aborts with a continuity failure, or gives rows; a row whose residual is
+    # not finite never passes, and the same file checked twice writes the
+    # same bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reports = Path(tmp) / "doc.json", [Path(tmp) / "r1.json", Path(tmp) / "r2.json"]
+        path.write_text(json.dumps(raw))
+        first, second = (_run(command, path, report) for report in reports)
+        assert first == second
+        code, out, err, caught = first
+        assert code in (0, 1, 2)
+        assert all("orientation-reversing join" in message for message in caught), caught
+        if code == 1:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        written = [report.read_bytes() if report.exists() else None for report in reports]
+        assert written[0] == written[1]
+        if written[0] is None:
+            assert code != 0 and not out
+            return
+        report = json.loads(written[0])
+        rows = report["edges"] + report["vertices"]
+        assert not any(row["ok"] for row in rows if _non_finite(row))
+        assert (report["overall"] == "pass") == (code == 0) == all(row["ok"] for row in rows)
