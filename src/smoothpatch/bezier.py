@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,16 +114,89 @@ def _frozen(arr) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class BezierPatch:
+class _Record:
+    """Base of the frozen records: fields are the ``__slots__``, bound once, then read-only.
+
+    A subclass lists its fields in ``__slots__`` and their defaults in
+    ``_defaults``; a default that is a type is called, so each record gets a
+    fresh container.  Arguments bind positionally, then by keyword, then by
+    default, and ``__post_init__`` runs last.  Assigning or deleting an
+    attribute raises ``AttributeError``, and the repr is
+    ``Name(field=value, ...)``.  Records compare by identity; a subclass
+    declared with ``eq=True`` compares and hashes by its field values.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, eq: bool = False):
+        if eq:
+            cls.__eq__ = _Record._value_eq
+            cls.__hash__ = _Record._value_hash
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        setattr_ = object.__setattr__
+        for name, value in zip(names, args):
+            setattr_(self, name, value)
+        self.__post_init__()
+
+    def _bind(self, args, kwargs) -> list:
+        """The field values of ``args``, then ``kwargs``, then the defaults, in field order."""
+        names, cls = self.__slots__, type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} arguments but {len(args)} were given")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in self._defaults:
+                default = self._defaults[name]
+                values.append(default() if isinstance(default, type) else default)
+            else:
+                raise TypeError(f"{cls}() missing argument {name!r}")
+        for name in kwargs:
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls}() got {problem} argument {name!r}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _value_eq(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def _value_hash(self):
+        return hash(self._values())
+
+
+class BezierPatch(_Record):
     """Rectangular control net of 3D points with bi-degree (degree_u, degree_v).
 
     The net is read-only: a net in read-only memory is kept as a view, any other copied.
     """
 
-    degree_u: int
-    degree_v: int
-    net: np.ndarray
+    __slots__ = ("degree_u", "degree_v", "net")
 
     def __post_init__(self):
         if self.degree_u < 1 or self.degree_v < 1:
@@ -150,10 +222,10 @@ class BezierPatch:
         return self.net[-1 if iu else 0, -1 if jv else 0].copy()
 
 
-@dataclass(frozen=True, eq=False)
-class TriangleMesh:
-    vertices: np.ndarray  # (N, 3)
-    faces: np.ndarray  # (M, 3) int, CCW as seen from the +normal side
+class TriangleMesh(_Record):
+    """Read-only ``vertices`` (N, 3) and int ``faces`` (M, 3), CCW as seen from the +normal side."""
+
+    __slots__ = ("vertices", "faces")
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -494,11 +566,25 @@ def transform_patch(p: BezierPatch, matrix=None, shift=None) -> BezierPatch:
 def bounding_diagonal(*patches: BezierPatch) -> float:
     """Diagonal of the joint axis-aligned bounding box of the control nets.
 
-    Used to normalize residuals so tolerances are scale-free.
+    Used to normalize residuals so tolerances are scale-free.  The box's
+    extents are divided by a power of two before they are squared (see
+    ``_unit``), so no box from 1e-300 to 1e300 over- or underflows.
     """
     pts = np.concatenate([p.net.reshape(-1, 3) for p in patches])
-    d = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    d = pts.max(axis=0) - pts.min(axis=0)
+    unit = _unit(d.max())
+    d = float(np.linalg.norm(d / unit) * unit)
     return d if d > 0.0 else 1.0
+
+
+def _unit(extent):
+    """The power of two next above ``extent`` (1.0 at zero), to divide extents by before squaring.
+
+    Dividing by a power of two is exact, and so is multiplying the root back,
+    so a diagonal is the same bits as the unscaled one wherever that one neither
+    overflowed nor underflowed.
+    """
+    return np.ldexp(1.0, np.frexp(extent)[1])
 
 
 def _pair_diagonals(pairs) -> np.ndarray:
@@ -506,7 +592,8 @@ def _pair_diagonals(pairs) -> np.ndarray:
 
     Each distinct patch's box is taken once.  Min and max are exact, so the
     box of two boxes is the box of the two nets, and a 1x3 by 3x1 matmul
-    sums with the dot that ``np.linalg.norm`` of one vector takes.
+    sums with the dot that ``np.linalg.norm`` of one vector takes; each
+    box's extents are divided by its ``_unit`` first, as there.
     """
     if not pairs:
         return np.ones(0)
@@ -517,7 +604,9 @@ def _pair_diagonals(pairs) -> np.ndarray:
     starts = list(itertools.accumulate([len(net) for net in nets[:-1]], initial=0))
     pts = np.concatenate(nets)
     d = (np.maximum.reduceat(pts, starts)[index].max(axis=1)
-         - np.minimum.reduceat(pts, starts)[index].min(axis=1))[:, None]
-    diag = np.sqrt(d @ d.transpose(0, 2, 1))[:, 0, 0]
+         - np.minimum.reduceat(pts, starts)[index].min(axis=1))
+    unit = _unit(d.max(axis=1))
+    d = (d / unit[:, None])[:, None]
+    diag = np.sqrt(d @ d.transpose(0, 2, 1))[:, 0, 0] * unit
     diag[diag == 0.0] = 1.0
     return diag

@@ -12,6 +12,8 @@ Subcommands::
 Exit codes: 0 = pass/success, 2 = continuity failure, 1 = usage or input
 error.  Check commands print a residual table and optionally write a JSON
 report; reports are byte-stable for identical inputs and flags.
+Construction commands import ``construct`` when they run, so a check or
+export process neither compiles nor builds it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .continuity import (
     check_vertex_g1,
     check_vertex_g2,
 )
-from .construct import NinePatchRing, build_fillet, complete_fourth_patch, fill_hole, fill_hole_deg6, solve_hole_params
 from .surfio import SurfaceDocument, SurfaceFormatError, dumps_json, export_obj, load_surface, save_surface
 
 __all__ = ["main"]
@@ -188,6 +189,8 @@ def _edges_off(edges, name: str, sides) -> list:
 
 
 def _cmd_complete(args) -> int:
+    from .construct import complete_fourth_patch
+
     doc = load_surface(args.surface)
     kwargs = {}
     for flag in ("alpha23", "alpha43", "lambda23_1", "lambda43_1"):
@@ -222,6 +225,8 @@ _RING_NAMES = {pos: f"r{pos}" for pos in (1, 2, 3, 4, 6, 7, 8, 9)}
 
 
 def _cmd_fill_hole(args) -> int:
+    from .construct import NinePatchRing, fill_hole, fill_hole_deg6, solve_hole_params
+
     doc = load_surface(args.surface)
     patches = {pos: doc.patch(name) for pos, name in _RING_NAMES.items()}
     ring = NinePatchRing.from_patches(patches)
@@ -246,6 +251,8 @@ def _cmd_fill_hole(args) -> int:
 
 
 def _cmd_fillet(args) -> int:
+    from .construct import build_fillet
+
     doc_a = load_surface(args.strip_a)
     doc_b = load_surface(args.strip_b)
     strip_a = list(doc_a.patches.values())

@@ -34,12 +34,11 @@ diagonally).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bezier import BezierPatch, _product_matrix, _side_view, bounding_diagonal, elevate_row
+from .bezier import BezierPatch, _product_matrix, _Record, _side_view, bounding_diagonal, elevate_row
 from .continuity import (
     G1_TOL,
     LAMBDA_MIN,
@@ -74,17 +73,11 @@ _CONST_TOL = 1e-7
 _ASSERT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LinkCoefficients:
+class LinkCoefficients(_Record, eq=True):
     """Quadratic lambda / cubic kappa link polynomials by Bernstein ordinates."""
 
-    lambda0: float
-    alpha: float
-    lambda1: float
-    kappa0: float = 0.0
-    beta1: float = 0.0
-    beta2: float = 0.0
-    kappa1: float = 0.0
+    __slots__ = ("lambda0", "alpha", "lambda1", "kappa0", "beta1", "beta2", "kappa1")
+    _defaults = dict.fromkeys(("kappa0", "beta1", "beta2", "kappa1"), 0.0)
 
     @property
     def lambda_ordinates(self) -> np.ndarray:
@@ -95,12 +88,10 @@ class LinkCoefficients:
         return np.array([self.kappa0, self.beta1, self.beta2, self.kappa1])
 
 
-@dataclass(frozen=True)
-class TwistCheck:
+class TwistCheck(_Record, eq=True):
     """The twist of a constructed corner computed along its two routes."""
 
-    q23: np.ndarray
-    q43: np.ndarray
+    __slots__ = ("q23", "q43")
 
     @property
     def difference(self) -> float:
@@ -386,8 +377,7 @@ _RING_JOINS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class NinePatchRing:
+class NinePatchRing(_Record):
     """Eight bi-cubic patches around a missing centre patch.
 
     Position p = 1 + 3*column + row of a 3x3 grid with the hole at 5.  All
@@ -397,9 +387,7 @@ class NinePatchRing:
     4 and 8 only; a fill joins the patches its ring has.
     """
 
-    patches: dict
-    lambdas: dict
-    scale: float
+    __slots__ = ("patches", "lambdas", "scale")
 
     @classmethod
     def from_patches(cls, patches: dict) -> "NinePatchRing":
@@ -418,8 +406,7 @@ class NinePatchRing:
         return cls(patches=dict(patches), lambdas=lambdas, scale=scale)
 
 
-@dataclass(frozen=True)
-class HoleFillParams:
+class HoleFillParams(_Record, eq=True):
     """Resolved free coefficients of a hole fill.
 
     ``alpha``/``beta1``/``beta2`` are keyed by the interior-edge neighbour
@@ -428,12 +415,8 @@ class HoleFillParams:
     lambdas, whose inner ordinates ``alpha1``/``alpha2`` are fully pinned.
     """
 
-    mode: str  # "deg5" | "deg6"
-    alpha: dict
-    beta1: dict = field(default_factory=dict)
-    beta2: dict = field(default_factory=dict)
-    alpha1: dict = field(default_factory=dict)
-    alpha2: dict = field(default_factory=dict)
+    __slots__ = ("mode", "alpha", "beta1", "beta2", "alpha1", "alpha2")  # mode: "deg5" | "deg6"
+    _defaults = dict.fromkeys(("beta1", "beta2", "alpha1", "alpha2"), dict)
 
 
 def _pinned_endpoints(ring: NinePatchRing) -> dict:

@@ -20,8 +20,9 @@ check makes one call of ``bezier._edge_jets`` for both sides of all its
 edges and both sample sets, each side once per set, read into its patch and
 along the shared edge parameter, so only a's derivatives across the edge
 change sign.  Each edge's frames are then divided by the power of two next
-above its scale (see ``_frames``), so that the solves and oracles neither
-overflow nor underflow for scales from 1e-150 to 1e150.  At
+above its scale (see ``_frames``), and the scale, the net diagonal, is taken
+from boxes divided the same way (``bezier._unit``), so that the solves and
+oracles neither overflow nor underflow for scales from 1e-200 to 1e200.  At
 ``SOLVE_SAMPLES`` (first order for G1, second for G2) the frames serve the
 G0 test, the link solves, the end slopes and the curvature oracle.  At
 ``VERIFY_SAMPLES`` the normal oracle has first-order frames of its own:
@@ -40,11 +41,10 @@ link read from b to a, and a link whose parameter runs the other way).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import BezierPatch, _edge_jets, _frozen, _pair_diagonals
+from .bezier import BezierPatch, _edge_jets, _frozen, _pair_diagonals, _Record
 
 __all__ = [
     "G0_TOL",
@@ -113,8 +113,7 @@ class PreconditionError(GeometryError):
     """Input patches do not satisfy the precondition of a construction."""
 
 
-@dataclass(frozen=True)
-class EdgeCorrespondence:
+class EdgeCorrespondence(_Record, eq=True):
     """Identification of one boundary of patch a with one boundary of patch b.
 
     ``reversed`` means b's edge parameter runs opposite to a's.  The two
@@ -122,11 +121,8 @@ class EdgeCorrespondence:
     ``check_edges`` verifies that before solving.
     """
 
-    a_side: str
-    b_side: str
-    reversed: bool = False
-    a: str = "a"
-    b: str = "b"
+    __slots__ = ("a_side", "b_side", "reversed", "a", "b")
+    _defaults = {"reversed": False, "a": "a", "b": "b"}
 
     def __post_init__(self):
         for s in (self.a_side, self.b_side):
@@ -192,7 +188,7 @@ def _frames(pairs, requests) -> tuple:
     requests come from one call of the side evaluator.  Each edge's frames
     are divided by the power of two 2^e with 2^(e-1) <= scale < 2^e.  The
     division is exact, and it keeps |a_w x a_t|^2, which grows as the fourth
-    power of the scale, a normal float for scales from 1e-150 to 1e150.
+    power of the scale, a normal float for scales from 1e-200 to 1e200.
     """
     scale = _pair_diagonals(pairs)
     unit = np.ldexp(1.0, -np.frexp(scale)[1])[:, None, None]
@@ -298,8 +294,7 @@ class _LinkBatch:
                           "lambda is negative", stacklevel=3)
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeChecks:
+class EdgeChecks(_Record):
     """Checks of a batch of shared edges, as read-only arrays whose first index is the edge.
 
     Link columns: ``lam`` and ``kap`` hold lambda and kappa at the
@@ -317,22 +312,9 @@ class EdgeChecks:
     needs ``g1_ok``, the G1 verdict.
     """
 
-    order: int
-    ts: np.ndarray
-    scale: np.ndarray
-    lam: np.ndarray
-    kap: np.ndarray
-    oop: np.ndarray
-    link_residual: np.ndarray
-    oracle_residual: np.ndarray
-    link_ok: np.ndarray
-    oracle_ok: np.ndarray
-    ok: np.ndarray
-    mu: np.ndarray | None = None
-    nu: np.ndarray | None = None
-    g2_oop: np.ndarray | None = None
-    end_slopes: np.ndarray | None = None
-    g1_ok: np.ndarray | None = None
+    __slots__ = ("order", "ts", "scale", "lam", "kap", "oop", "link_residual", "oracle_residual",
+                 "link_ok", "oracle_ok", "ok", "mu", "nu", "g2_oop", "end_slopes", "g1_ok")
+    _defaults = dict.fromkeys(("mu", "nu", "g2_oop", "end_slopes", "g1_ok"))
 
 
 def check_edges(edges, order: int = 1) -> EdgeChecks:
@@ -373,7 +355,7 @@ def check_edges(edges, order: int = 1) -> EdgeChecks:
     checks = EdgeChecks(order, _SOLVE_TS, batch.scale, batch.lam, batch.kap, batch.oop,
                         link_residual, oracle_residual, link_ok, oracle_ok, ok,
                         batch.mu, batch.nu, batch.g2_oop, batch.end_slopes, g1_ok)
-    for column in vars(checks).values():
+    for column in checks._values():
         if isinstance(column, np.ndarray):
             column.flags.writeable = False
     return checks
@@ -484,8 +466,7 @@ def _canonical(values, swapped: bool, reversed_: bool) -> tuple:
     return (lam, kap, dlam, dkap, mu, nu)[:len(values)]
 
 
-@dataclass(frozen=True, eq=False)
-class CornerConfig:
+class CornerConfig(_Record):
     """Link values at the common vertex V of four patches, in the canonical arrangement.
 
     ``values`` maps each link key ("12", "14", "23", "43") to its lambda and
@@ -493,7 +474,7 @@ class CornerConfig:
     lambda', kappa', mu and nu there ("dlam", "dkap", "mu", "nu").
     """
 
-    values: dict
+    __slots__ = ("values",)
 
     @classmethod
     def from_links(cls, links: dict) -> "CornerConfig":
@@ -583,16 +564,16 @@ def theorem2_residuals(
     ]))
 
 
-@dataclass(frozen=True, eq=False)
-class CompatReport:
-    """Residuals of the vertex compatibility conditions, with verdicts."""
+class CompatReport(_Record):
+    """Residuals of the vertex compatibility conditions, with verdicts.
 
-    g1_residuals: np.ndarray  # 4 values
-    lambda_product_residual: float
-    ok: bool
-    g2_residuals: np.ndarray | None = None
-    g2_ok: bool | None = None
-    vertex_values: dict | None = None
+    ``g1_residuals`` holds 4 values and ``lambda_product_residual`` one, ``ok`` their
+    verdict; ``g2_residuals`` and ``g2_ok`` are None for a first-order check.
+    """
+
+    __slots__ = ("g1_residuals", "lambda_product_residual", "ok", "g2_residuals", "g2_ok",
+                 "vertex_values")
+    _defaults = dict.fromkeys(("g2_residuals", "g2_ok", "vertex_values"))
 
 
 def _vertex_scalars(config: CornerConfig):

@@ -26,11 +26,10 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezier import BezierPatch, SIDES, _eval_grids, _grid_faces
+from .bezier import BezierPatch, SIDES, _eval_grids, _grid_faces, _Record
 from .continuity import EdgeCorrespondence
 
 __all__ = [
@@ -50,19 +49,19 @@ class SurfaceFormatError(ValueError):
     """Malformed surface document; the message names the offending field."""
 
 
-@dataclass(frozen=True, eq=False)
-class SurfaceDocument:
+class SurfaceDocument(_Record):
     """Named patches plus the shared-edge records connecting them.
 
     Patch names are non-empty and hold no control character (Unicode category Cc, line
     breaks among them) and no surrogate (U+D800-U+DFFF, which UTF-8 cannot encode), each
     edge joins two different sides, no two edges join the same pair of sides, and the
     version is ``FORMAT_VERSION``: every document that constructs saves and loads back.
+    ``patches`` maps name to BezierPatch in insertion order, and ``edges`` holds
+    EdgeCorrespondence records with names.
     """
 
-    patches: dict  # name -> BezierPatch, insertion-ordered
-    edges: list = field(default_factory=list)  # EdgeCorrespondence with names
-    version: int = FORMAT_VERSION
+    __slots__ = ("patches", "edges", "version")
+    _defaults = {"edges": list, "version": FORMAT_VERSION}
 
     def __post_init__(self):
         if type(self.version) is not int or self.version != FORMAT_VERSION:

@@ -11,6 +11,7 @@ from smoothpatch.bezier import (
     bernstein_basis,
     bernstein_eval,
     boundary_row,
+    bounding_diagonal,
     derivative_net,
     elevate_cubic_row_to_quintic,
     elevate_row,
@@ -24,7 +25,7 @@ from smoothpatch.bezier import (
     tessellate,
     transform_patch,
 )
-from smoothpatch.bezier import _product_matrix, _product_weights
+from smoothpatch.bezier import _pair_diagonals, _product_matrix, _product_weights
 
 from helpers import product_matrix_reference, rigid_motion, smooth_patch
 
@@ -324,3 +325,16 @@ def test_normal_vector_plane():
     p = BezierPatch.from_net([[[0, 0, 0], [0, 2, 0]], [[2, 0, 0], [2, 2, 0]]])
     n = normal_vector(p, 0.3, 0.7)
     np.testing.assert_allclose(n / np.linalg.norm(n), [0, 0, 1], atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [200, -200])
+def test_bounding_diagonal_at_extreme_scales(k):
+    # the box is divided by a power of two before its extents are squared, so
+    # 1e400 does not overflow and 1e-400 does not underflow to the 1.0 fallback
+    a = BezierPatch.from_net(np.array([[[0.0, 0, 0], [0, 4, 0]], [[3, 0, 0], [3, 4, 12]]]) * 10.0**k)
+    b = transform_patch(a, shift=np.array([3.0, 0.0, 0.0]) * 10.0**k)
+    with np.errstate(all="raise"):
+        assert bounding_diagonal(a) == pytest.approx(13.0 * 10.0**k, rel=1e-15)
+        assert bounding_diagonal(a, b) == pytest.approx(14.0 * 10.0**k, rel=1e-15)
+        pair = _pair_diagonals([(a, a), (a, b)])
+    assert pair.tolist() == [bounding_diagonal(a), bounding_diagonal(a, b)]

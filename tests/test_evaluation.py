@@ -3,7 +3,6 @@
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +30,7 @@ from smoothpatch.continuity import (
     VERIFY_SAMPLES,
     CornerConfig,
     EdgeChecks,
+    EdgeCorrespondence,
     check_edges,
     check_g1_edge,
     check_g2_edge,
@@ -456,7 +456,8 @@ def _two_copies(doc):
     """Two disjoint copies of ``doc``: the patches of the second get a ``'`` suffix."""
     patches = dict(doc.patches)
     patches.update({f"{name}'": p for name, p in doc.patches.items()})
-    edges = list(doc.edges) + [replace(c, a=f"{c.a}'", b=f"{c.b}'") for c in doc.edges]
+    edges = list(doc.edges) + [EdgeCorrespondence(c.a_side, c.b_side, c.reversed, f"{c.a}'", f"{c.b}'")
+                               for c in doc.edges]
     return SurfaceDocument(patches=patches, edges=edges)
 
 
@@ -533,7 +534,8 @@ def _split_edge(spec, k):
             other: _elevate_net(high.net, du + eb_u, dv + eb_v)}
     doc = oriented_grid_document(nets, {(0, 0): _ORIENTATIONS[oa], other: _ORIENTATIONS[ob]})
     (corr,) = doc.edges
-    return doc.patch(corr.a), doc.patch(corr.b), replace(corr, a=f"{corr.a}.{k}", b=f"{corr.b}.{k}")
+    renamed = EdgeCorrespondence(corr.a_side, corr.b_side, corr.reversed, f"{corr.a}.{k}", f"{corr.b}.{k}")
+    return doc.patch(corr.a), doc.patch(corr.b), renamed
 
 
 def _assert_same_report(got, want):
@@ -598,7 +600,8 @@ def test_batched_corner_configs_equal_one_corner_at_a_time(order):
     first, second = mixed_grid_document(), mixed_grid_document(np.random.default_rng(5))
     doc = SurfaceDocument(
         patches={**first.patches, **{f"{name}'": p for name, p in second.patches.items()}},
-        edges=list(first.edges) + [replace(c, a=f"{c.a}'", b=f"{c.b}'") for c in second.edges])
+        edges=list(first.edges) + [EdgeCorrespondence(c.a_side, c.b_side, c.reversed, f"{c.a}'", f"{c.b}'")
+                                   for c in second.edges])
     checks = check_edges([(doc.patch(c.a), doc.patch(c.b), c) for c in doc.edges], order)
     found = find_corner_configs(doc, checks)
     assert len(found) == 8

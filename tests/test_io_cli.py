@@ -6,7 +6,6 @@ import math
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -415,7 +414,9 @@ def test_document_names_the_record_and_field_of_an_unknown_patch():
     # as the loader does, a document built in code names the record and its field
     doc = split_pair_doc(np.random.default_rng(106))
     for key in ("a", "b"):
-        edges = [doc.edges[0], replace(doc.edges[0], **{key: "nowhere"})]
+        first = doc.edges[0]
+        names = {"a": first.a, "b": first.b, key: "nowhere"}
+        edges = [first, EdgeCorrespondence(first.a_side, first.b_side, first.reversed, **names)]
         with pytest.raises(SurfaceFormatError,
                            match=rf"^edges\[1\]\.{key}: unknown patch name 'nowhere'$"):
             SurfaceDocument(patches=doc.patches, edges=edges)

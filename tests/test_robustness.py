@@ -11,6 +11,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +77,22 @@ def test_verdicts_do_not_depend_on_the_scale(k, name, command):
     got, want = _row_verdicts(name, k, command), _row_verdicts(name, 0, command)
     assert got == want
     assert len(want[1]) > 1 and want[0] == (2 if name == "golden" else 0)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("k", [154, -154, 165, -165, 200, -200])
+def test_verdicts_hold_where_squared_net_extents_would_leave_the_float_range(k, command):
+    # 1e154 squared overflows and 1e-165 squared underflows: the net diagonals
+    # divide each box by a power of two before they square its extents
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        save_surface(_scaled(_documents()["golden"], k), path)
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+            warnings.simplefilter("error")
+            code = main([command, str(path)])
+    rows = [(line.split("  ")[0], line.split()[-1]) for line in out.getvalue().splitlines()]
+    assert (code, rows) == _row_verdicts("golden", 0, command)
 
 
 # --- fuzzed documents ---------------------------------------------------------
