@@ -3,56 +3,75 @@
 Verification of G1 (tangent plane) and G2 (curvature) continuity across
 shared edges and 4-patch vertices, plus smooth constructions: fourth-patch
 completion, (5,5) and (6,6) hole filling and fillet surfaces.
-
-Importing the package imports none of its modules: each name below, and
-each module name, is imported on first use (PEP 562), so a process pays
-only for the modules it runs.
 """
 
-import importlib
+from .bezier import (
+    BezierPatch,
+    TriangleMesh,
+    bernstein_basis,
+    bernstein_eval,
+    boundary_row,
+    bounding_diagonal,
+    elevate_cubic_row_to_quintic,
+    elevate_row,
+    eval_grid,
+    normal_vector,
+    patch_derivative,
+    patch_eval,
+    split_grid,
+    split_patch,
+    tessellate,
+    transform_patch,
+)
+from .continuity import (
+    G0_TOL,
+    G1_TOL,
+    G2_TOL,
+    LAMBDA_MIN,
+    NORMAL_ANGLE_TOL,
+    RANK_TOL,
+    CompatReport,
+    CornerConfig,
+    CornerConsistencyError,
+    DegenerateLinkError,
+    DegenerateParametrizationError,
+    EdgeChecks,
+    EdgeCorrespondence,
+    GeometryError,
+    PreconditionError,
+    check_edges,
+    check_g1_edge,
+    check_g2_edge,
+    check_vertex_g1,
+    check_vertex_g2,
+    g0_gap,
+    solve_edge_link,
+    solve_g2_link,
+    theorem1_residuals,
+    theorem2_residuals,
+)
+from .construct import (
+    HoleFillParams,
+    LinkCoefficients,
+    NinePatchRing,
+    TwistCheck,
+    build_fillet,
+    complete_fourth_patch,
+    default_interior,
+    fill_hole,
+    fill_hole_deg6,
+    fourth_patch_twist_check,
+    g1_band_offsets,
+    hole_constraint_residuals,
+    hole_twist_checks,
+    solve_hole_params,
+)
+from .surfio import (
+    SurfaceDocument,
+    SurfaceFormatError,
+    export_obj,
+    load_surface,
+    save_surface,
+)
 
-_EXPORTS = {
-    "bezier": (
-        "BezierPatch", "TriangleMesh", "bernstein_basis", "bernstein_eval", "boundary_row",
-        "bounding_diagonal", "elevate_cubic_row_to_quintic", "elevate_row", "eval_grid",
-        "normal_vector", "patch_derivative", "patch_eval", "split_grid", "split_patch",
-        "tessellate", "transform_patch",
-    ),
-    "continuity": (
-        "G0_TOL", "G1_TOL", "G2_TOL", "LAMBDA_MIN", "NORMAL_ANGLE_TOL", "RANK_TOL", "CompatReport",
-        "CornerConfig", "CornerConsistencyError", "DegenerateLinkError",
-        "DegenerateParametrizationError", "EdgeChecks", "EdgeCorrespondence", "GeometryError",
-        "PreconditionError", "check_edges", "check_g1_edge", "check_g2_edge", "check_vertex_g1",
-        "check_vertex_g2", "g0_gap", "solve_edge_link", "solve_g2_link", "theorem1_residuals",
-        "theorem2_residuals",
-    ),
-    "construct": (
-        "HoleFillParams", "LinkCoefficients", "NinePatchRing", "TwistCheck", "build_fillet",
-        "complete_fourth_patch", "default_interior", "fill_hole", "fill_hole_deg6",
-        "fourth_patch_twist_check", "g1_band_offsets", "hole_constraint_residuals",
-        "hole_twist_checks", "solve_hole_params",
-    ),
-    "surfio": (
-        "SurfaceDocument", "SurfaceFormatError", "export_obj", "load_surface", "save_surface",
-    ),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_HOME.update((module, module) for module in _EXPORTS)
-
-__all__ = list(_HOME)
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    """Import the module that ``name`` lives in, or is, and bind it here."""
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{home}")
-    value = module if home == name else getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -120,7 +120,9 @@ class _Record:
     A subclass lists its fields in ``__slots__`` and their defaults in
     ``_defaults``; a default that is a type is called, so each record gets a
     fresh container.  Arguments bind positionally, then by keyword, then by
-    default, and ``__post_init__`` runs last.  Assigning or deleting an
+    default, and ``__post_init__`` runs last.  A call that gives every field
+    positionally skips that binding, and the package builds its records so:
+    the binding costs microseconds per record.  Assigning or deleting an
     attribute raises ``AttributeError``, and the repr is
     ``Name(field=value, ...)``.  Records compare by identity; a subclass
     declared with ``eq=True`` compares and hashes by its field values.
@@ -568,7 +570,8 @@ def bounding_diagonal(*patches: BezierPatch) -> float:
 
     Used to normalize residuals so tolerances are scale-free.  The box's
     extents are divided by a power of two before they are squared (see
-    ``_unit``), so no box from 1e-300 to 1e300 over- or underflows.
+    ``_unit``), so squaring them neither overflows nor underflows for any
+    box whose extents are finite.
     """
     pts = np.concatenate([p.net.reshape(-1, 3) for p in patches])
     d = pts.max(axis=0) - pts.min(axis=0)
@@ -578,13 +581,14 @@ def bounding_diagonal(*patches: BezierPatch) -> float:
 
 
 def _unit(extent):
-    """The power of two next above ``extent`` (1.0 at zero), to divide extents by before squaring.
+    """The power of two 2^(e-1) <= ``extent`` < 2^e (0.5 at zero), to divide extents by before squaring.
 
-    Dividing by a power of two is exact, and so is multiplying the root back,
-    so a diagonal is the same bits as the unscaled one wherever that one neither
-    overflowed nor underflowed.
+    It is finite for every finite extent, and the extents it divides lie below
+    2.  Dividing by a power of two is exact, and so is multiplying the root
+    back, so a diagonal is the same bits as the unscaled one wherever that one
+    neither overflowed nor underflowed.
     """
-    return np.ldexp(1.0, np.frexp(extent)[1])
+    return np.ldexp(0.5, np.frexp(extent)[1])
 
 
 def _pair_diagonals(pairs) -> np.ndarray:

@@ -12,8 +12,6 @@ Subcommands::
 Exit codes: 0 = pass/success, 2 = continuity failure, 1 = usage or input
 error.  Check commands print a residual table and optionally write a JSON
 report; reports are byte-stable for identical inputs and flags.
-Construction commands import ``construct`` when they run, so a check or
-export process neither compiles nor builds it.
 """
 
 from __future__ import annotations
@@ -34,7 +32,16 @@ from .continuity import (
     check_vertex_g1,
     check_vertex_g2,
 )
-from .surfio import SurfaceDocument, SurfaceFormatError, dumps_json, export_obj, load_surface, save_surface
+from .construct import NinePatchRing, build_fillet, complete_fourth_patch, fill_hole, fill_hole_deg6, solve_hole_params
+from .surfio import (
+    FORMAT_VERSION,
+    SurfaceDocument,
+    SurfaceFormatError,
+    dumps_json,
+    export_obj,
+    load_surface,
+    save_surface,
+)
 
 __all__ = ["main"]
 
@@ -189,8 +196,6 @@ def _edges_off(edges, name: str, sides) -> list:
 
 
 def _cmd_complete(args) -> int:
-    from .construct import complete_fourth_patch
-
     doc = load_surface(args.surface)
     kwargs = {}
     for flag in ("alpha23", "alpha43", "lambda23_1", "lambda43_1"):
@@ -208,15 +213,15 @@ def _cmd_complete(args) -> int:
     # the construction verified both corner joins: record them when missing,
     # so that check commands see (and check) the vertex it closes
     glued = {(c.a, c.a_side) for c in edges} | {(c.b, c.b_side) for c in edges}
-    for corr in (EdgeCorrespondence("u1", "u0", a="r1", b="r2"),
-                 EdgeCorrespondence("v1", "v0", a="r1", b="r4")):
+    for corr in (EdgeCorrespondence("u1", "u0", False, "r1", "r2"),
+                 EdgeCorrespondence("v1", "v0", False, "r1", "r4")):
         if not {(corr.a, corr.a_side), (corr.b, corr.b_side)} & glued:
             edges.append(corr)
     edges += [
-        EdgeCorrespondence("v1", "v0", a="r2", b="r3"),
-        EdgeCorrespondence("u1", "u0", a="r4", b="r3"),
+        EdgeCorrespondence("v1", "v0", False, "r2", "r3"),
+        EdgeCorrespondence("u1", "u0", False, "r4", "r3"),
     ]
-    save_surface(SurfaceDocument(patches=patches, edges=edges), args.output)
+    save_surface(SurfaceDocument(patches, edges, FORMAT_VERSION), args.output)
     print(f"wrote {args.output} (r3 bi-degree ({r3.degree_u}, {r3.degree_v}))")
     return 0
 
@@ -225,8 +230,6 @@ _RING_NAMES = {pos: f"r{pos}" for pos in (1, 2, 3, 4, 6, 7, 8, 9)}
 
 
 def _cmd_fill_hole(args) -> int:
-    from .construct import NinePatchRing, fill_hole, fill_hole_deg6, solve_hole_params
-
     doc = load_surface(args.surface)
     patches = {pos: doc.patch(name) for pos, name in _RING_NAMES.items()}
     ring = NinePatchRing.from_patches(patches)
@@ -240,19 +243,17 @@ def _cmd_fill_hole(args) -> int:
     out_patches = dict(doc.patches)
     out_patches["r5"] = r5
     edges = _edges_off(doc.edges, "r5", SIDES) + [
-        EdgeCorrespondence("v1", "v0", a="r4", b="r5"),
-        EdgeCorrespondence("u1", "u0", a="r2", b="r5"),
-        EdgeCorrespondence("v1", "v0", a="r5", b="r6"),
-        EdgeCorrespondence("u1", "u0", a="r5", b="r8"),
+        EdgeCorrespondence("v1", "v0", False, "r4", "r5"),
+        EdgeCorrespondence("u1", "u0", False, "r2", "r5"),
+        EdgeCorrespondence("v1", "v0", False, "r5", "r6"),
+        EdgeCorrespondence("u1", "u0", False, "r5", "r8"),
     ]
-    save_surface(SurfaceDocument(patches=out_patches, edges=edges), args.output)
+    save_surface(SurfaceDocument(out_patches, edges, FORMAT_VERSION), args.output)
     print(f"wrote {args.output} (r5 bi-degree ({r5.degree_u}, {r5.degree_v}))")
     return 0
 
 
 def _cmd_fillet(args) -> int:
-    from .construct import build_fillet
-
     doc_a = load_surface(args.strip_a)
     doc_b = load_surface(args.strip_b)
     strip_a = list(doc_a.patches.values())
@@ -272,14 +273,13 @@ def _cmd_fillet(args) -> int:
         patches[f"r{2 + 3 * r}"] = middle[r]
         patches[f"r{3 + 3 * r}"] = strip_b[r]
     for r in range(n):
-        edges.append(EdgeCorrespondence("u1", "u0", a=f"r{1 + 3 * r}", b=f"r{2 + 3 * r}"))
-        edges.append(EdgeCorrespondence("u1", "u0", a=f"r{2 + 3 * r}", b=f"r{3 + 3 * r}"))
+        edges.append(EdgeCorrespondence("u1", "u0", False, f"r{1 + 3 * r}", f"r{2 + 3 * r}"))
+        edges.append(EdgeCorrespondence("u1", "u0", False, f"r{2 + 3 * r}", f"r{3 + 3 * r}"))
     for r in range(n - 1):
         for c in range(3):
-            edges.append(EdgeCorrespondence(
-                "v1", "v0", a=f"r{1 + c + 3 * r}", b=f"r{1 + c + 3 * (r + 1)}"
-            ))
-    save_surface(SurfaceDocument(patches=patches, edges=edges), args.output)
+            edges.append(EdgeCorrespondence("v1", "v0", False, f"r{1 + c + 3 * r}",
+                                            f"r{1 + c + 3 * (r + 1)}"))
+    save_surface(SurfaceDocument(patches, edges, FORMAT_VERSION), args.output)
     print(f"wrote {args.output} ({len(middle)} fillet patches)")
     return 0
 

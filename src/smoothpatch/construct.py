@@ -242,7 +242,7 @@ def _twists(m: int, sides) -> dict:
         for e, k in ((0, 1), (m, m - 1)):
             twist = m * m * (row1[k] - row0[k] - row1[e] + row0[e])
             found.setdefault(divmod(int(ends[e]), m + 1), {})[side.side[0]] = twist
-    return {corner: TwistCheck(q23=t["v"], q43=t["u"]) for corner, t in found.items()
+    return {corner: TwistCheck(t["v"], t["u"]) for corner, t in found.items()
             if len(t) == 2}
 
 
@@ -291,8 +291,8 @@ def complete_fourth_patch(
     if degree not in (4, 5):
         raise ValueError("fourth-patch degree must be 4 or 5")
     (lam12, kap12_0), (lam14, kap14_0) = _join_constants([
-        (r1, r2, EdgeCorrespondence("u1", "u0", a="r1", b="r2")),
-        (r1, r4, EdgeCorrespondence("v1", "v0", a="r1", b="r4")),
+        (r1, r2, EdgeCorrespondence("u1", "u0", False, "r1", "r2")),
+        (r1, r4, EdgeCorrespondence("v1", "v0", False, "r1", "r4")),
     ], allow_linear_kappa=True)
     scale = bounding_diagonal(r1, r2, r4)
 
@@ -398,12 +398,12 @@ class NinePatchRing(_Record):
         for pos, p in patches.items():
             _require_bicubic(f"ring patch {pos}", p)
         constants = _join_constants([
-            (patches[an], patches[bn], EdgeCorrespondence(a_side, b_side, a=str(an), b=str(bn)))
+            (patches[an], patches[bn], EdgeCorrespondence(a_side, b_side, False, str(an), str(bn)))
             for an, a_side, bn, b_side in _RING_JOINS.values()
         ])
         lambdas = {key: lam for key, (lam, _) in zip(_RING_JOINS, constants)}
         scale = bounding_diagonal(*patches.values())
-        return cls(patches=dict(patches), lambdas=lambdas, scale=scale)
+        return cls(dict(patches), lambdas, scale)
 
 
 class HoleFillParams(_Record, eq=True):
@@ -468,7 +468,7 @@ def solve_hole_params(ring: NinePatchRing, free_choices=None) -> HoleFillParams:
         6: -2.0 * (alpha[8] - lam["96"]) / (3.0 * lam["96"]),
         8: -2.0 * (alpha[6] - lam["98"]) / (3.0 * lam["98"]),
     }
-    return HoleFillParams(mode="deg5", alpha=alpha, beta1=beta1, beta2=beta2)
+    return HoleFillParams("deg5", alpha, beta1, beta2, {}, {})
 
 
 def hole_constraint_residuals(ring: NinePatchRing, params: HoleFillParams) -> np.ndarray:
@@ -568,12 +568,9 @@ def fill_hole_deg6(ring: NinePatchRing) -> BezierPatch:
     """
     ends = _pinned_endpoints(ring)
     _require_ring_lambdas(ring)
-    params = HoleFillParams(
-        mode="deg6",
-        alpha={},
-        alpha1={i: ends[i][0] for i in (2, 4, 6, 8)},
-        alpha2={i: ends[i][1] for i in (2, 4, 6, 8)},
-    )
+    alpha1 = {i: ends[i][0] for i in (2, 4, 6, 8)}
+    alpha2 = {i: ends[i][1] for i in (2, 4, 6, 8)}
+    params = HoleFillParams("deg6", {}, {}, {}, alpha1, alpha2)
     m, sides = _hole_sides(ring, params)
     return _finish(_assemble(m, ring.scale, sides), lambda net: default_interior(net, m))
 
@@ -644,7 +641,7 @@ def build_fillet(strip_a, strip_b, n_rows=None, *, bridge_lambdas=(1.0, 1.0)):
         for n, p in enumerate(strip):
             _require_bicubic(f"{label}[{n}]", p)
         joins += [(strip[n], strip[n + 1],
-                   EdgeCorrespondence("v1", "v0", a=f"{label}[{n}]", b=f"{label}[{n + 1}]"))
+                   EdgeCorrespondence("v1", "v0", False, f"{label}[{n}]", f"{label}[{n + 1}]"))
                   for n in range(n_rows - 1)]
     lam_internal = [lam for lam, _ in _join_constants(joins)]
     lam_a, lam_b = lam_internal[:n_rows - 1], lam_internal[n_rows - 1:]

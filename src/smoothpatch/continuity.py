@@ -21,7 +21,7 @@ edges and both sample sets, each side once per set, read into its patch and
 along the shared edge parameter, so only a's derivatives across the edge
 change sign.  Each edge's frames are then divided by the power of two next
 above its scale (see ``_frames``), and the scale, the net diagonal, is taken
-from boxes divided the same way (``bezier._unit``), so that the solves and
+from boxes divided by a power of two too (``bezier._unit``), so that the solves and
 oracles neither overflow nor underflow for scales from 1e-200 to 1e200.  At
 ``SOLVE_SAMPLES`` (first order for G1, second for G2) the frames serve the
 G0 test, the link solves, the end slopes and the curvature oracle.  At
@@ -510,7 +510,7 @@ class CornerConfig(_Record):
         fails.
         """
         quad = {"p1": p1, "p2": p2, "p3": p3, "p4": p4}
-        batch = _LinkBatch([(quad[an], quad[bn], EdgeCorrespondence(a_side, b_side, a=an, b=bn))
+        batch = _LinkBatch([(quad[an], quad[bn], EdgeCorrespondence(a_side, b_side, False, an, bn))
                             for an, a_side, bn, b_side, _ in _CORNER_EDGES.values()], 2)
         for e in range(len(_CORNER_EDGES)):
             batch.admit(e)
@@ -594,10 +594,7 @@ def check_vertex_g1(config: CornerConfig) -> CompatReport:
         vals["43"]["lam"], vals["43"]["kap"],
     )
     ok = bool(np.all(res < G1_TOL) and product < G1_TOL)
-    return CompatReport(
-        g1_residuals=res, lambda_product_residual=product, ok=ok,
-        vertex_values=vals,
-    )
+    return CompatReport(res, product, ok, None, None, vals)
 
 
 def check_vertex_g2(config: CornerConfig) -> CompatReport:
@@ -615,8 +612,5 @@ def check_vertex_g2(config: CornerConfig) -> CompatReport:
         args.extend([e["lam"], e["kap"], e["dlam"], e["dkap"], e["mu"], e["nu"]])
     res = theorem2_residuals(*args)
     g2_ok = bool(np.all(res < G2_TOL))
-    return CompatReport(
-        g1_residuals=g1.g1_residuals,
-        lambda_product_residual=g1.lambda_product_residual,
-        ok=g1.ok and g2_ok, g2_residuals=res, g2_ok=g2_ok, vertex_values=vals,
-    )
+    return CompatReport(g1.g1_residuals, g1.lambda_product_residual, g1.ok and g2_ok, res, g2_ok,
+                        vals)

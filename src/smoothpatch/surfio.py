@@ -209,11 +209,8 @@ def load_surface(path) -> SurfaceDocument:
         rev = entry.get("reversed", False)
         if not isinstance(rev, bool):
             raise SurfaceFormatError(f"edges[{k}].reversed: must be a boolean")
-        edges.append(EdgeCorrespondence(
-            a_side=entry["a_side"], b_side=entry["b_side"], reversed=rev,
-            a=entry["a"], b=entry["b"],
-        ))
-    return SurfaceDocument(patches=patches, edges=edges)
+        edges.append(EdgeCorrespondence(entry["a_side"], entry["b_side"], rev, entry["a"], entry["b"]))
+    return SurfaceDocument(patches, edges, FORMAT_VERSION)
 
 
 def export_obj(doc: SurfaceDocument, nu: int, nv: int, path) -> None:

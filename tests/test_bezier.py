@@ -338,3 +338,18 @@ def test_bounding_diagonal_at_extreme_scales(k):
         assert bounding_diagonal(a, b) == pytest.approx(14.0 * 10.0**k, rel=1e-15)
         pair = _pair_diagonals([(a, a), (a, b)])
     assert pair.tolist() == [bounding_diagonal(a), bounding_diagonal(a, b)]
+
+
+@pytest.mark.parametrize("extent", [2.0**1023, 1.5e308])
+def test_bounding_diagonal_of_the_largest_finite_boxes(extent):
+    # an extent of 2^1023 or more has no finite power of two above it; the
+    # one at or below it is finite, so a diagonal in the float range is neither NaN nor inf
+    net = np.zeros((2, 2, 3))
+    net[1, :, 0] = extent
+    net[:, 1, 1] = 4e307
+    a = BezierPatch.from_net(net)
+    with np.errstate(all="raise"):
+        diag = bounding_diagonal(a)
+        pair = _pair_diagonals([(a, a)])
+    assert diag == pytest.approx(np.hypot(extent, 4e307), rel=1e-15)
+    assert pair.tolist() == [diag]

@@ -5,14 +5,18 @@ Each record is compared with a frozen dataclass of the same name, fields, defaul
 dataclasses and keep their behaviour.
 """
 
+import contextlib
 import copy
 import dataclasses
+import io
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smoothpatch.bezier import BezierPatch, TriangleMesh
+from smoothpatch.bezier import BezierPatch, TriangleMesh, _Record
+from smoothpatch.cli import main
 from smoothpatch.construct import HoleFillParams, LinkCoefficients, NinePatchRing, TwistCheck
 from smoothpatch.continuity import CompatReport, CornerConfig, EdgeChecks, EdgeCorrespondence
 from smoothpatch.surfio import SurfaceDocument
@@ -165,3 +169,25 @@ def test_records_copy_and_pickle(cls):
     record = _make(cls)
     for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
         assert type(clone) is cls and repr(clone) == repr(record)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-g1", "mixed_grid.json"], ["check-g2", "mixed_grid.json"],
+    ["export", "mixed_grid.json", "--obj", "{out}.obj", "--samples", "8,8"],
+    ["complete-4patch", "cli_golden/corner.json", "-o", "{out}.json"],
+    ["fill-hole", "cli_golden/ring.json", "-o", "{out}.json"],
+    ["fill-hole", "cli_golden/ring.json", "--deg6", "-o", "{out}.json"],
+    ["fillet", "cli_golden/strip_a.json", "cli_golden/strip_b.json", "-n", "4", "-o", "{out}.json"],
+], ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")))
+def test_library_code_builds_every_record_positionally(argv, monkeypatch, tmp_path):
+    # binding keywords and defaults is the slow path of a record, left to callers outside
+    # the package: a load builds one record per edge and a check one per vertex
+    bound = []
+    bind = _Record._bind
+    monkeypatch.setattr(_Record, "_bind", lambda self, *a: bound.append(type(self).__name__) or bind(self, *a))
+    data = Path(__file__).parent / "data"
+    argv = [a.format(out=tmp_path / "out") if "{" in a else str(data / a) if a.endswith(".json") else a
+            for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) in (0, 2)
+    assert bound == []

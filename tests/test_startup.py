@@ -1,7 +1,5 @@
-"""What a fresh process imports: the package resolves its names on first use, and
-check and export commands never import the constructions."""
+"""What a fresh process imports: no record generates code, so nothing imports ``dataclasses``."""
 
-import functools
 import json
 import os
 import subprocess
@@ -13,7 +11,7 @@ import smoothpatch
 SRC = Path(smoothpatch.__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 
-# the names ``from smoothpatch import *`` bound when the package imported every module
+# the public names of the package, as ``from smoothpatch import *`` binds them
 STAR_NAMES = [
     "BezierPatch", "CompatReport", "CornerConfig", "CornerConsistencyError",
     "DegenerateLinkError", "DegenerateParametrizationError", "EdgeChecks", "EdgeCorrespondence",
@@ -32,7 +30,6 @@ STAR_NAMES = [
 ]
 
 
-@functools.cache
 def _fresh(script: str, *args: str):
     """The JSON that ``script`` prints as its last line, run by a new interpreter under -W error."""
     done = subprocess.run([sys.executable, "-W", "error", "-c", script, *args],
@@ -45,78 +42,40 @@ def _fresh(script: str, *args: str):
 _COMMANDS = """
 import contextlib, io, json, os, sys, tempfile
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("smoothpatch") or m == "dataclasses")
-import smoothpatch
-stages = {"package": loaded()}
+    return "dataclasses" in sys.modules
+stages = {"start": loaded()}
 from smoothpatch.cli import main
 stages["cli"] = loaded()
 golden, corner, tmp = sys.argv[1], sys.argv[2], tempfile.mkdtemp()
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["check-g1", golden], ["check-g2", golden, "--report", os.path.join(tmp, "r.json")],
-                 ["export", golden, "--obj", os.path.join(tmp, "out.obj"), "--samples", "8,8"]):
+                 ["export", golden, "--obj", os.path.join(tmp, "out.obj"), "--samples", "8,8"],
+                 ["complete-4patch", corner, "-o", os.path.join(tmp, "c.json")]):
         codes.append(main(argv))
-    stages["checked"] = loaded()
-    codes.append(main(["complete-4patch", corner, "-o", os.path.join(tmp, "c.json")]))
-stages["constructed"] = loaded()
+stages["commands"] = loaded()
 print(json.dumps({"codes": codes, "stages": stages}))
 """
 
 
-def _command_stages():
-    return _fresh(_COMMANDS, str(DATA / "mixed_grid.json"), str(DATA / "cli_golden" / "corner.json"))
-
-
-def test_check_and_export_processes_import_neither_construct_nor_dataclasses():
-    got = _command_stages()
+def test_a_process_that_runs_every_kind_of_command_imports_no_dataclasses():
+    got = _fresh(_COMMANDS, str(DATA / "mixed_grid.json"), str(DATA / "cli_golden" / "corner.json"))
     assert got["codes"] == [2, 2, 0, 0]
-    stages = got["stages"]
-    assert stages["package"] == ["smoothpatch"]
-    modules = ["smoothpatch", "smoothpatch.bezier", "smoothpatch.cli", "smoothpatch.continuity",
-               "smoothpatch.surfio"]
-    assert stages["cli"] == stages["checked"] == modules
+    assert got["stages"] == {"start": False, "cli": False, "commands": False}
 
 
-def test_a_construction_imports_construct_at_its_first_call():
-    stages = _command_stages()["stages"]
-    assert stages["constructed"] == sorted(["smoothpatch.construct", *stages["checked"]])
+def test_no_module_of_the_package_mentions_dataclass():
+    for path in sorted((SRC / "smoothpatch").glob("*.py")):
+        assert "dataclass" not in path.read_text(encoding="utf-8"), path.name
 
 
-_NAMES = """
-import importlib, json, sys
-import smoothpatch
-homes = {}
-for name in smoothpatch.__all__:
-    value = getattr(smoothpatch, name)
-    owners = [m for m in ("bezier", "continuity", "construct", "surfio")
-              if name == m or name in importlib.import_module("smoothpatch." + m).__all__]
-    home = importlib.import_module("smoothpatch." + owners[0])
-    homes[name] = (owners, value is (home if name == owners[0] else getattr(home, name)))
+_STAR = """
+import json
 star = {}
 exec("from smoothpatch import *", star)
-try:
-    smoothpatch.no_such_name
-    missing = None
-except AttributeError as exc:
-    missing = str(exc)
-print(json.dumps({"homes": homes, "star": sorted(k for k in star if k != "__builtins__"),
-                  "dir": sorted(set(smoothpatch.__all__) - set(dir(smoothpatch))),
-                  "missing": missing}))
+print(json.dumps(sorted(k for k in star if k != "__builtins__")))
 """
 
 
-def test_every_public_name_resolves_to_the_object_in_its_home_module():
-    homes = _fresh(_NAMES)["homes"]
-    assert sorted(homes) == STAR_NAMES
-    for name, (owners, same) in homes.items():
-        assert len(owners) == 1 and same, name
-
-
-def test_star_import_binds_the_names_it_bound_before():
-    got = _fresh(_NAMES)
-    assert got["star"] == STAR_NAMES
-    assert got["dir"] == []
-
-
-def test_an_unknown_name_raises_attribute_error_naming_it():
-    assert _fresh(_NAMES)["missing"] == "module 'smoothpatch' has no attribute 'no_such_name'"
+def test_star_import_binds_the_public_names():
+    assert _fresh(_STAR) == STAR_NAMES
