@@ -341,7 +341,7 @@ def _side_view(net: np.ndarray, side: str, reversed_: bool = False) -> np.ndarra
     return view[:, ::-1] if reversed_ else view
 
 
-def _edge_jets(sides, requests) -> list:
+def _edge_jets(sides, requests, units=None) -> list:
     """Points and partial derivatives of many patches along one side each, per sample set.
 
     ``sides`` holds ``(patch, side, reversed)`` triples, each read through
@@ -357,6 +357,10 @@ def _edge_jets(sides, requests) -> list:
     every k <= order - l against its basis at t, from +0.0 and term by term
     in ascending basis index.  That order is fixed, so a side's values are
     the same bits whatever else is in the batch or requested with it.
+    ``units``, when given, holds a power of two per side that its rows are
+    multiplied by before they are differenced: its values come out
+    multiplied by it, exactly, and differences of coordinates near the
+    float limit do not overflow on the way.
     """
     requests = [(np.ascontiguousarray(t, dtype=float), order) for t, order in requests]
     t_bytes = [t.tobytes() for t, _ in requests]
@@ -370,6 +374,8 @@ def _edge_jets(sides, requests) -> list:
     for (rows, cols), members in groups.items():
         idx = [i for i, _ in members]
         d_w, n = np.stack([view for _, view in members], axis=2), rows - 1  # (k, t, side, xyz)
+        if units is not None:
+            d_w = d_w * units[idx][:, None]
         firsts = [d_w[0]]
         for _ in range(top):
             d_w, n = _difference(d_w, n, 0)
@@ -569,14 +575,16 @@ def bounding_diagonal(*patches: BezierPatch) -> float:
     """Diagonal of the joint axis-aligned bounding box of the control nets.
 
     Used to normalize residuals so tolerances are scale-free.  The box's
-    extents are divided by a power of two before they are squared (see
-    ``_unit``), so squaring them neither overflows nor underflows for any
-    box whose extents are finite.
+    half extents are divided by a power of two before they are squared (see
+    ``_unit``), so neither the extents nor their squares overflow or
+    underflow, and the diagonal is inf only where it exceeds the largest
+    float.
     """
     pts = np.concatenate([p.net.reshape(-1, 3) for p in patches])
-    d = pts.max(axis=0) - pts.min(axis=0)
+    d = pts.max(axis=0) * 0.5 - pts.min(axis=0) * 0.5
     unit = _unit(d.max())
-    d = float(np.linalg.norm(d / unit) * unit)
+    with np.errstate(over="ignore"):
+        d = float(np.linalg.norm(d / unit) * unit * 2.0)
     return d if d > 0.0 else 1.0
 
 
@@ -597,7 +605,7 @@ def _pair_diagonals(pairs) -> np.ndarray:
     Each distinct patch's box is taken once.  Min and max are exact, so the
     box of two boxes is the box of the two nets, and a 1x3 by 3x1 matmul
     sums with the dot that ``np.linalg.norm`` of one vector takes; each
-    box's extents are divided by its ``_unit`` first, as there.
+    box's half extents are divided by its ``_unit`` first, as there.
     """
     if not pairs:
         return np.ones(0)
@@ -607,10 +615,11 @@ def _pair_diagonals(pairs) -> np.ndarray:
     nets = [p.net.reshape(-1, 3) for _, p in slots.values()]
     starts = list(itertools.accumulate([len(net) for net in nets[:-1]], initial=0))
     pts = np.concatenate(nets)
-    d = (np.maximum.reduceat(pts, starts)[index].max(axis=1)
-         - np.minimum.reduceat(pts, starts)[index].min(axis=1))
+    d = (np.maximum.reduceat(pts, starts)[index].max(axis=1) * 0.5
+         - np.minimum.reduceat(pts, starts)[index].min(axis=1) * 0.5)
     unit = _unit(d.max(axis=1))
     d = (d / unit[:, None])[:, None]
-    diag = np.sqrt(d @ d.transpose(0, 2, 1))[:, 0, 0] * unit
+    with np.errstate(over="ignore"):
+        diag = np.sqrt(d @ d.transpose(0, 2, 1))[:, 0, 0] * unit * 2.0
     diag[diag == 0.0] = 1.0
     return diag

@@ -188,18 +188,23 @@ def _frames(pairs, requests) -> tuple:
     requests come from one call of the side evaluator.  Each edge's frames
     are divided by the power of two 2^e with 2^(e-1) <= scale < 2^e.  The
     division is exact, and it keeps |a_w x a_t|^2, which grows as the fourth
-    power of the scale, a normal float for scales from 1e-200 to 1e200.
+    power of the scale, a normal float for scales from 1e-200 to 1e200.  The
+    control rows are divided before they are differenced, so differences of
+    coordinates near the largest float do not overflow; an edge whose nets'
+    diagonal exceeds it raises ``PreconditionError``.
     """
     scale = _pair_diagonals(pairs)
-    unit = np.ldexp(1.0, -np.frexp(scale)[1])[:, None, None]
+    for (*_, c), huge in zip(pairs, np.isinf(scale).tolist()):
+        if huge:
+            raise PreconditionError(f"the nets of {_name(c)} span more than the largest float")
+    unit = np.ldexp(1.0, -np.frexp(scale)[1])
     sides = ([(a, c.a_side, False) for a, _, c in pairs]
              + [(b, c.b_side, c.reversed) for _, b, c in pairs])
     # a's rows run away from b, so its odd derivatives across the edge change sign
     into = np.array([-1.0, 1.0])[:, None, None, None]
     frames = []
-    for jets in _edge_jets(sides, requests):
-        jet = {key: value.reshape(2, len(pairs), *value.shape[1:]) * unit
-               for key, value in jets.items()}
+    for jets in _edge_jets(sides, requests, np.concatenate([unit, unit])):
+        jet = {key: value.reshape(2, len(pairs), *value.shape[1:]) for key, value in jets.items()}
         f = {"point": jet[0, 0], "w": into * jet[1, 0], "t": jet[0, 1]}
         if (2, 0) in jet:
             f.update(ww=jet[2, 0], wt=into * jet[1, 1], tt=jet[0, 2])

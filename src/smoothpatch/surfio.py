@@ -23,6 +23,7 @@ surrogate, so every writer (JSON, OBJ) can encode them as UTF-8.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -213,17 +214,156 @@ def load_surface(path) -> SurfaceDocument:
     return SurfaceDocument(patches, edges, FORMAT_VERSION)
 
 
+# OBJ text.  Every number is written as ``'%.17g' % x`` or ``'%d' % i`` writes it, but for
+# whole arrays at once: a record is a row of little-endian words whose bytes spell its
+# text, a NUL byte stands for no byte, and ``bytes.translate`` deletes the NULs.
+
+_BLOCK = 2048  # vertices formatted at once, in whole patches; chosen by measurement
+_U64 = np.uint64
+
+
+@functools.lru_cache(maxsize=1)
+def _text_tables():
+    """Read-only tables of the OBJ formatter, built on first use.
+
+    ``words`` holds the four ASCII digits of 0..9999 in the low bytes of a
+    word, then the same with leading zeros as NULs; ``zeros`` the trailing
+    zero digits of each (4 for 0); ``powers`` 10^0..10^22, all exact;
+    ``heads`` the sign and the "0." of a fixed-notation number in bytes 2-7,
+    indexed by the zeros it starts with (0-4) plus 5 if negative.  Entry
+    3n + k of ``below``, ``above`` and ``dots`` is word k of a string of
+    three words: its bytes below byte n, its bytes above byte n and a point
+    at byte n, for n from 0 to 24.
+    """
+    g = np.arange(10000)
+    words = sum((g // place % 10 + 48) << 8 * k for k, place in enumerate((1000, 100, 10, 1)))
+    leading = sum(g < place for place in (1000, 100, 10, 1))  # the zeros before the first digit
+    words = np.concatenate([words, words & ~((1 << 8 * leading) - 1)]).astype(_U64)
+    zeros = sum(g % place == 0 for place in (10, 100, 1000, 10000)).astype(np.uint8)
+    powers = np.array([float(10**k) for k in range(23)])
+    heads = np.array([int.from_bytes(("\0\0" + "-" * (k > 4) + "0.000"[:k % 5 + 1] * (k % 5 > 0))
+                                     .encode(), "little") for k in range(10)], _U64)
+    shift = (8 * (np.arange(26)[:, None] - 8 * np.arange(3)).clip(0, 8)).astype(_U64)
+    masks = ((_U64(1) << shift) - _U64(1)).ravel()  # a shift by 64 bits gives 0
+    tables = (words, zeros, powers, heads, masks[:-3], ~masks[3:],
+              (masks[3:] ^ masks[:-3]) & _U64(0x2E2E2E2E2E2E2E2E))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _split(a):
+    """Veltkamp's split of doubles into halves of 26 bits, ``a = hi + lo`` exactly."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _float_words(x) -> np.ndarray:
+    """``'%.17g' % v`` of each float v of the 1-D ``x`` in bytes 2-25 of four words, NUL elsewhere.
+
+    Values with 1e-4 <= |v| < 1e15 are exactly those ``%g`` writes in fixed
+    notation: from 17 correctly rounded digits D * 10^(E - 16), 10^16 <= D
+    < 10^17 and -4 <= E <= 14.  E starts as floor(log10 |v|), one off at
+    most, and |v| * 10^(16 - E) is formed exactly, as the rounded product p
+    plus its error (Dekker's product; 10^(16 - E) is exact).  p is an even
+    integer, so D is p plus the error rounded half to even.  No double in
+    the range lies within half a unit of the 17th digit below a power of
+    ten, so D never rounds up to 10^17.  The digits of D come from the
+    tables, trailing zeros after the point are cut, and the point goes in by
+    shifting the bytes after it up one.  Every other value (+-0, NaN, +-inf,
+    subnormals, exponent notation) is formatted by ``%``.
+    """
+    words, zeros, powers, heads, below, above, dots = _text_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e15)  # NaN is not
+    y = np.where(fast, a, 1.0)
+    exp10 = np.floor(np.log10(y))
+    while True:
+        scale = np.take(powers, (16.0 - exp10).astype(np.intp))
+        p = y * scale
+        (yh, yl), (sh, sl) = _split(y), _split(scale)
+        err = yl * sl - (((p - yh * sh) - yl * sh) - yh * sl)
+        # p + err against 10^16 and 10^17: p is exact next to them and |err| is below
+        # p's spacing there, so the rounded sums keep the signs of the exact ones
+        under = (p - 1e16) + err < 0.0
+        over = (p - 1e17) + err >= 0.0
+        if not (under | over).any():
+            break
+        exp10 += over
+        exp10 -= under
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    e = exp10.astype(np.int64)
+    # digits 0-7 and 8-15 of D, four at a time, then digit 16
+    tens, high = d // 10, d // 10**9
+    mid, last = tens - high * 10**8, d - tens * 10
+    first, third = high // 10**4, mid // 10**4
+    groups = [first, high - first * 10**4, third, mid - third * 10**4]
+    text = [np.take(words, groups[0]) | np.take(words, groups[1]) << _U64(32),
+            np.take(words, groups[2]) | np.take(words, groups[3]) << _U64(32),
+            (last + 48).astype(_U64)]
+    cut = 0  # trailing zeros, from digit 16 up while the groups after are all zeros
+    for g in groups:
+        cut = np.take(zeros, g) + (g == 0) * cut
+    shown = np.maximum(17 - (last == 0) * (1 + cut), e + 1)  # never cut the integer part
+    # the byte the point goes to; none (24) below 1, where "0." leads, or without a fraction
+    point = 3 * (e + 1 + ((e < 0) | (shown <= e + 1)) * (23 - e))
+    out = np.empty((len(x), 4), _U64)
+    out[:, 0] = np.take(heads, np.maximum(-e, 0) + 5 * (x < 0.0))
+    carry = 0
+    for k, word in enumerate(text):
+        kept = word & np.take(below, 3 * shown + k)
+        at = point + k
+        out[:, 1 + k] = ((kept & np.take(below, at)) | np.take(dots, at)
+                         | ((kept << _U64(8)) | carry) & np.take(above, at))
+        carry = kept >> _U64(56)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        padded = "".join(("\0\0" + "%.17g" % v).ljust(32, "\0") for v in x[slow].tolist())
+        out[slow] = np.frombuffer(padded.encode("ascii"), "<u8").reshape(-1, 4)
+    return out.astype("<u8", copy=False)
+
+
+def _face_text(indices, width: int) -> np.ndarray:
+    """The ``f a b c`` records of 1-based ``indices`` (n, 3) below 10^width, as NUL-padded rows."""
+    words, count = _text_tables()[0], -(-width // 4)
+    digits = np.empty((indices.size, count), "<u4")
+    above = 0
+    for k in range(count):  # four digits at a time; leading zeros are NULs
+        head = indices.ravel() // 10 ** (4 * (count - 1 - k))
+        digits[:, k] = np.take(words, head - above * 10**4 + 10000 * (above == 0))
+        above = head
+    rows = np.empty((len(indices), 3 * width + 5), np.uint8)
+    rows[:, 0], rows[:, -1] = ord("f"), ord("\n")
+    fields = rows[:, 1:-1].reshape(len(indices), 3, width + 1)
+    fields[..., 0] = ord(" ")
+    fields[..., 1:] = digits.view(np.uint8)[:, 4 * count - width:].reshape(len(indices), 3, width)
+    return rows
+
+
 def export_obj(doc: SurfaceDocument, nu: int, nv: int, path) -> None:
-    """Write one OBJ object per patch (o/v/f records, 1-based global indices)."""
+    """Write one OBJ object per patch (o/v/f records, 1-based global indices).
+
+    Coordinates are written as ``'%.17g' % x`` writes them and indices as
+    ``'%d' % i``, to the byte, for as many whole patches at once as have at
+    most ``_BLOCK`` vertices (or for one patch).
+    """
     faces = _grid_faces(nu, nv) + 1
     grids = _eval_grids(list(doc.patches.values()), np.linspace(0.0, 1.0, nu + 1),
                         np.linspace(0.0, 1.0, nv + 1))
-    per_patch = (nu + 1) * (nv + 1)
-    v_records, f_records = "v %.17g %.17g %.17g\n" * per_patch, "f %d %d %d\n" * len(faces)
-    chunks = []
-    for k, (name, grid) in enumerate(zip(doc.patches, grids)):
-        chunks.append(f"o {name}\n")
-        chunks.append(v_records % tuple(grid.ravel().tolist()))
-        chunks.append(f_records % tuple((faces + k * per_patch).ravel().tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks or ["\n"])
+    names, per_patch = list(doc.patches), (nu + 1) * (nv + 1)
+    step, width = max(1, _BLOCK // per_patch), len(str(per_patch * len(names)))
+    with open(path, "wb") as fh:
+        if not names:
+            fh.write(b"\n")
+        for first in range(0, len(names), step):
+            block = names[first:first + step]
+            vertices = _float_words(grids[first:first + step].ravel()).reshape(len(block), -1, 3, 4)
+            vertices[..., 0] |= np.array([ord("v") | ord(" ") << 8, ord(" "), ord(" ")], "<u8")
+            vertices[..., 2, 3] |= np.array(ord("\n") << 56, "<u8")
+            offsets = per_patch * np.arange(first, first + len(block))[:, None, None]
+            face_rows = _face_text((faces + offsets).reshape(-1, 3), width)
+            for name, v, f in zip(block, vertices, face_rows.reshape(len(block), -1)):
+                fh.write(f"o {name}\n".encode("utf-8"))
+                fh.write(v.tobytes().translate(None, b"\0"))
+                fh.write(f.tobytes().translate(None, b"\0"))

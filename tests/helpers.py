@@ -554,3 +554,25 @@ def assemble_reference(m: int, scale: float, sides) -> np.ndarray:
                         f"{gap / scale:.3e} ({what} across {side.side})"
                     )
     return net
+
+
+def wide_range_document():
+    """The golden document with its patches c00, c01 and c02 scaled by 1e-300, 1e-3 and
+    1e300, plus a patch ``zeros`` of zeros and negative zeros.
+
+    Sampled coordinates of c00 and c02 are written in exponent notation, c01's on both
+    sides of 1e-4, where fixed notation begins, and the ``zeros`` patch's as "0".
+    """
+    from pathlib import Path
+
+    from smoothpatch.surfio import SurfaceDocument, load_surface
+
+    doc = load_surface(Path(__file__).parent / "data" / "mixed_grid.json")
+    patches = dict(doc.patches)
+    for name, factor in (("c00", 1e-300), ("c01", 1e-3), ("c02", 1e300)):
+        patches[name] = BezierPatch.from_net(patches[name].net * factor)
+    zeros = np.zeros((3, 2, 3))
+    zeros[1] = -0.0
+    zeros[:, 1, 2] = -0.0
+    patches["zeros"] = BezierPatch.from_net(zeros)
+    return SurfaceDocument(patches=patches, edges=doc.edges)

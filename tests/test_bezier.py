@@ -353,3 +353,14 @@ def test_bounding_diagonal_of_the_largest_finite_boxes(extent):
         pair = _pair_diagonals([(a, a)])
     assert diag == pytest.approx(np.hypot(extent, 4e307), rel=1e-15)
     assert pair.tolist() == [diag]
+
+
+def test_bounding_diagonal_beyond_the_largest_float_is_inf():
+    # the extent 3e308 of two finite coordinates is taken of their halves, so the
+    # subtraction does not overflow; the diagonal itself is inf, without a warning
+    net = np.zeros((2, 2, 3))
+    net[0, :, 0], net[1, :, 0] = -1.5e308, 1.5e308
+    a = BezierPatch.from_net(net)
+    with np.errstate(all="raise"):
+        assert bounding_diagonal(a) == np.inf
+        assert _pair_diagonals([(a, a)]).tolist() == [np.inf]

@@ -252,14 +252,14 @@ def jet_calls(monkeypatch):
     """
     calls = []
 
-    def counting(sides, requests):
+    def counting(sides, requests, units=None):
         record = []
         for t, order in requests:
             t = np.asarray(t, dtype=float)
             record.append(([(id(p), side, (1.0 - t if rev else t).tobytes())
                             for p, side, rev in sides], len(t), order))
         calls.append(record)
-        return _edge_jets(sides, requests)
+        return _edge_jets(sides, requests, units)
 
     monkeypatch.setattr(continuity, "_edge_jets", counting)
     return calls

@@ -3,17 +3,31 @@
 import functools
 import json
 import math
+import struct
 import sys
 import tempfile
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smoothpatch.bezier import SIDES, BezierPatch, _edge_jets, eval_grid, split_grid, split_patch
+from smoothpatch import surfio
+from smoothpatch.bezier import (
+    SIDES,
+    BezierPatch,
+    _edge_jets,
+    _eval_grids,
+    _grid_faces,
+    eval_grid,
+    split_grid,
+    split_patch,
+)
 from smoothpatch.cli import find_corner_configs, main
 from smoothpatch.continuity import (
     SOLVE_SAMPLES,
@@ -44,6 +58,7 @@ from helpers import (
     smooth_patch,
     swapped,
     uniform_ring,
+    wide_range_document,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -742,6 +757,132 @@ def test_export_obj_golden_bytes(tmp_path):
     assert out.read_bytes() == (DATA / "mixed_grid_8x8.obj").read_bytes()
 
 
+def test_export_obj_wide_range_bytes(tmp_path):
+    # captured from the writer that called % once per number: exponent notation at
+    # 1e-300 and 1e300 times the golden coordinates, both sides of 1e-4, and zeros
+    want = (DATA / "mixed_grid_wide_3x5.obj").read_bytes()
+    out = tmp_path / "wide.obj"
+    export_obj(wide_range_document(), 3, 5, out)
+    assert out.read_bytes() == want == _reference_obj(wide_range_document(), 3, 5)
+
+
+# --- OBJ text: the array formatter against one % call per number ----------------
+
+def _reference_obj(doc, nu, nv) -> bytes:
+    """The OBJ bytes of the writer that formatted each number with its own ``%``."""
+    faces = _grid_faces(nu, nv) + 1
+    grids = _eval_grids(list(doc.patches.values()), np.linspace(0.0, 1.0, nu + 1),
+                        np.linspace(0.0, 1.0, nv + 1))
+    per_patch = (nu + 1) * (nv + 1)
+    v_records, f_records = "v %.17g %.17g %.17g\n" * per_patch, "f %d %d %d\n" * len(faces)
+    chunks = []
+    for k, (name, grid) in enumerate(zip(doc.patches, grids)):
+        chunks.append(f"o {name}\n")
+        chunks.append(v_records % tuple(grid.ravel().tolist()))
+        chunks.append(f_records % tuple((faces + k * per_patch).ravel().tolist()))
+    return "".join(chunks or ["\n"]).encode("utf-8")
+
+
+def _near_power_of_ten(k: int, ulps: int, negative: bool) -> float:
+    x = float(f"1e{k}")
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return -x if negative else x
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    2.225073858507201e-308, 2.2250738585072014e-308,  # the largest subnormal, the smallest normal
+    2.0**50 + 0.25, 2.0**50 + 0.75, 2.0**49 + 0.125,  # exact ties at the 17th digit
+    float("1e-14"),  # below 10^-14, written as the power of ten
+    1e-4, math.nextafter(1e-4, 0.0), 1e15, math.nextafter(1e15, 0.0), 0.1, 0.5, 100.0, 123.456,
+]
+
+# any double, with the ones a decimal writer gets wrong most often drawn often
+_OBJ_FLOATS = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.builds(_near_power_of_ten, st.integers(-6, 17), st.integers(-3, 3), st.booleans()),
+    st.builds(lambda m, k: m * 10.0**k, st.integers(-10**6, 10**6), st.integers(-9, 12)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_OBJ_FLOATS, min_size=1, max_size=40))
+@example(_SPECIAL_FLOATS)
+@example([_near_power_of_ten(k, ulps, False) for k in range(-6, 18) for ulps in (-1, 0, 1)])
+def test_float_text_is_the_text_of_percent_17g(values):
+    words = surfio._float_words(np.array(values, dtype=float))
+    got = [row.tobytes().translate(None, b"\0").decode("ascii") for row in words]
+    assert got == ["%.17g" % v for v in values]
+
+
+def test_no_double_in_fixed_notation_rounds_up_to_a_power_of_ten():
+    # the array formatter relies on it: its 17 digits never carry into an 18th, because
+    # every double below a power of ten from 1e-3 to 1e15 lies more than half a unit of
+    # the 17th digit below it
+    for k in range(-3, 16):
+        power = float(f"1e{k}")
+        for x in (math.nextafter(power, 0.0), power):
+            if Fraction(x) < Fraction(10) ** k:
+                assert Decimal("%.17g" % x) < Decimal(10) ** k, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.one_of(st.integers(1, 99), st.integers(1, 10**15))] * 3),
+                min_size=1, max_size=30),
+       st.integers(0, 3))
+def test_face_text_is_the_text_of_percent_d(faces, spare):
+    indices = np.array(faces)
+    rows = surfio._face_text(indices, len(str(indices.max())) + spare)
+    assert [row.tobytes().translate(None, b"\0") for row in rows] == [
+        b"f %d %d %d\n" % face for face in faces]
+
+
+@st.composite
+def _export_cases(draw):
+    """A document of 1-4 patches of degrees 1-6 at scales 10^k, |k| <= 300, samples and a block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patches = {}
+    for k in range(draw(st.integers(1, 4))):
+        du, dv = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        patches[f"p{k}"] = BezierPatch.from_net(rng.standard_normal((du + 1, dv + 1, 3)) * scale)
+    return (SurfaceDocument(patches=patches), draw(st.integers(1, 9)), draw(st.integers(1, 9)),
+            draw(st.integers(1, 250)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_export_cases())
+@example((SurfaceDocument(patches={}), 2, 3, 4096))
+def test_export_obj_writes_the_bytes_of_one_percent_call_per_number(case):
+    doc, nu, nv, block = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(surfio, "_BLOCK", block):
+        path = Path(tmp) / "out.obj"
+        export_obj(doc, nu, nv, path)
+        assert path.read_bytes() == _reference_obj(doc, nu, nv)
+
+
+def test_export_formats_at_most_a_block_of_vertices_at_once(tmp_path):
+    # the formatter's arrays do not grow with the number of patches: 40 patches of 81
+    # vertices are formatted two at a time when a block holds 200 vertices
+    rng = np.random.default_rng(5)
+    doc = SurfaceDocument(patches={f"p{k}": smooth_patch(rng) for k in range(40)})
+    sizes = []
+
+    def counting(x):
+        sizes.append(len(x))
+        return formatter(x)
+
+    formatter = surfio._float_words
+    with mock.patch.object(surfio, "_BLOCK", 200), mock.patch.object(surfio, "_float_words",
+                                                                     counting):
+        export_obj(doc, 8, 8, tmp_path / "out.obj")
+    assert sizes == [2 * 81 * 3] * 20
+    assert (tmp_path / "out.obj").read_bytes() == _reference_obj(doc, 8, 8)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_constructed_vertices_pass_check_g1(tmp_path, capsys, seed):
     # every join of a constructed document is G1, so every vertex row must
@@ -998,13 +1139,13 @@ def test_check_commands_evaluate_sides_only_in_check_edges(monkeypatch, capsys, 
     inside, sides = [], []
     builder = check_edges.__code__
 
-    def counting(batch, requests):
+    def counting(batch, requests, units=None):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code is not builder:
             frame = frame.f_back
         inside.append(frame is not None)
         sides.append([(len(batch), len(t), order) for t, order in requests])
-        return _edge_jets(batch, requests)
+        return _edge_jets(batch, requests, units)
 
     modules = [m for name, m in sys.modules.items()
                if name.startswith("smoothpatch") and hasattr(m, "_edge_jets")]

@@ -95,6 +95,30 @@ def test_verdicts_hold_where_squared_net_extents_would_leave_the_float_range(k, 
     assert (code, rows) == _row_verdicts("golden", 0, command)
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("factor", [1e306, 3e307, 6e307, 1e308])
+def test_checks_of_coordinates_near_the_largest_float_do_not_overflow(factor, command):
+    # every coordinate c becomes (c - 1.4) * factor, all finite: the net boxes are taken
+    # of halved coordinates and the control rows divided by a power of two before they
+    # are differenced, so nothing overflows; an edge whose net diagonal exceeds the
+    # largest float (at 1e308) is a named failure
+    raw = json.loads(GOLDEN_DOC.read_text())
+    for patch in raw["patches"]:
+        patch["net"] = [[(c - 1.4) * factor for c in point] for point in patch["net"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(raw))
+        code, out, err, caught = _run(command, path)
+    assert caught == [] and "nan" not in out.lower()
+    if factor < 1e308:
+        rows = [(line.split("  ")[0], line.split()[-1]) for line in out.splitlines()]
+        assert (code, rows, err) == (*_row_verdicts("golden", 0, command), "")
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("continuity failure: the nets of ") and err.endswith(
+            " span more than the largest float\n")
+
+
 # --- fuzzed documents ---------------------------------------------------------
 
 _RAW = json.loads(GOLDEN_DOC.read_text())
