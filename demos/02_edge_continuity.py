@@ -8,7 +8,8 @@ Three pairs of patches share a boundary curve:
   3. the same pair folded by 30 degrees         -> both tests fail
 
 Each one-edge check is a batch of one: its result holds arrays whose first
-index is the edge, as ``check_edges`` returns them for many edges.
+index is the edge, as ``check_edges`` returns them for many edges, and its
+link columns ``lam`` and ``kap`` are the edge's link functions, sampled.
 
 Run:  python3 demos/02_edge_continuity.py
 """
@@ -20,7 +21,6 @@ from smoothpatch import (
     EdgeCorrespondence,
     check_g1_edge,
     check_g2_edge,
-    solve_edge_link,
     split_patch,
 )
 
@@ -40,10 +40,10 @@ net[:, :, 0] = np.linspace(0, 2, 4)[:, None]
 net[:, :, 1] = np.linspace(0, 2, 4)[None, :]
 net[:, :, 2] = rng.normal(scale=0.3, size=(4, 4))
 left, right = split_patch(BezierPatch.from_net(net), u=0.5)
-link = solve_edge_link(left, right, corr)
-print("split halves: lambda =", np.round(link.lam[0, 0], 12),
-      " kappa =", np.round(link.kap[0, 0], 12))
-show("split halves, G1", check_g1_edge(left, right, corr))
+g1 = check_g1_edge(left, right, corr)
+print("split halves: lambda =", np.round(g1.lam[0, 0], 12),
+      " kappa =", np.round(g1.kap[0, 0], 12))
+show("split halves, G1", g1)
 show("split halves, G2", check_g2_edge(left, right, corr))
 
 # 2. geometric continuity is parametrization independent: the neighbour
@@ -51,10 +51,9 @@ show("split halves, G2", check_g2_edge(left, right, corr))
 # planes agree
 flat = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
 fast = BezierPatch.from_net([[[1, 0, 0], [1, 1, 0]], [[4, 1, 0], [4, 2, 0]]])
-link = solve_edge_link(flat, fast, corr)
-print("\nmismatched speeds: lambda =", link.lam[0, 0],
-      " kappa =", link.kap[0, 0])
-show("coplanar, mismatched speeds", check_g1_edge(flat, fast, corr))
+g1 = check_g1_edge(flat, fast, corr)
+print("\nmismatched speeds: lambda =", g1.lam[0, 0], " kappa =", g1.kap[0, 0])
+show("coplanar, mismatched speeds", g1)
 
 # 3. a 30 degree crease breaks both the link test and the normal oracle
 angle = np.pi / 6

@@ -7,20 +7,13 @@ completion, (5,5) and (6,6) hole filling and fillet surfaces.
 
 from .bezier import (
     BezierPatch,
-    TriangleMesh,
     bernstein_basis,
-    bernstein_eval,
     boundary_row,
     bounding_diagonal,
-    elevate_cubic_row_to_quintic,
     elevate_row,
     eval_grid,
-    normal_vector,
-    patch_derivative,
-    patch_eval,
     split_grid,
     split_patch,
-    tessellate,
     transform_patch,
 )
 from .continuity import (
@@ -45,8 +38,6 @@ from .continuity import (
     check_vertex_g1,
     check_vertex_g2,
     g0_gap,
-    solve_edge_link,
-    solve_g2_link,
     theorem1_residuals,
     theorem2_residuals,
 )

@@ -3,16 +3,18 @@
 Control nets are numpy arrays of shape ``(degree_u + 1, degree_v + 1, 3)``,
 indexed ``net[i, j]`` with ``i`` running along the u direction and ``j``
 along v.  Every operation here is pure: inputs are never mutated, results
-are fresh arrays.  Derivatives are computed from difference nets, which is
-exact for polynomial patches; finite differences are reserved for test
-oracles.  Every reader of the control rows along a side goes through
-``_side_view``.  ``_edge_jets`` evaluates many sides at once, for any number
-of sample sets in one call: derivatives up to order k along a side need only
-its k + 1 nearest control rows, which it differences once and sums against
-each set's basis, term by term from +0.0, so a side's values do not depend
-on what else is evaluated with it.  ``_eval_grids`` evaluates whole patches
-on tensor grids: it sums ``(B_i(u) * net[i, j]) * B_j(v)`` from +0.0, i
-outer and j inner, the order of ``np.einsum("ai,ijc,bj->abc")``.
+are fresh arrays.  Patches are evaluated one way, by sums against the
+Bernstein basis, and derivatives from difference nets, which is exact for
+polynomial patches.  Every reader of the control rows along a side goes
+through ``_side_view``.  ``_edge_jets`` evaluates many sides at once, for
+any number of sample sets in one call: derivatives up to order k along a
+side need only its k + 1 nearest control rows, which it differences once
+and sums against each set's basis, term by term from +0.0, so a side's
+values do not depend on what else is evaluated with it.  ``_eval_grids``
+evaluates whole patches on tensor grids: it sums ``(B_i(u) * net[i, j]) *
+B_j(v)`` from +0.0, i outer and j inner, the order of
+``np.einsum("ai,ijc,bj->abc")``.  Net diagonals, which make tolerances
+scale-free, come from ``_diagonals``.
 """
 
 from __future__ import annotations
@@ -25,22 +27,14 @@ import numpy as np
 
 __all__ = [
     "BezierPatch",
-    "TriangleMesh",
     "binom",
-    "bernstein_eval",
     "bernstein_basis",
-    "patch_eval",
     "eval_grid",
-    "derivative_net",
-    "patch_derivative",
-    "normal_vector",
     "elevation_matrix",
     "elevate_row",
-    "elevate_cubic_row_to_quintic",
     "boundary_row",
     "split_patch",
     "split_grid",
-    "tessellate",
     "flip_u",
     "flip_v",
     "transpose_patch",
@@ -63,13 +57,6 @@ def binom(n: int, k: int) -> int:
     if n <= _MAX_DEGREE:
         return _BINOM[n][k]
     return math.comb(n, k)
-
-
-def bernstein_eval(n: int, i: int, u: float) -> float:
-    """Value of the i-th Bernstein polynomial of degree n at u."""
-    if not 0 <= i <= n:
-        raise ValueError(f"Bernstein index {i} out of range for degree {n}")
-    return binom(n, i) * (1.0 - u) ** (n - i) * u**i
 
 
 def bernstein_basis(n: int, t) -> np.ndarray:
@@ -216,53 +203,13 @@ class BezierPatch(_Record):
         net = np.asarray(net, dtype=float)
         return cls(net.shape[0] - 1, net.shape[1] - 1, net)
 
-    def __call__(self, u: float, v: float) -> np.ndarray:
-        return patch_eval(self, u, v)
-
     def corner(self, iu: int, jv: int) -> np.ndarray:
         """Corner control point; iu, jv in {0, 1} select the u/v end."""
         return self.net[-1 if iu else 0, -1 if jv else 0].copy()
 
 
-class TriangleMesh(_Record):
-    """Read-only ``vertices`` (N, 3) and int ``faces`` (M, 3), CCW as seen from the +normal side."""
-
-    __slots__ = ("vertices", "faces")
-
-    def __post_init__(self):
-        v = np.array(self.vertices, dtype=float)
-        f = np.array(self.faces, dtype=int)
-        v.flags.writeable = False
-        f.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "faces", f)
-
-
-def _check_domain(u: float, v: float) -> None:
-    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-        raise ValueError(f"parameters ({u}, {v}) outside the unit square")
-
-
-def _de_casteljau(points: np.ndarray, t: float) -> np.ndarray:
-    pts = points
-    while pts.shape[0] > 1:
-        pts = (1.0 - t) * pts[:-1] + t * pts[1:]
-    return pts[0]
-
-
-def patch_eval(p: BezierPatch, u: float, v: float) -> np.ndarray:
-    """Evaluate the patch at (u, v) by de Casteljau reduction."""
-    _check_domain(u, v)
-    rows = _de_casteljau(np.swapaxes(p.net, 0, 1), v)  # reduce v first
-    return _de_casteljau(rows, u)
-
-
 def eval_grid(p: BezierPatch, us, vs) -> np.ndarray:
-    """Basis-sum evaluation on a tensor grid; returns (len(us), len(vs), 3).
-
-    Independent of the de Casteljau path, which makes the two usable as
-    cross-checks of one another.
-    """
+    """Points of one patch on a tensor grid, (len(us), len(vs), 3): ``_eval_grids`` of one."""
     return _eval_grids([p], us, vs)[0]
 
 
@@ -288,46 +235,11 @@ def _eval_grids(patches, us, vs) -> np.ndarray:
     return out
 
 
-def derivative_net(p: BezierPatch, du: int = 0, dv: int = 0) -> BezierPatch:
-    """Difference-net (hodograph) patch whose evaluation is the partial derivative."""
-    net, n, m = p.net, p.degree_u, p.degree_v
-    for _ in range(du):
-        net, n = _difference(net, n, 0)
-    for _ in range(dv):
-        net, m = _difference(net, m, 1)
-    # degree-0 vector fields are stored as degree-1 patches with equal rows
-    if n == 0:
-        net = np.repeat(net, 2, axis=0)
-        n = 1
-    if m == 0:
-        net = np.repeat(net, 2, axis=1)
-        m = 1
-    return BezierPatch(n, m, net)
-
-
-def patch_derivative(p: BezierPatch, u: float, v: float, du: int, dv: int) -> np.ndarray:
-    """Exact partial derivative d^(du+dv) r / du^du dv^dv at (u, v)."""
-    if du not in (0, 1, 2) or dv not in (0, 1, 2) or du + dv > 2:
-        raise ValueError(f"unsupported derivative order ({du}, {dv})")
-    _check_domain(u, v)
-    return patch_eval(derivative_net(p, du, dv), u, v)
-
-
-def normal_vector(p: BezierPatch, u: float, v: float) -> np.ndarray:
-    """Unnormalized surface normal r_u x r_v at (u, v)."""
-    return np.cross(patch_derivative(p, u, v, 1, 0), patch_derivative(p, u, v, 0, 1))
-
-
-def _difference(nets: np.ndarray, degree: int, axis: int):
-    """Hodograph control points of stacked degree-``degree`` Bezier forms along ``axis``.
-
-    ``axis`` is 0 for the rows (u) and 1 for the columns (v) of the nets.
-    """
+def _difference(nets: np.ndarray, degree: int):
+    """Hodograph control points and degree of degree-``degree`` Bezier forms along axis 0."""
     if degree == 0:
         return np.zeros_like(nets), 0
-    if axis == 0:
-        return degree * (nets[1:] - nets[:-1]), degree - 1
-    return degree * (nets[:, 1:] - nets[:, :-1]), degree - 1
+    return degree * (nets[1:] - nets[:-1]), degree - 1
 
 
 def _side_view(net: np.ndarray, side: str, reversed_: bool = False) -> np.ndarray:
@@ -378,12 +290,12 @@ def _edge_jets(sides, requests, units=None) -> list:
             d_w = d_w * units[idx][:, None]
         firsts = [d_w[0]]
         for _ in range(top):
-            d_w, n = _difference(d_w, n, 0)
+            d_w, n = _difference(d_w, n)
             firsts.append(d_w[0])
         d_t, degree = np.stack(firsts, axis=1), cols - 1  # (t, k, side, xyz)
         for l in range(top + 1):
             if l:
-                d_t, degree = _difference(d_t, degree, 0)
+                d_t, degree = _difference(d_t, degree)
             coeffs = d_t.reshape(degree + 1, -1)
             for (t, order), key, jets in zip(requests, t_bytes, results):
                 if order < l:
@@ -442,14 +354,6 @@ def elevate_row(points, target_degree: int) -> np.ndarray:
     """Re-express a Bezier control row exactly at a higher degree."""
     pts = np.asarray(points, dtype=float)
     return elevation_matrix(pts.shape[0] - 1, target_degree) @ pts
-
-
-def elevate_cubic_row_to_quintic(row) -> np.ndarray:
-    """Cubic-to-quintic degree elevation of a 4-point control row."""
-    pts = np.asarray(row, dtype=float)
-    if pts.shape[0] != 4:
-        raise ValueError(f"expected 4 control points, got {pts.shape[0]}")
-    return elevate_row(pts, 5)
 
 
 def boundary_row(p: BezierPatch, side: str, offset: int = 0) -> np.ndarray:
@@ -539,13 +443,6 @@ def _grid_faces(nu: int, nv: int) -> np.ndarray:
     return np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
 
-def tessellate(p: BezierPatch, nu: int, nv: int) -> TriangleMesh:
-    """Sample an (nu+1) x (nv+1) grid on the patch and triangulate it."""
-    faces = _grid_faces(nu, nv)
-    verts = eval_grid(p, np.linspace(0.0, 1.0, nu + 1), np.linspace(0.0, 1.0, nv + 1))
-    return TriangleMesh(verts.reshape(-1, 3), faces)
-
-
 def flip_u(p: BezierPatch) -> BezierPatch:
     """Reverse the u parameter: q(u, v) = p(1 - u, v)."""
     return BezierPatch(p.degree_u, p.degree_v, p.net[::-1].copy())
@@ -572,20 +469,8 @@ def transform_patch(p: BezierPatch, matrix=None, shift=None) -> BezierPatch:
 
 
 def bounding_diagonal(*patches: BezierPatch) -> float:
-    """Diagonal of the joint axis-aligned bounding box of the control nets.
-
-    Used to normalize residuals so tolerances are scale-free.  The box's
-    half extents are divided by a power of two before they are squared (see
-    ``_unit``), so neither the extents nor their squares overflow or
-    underflow, and the diagonal is inf only where it exceeds the largest
-    float.
-    """
-    pts = np.concatenate([p.net.reshape(-1, 3) for p in patches])
-    d = pts.max(axis=0) * 0.5 - pts.min(axis=0) * 0.5
-    unit = _unit(d.max())
-    with np.errstate(over="ignore"):
-        d = float(np.linalg.norm(d / unit) * unit * 2.0)
-    return d if d > 0.0 else 1.0
+    """Diagonal of the joint bounding box of the nets, which makes tolerances scale-free."""
+    return float(_diagonals([patches])[0])
 
 
 def _unit(extent):
@@ -599,19 +484,21 @@ def _unit(extent):
     return np.ldexp(0.5, np.frexp(extent)[1])
 
 
-def _pair_diagonals(pairs) -> np.ndarray:
-    """``bounding_diagonal(a, b)`` of each (a, b, ...) in ``pairs``, the same bits.
+def _diagonals(groups) -> np.ndarray:
+    """The diagonal of the joint bounding box of each group's nets; the groups are of one size.
 
     Each distinct patch's box is taken once.  Min and max are exact, so the
-    box of two boxes is the box of the two nets, and a 1x3 by 3x1 matmul
-    sums with the dot that ``np.linalg.norm`` of one vector takes; each
-    box's half extents are divided by its ``_unit`` first, as there.
+    box of boxes is the box of the nets.  The box's half extents are divided
+    by its ``_unit`` before a 1x3 by 3x1 matmul squares and sums them, so
+    neither the extents nor their squares overflow or underflow, and a
+    diagonal is inf only where it exceeds the largest float.  A box of one
+    point has diagonal 1.0.
     """
-    if not pairs:
+    if not groups:
         return np.ones(0)
     slots = {}
-    index = np.array([[slots.setdefault(id(p), (len(slots), p))[0] for p in pair[:2]]
-                      for pair in pairs])
+    index = np.array([[slots.setdefault(id(p), (len(slots), p))[0] for p in group]
+                      for group in groups])
     nets = [p.net.reshape(-1, 3) for _, p in slots.values()]
     starts = list(itertools.accumulate([len(net) for net in nets[:-1]], initial=0))
     pts = np.concatenate(nets)

@@ -38,7 +38,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bezier import BezierPatch, _product_matrix, _Record, _side_view, bounding_diagonal, elevate_row
+from .bezier import (BezierPatch, _product_matrix, _Record, _side_view, _unit, bounding_diagonal,
+                     elevate_row)
 from .continuity import (
     G1_TOL,
     LAMBDA_MIN,
@@ -213,8 +214,10 @@ def _assemble(m: int, scale: float, sides) -> np.ndarray:
     written = taken <= 2 * n
     net[written] = values[np.where(taken < n, taken, 2 * n - taken)[written]]
     later = np.flatnonzero(writes > taken[index])
-    diff = values[later] - net[index[later]]
-    gaps = np.sqrt(diff[:, None] @ diff[:, :, None])[:, 0, 0]  # the bits of np.linalg.norm
+    # divided by a power of two near the scale, so that squares neither overflow nor underflow
+    unit = _unit(scale)
+    diff = (values[later] - net[index[later]]) / unit
+    gaps = np.sqrt(diff[:, None] @ diff[:, :, None])[:, 0, 0] * unit  # the bits of np.linalg.norm
     failing = np.flatnonzero(gaps > _ASSERT_TOL * scale)
     if failing.size:
         k, gap = later[failing[0]], float(gaps[failing[0]])

@@ -14,23 +14,26 @@ into patch b, so joins cut from one smooth surface get lambda > 0.
 
 Evaluation is batched: ``check_edges`` checks any number of edges in one
 pass and returns one ``EdgeChecks``, whose read-only arrays (link samples,
-residuals and verdicts) are indexed by edge.  The one-edge functions are
-batches of one, and each construction solves its joins in one batch.  A
-check makes one call of ``bezier._edge_jets`` for both sides of all its
-edges and both sample sets, each side once per set, read into its patch and
-along the shared edge parameter, so only a's derivatives across the edge
-change sign.  Each edge's frames are then divided by the power of two next
-above its scale (see ``_frames``), and the scale, the net diagonal, is taken
-from boxes divided by a power of two too (``bezier._unit``), so that the solves and
-oracles neither overflow nor underflow for scales from 1e-200 to 1e200.  At
-``SOLVE_SAMPLES`` (first order for G1, second for G2) the frames serve the
-G0 test, the link solves, the end slopes and the curvature oracle.  At
-``VERIFY_SAMPLES`` the normal oracle has first-order frames of its own:
-they share the differenced control rows with the solve's, never a sum.
-Each link solve goes through the dual basis of a's tangent basis, one per
-edge and sample; the curvature oracle solves its three directions in one
-call.  A side's jets are the same bits in any batch, and the later steps
-agree with a batch of one within 1e-12.
+residuals and verdicts) are indexed by edge.  The one-edge checks
+``check_g1_edge`` and ``check_g2_edge`` are batches of one, and their link
+columns are the edge's link solve; each construction solves its joins in one
+batch.  A check makes one call of ``bezier._edge_jets`` for both sides of
+all its edges and both sample sets, each side once per set, read into its
+patch and along the shared edge parameter, so only a's derivatives across
+the edge change sign.  Each edge's frames are then divided by the power of
+two next above its scale (see ``_frames``), and the scale, the net diagonal,
+is taken from boxes divided by a power of two too (``bezier._diagonals``).
+So the solves and oracles neither overflow nor underflow for any diagonal
+between the smallest normal float and the largest float, and a document
+scaled by a power of two gets the same residuals, bit for bit, while its
+coordinates stay normal floats.  At ``SOLVE_SAMPLES`` (first order for G1,
+second for G2) the frames serve the G0 test, the link solves, the end
+slopes and the curvature oracle.  At ``VERIFY_SAMPLES`` the normal oracle
+has first-order frames of its own: they share the differenced control rows
+with the solve's, never a sum.  Each link solve goes through the dual basis
+of a's tangent basis, one per edge and sample; the curvature oracle solves
+its three directions in one call.  A side's jets are the same bits in any
+batch, and the later steps agree with a batch of one within 1e-12.
 
 A ``CornerConfig`` holds the link values at a vertex V in the canonical
 arrangement, and solves nothing: each comes from one edge's link samples at
@@ -44,7 +47,7 @@ import warnings
 
 import numpy as np
 
-from .bezier import BezierPatch, _edge_jets, _frozen, _pair_diagonals, _Record
+from .bezier import BezierPatch, _diagonals, _edge_jets, _frozen, _Record
 
 __all__ = [
     "G0_TOL",
@@ -65,9 +68,7 @@ __all__ = [
     "CornerConfig",
     "CompatReport",
     "g0_gap",
-    "solve_edge_link",
     "check_g1_edge",
-    "solve_g2_link",
     "check_g2_edge",
     "check_edges",
     "check_vertex_g1",
@@ -188,15 +189,17 @@ def _frames(pairs, requests) -> tuple:
     requests come from one call of the side evaluator.  Each edge's frames
     are divided by the power of two 2^e with 2^(e-1) <= scale < 2^e.  The
     division is exact, and it keeps |a_w x a_t|^2, which grows as the fourth
-    power of the scale, a normal float for scales from 1e-200 to 1e200.  The
+    power of the scale, a normal float at every scale.  The
     control rows are divided before they are differenced, so differences of
-    coordinates near the largest float do not overflow; an edge whose nets'
-    diagonal exceeds it raises ``PreconditionError``.
+    coordinates near the largest float do not overflow.  An edge whose nets'
+    diagonal exceeds the largest float, or lies below the smallest normal
+    one, where 2^-e would overflow, raises ``PreconditionError``.
     """
-    scale = _pair_diagonals(pairs)
-    for (*_, c), huge in zip(pairs, np.isinf(scale).tolist()):
-        if huge:
-            raise PreconditionError(f"the nets of {_name(c)} span more than the largest float")
+    scale = _diagonals([(a, b) for a, b, _ in pairs])
+    for (*_, c), size in zip(pairs, scale.tolist()):
+        if not 2.0**-1022 <= size < np.inf:  # the smallest normal float
+            bound = "more than the largest" if size == np.inf else "less than the smallest normal"
+            raise PreconditionError(f"the nets of {_name(c)} span {bound} float")
     unit = np.ldexp(1.0, -np.frexp(scale)[1])
     sides = ([(a, c.a_side, False) for a, _, c in pairs]
              + [(b, c.b_side, c.reversed) for _, b, c in pairs])
@@ -384,29 +387,6 @@ def check_g2_edge(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> E
     oracle: the normal curvatures of both patches agree within ``G2_TOL`` in
     three pairwise independent tangent directions at the shared samples
     (three directions suffice to pin the full curvature behaviour).
-    """
-    return check_edges([(a, b, corr)], 2)
-
-
-def solve_edge_link(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> EdgeChecks:
-    """The first-order link cross_b = lambda*cross_a + kappa*tangent_a of one edge.
-
-    At each of the ``SOLVE_SAMPLES`` edge parameters the two scalars are
-    obtained by projecting b's cross-boundary derivative onto a's tangent
-    basis; the out-of-plane component is recorded as the per-sample
-    residual.  This is ``check_g1_edge``: its link columns hold the solve.
-    """
-    return check_edges([(a, b, corr)], 1)
-
-
-def solve_g2_link(a: BezierPatch, b: BezierPatch, corr: EdgeCorrespondence) -> EdgeChecks:
-    """The second-order link of one edge, with the first-order one: ``check_g2_edge``.
-
-    Forms R = b_ww - lambda^2 a_ww - 2 lambda kappa a_wt - kappa^2 a_tt per
-    sample and resolves R = mu a_w + nu a_t in least squares.  A large
-    out-of-plane component of R signals failure of curvature continuity; it
-    is recorded in ``g2_oop``, not raised.  The result also carries the
-    end slopes.
     """
     return check_edges([(a, b, corr)], 2)
 

@@ -1,12 +1,15 @@
 """Shared oracle machinery for the test suite.
 
-Everything here is independent of the code paths it checks: ground-truth
+Everything here is independent of the code paths it checks: points and
+derivatives come from de Casteljau evaluation, and ground-truth
 configurations are produced by de Casteljau subdivision of one smooth
 surface, by exact polynomial composition with mild reparametrizations, or
 by direct control-point propagation of the first-order link relation.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,6 +45,53 @@ def paraboloid_patch() -> BezierPatch:
     net[:, :, 1] = lin[None, :]
     net[:, :, 2] = quad[:, None] + quad[None, :]
     return BezierPatch.from_net(net)
+
+
+# ---------------------------------------------------------------------------
+# de Casteljau evaluation: the reference for the package's basis-sum
+# evaluators (``bezier._eval_grids`` and ``bezier._edge_jets``), sharing no code with them
+
+def _check_domain(u: float, v: float) -> None:
+    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
+        raise ValueError(f"parameters ({u}, {v}) outside the unit square")
+
+
+def _de_casteljau(points: np.ndarray, t: float) -> np.ndarray:
+    pts = points
+    while pts.shape[0] > 1:
+        pts = (1.0 - t) * pts[:-1] + t * pts[1:]
+    return pts[0]
+
+
+def patch_eval(p: BezierPatch, u: float, v: float) -> np.ndarray:
+    """Point of the patch at (u, v) by de Casteljau reduction, v first."""
+    _check_domain(u, v)
+    return _de_casteljau(_de_casteljau(np.swapaxes(p.net, 0, 1), v), u)
+
+
+def derivative_net(p: BezierPatch, du: int = 0, dv: int = 0) -> BezierPatch:
+    """Difference-net (hodograph) patch whose evaluation is the partial derivative."""
+    net = p.net
+    for axis, times in ((0, du), (1, dv)):
+        for _ in range(times):
+            n = net.shape[axis] - 1
+            net = n * np.diff(net, axis=axis) if n else np.zeros_like(net)
+        if net.shape[axis] == 1:  # a degree-0 field is stored at degree 1, with equal rows
+            net = np.repeat(net, 2, axis=axis)
+    return BezierPatch.from_net(net)
+
+
+def patch_derivative(p: BezierPatch, u: float, v: float, du: int, dv: int) -> np.ndarray:
+    """Exact partial derivative d^(du+dv) r / du^du dv^dv at (u, v)."""
+    if du not in (0, 1, 2) or dv not in (0, 1, 2) or du + dv > 2:
+        raise ValueError(f"unsupported derivative order ({du}, {dv})")
+    _check_domain(u, v)
+    return patch_eval(derivative_net(p, du, dv), u, v)
+
+
+def normal_vector(p: BezierPatch, u: float, v: float) -> np.ndarray:
+    """Unnormalized surface normal r_u x r_v at (u, v)."""
+    return np.cross(patch_derivative(p, u, v, 1, 0), patch_derivative(p, u, v, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +265,6 @@ def g1_pair(rng):
 
 def creased_pair(rng):
     """G0 pair whose tangent planes disagree along the shared edge."""
-    from smoothpatch.bezier import normal_vector
-
     a, b, _, _ = g1_pair(rng)
     net = b.net.copy()
     # kick the band row off the tangent plane, along the surface normal
@@ -554,6 +602,16 @@ def assemble_reference(m: int, scale: float, sides) -> np.ndarray:
                         f"{gap / scale:.3e} ({what} across {side.side})"
                     )
     return net
+
+
+def scaled_by_power_of_two(raw: dict, k: int) -> dict:
+    """The raw JSON document ``raw`` with every coordinate times 2^k, in place.
+
+    The products are exact while they stay normal floats.
+    """
+    for patch in raw["patches"]:
+        patch["net"] = [[math.ldexp(c, k) for c in point] for point in patch["net"]]
+    return raw
 
 
 def wide_range_document():

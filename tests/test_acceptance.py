@@ -23,7 +23,6 @@ from smoothpatch.continuity import (
     check_g1_edge,
     check_vertex_g1,
     check_vertex_g2,
-    solve_edge_link,
     theorem1_residuals,
 )
 from smoothpatch.construct import (
@@ -241,7 +240,7 @@ def test_criterion_07_hole_filling_deg6():
             assert ok and residual < 1e-8
             worst_edge = max(worst_edge, residual)
         # the inner cubic ordinates are pinned to the ring constants exactly
-        link = solve_edge_link(patches[4], fill, EdgeCorrespondence("v1", "v0"))
+        link = check_g1_edge(patches[4], fill, EdgeCorrespondence("v1", "v0"))
         np.testing.assert_allclose(
             link.lam[0],
             bernstein_basis(3, link.ts) @ [lam["12"], lam["12"], lam["78"], lam["78"]],

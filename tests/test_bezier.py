@@ -9,46 +9,40 @@ from hypothesis import strategies as st
 from smoothpatch.bezier import (
     BezierPatch,
     bernstein_basis,
-    bernstein_eval,
     boundary_row,
     bounding_diagonal,
-    derivative_net,
-    elevate_cubic_row_to_quintic,
     elevate_row,
     elevation_matrix,
     eval_grid,
+    split_grid,
+    split_patch,
+    transform_patch,
+)
+from smoothpatch.bezier import _diagonals, _grid_faces, _product_matrix, _product_weights
+
+from helpers import (
+    derivative_net,
     normal_vector,
     patch_derivative,
     patch_eval,
-    split_grid,
-    split_patch,
-    tessellate,
-    transform_patch,
+    product_matrix_reference,
+    rigid_motion,
+    smooth_patch,
 )
-from smoothpatch.bezier import _pair_diagonals, _product_matrix, _product_weights
-
-from helpers import product_matrix_reference, rigid_motion, smooth_patch
 
 
 def test_bernstein_endpoint():
-    assert bernstein_eval(3, 0, 0.0) == 1.0
-    assert bernstein_eval(3, 3, 1.0) == 1.0
-    assert bernstein_eval(3, 2, 0.5) == 0.375
+    assert bernstein_basis(3, 0.0)[0] == 1.0
+    assert bernstein_basis(3, 1.0)[3] == 1.0
+    assert bernstein_basis(3, 0.5)[2] == 0.375
 
 
 def test_bernstein_partition_of_unity():
-    assert abs(sum(bernstein_eval(5, i, 0.3) for i in range(6)) - 1.0) < 1e-15
+    assert abs(bernstein_basis(5, 0.3).sum() - 1.0) < 1e-15
     t = np.linspace(0.0, 1.0, 23)
     for n in range(11):
         basis = bernstein_basis(n, t)
         np.testing.assert_allclose(basis.sum(axis=1), 1.0, atol=1e-14)
-
-
-def test_bernstein_index_out_of_range():
-    with pytest.raises(ValueError):
-        bernstein_eval(3, 4, 0.5)
-    with pytest.raises(ValueError):
-        bernstein_eval(3, -1, 0.5)
 
 
 def test_patch_eval_corners_and_bilinear():
@@ -148,7 +142,7 @@ def test_second_derivative_exact_on_quadratic():
 
 def test_elevation_collinear_row():
     row = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], float)
-    out = elevate_cubic_row_to_quintic(row)
+    out = elevate_row(row, 5)
     np.testing.assert_allclose(out[:, 0], [0.0, 0.6, 1.2, 1.8, 2.4, 3.0], atol=1e-15)
 
 
@@ -197,14 +191,12 @@ def test_elevation_preserves_curve():
     b5 = bernstein_basis(5, t)
     for _ in range(25):
         row = rng.normal(size=(4, 3))
-        elevated = elevate_cubic_row_to_quintic(row)
+        elevated = elevate_row(row, 5)
         np.testing.assert_allclose(b3 @ row, b5 @ elevated, atol=1e-12)
 
 
 def test_elevate_row_wrong_length():
-    with pytest.raises(ValueError):
-        elevate_cubic_row_to_quintic(np.zeros((5, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot lower degree"):
         elevate_row(np.zeros((4, 3)), 2)
 
 
@@ -240,42 +232,42 @@ def test_boundary_row_errors():
         boundary_row(p, "u0", 9)
 
 
+def _tessellate(p, nu, nv):
+    """The vertices and faces that ``export`` writes for one patch."""
+    grid = eval_grid(p, np.linspace(0.0, 1.0, nu + 1), np.linspace(0.0, 1.0, nv + 1))
+    return grid.reshape(-1, 3), _grid_faces(nu, nv)
+
+
 def test_tessellate_counts():
     p = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
-    mesh = tessellate(p, 1, 1)
-    assert mesh.vertices.shape == (4, 3)
-    assert mesh.faces.shape == (2, 3)
-    mesh = tessellate(p, 8, 4)
-    assert mesh.vertices.shape == (45, 3)
-    assert mesh.faces.shape == (64, 3)
+    vertices, faces = _tessellate(p, 1, 1)
+    assert vertices.shape == (4, 3) and faces.shape == (2, 3)
+    vertices, faces = _tessellate(p, 8, 4)
+    assert vertices.shape == (45, 3) and faces.shape == (64, 3)
 
 
 @pytest.mark.parametrize("nu, nv", [(1, 1), (3, 5), (6, 2)])
 def test_tessellate_faces_match_the_loop_order(nu, nv):
-    p = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
     want = []
     for i in range(nu):
         for j in range(nv):
             a, b = i * (nv + 1) + j, (i + 1) * (nv + 1) + j
             want += [(a, b, b + 1), (a, b + 1, a + 1)]
-    np.testing.assert_array_equal(tessellate(p, nu, nv).faces, want)
+    np.testing.assert_array_equal(_grid_faces(nu, nv), want)
 
 
 def test_tessellate_planar_and_winding():
     p = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
-    mesh = tessellate(p, 3, 5)
-    np.testing.assert_array_equal(mesh.vertices[:, 2], 0.0)
+    v, faces = _tessellate(p, 3, 5)
+    np.testing.assert_array_equal(v[:, 2], 0.0)
     # consistent winding: all face normals point the same way for a plane
-    v = mesh.vertices
-    normals = np.cross(v[mesh.faces[:, 1]] - v[mesh.faces[:, 0]],
-                       v[mesh.faces[:, 2]] - v[mesh.faces[:, 0]])
+    normals = np.cross(v[faces[:, 1]] - v[faces[:, 0]], v[faces[:, 2]] - v[faces[:, 0]])
     assert np.all(normals[:, 2] > 0) or np.all(normals[:, 2] < 0)
 
 
 def test_tessellate_validates_resolution():
-    p = BezierPatch.from_net([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
     with pytest.raises(ValueError):
-        tessellate(p, 0, 3)
+        _grid_faces(0, 3)
 
 
 def test_rigid_motion_equivariance():
@@ -336,8 +328,22 @@ def test_bounding_diagonal_at_extreme_scales(k):
     with np.errstate(all="raise"):
         assert bounding_diagonal(a) == pytest.approx(13.0 * 10.0**k, rel=1e-15)
         assert bounding_diagonal(a, b) == pytest.approx(14.0 * 10.0**k, rel=1e-15)
-        pair = _pair_diagonals([(a, a), (a, b)])
+        pair = _diagonals([(a, a), (a, b)])
     assert pair.tolist() == [bounding_diagonal(a), bounding_diagonal(a, b)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), k=st.integers(-300, 300))
+def test_bounding_diagonal_is_the_norm_of_the_halved_box_bit_for_bit(seed, n, k):
+    # one group's diagonal as it was taken before the groups were batched: np.linalg.norm
+    # of the box's half extents over their power of two, times it
+    rng = np.random.default_rng(seed)
+    patches = [BezierPatch.from_net(rng.normal(size=(*rng.integers(2, 5, size=2), 3)) * 10.0**k)
+               for _ in range(n)]
+    pts = np.concatenate([p.net.reshape(-1, 3) for p in patches])
+    d = pts.max(axis=0) * 0.5 - pts.min(axis=0) * 0.5
+    unit = np.ldexp(0.5, np.frexp(d.max())[1])
+    assert bounding_diagonal(*patches) == float(np.linalg.norm(d / unit) * unit * 2.0)
 
 
 @pytest.mark.parametrize("extent", [2.0**1023, 1.5e308])
@@ -350,7 +356,7 @@ def test_bounding_diagonal_of_the_largest_finite_boxes(extent):
     a = BezierPatch.from_net(net)
     with np.errstate(all="raise"):
         diag = bounding_diagonal(a)
-        pair = _pair_diagonals([(a, a)])
+        pair = _diagonals([(a, a)])
     assert diag == pytest.approx(np.hypot(extent, 4e307), rel=1e-15)
     assert pair.tolist() == [diag]
 
@@ -363,4 +369,4 @@ def test_bounding_diagonal_beyond_the_largest_float_is_inf():
     a = BezierPatch.from_net(net)
     with np.errstate(all="raise"):
         assert bounding_diagonal(a) == np.inf
-        assert _pair_diagonals([(a, a)]).tolist() == [np.inf]
+        assert _diagonals([(a, a)]).tolist() == [np.inf]

@@ -1,8 +1,13 @@
 """Tests for the constructive algorithms: bands, fourth patch, holes, fillets."""
 
+import contextlib
 import functools
+import io
+import json
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from smoothpatch.bezier import (
     split_grid,
     transform_patch,
 )
+from smoothpatch.cli import main
 from smoothpatch.continuity import (
     CornerConfig,
     CornerConsistencyError,
@@ -54,6 +60,7 @@ from helpers import (
     random_ring,
     random_strips,
     rigid_motion,
+    scaled_by_power_of_two,
     smooth_patch,
     split_corner,
     uniform_ring,
@@ -166,8 +173,7 @@ def test_fourth_patch_default_betas_vanish_for_uniform_corner():
     rng = np.random.default_rng(66)
     _, p1, p2, p4, _ = split_corner(rng)
     r3 = complete_fourth_patch(p1, p2, p4, alpha23=1.0, alpha43=1.0)
-    from smoothpatch.continuity import solve_edge_link
-    link = solve_edge_link(p2, r3, EdgeCorrespondence("v1", "v0"))
+    link = check_g1_edge(p2, r3, EdgeCorrespondence("v1", "v0"))
     np.testing.assert_allclose(link.kap[0], 0.0, atol=1e-11)
 
 
@@ -178,8 +184,7 @@ def test_fourth_patch_beta_algebra():
     b = 0.37
     r1, r2, r4, lam12, lam14 = constructive_corner(rng)
     r3 = complete_fourth_patch(r1, r2, r4, alpha43=lam12 + 1.5 * lam12 * b)
-    from smoothpatch.continuity import solve_edge_link
-    link = solve_edge_link(r2, r3, EdgeCorrespondence("v1", "v0"))
+    link = check_g1_edge(r2, r3, EdgeCorrespondence("v1", "v0"))
     np.testing.assert_allclose(
         link.kap[0], bernstein_basis(3, link.ts) @ [0.0, b, 0.0, 0.0], atol=1e-9)
 
@@ -526,8 +531,7 @@ def test_fill_hole_deg6_lambda_ordinates_pinned():
     patches, lam = random_ring(rng)
     ring = ring_from(patches)
     fill = fill_hole_deg6(ring)
-    from smoothpatch.continuity import solve_edge_link
-    link = solve_edge_link(patches[4], fill, EdgeCorrespondence("v1", "v0"))
+    link = check_g1_edge(patches[4], fill, EdgeCorrespondence("v1", "v0"))
     np.testing.assert_allclose(
         link.lam[0],
         bernstein_basis(3, link.ts) @ [lam["12"], lam["12"], lam["78"], lam["78"]], atol=1e-8)
@@ -632,6 +636,40 @@ def test_constructions_commute_with_translation(name, seed, offset):
     diag = bounding_diagonal(*patches.values())
     for got, want in zip(construct_from(moved), construct_from(patches), strict=True):
         np.testing.assert_allclose(got.net, want.net + offset, rtol=0, atol=1e-9 * diag)
+
+
+_GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+# each construction command's golden output document and its arguments before -o
+_GOLDEN_COMMANDS = {
+    "complete_4patch.json": ["complete-4patch", "corner.json"],
+    "fill_hole.json": ["fill-hole", "ring.json"],
+    "fill_hole_deg6.json": ["fill-hole", "ring.json", "--deg6"],
+    "fillet.json": ["fillet", "strip_a.json", "strip_b.json", "-n", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_COMMANDS))
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(-1000, 1000))
+@example(k=600)
+@example(k=-600)
+def test_constructions_commute_with_scaling_by_powers_of_two(name, k):
+    # scaling by 2^k is exact while every value stays a normal float; the links are
+    # scale-free and every squared length is taken over a power of two near the scale,
+    # so the command writes exactly 2^k times its golden document, without a warning
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = []
+        for arg in _GOLDEN_COMMANDS[name]:
+            if arg.endswith(".json"):
+                raw = scaled_by_power_of_two(json.loads((_GOLDEN / arg).read_text()), k)
+                arg = str(Path(tmp) / arg)
+                Path(arg).write_text(json.dumps(raw))
+            argv.append(arg)
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            assert main(argv + ["-o", str(Path(tmp) / name)]) == 0
+        got = json.loads((Path(tmp) / name).read_text())
+    assert got == scaled_by_power_of_two(json.loads((_GOLDEN / name).read_text()), k)
 
 
 def test_fill_hole_custom_interior_rule():

@@ -20,7 +20,6 @@ from smoothpatch.bezier import (
     _side_view,
     bernstein_basis,
     bounding_diagonal,
-    patch_derivative,
     split_patch,
 )
 from smoothpatch.cli import find_corner_configs, main
@@ -43,6 +42,7 @@ from helpers import (
     constructive_corner,
     mixed_grid_document,
     oriented_grid_document,
+    patch_derivative,
     quad_split_config,
     random_ring,
     random_strips,

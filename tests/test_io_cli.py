@@ -24,7 +24,6 @@ from smoothpatch.bezier import (
     _edge_jets,
     _eval_grids,
     _grid_faces,
-    eval_grid,
     split_grid,
     split_patch,
 )
@@ -50,6 +49,7 @@ from helpers import (
     _ORIENTATIONS,
     flat_crease_pair,
     oriented_grid_document,
+    patch_eval,
     quad_split_config,
     random_ring,
     random_strips,
@@ -491,12 +491,8 @@ def test_export_obj_vertices_match_patch_eval(tmp_path):
     export_obj(doc, nu, nv, path)
     lines = [l for l in path.read_text().splitlines() if l.startswith("v ")]
     verts = np.array([[float(x) for x in l.split()[1:]] for l in lines])
-    us = np.linspace(0, 1, nu + 1)
-    vs = np.linspace(0, 1, nv + 1)
-    expected = np.concatenate([
-        eval_grid(doc.patch("left"), us, vs).reshape(-1, 3),
-        eval_grid(doc.patch("right"), us, vs).reshape(-1, 3),
-    ])
+    expected = [patch_eval(doc.patch(name), u, v) for name in ("left", "right")
+                for u in np.linspace(0, 1, nu + 1) for v in np.linspace(0, 1, nv + 1)]
     np.testing.assert_allclose(verts, expected, atol=1e-12)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothpatch.bezier import BezierPatch, TriangleMesh, _Record
+from smoothpatch.bezier import BezierPatch, _Record
 from smoothpatch.cli import main
 from smoothpatch.construct import HoleFillParams, LinkCoefficients, NinePatchRing, TwistCheck
 from smoothpatch.continuity import CompatReport, CornerConfig, EdgeChecks, EdgeCorrespondence
@@ -32,7 +32,6 @@ _PATCH = BezierPatch.from_net(_net())
 # class -> (required arguments, defaults, value equality), fields in declaration order
 RECORDS = {
     BezierPatch: ({"degree_u": 1, "degree_v": 2, "net": _net()}, {}, False),
-    TriangleMesh: ({"vertices": np.eye(3), "faces": [[0, 1, 2]]}, {}, False),
     EdgeCorrespondence: ({"a_side": "u1", "b_side": "v0"},
                          {"reversed": False, "a": "a", "b": "b"}, True),
     EdgeChecks: (dict.fromkeys(["order", "ts", "scale", "lam", "kap", "oop", "link_residual",
@@ -90,7 +89,7 @@ def test_positional_keyword_and_default_binding_agree(cls):
     for name, default in defaults.items():
         assert getattr(record, name) == default
     for name in required:
-        if name not in ("net", "vertices", "faces"):  # copied into read-only arrays
+        if name != "net":  # copied into a read-only array
             assert getattr(record, name) is required[name]
 
 

@@ -19,7 +19,7 @@ from smoothpatch.bezier import SIDES, BezierPatch
 from smoothpatch.cli import main
 from smoothpatch.surfio import SurfaceDocument, load_surface, save_surface
 
-from helpers import _ORIENTATIONS, oriented_grid_document, slanted_grid_nets
+from helpers import _ORIENTATIONS, oriented_grid_document, scaled_by_power_of_two, slanted_grid_nets
 
 GOLDEN_DOC = Path(__file__).parent / "data" / "mixed_grid.json"
 COMMANDS = ("check-g1", "check-g2")
@@ -117,6 +117,39 @@ def test_checks_of_coordinates_near_the_largest_float_do_not_overflow(factor, co
         assert code == 2 and out == ""
         assert err.startswith("continuity failure: the nets of ") and err.endswith(
             " span more than the largest float\n")
+
+
+@functools.cache
+def _check_bytes(k, command):
+    """Exit code, stdout, stderr, warnings and report text (None if none was written) of one
+    check of the golden document times 2^k; the temporary folder's path reads ``<tmp>``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report = Path(tmp) / "doc.json", Path(tmp) / "report.json"
+        path.write_text(json.dumps(scaled_by_power_of_two(json.loads(GOLDEN_DOC.read_text()), k)))
+        got = (*_run(command, path, report), report.read_text() if report.exists() else None)
+    return tuple(x.replace(tmp, "<tmp>") if isinstance(x, str) else x for x in got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(-1000, 1000), command=st.sampled_from(COMMANDS))
+@example(k=1000, command="check-g2")
+@example(k=-1000, command="check-g2")
+def test_checks_give_the_same_bytes_at_every_power_of_two_scale(k, command):
+    # scaling by 2^k is exact while the coordinates stay normal floats, and every
+    # residual is taken of frames divided by a power of two near each edge's scale
+    got = _check_bytes(k, command)
+    assert got == _check_bytes(0, command)
+    assert got[0] == 2 and got[2:4] == ("", []) and got[4] is not None
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("k", [-1030, -1040])
+def test_checks_of_nets_below_the_smallest_normal_float_are_a_named_failure(k, command):
+    # 2^-e of a diagonal below 2^-1022 overflows: that was a RuntimeWarning and NaN rows
+    code, out, err, caught, report = _check_bytes(k, command)
+    assert (code, out, caught, report) == (2, "", [], None)
+    assert err == ("continuity failure: the nets of c00:u1 ~ c10:u1 span less than "
+                   "the smallest normal float\n")
 
 
 # --- fuzzed documents ---------------------------------------------------------

@@ -17,16 +17,14 @@ STAR_NAMES = [
     "DegenerateLinkError", "DegenerateParametrizationError", "EdgeChecks", "EdgeCorrespondence",
     "G0_TOL", "G1_TOL", "G2_TOL", "GeometryError", "HoleFillParams", "LAMBDA_MIN",
     "LinkCoefficients", "NORMAL_ANGLE_TOL", "NinePatchRing", "PreconditionError", "RANK_TOL",
-    "SurfaceDocument", "SurfaceFormatError", "TriangleMesh", "TwistCheck", "bernstein_basis",
-    "bernstein_eval", "bezier", "boundary_row", "bounding_diagonal", "build_fillet",
-    "check_edges", "check_g1_edge", "check_g2_edge", "check_vertex_g1", "check_vertex_g2",
-    "complete_fourth_patch", "construct", "continuity", "default_interior",
-    "elevate_cubic_row_to_quintic", "elevate_row", "eval_grid", "export_obj", "fill_hole",
+    "SurfaceDocument", "SurfaceFormatError", "TwistCheck", "bernstein_basis", "bezier",
+    "boundary_row", "bounding_diagonal", "build_fillet", "check_edges", "check_g1_edge",
+    "check_g2_edge", "check_vertex_g1", "check_vertex_g2", "complete_fourth_patch", "construct",
+    "continuity", "default_interior", "elevate_row", "eval_grid", "export_obj", "fill_hole",
     "fill_hole_deg6", "fourth_patch_twist_check", "g0_gap", "g1_band_offsets",
-    "hole_constraint_residuals", "hole_twist_checks", "load_surface", "normal_vector",
-    "patch_derivative", "patch_eval", "save_surface", "solve_edge_link", "solve_g2_link",
-    "solve_hole_params", "split_grid", "split_patch", "surfio", "tessellate",
-    "theorem1_residuals", "theorem2_residuals", "transform_patch",
+    "hole_constraint_residuals", "hole_twist_checks", "load_surface", "save_surface",
+    "solve_hole_params", "split_grid", "split_patch", "surfio", "theorem1_residuals",
+    "theorem2_residuals", "transform_patch",
 ]
 
 
