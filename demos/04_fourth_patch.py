@@ -1,25 +1,28 @@
 """Completing a G1 corner: three bi-cubics in, one (5,5) patch out.
 
 The three given patches join with constant lambdas and zero kappa.  The
-construction elevates the two facing boundaries, propagates the transverse
-control rows through the link polynomials, and pins their inner kappa
-ordinates so that the corner control point comes out identical along both
-routes.  Violating that constraint by delta moves the two candidate corner
-points apart linearly in delta.
+construction elevates the two facing boundaries and propagates the
+transverse control rows through the link polynomials.  The corner control
+point (1,1) lies on both bands, and one least-squares solve pins the inner
+kappa ordinates that make the two agree.  Prescribing such an ordinate
+delta away from its pin instead leaves a gap there that the assembler
+reports, and it grows linearly in delta.
 
 Run:  python3 demos/04_fourth_patch.py
 """
 
 import numpy as np
 
+import re
+
 from smoothpatch import (
     BezierPatch,
+    CornerConsistencyError,
     EdgeCorrespondence,
-    LinkCoefficients,
     check_edges,
     complete_fourth_patch,
-    fourth_patch_twist_check,
 )
+from smoothpatch.construct import _Side, _assemble  # the assembler every construction uses
 
 rng = np.random.default_rng(3)
 
@@ -62,9 +65,13 @@ checks = check_edges([(r2, r3, EdgeCorrespondence("v1", "v0")),
 for label, residual, ok in zip(("r2 ~ r3", "r4 ~ r3"), checks.link_residual, checks.ok):
     print(f"  {label}: residual {residual:.2e}  {'PASS' if ok else 'FAIL'}")
 
-print("\ntwist consistency as the coefficient constraint is violated:")
-coeffs43 = LinkCoefficients(lam12, lam12, lam12)
+print("\ncorner gap with beta1 of the (2,3)-link prescribed delta from its pin (0 here):")
+left = _Side(r4, "u1", [lam12] * 3, [0.0] * 4)  # r4's join, lambda = lam12, kappa = 0
 for delta in (0.0, 1e-3, 1e-2, 1e-1):
-    coeffs23 = LinkCoefficients(lam14, lam14, lam14, 0.0, delta, 0.0, 0.0)
-    twist = fourth_patch_twist_check(r2, r4, coeffs23, coeffs43)
-    print(f"  delta = {delta:7.4f}   |Q23 - Q43| = {twist.difference:.3e}")
+    bottom = _Side(r2, "v1", [lam14] * 3, [0.0, delta, 0.0, 0.0])  # r2's join
+    try:
+        _assemble(5, 1.0, [left, bottom])
+        gap = "below the 1e-9 tolerance"
+    except CornerConsistencyError as exc:
+        gap = re.search(r"with gap (\S+) ", str(exc)).group(1)
+    print(f"  delta = {delta:7.4f}   gap at (1,1) = {gap}")

@@ -42,20 +42,13 @@ from .continuity import (
     theorem2_residuals,
 )
 from .construct import (
-    HoleFillParams,
-    LinkCoefficients,
     NinePatchRing,
-    TwistCheck,
     build_fillet,
     complete_fourth_patch,
     default_interior,
     fill_hole,
     fill_hole_deg6,
-    fourth_patch_twist_check,
     g1_band_offsets,
-    hole_constraint_residuals,
-    hole_twist_checks,
-    solve_hole_params,
 )
 from .surfio import (
     SurfaceDocument,

@@ -35,9 +35,6 @@ __all__ = [
     "boundary_row",
     "split_patch",
     "split_grid",
-    "flip_u",
-    "flip_v",
-    "transpose_patch",
     "transform_patch",
     "bounding_diagonal",
 ]
@@ -203,10 +200,6 @@ class BezierPatch(_Record):
         net = np.asarray(net, dtype=float)
         return cls(net.shape[0] - 1, net.shape[1] - 1, net)
 
-    def corner(self, iu: int, jv: int) -> np.ndarray:
-        """Corner control point; iu, jv in {0, 1} select the u/v end."""
-        return self.net[-1 if iu else 0, -1 if jv else 0].copy()
-
 
 def eval_grid(p: BezierPatch, us, vs) -> np.ndarray:
     """Points of one patch on a tensor grid, (len(us), len(vs), 3): ``_eval_grids`` of one."""
@@ -340,14 +333,27 @@ def _product_matrix(n: int, coeffs) -> np.ndarray:
     return weights * np.append(f, 0.0)[index]
 
 
+@functools.lru_cache(maxsize=128)
+def _unit_products(n: int, big_l: int) -> np.ndarray:
+    """Read-only ``_product_matrix`` of each unit ordinate of degree L, stacked, cached.
+
+    A product is linear in the ordinates: ``_product_matrix(n, f)`` is the sum
+    of f_k times these.
+    """
+    out = np.stack([_product_matrix(n, unit) for unit in np.eye(big_l + 1)])
+    out.flags.writeable = False
+    return out
+
+
 def elevation_matrix(n: int, target: int) -> np.ndarray:
     """Matrix E with elevated = E @ points, raising degree n to target exactly.
 
-    Degree elevation is the Bernstein product with the constant 1.
+    Degree elevation is the Bernstein product with the constant 1, whose
+    matrix is the product weights themselves.
     """
     if target < n:
         raise ValueError(f"cannot lower degree: {n} -> {target}")
-    return _product_matrix(n, np.ones(target - n + 1))
+    return _product_weights(n, target - n)[0].copy()
 
 
 def elevate_row(points, target_degree: int) -> np.ndarray:
@@ -441,21 +447,6 @@ def _grid_faces(nu: int, nv: int) -> np.ndarray:
     a = (np.arange(nu)[:, None] * (nv + 1) + np.arange(nv)).ravel()
     b, c, d = a + nv + 1, a + nv + 2, a + 1
     return np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
-
-
-def flip_u(p: BezierPatch) -> BezierPatch:
-    """Reverse the u parameter: q(u, v) = p(1 - u, v)."""
-    return BezierPatch(p.degree_u, p.degree_v, p.net[::-1].copy())
-
-
-def flip_v(p: BezierPatch) -> BezierPatch:
-    """Reverse the v parameter: q(u, v) = p(u, 1 - v)."""
-    return BezierPatch(p.degree_u, p.degree_v, p.net[:, ::-1].copy())
-
-
-def transpose_patch(p: BezierPatch) -> BezierPatch:
-    """Swap the parameter roles: q(u, v) = p(v, u)."""
-    return BezierPatch(p.degree_v, p.degree_u, np.swapaxes(p.net, 0, 1).copy())
 
 
 def transform_patch(p: BezierPatch, matrix=None, shift=None) -> BezierPatch:

@@ -32,7 +32,7 @@ from .continuity import (
     check_vertex_g1,
     check_vertex_g2,
 )
-from .construct import NinePatchRing, build_fillet, complete_fourth_patch, fill_hole, fill_hole_deg6, solve_hole_params
+from .construct import NinePatchRing, build_fillet, complete_fourth_patch, fill_hole, fill_hole_deg6
 from .surfio import (
     FORMAT_VERSION,
     SurfaceDocument,
@@ -238,8 +238,7 @@ def _cmd_fill_hole(args) -> int:
             raise SurfaceFormatError("--alpha has no effect with --deg6 (all ordinates pinned)")
         r5 = fill_hole_deg6(ring)
     else:
-        params = solve_hole_params(ring, args.alpha)
-        r5 = fill_hole(ring, params)
+        r5 = fill_hole(ring, args.alpha)
     out_patches = dict(doc.patches)
     out_patches["r5"] = r5
     edges = _edges_off(doc.edges, "r5", SIDES) + [

@@ -8,11 +8,11 @@ Bernstein ordinates of the join's lambda and kappa.  The join's boundary row
 is the neighbour's boundary row elevated to the new degree m; its band row
 adds ``g1_band_offsets / m``, the Bernstein product of the link polynomials
 with the neighbour's difference rows.  ``_assemble`` writes every boundary
-row, then every band.  Free coefficients are pinned by the vertex
-compatibility conditions so that doubly-determined control points agree;
-every such point is asserted, never averaged.  The twist at a corner two
-joins share is m*m times each join's mixed difference of boundary and band
-there (``_twists``); the twist checks compare the two.
+row, then every band.  A construction leaves free (None) the ordinates that
+the vertex compatibility conditions pin: those are the solvability
+conditions of the control points two joins both write, and every band row
+is affine in its ordinates, so one least-squares solve (``_pin_free``) sets
+them all.  Every doubly-determined point is then asserted, never averaged.
 
 Each construction solves the joins it is given once, in one link batch.
 The fillet fills every odd row by the (5,5) hole fill, on a ring built from
@@ -34,12 +34,13 @@ diagonally).
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bezier import (BezierPatch, _product_matrix, _Record, _side_view, _unit, bounding_diagonal,
-                     elevate_row)
+from .bezier import (BezierPatch, _Record, _side_view, _unit, _unit_products, bounding_diagonal,
+                     elevation_matrix)
 from .continuity import (
     G1_TOL,
     LAMBDA_MIN,
@@ -53,18 +54,11 @@ from .continuity import (
 )
 
 __all__ = [
-    "LinkCoefficients",
-    "TwistCheck",
-    "HoleFillParams",
     "NinePatchRing",
     "g1_band_offsets",
     "complete_fourth_patch",
-    "fourth_patch_twist_check",
-    "solve_hole_params",
-    "hole_constraint_residuals",
     "fill_hole",
     "fill_hole_deg6",
-    "hole_twist_checks",
     "default_interior",
     "build_fillet",
 ]
@@ -72,31 +66,6 @@ __all__ = [
 # sample-based shape tolerances for validating neighbour joins
 _CONST_TOL = 1e-7
 _ASSERT_TOL = 1e-9
-
-
-class LinkCoefficients(_Record, eq=True):
-    """Quadratic lambda / cubic kappa link polynomials by Bernstein ordinates."""
-
-    __slots__ = ("lambda0", "alpha", "lambda1", "kappa0", "beta1", "beta2", "kappa1")
-    _defaults = dict.fromkeys(("kappa0", "beta1", "beta2", "kappa1"), 0.0)
-
-    @property
-    def lambda_ordinates(self) -> np.ndarray:
-        return np.array([self.lambda0, self.alpha, self.lambda1])
-
-    @property
-    def kappa_ordinates(self) -> np.ndarray:
-        return np.array([self.kappa0, self.beta1, self.beta2, self.kappa1])
-
-
-class TwistCheck(_Record, eq=True):
-    """The twist of a constructed corner computed along its two routes."""
-
-    __slots__ = ("q23", "q43")
-
-    @property
-    def difference(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.q23) - np.asarray(self.q43)))
 
 
 def g1_band_offsets(boundary, inner, lam_ordinates, kap_ordinates) -> np.ndarray:
@@ -117,10 +86,22 @@ def g1_band_offsets(boundary, inner, lam_ordinates, kap_ordinates) -> np.ndarray
     kap = np.asarray(kap_ordinates, dtype=float)
     if kap.size != lam.size + 1:
         raise ValueError("kappa must have Bernstein degree one above lambda")
-    n = bnd.shape[0] - 1
-    d = bnd - inr  # degree-n coefficients of cross-derivative / n
-    e = bnd[1:] - bnd[:-1]  # degree-(n-1) coefficients of edge derivative / n
-    return n * (_product_matrix(n, lam) @ d + _product_matrix(n - 1, kap) @ e)
+    terms = _band_terms(bnd, inr, lam.size - 1)
+    return (np.concatenate((lam, kap)) @ terms.reshape(len(terms), -1)).reshape(-1, 3)
+
+
+def _band_terms(boundary, inner, big_l: int) -> np.ndarray:
+    """``g1_band_offsets`` per unit of each lambda ordinate (degree L), then each kappa one.
+
+    A Bernstein product is linear in the ordinates, so the offsets of any
+    ordinates are their combination of these terms.  Rows may be stacked:
+    the terms of rows (..., n+1, 3) are (..., 2L+3, n+L+1, 3).
+    """
+    n = boundary.shape[-2] - 1
+    d = (boundary - inner)[..., None, :, :]  # degree-n coefficients of cross-derivative / n
+    e = np.diff(boundary, axis=-2)[..., None, :, :]  # degree n-1, of the edge derivative / n
+    return n * np.concatenate((_unit_products(n, big_l) @ d,
+                               _unit_products(n - 1, big_l + 1) @ e), axis=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -172,89 +153,138 @@ class _Side(NamedTuple):
 
     The new patch takes the neighbour's orientation, so the join lies on the
     new patch's opposite side.  ``lam`` and ``kap`` are the Bernstein
-    ordinates of the join's link polynomials.
+    ordinates of the join's link polynomials; an ordinate that is None is
+    free, for ``_assemble`` to pin.
     """
 
     patch: BezierPatch
     side: str
-    lam: Sequence[float]
-    kap: Sequence[float]
+    lam: Sequence[float | None]
+    kap: Sequence[float | None]
 
-    def rows(self, m: int):
-        """The new patch's boundary row and band row (the next one in) at degree m."""
-        view = _side_view(self.patch.net, self.side)
-        row0 = elevate_row(view[0], m)
-        return row0, row0 + g1_band_offsets(view[0], view[1], self.lam, self.kap) / m
 
-    def points(self, m: int, offset: int) -> np.ndarray:
-        """Flat net indices (m+1)*i + j of the new patch's row ``offset`` rows in from the join."""
-        indices = np.arange((m + 1) ** 2).reshape(m + 1, m + 1)
-        return _side_view(indices, self.side)[m - offset]  # the join is m rows in from self.side
+def _points(m: int, side: str, offset: int) -> np.ndarray:
+    """Flat net indices (m+1)*i + j of the row ``offset`` rows in from a join across ``side``."""
+    indices = np.arange((m + 1) ** 2).reshape(m + 1, m + 1)
+    return _side_view(indices, side)[m - offset]  # the join is m rows in from the side
+
+
+def _rows(m: int, sides):
+    """Every side's boundary row and band row (the next one in) at degree m, and its terms.
+
+    Free ordinates count as zero; the terms are each band's change per unit
+    of each ordinate, lambda's first.  The sides' neighbours share a degree,
+    and their links too.
+    """
+    views = np.stack([_side_view(side.patch.net, side.side)[:2] for side in sides])
+    row0 = elevation_matrix(views.shape[2] - 1, m) @ views[:, 0]
+    terms = _band_terms(views[:, 0], views[:, 1], len(sides[0].lam) - 1) / m
+    ordinates = np.array([[0.0 if o is None else o for o in (*side.lam, *side.kap)]
+                          for side in sides])
+    band = row0 + (ordinates[:, None] @ terms.reshape(*ordinates.shape, -1)).reshape(row0.shape)
+    return row0, band, terms
+
+
+@functools.lru_cache(maxsize=32)
+def _write_order(m: int, names: tuple):
+    """Where the sides named write (every boundary row, then every band), read-only.
+
+    The flat net index of each write, the points written and the first write
+    of each, and the writes to a point written before with its first write.
+    """
+    index = np.concatenate([_points(m, name, offset) for offset in (0, 1) for name in names])
+    writes = np.arange(len(index))
+    first = np.full((m + 1) ** 2, len(index))
+    np.minimum.at(first, index, writes)
+    points = np.flatnonzero(first < len(index))
+    later = np.flatnonzero(writes > first[index])
+    order = index, points, first[points], later, first[index[later]]
+    for array in order:
+        array.flags.writeable = False
+    return order
+
+
+def _pin_free(m: int, unit: float, sides):
+    """The free ordinates, in side order, that make each point written twice agree, and the
+    writes that they give.
+
+    Every band row is affine in its ordinates, so the gaps of the doubly
+    written points are one linear system in the free ordinates, whose matrix
+    is their terms read where two writes meet.  It is divided by ``unit`` and
+    solved in the least-squares sense; the caller's assertion then judges the
+    writes.  An ordinate is free only where such a point constrains it, so a
+    rank below the number of free ordinates is an error.  A system that is
+    not finite is left unsolved, for the assertion to name what is not finite.
+    """
+    *_, later, earlier = _write_order(m, tuple(side.side for side in sides))
+    row0, band, terms = _rows(m, sides)
+    values = np.concatenate((row0, band)).reshape(-1, 3)
+    s, k = np.nonzero([[o is None for o in (*side.lam, *side.kap)] for side in sides])
+    free = len(s)
+    if not free:
+        return np.zeros(0), values
+    # each write's change per unit of each free ordinate (boundary rows do not move), then
+    # the write negated: the system and its right-hand side, differenced in one pass
+    writes = np.zeros((2, len(sides), m + 1, 3, free + 1))
+    writes[1, s, ..., np.arange(free)] = terms[s, k]
+    writes[..., free] = -values.reshape(writes.shape[:-1])
+    writes = writes.reshape(-1, 3, free + 1)
+    system = ((writes[later] - writes[earlier]) / unit).reshape(-1, free + 1)
+    if not np.isfinite(system).all():
+        return np.zeros(free), values
+    # each column divided by a power of two near its largest entry: the rank is unit-free
+    units = _unit(np.abs(system[:, :free]).max(axis=0))
+    pinned, _, rank, _ = np.linalg.lstsq(system[:, :free] / units, system[:, free], rcond=None)
+    if rank < free:
+        raise CornerConsistencyError(f"the doubly determined control points pin {rank} "
+                                     f"of {free} free link ordinates")
+    pinned /= units
+    return pinned, values + writes[..., :free] @ pinned
 
 
 def _assemble(m: int, scale: float, sides) -> np.ndarray:
     """A fresh (m+1)x(m+1) net holding every side's boundary row, then every band.
 
-    Rows are written in the order the sides are listed, in one scatter; points
-    no side writes stay NaN, and a write with NaN in x counts as no write.  A
-    point written twice must agree within ``_ASSERT_TOL * scale`` and is never
-    averaged: the first later write that disagrees, in write order, is raised.
+    Free ordinates are pinned first (``_pin_free``).  Rows are written in the
+    order the sides are listed, in one scatter; points no side writes stay
+    NaN.  Every write must be finite, and a point written twice must agree
+    within ``_ASSERT_TOL * scale``; points are never averaged.  The first
+    write in write order that fails either test is raised.
     """
     if not sides:
         return np.full((m + 1, m + 1, 3), np.nan)
-    rows = [side.rows(m) for side in sides]
-    index = np.concatenate([side.points(m, offset) for offset in (0, 1) for side in sides])
-    values = np.concatenate([row[offset] for offset in (0, 1) for row in rows])
-    n, writes = len(index), np.arange(len(index))
-    # the lowest rank takes a point: its first write with x a number, else its last write
-    rank = np.where(np.isnan(values[:, 0]), 2 * n - writes, writes)
-    taken = np.full((m + 1) ** 2, 2 * n + 1)
-    np.minimum.at(taken, index, rank)
-    net = np.full(((m + 1) ** 2, 3), np.nan)
-    written = taken <= 2 * n
-    net[written] = values[np.where(taken < n, taken, 2 * n - taken)[written]]
-    later = np.flatnonzero(writes > taken[index])
     # divided by a power of two near the scale, so that squares neither overflow nor underflow
     unit = _unit(scale)
-    diff = (values[later] - net[index[later]]) / unit
-    gaps = np.sqrt(diff[:, None] @ diff[:, :, None])[:, 0, 0] * unit  # the bits of np.linalg.norm
-    failing = np.flatnonzero(gaps > _ASSERT_TOL * scale)
+    index, points, firsts, later, earlier = _write_order(m, tuple(side.side for side in sides))
+    with np.errstate(over="ignore", invalid="ignore"):  # the assertion names what is not finite
+        _, values = _pin_free(m, unit, sides)
+        net = np.full(((m + 1) ** 2, 3), np.nan)
+        net[points] = values[firsts]
+        diff = (values[later] - values[earlier]) / unit
+        gaps = np.zeros(len(index))
+        gaps[later] = np.sqrt(diff[:, None] @ diff[:, :, None])[:, 0, 0] * unit  # norm's bits
+    finite = np.isfinite(values).all(axis=1)
+    failing = np.flatnonzero(~finite | (gaps > _ASSERT_TOL * scale))
     if failing.size:
-        k, gap = later[failing[0]], float(gaps[failing[0]])
+        k = failing[0]
         row = k // (m + 1)
+        what = f"doubly determined with gap {gaps[k] / scale:.3e}" if finite[k] else "is not finite"
         raise CornerConsistencyError(
-            f"control point ({index[k] // (m + 1)},{index[k] % (m + 1)}) doubly determined with "
-            f"gap {gap / scale:.3e} ({('boundary', 'band')[row // len(sides)]} across "
-            f"{sides[row % len(sides)].side})"
+            f"control point ({index[k] // (m + 1)},{index[k] % (m + 1)}) {what} "
+            f"({('boundary', 'band')[row // len(sides)]} across {sides[row % len(sides)].side})"
         )
     return net.reshape(m + 1, m + 1, 3)
-
-
-def _twists(m: int, sides) -> dict:
-    """Twists at the corners two sides share, by net corner (i, j).
-
-    A side's twist at one end is m*m times the mixed difference of its
-    boundary and band rows there, taken inward from the corner.  ``q23``
-    comes from the side along u (a join across a v-side), ``q43`` from the
-    side along v.
-    """
-    found = {}
-    for side in sides:
-        row0, row1 = side.rows(m)
-        ends = side.points(m, 0)
-        for e, k in ((0, 1), (m, m - 1)):
-            twist = m * m * (row1[k] - row0[k] - row1[e] + row0[e])
-            found.setdefault(divmod(int(ends[e]), m + 1), {})[side.side[0]] = twist
-    return {corner: TwistCheck(t["v"], t["u"]) for corner, t in found.items()
-            if len(t) == 2}
 
 
 def _finish(net, rule) -> BezierPatch:
     """Set the free interior of an assembled net by ``rule``."""
     m = net.shape[0] - 1
-    net = rule(net)
-    if np.any(np.isnan(net)):
-        raise CornerConsistencyError("interior rule left control points undefined")
+    with np.errstate(over="ignore", invalid="ignore"):
+        net = rule(net)
+    undefined = np.argwhere(~np.isfinite(net).all(axis=-1))
+    if undefined.size:
+        raise CornerConsistencyError(
+            "interior rule left control point ({},{}) undefined".format(*undefined[0]))
     return BezierPatch(m, m, net)
 
 
@@ -285,9 +315,10 @@ def complete_fourth_patch(
     coefficients default so that a corner cut from one smooth surface is
     extended seamlessly.  ``degree=4`` selects the less flexible bi-degree
     (4,4) construction (linear lambda, quadratic kappa), which requires
-    zero-kappa corner joins and computes each inner kappa ordinate from the
-    far lambda.  The corner control point both joins determine is asserted;
-    the interior points close parallelograms on the two bands.
+    zero-kappa corner joins.  In both, the inner kappa ordinate of each join
+    next to the corner is solved for, so that the corner control point both
+    joins determine agrees; it is asserted.  The interior points close
+    parallelograms on the two bands.
     """
     for name, p in (("r1", r1), ("r2", r2), ("r4", r4)):
         _require_bicubic(name, p)
@@ -308,21 +339,17 @@ def complete_fourth_patch(
     if lambda43_1 is None:
         lambda43_1 = lam12
 
+    # the inner kappa ordinates near the corner are free: the corner point pins them
     if degree == 5:
-        # uniqueness of the corner control point pins the inner kappa ordinates
-        beta1_23 = (2.0 * alpha43 - 2.0 * lam12 - lam12 * kap14_0) / (3.0 * lam12)
-        beta1_43 = (2.0 * alpha23 - 2.0 * lam14 - lam14 * kap12_0) / (3.0 * lam14)
-        lam_o23, kap_o23 = [lam14, alpha23, lambda23_1], [0.0, beta1_23, beta2_23, kappa23_1]
-        lam_o43, kap_o43 = [lam12, alpha43, lambda43_1], [0.0, beta1_43, beta2_43, kappa43_1]
+        lam_o23, kap_o23 = [lam14, alpha23, lambda23_1], [0.0, None, beta2_23, kappa23_1]
+        lam_o43, kap_o43 = [lam12, alpha43, lambda43_1], [0.0, None, beta2_43, kappa43_1]
     else:
         if kap12_0 != 0.0 or kap14_0 != 0.0:
             raise PreconditionError(
                 "bi-degree (4,4) completion requires zero-kappa corner joins"
             )
-        b23 = (lambda43_1 - lam12) / (2.0 * lam12)
-        b43 = (lambda23_1 - lam14) / (2.0 * lam14)
-        lam_o23, kap_o23 = [lam14, lambda23_1], [0.0, b23, kappa23_1]
-        lam_o43, kap_o43 = [lam12, lambda43_1], [0.0, b43, kappa43_1]
+        lam_o23, kap_o23 = [lam14, lambda23_1], [0.0, None, kappa23_1]
+        lam_o43, kap_o43 = [lam12, lambda43_1], [0.0, None, kappa43_1]
 
     sides = [_Side(r4, "u1", lam_o43, kap_o43), _Side(r2, "v1", lam_o23, kap_o23)]
     try:
@@ -338,27 +365,6 @@ def _continue_bands(net):
     """Fourth-patch interior: each point closes a parallelogram on the two bands."""
     net[2:, 2:] = net[2:, 1:2] + net[1:2, 2:] - net[1, 1]
     return net
-
-
-def fourth_patch_twist_check(
-    r2: BezierPatch,
-    r4: BezierPatch,
-    coeffs23: LinkCoefficients,
-    coeffs43: LinkCoefficients,
-) -> TwistCheck:
-    """Corner twist of the quintic fourth patch computed along both construction routes.
-
-    ``q23`` is 25 times the mixed difference of the boundary and band rows
-    built from ``r2`` and the (2,3)-link, ``q43`` the same from ``r4`` and
-    the (4,3)-link.  The two agree exactly when the coefficient constraints of
-    ``complete_fourth_patch`` hold; violating them by delta grows the
-    difference linearly in delta.
-    """
-    _require_bicubic("r2", r2)
-    _require_bicubic("r4", r4)
-    sides = [_Side(r4, "u1", coeffs43.lambda_ordinates, coeffs43.kappa_ordinates),
-             _Side(r2, "v1", coeffs23.lambda_ordinates, coeffs23.kappa_ordinates)]
-    return _twists(5, sides)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +415,6 @@ class NinePatchRing(_Record):
         return cls(dict(patches), lambdas, scale)
 
 
-class HoleFillParams(_Record, eq=True):
-    """Resolved free coefficients of a hole fill.
-
-    ``alpha``/``beta1``/``beta2`` are keyed by the interior-edge neighbour
-    position (2: left, 4: bottom, 6: top, 8: right).  ``mode`` selects the
-    (5,5) construction with quadratic lambdas or the (6,6) one with cubic
-    lambdas, whose inner ordinates ``alpha1``/``alpha2`` are fully pinned.
-    """
-
-    __slots__ = ("mode", "alpha", "beta1", "beta2", "alpha1", "alpha2")  # mode: "deg5" | "deg6"
-    _defaults = dict.fromkeys(("beta1", "beta2", "alpha1", "alpha2"), dict)
-
-
 def _pinned_endpoints(ring: NinePatchRing) -> dict:
     """Endpoint values of the four hole-edge lambda functions, by neighbour."""
     lam = ring.lambdas
@@ -440,73 +433,29 @@ def _require_ring_lambdas(ring: NinePatchRing) -> None:
             raise DegenerateLinkError(f"ring lambda ({key}) is degenerate")
 
 
-def solve_hole_params(ring: NinePatchRing, free_choices=None) -> HoleFillParams:
-    """Resolve the eight coefficient constraints of the (5,5) hole fill.
+def _hole_sides(ring: NinePatchRing, alpha=None):
+    """A fill's joins: left, right, bottom, top, where the ring has them.
 
-    The four alphas (one per interior edge, order: bottom 4, left 2, top 6,
-    right 8) are free; each defaults to the mean of its pinned endpoint
-    lambdas.  The eight beta ordinates then follow by exact back
-    substitution, one equation each.
+    With ``alpha``, by neighbour, those of the (5,5) fill: quadratic lambdas
+    and cubic kappas, whose inner ordinate at an end is free where a join
+    crosses there.  Without, those of the (6,6) fill: cubic lambdas with free
+    inner ordinates, and zero kappas.
     """
     _require_ring_lambdas(ring)
-    lam = ring.lambdas
     ends = _pinned_endpoints(ring)
-    if free_choices is None:
-        alpha = {i: 0.5 * (ends[i][0] + ends[i][1]) for i in (4, 2, 6, 8)}
-    else:
-        a45, a25, a65, a85 = (float(x) for x in free_choices)
-        alpha = {4: a45, 2: a25, 6: a65, 8: a85}
-    # The beta2 equations carry a minus sign relative to the beta1 ones: the
-    # inner kappa ordinate near the far end of an edge lives in that corner's
-    # frame, whose edge parameter runs against the edge's own direction.
-    beta1 = {
-        4: 2.0 * (alpha[2] - lam["14"]) / (3.0 * lam["14"]),
-        2: 2.0 * (alpha[4] - lam["12"]) / (3.0 * lam["12"]),
-        6: 2.0 * (alpha[2] - lam["36"]) / (3.0 * lam["36"]),
-        8: 2.0 * (alpha[4] - lam["78"]) / (3.0 * lam["78"]),
-    }
-    beta2 = {
-        4: -2.0 * (alpha[8] - lam["74"]) / (3.0 * lam["74"]),
-        2: -2.0 * (alpha[6] - lam["32"]) / (3.0 * lam["32"]),
-        6: -2.0 * (alpha[8] - lam["96"]) / (3.0 * lam["96"]),
-        8: -2.0 * (alpha[6] - lam["98"]) / (3.0 * lam["98"]),
-    }
-    return HoleFillParams("deg5", alpha, beta1, beta2, {}, {})
-
-
-def hole_constraint_residuals(ring: NinePatchRing, params: HoleFillParams) -> np.ndarray:
-    """Residuals of the eight coefficient constraints; zero for a valid solve."""
-    lam = ring.lambdas
-    a, b1, b2 = params.alpha, params.beta1, params.beta2
-    return np.abs(np.array([
-        3.0 * lam["14"] * b1[4] - 2.0 * (a[2] - lam["14"]),
-        3.0 * lam["12"] * b1[2] - 2.0 * (a[4] - lam["12"]),
-        3.0 * lam["96"] * b2[6] + 2.0 * (a[8] - lam["96"]),
-        3.0 * lam["98"] * b2[8] + 2.0 * (a[6] - lam["98"]),
-        3.0 * lam["74"] * b2[4] + 2.0 * (a[8] - lam["74"]),
-        3.0 * lam["78"] * b1[8] - 2.0 * (a[4] - lam["78"]),
-        3.0 * lam["36"] * b1[6] - 2.0 * (a[2] - lam["36"]),
-        3.0 * lam["32"] * b2[2] + 2.0 * (a[6] - lam["32"]),
-    ]))
-
-
-def _hole_sides(ring: NinePatchRing, params: HoleFillParams):
-    """The fill's degree and its joins: left, right, bottom, top, where the ring has them."""
-    ends = _pinned_endpoints(ring)
-    m = {"deg5": 5, "deg6": 6}[params.mode]
     sides = []
-    for pos, side in ((2, "u1"), (8, "u0"), (4, "v1"), (6, "v0")):
+    for pos, side, crossing in ((2, "u1", (4, 6)), (8, "u0", (4, 6)),
+                                (4, "v1", (2, 8)), (6, "v0", (2, 8))):
         if pos not in ring.patches:
             continue
         lo, hi = ends[pos]
-        if m == 5:
-            lam = [lo, params.alpha[pos], hi]
-            kap = [0.0, params.beta1[pos], params.beta2[pos], 0.0]
+        if alpha is None:
+            lam, kap = [lo, None, None, hi], [0.0] * 5
         else:
-            lam = [lo, params.alpha1[pos], params.alpha2[pos], hi]
-            kap = [0.0] * 5
+            lam = [lo, alpha[pos], hi]
+            kap = [0.0, *(None if c in ring.patches else 0.0 for c in crossing), 0.0]
         sides.append(_Side(ring.patches[pos], side, lam, kap))
-    return m, sides
+    return sides
 
 
 def default_interior(net, degree: int) -> np.ndarray:
@@ -544,54 +493,33 @@ def default_interior(net, degree: int) -> np.ndarray:
     return q
 
 
-def fill_hole(ring: NinePatchRing, params: HoleFillParams | None = None,
-              interior_rule=None) -> BezierPatch:
+def fill_hole(ring: NinePatchRing, params=None, interior_rule=None) -> BezierPatch:
     """Fill the centre of a nine-patch ring with a bi-degree (5,5) patch.
 
     The hole edges carry quadratic lambda / cubic kappa link functions whose
-    endpoint ordinates are pinned by the ring's edge constants and whose
-    inner ordinates come from ``params`` (``solve_hole_params`` defaults).
-    The result joins all four ring neighbours with tangent-plane
+    endpoint ordinates are pinned by the ring's edge constants.  ``params``
+    gives the four inner lambda ordinates, the fill's free parameters, in
+    the order bottom (4), left (2), top (6), right (8); each defaults to the
+    mean of its edge's endpoint lambdas.  The assembler pins the inner kappa
+    ordinates.  The result joins all four ring neighbours with tangent-plane
     continuity; doubly-determined border points are asserted consistent.
     """
     if params is None:
-        params = solve_hole_params(ring)
-    if params.mode != "deg5":
-        raise ValueError("params were resolved for a different construction mode")
-    m, sides = _hole_sides(ring, params)
-    return _finish(_assemble(m, ring.scale, sides),
-                   interior_rule or (lambda net: default_interior(net, m)))
+        alpha = {i: 0.5 * (lo + hi) for i, (lo, hi) in _pinned_endpoints(ring).items()}
+    else:
+        alpha = dict(zip((4, 2, 6, 8), map(float, params), strict=True))
+    return _finish(_assemble(5, ring.scale, _hole_sides(ring, alpha)),
+                   interior_rule or (lambda net: default_interior(net, 5)))
 
 
 def fill_hole_deg6(ring: NinePatchRing) -> BezierPatch:
     """Fill the ring with a bi-degree (6,6) patch using cubic lambdas, zero kappa.
 
-    The inner lambda ordinates are fully pinned by the ring constants, so
-    there are no free coefficients.
+    The assembler pins the inner lambda ordinates, so there are no free
+    coefficients.
     """
-    ends = _pinned_endpoints(ring)
-    _require_ring_lambdas(ring)
-    alpha1 = {i: ends[i][0] for i in (2, 4, 6, 8)}
-    alpha2 = {i: ends[i][1] for i in (2, 4, 6, 8)}
-    params = HoleFillParams("deg6", {}, {}, {}, alpha1, alpha2)
-    m, sides = _hole_sides(ring, params)
-    return _finish(_assemble(m, ring.scale, sides), lambda net: default_interior(net, m))
-
-
-def hole_twist_checks(ring: NinePatchRing, params: HoleFillParams | None = None) -> dict:
-    """Twist consistency at the four hole corners, by corner name.
-
-    Each entry compares the twist at a corner as determined by its two
-    adjacent edges, scaled by m*m for the fill's degree m (25 for the (5,5)
-    fill, 36 for (6,6)), as in the fourth-patch twist convention.
-    """
-    if params is None:
-        params = solve_hole_params(ring)
-    m, sides = _hole_sides(ring, params)
-    twists = _twists(m, sides)
-    corners = {"bottom-left": (0, 0), "bottom-right": (m, 0),
-               "top-left": (0, m), "top-right": (m, m)}
-    return {name: twists[corner] for name, corner in corners.items()}
+    return _finish(_assemble(6, ring.scale, _hole_sides(ring)),
+                   lambda net: default_interior(net, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ by direct control-point propagation of the first-order link relation.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -497,10 +498,28 @@ _U_NEIGHBOURS = (1, 0, 3, 2)
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def flip_u(p: BezierPatch) -> BezierPatch:
+    """Reverse the u parameter: q(u, v) = p(1 - u, v)."""
+    return BezierPatch(p.degree_u, p.degree_v, p.net[::-1].copy())
+
+
+def flip_v(p: BezierPatch) -> BezierPatch:
+    """Reverse the v parameter: q(u, v) = p(u, 1 - v)."""
+    return BezierPatch(p.degree_u, p.degree_v, p.net[:, ::-1].copy())
+
+
+def transpose_patch(p: BezierPatch) -> BezierPatch:
+    """Swap the parameter roles: q(u, v) = p(v, u)."""
+    return BezierPatch(p.degree_v, p.degree_u, np.swapaxes(p.net, 0, 1).copy())
+
+
+def corner_point(p: BezierPatch, iu: int, jv: int) -> np.ndarray:
+    """Corner control point; iu, jv in {0, 1} select the u/v end."""
+    return p.net[-1 if iu else 0, -1 if jv else 0].copy()
+
+
 def orient_patch(patch: BezierPatch, corner, side: str, target) -> BezierPatch:
     """Reorient ``patch`` so that ``corner`` moves to ``target`` and ``side`` becomes a u-side."""
-    from smoothpatch.bezier import flip_u, flip_v, transpose_patch
-
     iu, jv = corner
     if side[0] == "v":
         patch, iu, jv = transpose_patch(patch), jv, iu
@@ -519,11 +538,11 @@ def reoriented_corner(doc, names):
     joins the two.
     """
     p = [doc.patch(name) for name in names]
-    v = min((p[0].corner(*c) for c in _CORNERS),
-            key=lambda x: min(np.linalg.norm(x - p[2].corner(*c)) for c in _CORNERS))
+    v = min((corner_point(p[0], *c) for c in _CORNERS),
+            key=lambda x: min(np.linalg.norm(x - corner_point(p[2], *c)) for c in _CORNERS))
     out = []
     for k, (name, target) in enumerate(zip(names, _ROLE_CORNERS)):
-        corner = min(_CORNERS, key=lambda c: np.linalg.norm(p[k].corner(*c) - v))
+        corner = min(_CORNERS, key=lambda c: np.linalg.norm(corner_point(p[k], *c) - v))
         neighbour = names[_U_NEIGHBOURS[k]]
         (side,) = [c.a_side if c.a == name else c.b_side for c in doc.edges
                    if {c.a, c.b} == {name, neighbour}]
@@ -580,28 +599,80 @@ def assemble_reference(m: int, scale: float, sides) -> np.ndarray:
     """A construction net written and checked one control point at a time.
 
     Every side's boundary row, then every band, in the order the sides are
-    listed.  A point whose x is NaN counts as unwritten; a later write to a
-    written point must lie within 1e-9 * scale of it, or the first that does
-    not raises ``CornerConsistencyError`` naming the point.
+    listed.  A write that is not finite, or a later write to a written point
+    farther than 1e-9 * scale from it, raises ``CornerConsistencyError``
+    naming the point: the first such write does.
     """
     from smoothpatch.continuity import CornerConsistencyError
 
     net = np.full((m + 1, m + 1, 3), np.nan)
-    rows = [side.rows(m) for side in sides]
-    for offset, what in ((0, "boundary"), (1, "band")):
-        for side, row in zip(sides, rows):
-            for flat, value in zip(side.points(m, offset).tolist(), row[offset]):
-                i, j = divmod(flat, m + 1)
-                if np.isnan(net[i, j, 0]):
-                    net[i, j] = value
-                    continue
-                gap = float(np.linalg.norm(net[i, j] - value))
-                if gap > 1e-9 * scale:
-                    raise CornerConsistencyError(
-                        f"control point ({i},{j}) doubly determined with gap "
-                        f"{gap / scale:.3e} ({what} across {side.side})"
-                    )
+    for (i, j), value, what, side in _point_writes(m, sides):
+        if not np.isfinite(value).all():
+            raise CornerConsistencyError(
+                f"control point ({i},{j}) is not finite ({what} across {side.side})")
+        if np.isnan(net[i, j, 0]):
+            net[i, j] = value
+            continue
+        gap = float(np.linalg.norm(net[i, j] - value))
+        if gap > 1e-9 * scale:
+            raise CornerConsistencyError(
+                f"control point ({i},{j}) doubly determined with gap "
+                f"{gap / scale:.3e} ({what} across {side.side})"
+            )
     return net
+
+
+def _point_writes(m: int, sides):
+    """((i, j), value, "boundary" or "band", side) of every point write, in write order."""
+    from smoothpatch.construct import _points, _rows
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a row that is not finite raises
+        rows = _rows(m, sides)[:2]
+    for offset, what in ((0, "boundary"), (1, "band")):
+        for side, row in zip(sides, rows[offset]):
+            for flat, value in zip(_points(m, side.side, offset).tolist(), row):
+                yield divmod(flat, m + 1), value, what, side
+
+
+def write_gaps(m: int, sides) -> dict:
+    """The largest distance from its first write of every point written twice, by (i, j)."""
+    first, gaps = {}, {}
+    for point, value, _, _ in _point_writes(m, sides):
+        if point in first:
+            gaps[point] = max(gaps.get(point, 0.0), float(np.linalg.norm(value - first[point])))
+        first.setdefault(point, value)
+    return gaps
+
+
+def pinned_sides(m: int, unit: float, sides) -> list:
+    """``sides`` with their free (None) ordinates set as the package's ``_pin_free`` pins them."""
+    from smoothpatch.construct import _pin_free
+
+    pinned = iter(_pin_free(m, unit, sides)[0].tolist())
+    return [side._replace(**{name: [next(pinned) if o is None else o for o in getattr(side, name)]
+                             for name in ("lam", "kap")}) for side in sides]
+
+
+@contextlib.contextmanager
+def assembled_sides():
+    """Within the block, each net a construction assembles appends (m, its sides, pinned).
+
+    Free ordinates are pinned by ``pinned_sides``, as the assembler pins them.
+    """
+    import smoothpatch.construct as construct
+    from smoothpatch.bezier import _unit
+
+    seen, assemble = [], construct._assemble
+
+    def recording(m, scale, sides):
+        seen.append((m, pinned_sides(m, _unit(scale), sides)))
+        return assemble(m, scale, sides)
+
+    construct._assemble = recording
+    try:
+        yield seen
+    finally:
+        construct._assemble = assemble
 
 
 def scaled_by_power_of_two(raw: dict, k: int) -> dict:

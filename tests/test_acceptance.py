@@ -4,6 +4,7 @@ Each test prints a single pass line on success (visible with ``pytest -v``
 through the test outcome, and with ``-s`` through the printed line).
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from smoothpatch.bezier import (
 )
 from smoothpatch.continuity import (
     CornerConfig,
+    CornerConsistencyError,
     EdgeCorrespondence,
     check_edges,
     check_g1_edge,
@@ -26,18 +28,16 @@ from smoothpatch.continuity import (
     theorem1_residuals,
 )
 from smoothpatch.construct import (
-    LinkCoefficients,
     NinePatchRing,
     build_fillet,
     complete_fourth_patch,
     fill_hole,
     fill_hole_deg6,
-    fourth_patch_twist_check,
-    hole_constraint_residuals,
-    solve_hole_params,
 )
+from smoothpatch.construct import _Side, _assemble
 
 from helpers import (
+    assembled_sides,
     constructive_corner,
     creased_pair,
     g1_pair,
@@ -45,6 +45,7 @@ from helpers import (
     random_ring,
     smooth_patch,
     uniform_ring,
+    write_gaps,
 )
 
 
@@ -173,18 +174,16 @@ def test_criterion_05_fourth_patch_completion():
         r1, r2, r4, lam12, lam14 = constructive_corner(rng)
         alpha23 = rng.uniform(0.5, 2.0)
         alpha43 = rng.uniform(0.5, 2.0)
-        r3 = complete_fourth_patch(r1, r2, r4, alpha23=alpha23, alpha43=alpha43)
+        with assembled_sides() as seen:
+            r3 = complete_fourth_patch(r1, r2, r4, alpha23=alpha23, alpha43=alpha43)
         assert (r3.degree_u, r3.degree_v) == (5, 5)
         checks = check_edges([(r2, r3, EdgeCorrespondence("v1", "v0")),
                               (r4, r3, EdgeCorrespondence("u1", "u0"))])
         assert checks.ok.all() and (checks.link_residual < 1e-9).all()
         worst_edge = max(worst_edge, checks.link_residual.max())
-        coeffs23 = LinkCoefficients(lam14, alpha23, lam14, 0.0,
-                                    2 * (alpha43 - lam12) / (3 * lam12), 0.0, 0.0)
-        coeffs43 = LinkCoefficients(lam12, alpha43, lam12, 0.0,
-                                    2 * (alpha23 - lam14) / (3 * lam14), 0.0, 0.0)
-        twist = fourth_patch_twist_check(r2, r4, coeffs23, coeffs43)
-        q11_gap = twist.difference / 25.0
+        # the corner point (1,1), as the two bands write it with the pinned ordinates
+        ((m, sides),) = seen
+        q11_gap = write_gaps(m, sides)[1, 1]
         assert q11_gap < 1e-12
         worst_corner = max(worst_corner, q11_gap)
     _report(5, f"50 corners: edge residual {worst_edge:.2e} < 1e-9, "
@@ -205,7 +204,7 @@ def test_criterion_06_hole_filling_deg5():
     rng = np.random.default_rng(7000)
     patches, center = uniform_ring(rng)
     ring = NinePatchRing.from_patches(patches)
-    fill = fill_hole(ring, solve_hole_params(ring, free_choices=(1, 1, 1, 1)))
+    fill = fill_hole(ring, (1, 1, 1, 1))
     up = elevation_matrix(3, 5)
     elevated = np.einsum("ik,klc,jl->ijc", up, center.net, up)
     band_gap = np.abs(fill.net[:, :2] - elevated[:, :2]).max()
@@ -217,11 +216,12 @@ def test_criterion_06_hole_filling_deg5():
     for seed in range(20):
         patches, _ = random_ring(np.random.default_rng(7100 + seed))
         ring = NinePatchRing.from_patches(patches)
-        params = solve_hole_params(ring)
-        worst_constraint = max(worst_constraint,
-                               hole_constraint_residuals(ring, params).max())
+        with assembled_sides() as seen:
+            fill = fill_hole(ring)
+        # the compatibility constraints hold where the doubly determined points agree
+        ((m, sides),) = seen
+        worst_constraint = max(worst_constraint, max(write_gaps(m, sides).values()) / ring.scale)
         assert worst_constraint < 1e-14
-        fill = fill_hole(ring, params)
         for ok, residual in _hole_edge_residuals(patches, fill):
             assert ok and residual < 1e-8
             worst_edge = max(worst_edge, residual)
@@ -248,21 +248,28 @@ def test_criterion_07_hole_filling_deg6():
     _report(7, f"20 rings at (6,6): edges {worst_edge:.2e} < 1e-8, pinning exact")
 
 
-def test_criterion_08_twist_linearity():
+def test_criterion_08_corner_gap_linearity():
+    # beta1 of the (2,3)-link prescribed delta away from its pin: the assembler
+    # reports the corner point's gap, which grows linearly in delta
     rng = np.random.default_rng(8000)
     r1, r2, r4, lam12, lam14 = constructive_corner(rng)
-    coeffs43 = LinkCoefficients(lam12, lam12, lam12)
-    diffs = []
+    left = _Side(r4, "u1", [lam12] * 3, [0.0] * 4)
+    gaps = []
     for delta in (1e-3, 1e-2, 1e-1):
-        coeffs23 = LinkCoefficients(lam14, lam14, lam14, 0.0, delta, 0.0, 0.0)
-        twist = fourth_patch_twist_check(r2, r4, coeffs23, coeffs43)
-        assert twist.difference > 0.0
-        diffs.append(twist.difference)
-    r1_ratio = diffs[1] / diffs[0]
-    r2_ratio = diffs[2] / diffs[1]
+        bottom = _Side(r2, "v1", [lam14] * 3, [0.0, delta, 0.0, 0.0])
+        try:
+            _assemble(5, 1.0, [left, bottom])
+        except CornerConsistencyError as exc:
+            gap = float(re.search(r"\(1,1\) doubly determined with gap (\S+) ", str(exc)).group(1))
+        else:
+            gap = 0.0
+        assert gap > 0.0
+        gaps.append(gap)
+    r1_ratio = gaps[1] / gaps[0]
+    r2_ratio = gaps[2] / gaps[1]
     assert abs(r1_ratio - 10.0) < 0.5
     assert abs(r2_ratio - 10.0) < 0.5
-    _report(8, f"twist grows linearly in delta (ratios {r1_ratio:.3f}, {r2_ratio:.3f})")
+    _report(8, f"corner gap grows linearly in delta (ratios {r1_ratio:.3f}, {r2_ratio:.3f})")
 
 
 def test_criterion_09_fillet():

@@ -36,27 +36,23 @@ from smoothpatch.continuity import (
     check_vertex_g1,
 )
 from smoothpatch.construct import (
-    HoleFillParams,
-    LinkCoefficients,
     NinePatchRing,
     build_fillet,
     complete_fourth_patch,
     default_interior,
     fill_hole,
     fill_hole_deg6,
-    fourth_patch_twist_check,
     g1_band_offsets,
-    hole_constraint_residuals,
-    hole_twist_checks,
-    solve_hole_params,
 )
 from smoothpatch.construct import _Side, _assemble, _hole_sides, _pinned_endpoints
 
 from helpers import (
     assemble_reference,
+    assembled_sides,
     constructive_corner,
     flat_crease_pair,
     kappa_corner,
+    pinned_sides,
     random_ring,
     random_strips,
     rigid_motion,
@@ -64,6 +60,7 @@ from helpers import (
     smooth_patch,
     split_corner,
     uniform_ring,
+    write_gaps,
 )
 
 
@@ -85,18 +82,14 @@ def hole_edge_checks(patches, fill):
 def test_row_from_link_uniform_first_relation():
     rng = np.random.default_rng(60)
     p = smooth_patch(rng)
-    coeffs = LinkCoefficients(1.0, 1.0, 1.0)  # lambda == 1, kappa == 0
-    offsets = g1_band_offsets(p.net[:, 3], p.net[:, 2],
-                              coeffs.lambda_ordinates, coeffs.kappa_ordinates)
+    offsets = g1_band_offsets(p.net[:, 3], p.net[:, 2], [1.0] * 3, [0.0] * 4)  # lambda 1, kappa 0
     np.testing.assert_allclose(offsets[0], 3.0 * (p.net[0, 3] - p.net[0, 2]), atol=1e-14)
 
 
 def test_row_from_link_zero_cross_derivative():
     rng = np.random.default_rng(61)
     p = smooth_patch(rng)
-    coeffs = LinkCoefficients(rng.uniform(0.5, 2), rng.uniform(0.5, 2), rng.uniform(0.5, 2))
-    offsets = g1_band_offsets(p.net[:, 3], p.net[:, 3],
-                              coeffs.lambda_ordinates, coeffs.kappa_ordinates)
+    offsets = g1_band_offsets(p.net[:, 3], p.net[:, 3], rng.uniform(0.5, 2, size=3), [0.0] * 4)
     np.testing.assert_allclose(offsets, 0.0, atol=1e-14)
 
 
@@ -119,8 +112,7 @@ def test_row_from_link_matches_displayed_relations():
         2 * a / 5 * d[3] + 3 * l1 / 5 * d[2] + 3 * b2 / 5 * e[2] + 2 * k1 / 5 * e[1],
         l1 * d[3] + k1 * e[2],
     ])
-    coeffs = LinkCoefficients(l0, a, l1, k0, b1, b2, k1)
-    got = g1_band_offsets(bnd, inr, coeffs.lambda_ordinates, coeffs.kappa_ordinates)
+    got = g1_band_offsets(bnd, inr, [l0, a, l1], [k0, b1, b2, k1])
     np.testing.assert_allclose(got, expected, atol=1e-13)
 
 
@@ -129,16 +121,14 @@ def test_row_from_link_satisfies_derivative_identity():
     rng = np.random.default_rng(63)
     for _ in range(5):
         p = smooth_patch(rng)
-        coeffs = LinkCoefficients(*rng.uniform(0.5, 2.0, size=3),
-                                  *rng.uniform(-0.5, 0.5, size=4))
+        lam_ordinates, kap_ordinates = rng.uniform(0.5, 2.0, size=3), rng.uniform(-0.5, 0.5, size=4)
         m = 5
         row0 = elevate_row(p.net[:, 3], 5)
-        row1 = row0 + g1_band_offsets(p.net[:, 3], p.net[:, 2], coeffs.lambda_ordinates,
-                                      coeffs.kappa_ordinates) / m
+        row1 = row0 + g1_band_offsets(p.net[:, 3], p.net[:, 2], lam_ordinates, kap_ordinates) / m
         t = np.linspace(0.0, 1.0, 101)
         lhs = m * bernstein_basis(5, t) @ (row1 - row0)
-        lam = bernstein_basis(2, t) @ coeffs.lambda_ordinates
-        kap = bernstein_basis(3, t) @ coeffs.kappa_ordinates
+        lam = bernstein_basis(2, t) @ lam_ordinates
+        kap = bernstein_basis(3, t) @ kap_ordinates
         r_v = 3.0 * bernstein_basis(3, t) @ (p.net[:, 3] - p.net[:, 2])
         r_u = 3.0 * bernstein_basis(2, t) @ (p.net[1:, 3] - p.net[:-1, 3])
         rhs = lam[:, None] * r_v + kap[:, None] * r_u
@@ -244,42 +234,35 @@ def test_fourth_patch_degree44_rejects_kappa_corner():
         complete_fourth_patch(r1, r2, r4, degree=4)
 
 
-def test_twist_check_zero_when_constraints_hold():
-    rng = np.random.default_rng(73)
-    r1, r2, r4, lam12, lam14 = constructive_corner(rng)
-    alpha23, alpha43 = lam14 * 1.2, lam12 * 0.9
-    c23 = LinkCoefficients(lam14, alpha23, lam14, 0.0,
-                           2 * (alpha43 - lam12) / (3 * lam12), 0.0, 0.0)
-    c43 = LinkCoefficients(lam12, alpha43, lam12, 0.0,
-                           2 * (alpha23 - lam14) / (3 * lam14), 0.0, 0.0)
-    t = fourth_patch_twist_check(r2, r4, c23, c43)
-    assert t.difference < 1e-10
+def _gap(sides, m=5, scale=1.0):
+    """The gap that the assembler reports, times ``scale``."""
+    with pytest.raises(CornerConsistencyError) as exc:
+        _assemble(m, scale, sides)
+    return float(re.search(r"with gap (\S+) ", str(exc.value)).group(1)) * scale
 
 
-def test_twist_check_linear_in_violation():
+def test_a_prescribed_ordinate_off_by_delta_gives_a_corner_gap_linear_in_delta():
+    # beta1 of the (2,3)-link prescribed delta away from its pin (0 with these
+    # alphas): the two bands miss each other at (1,1) by 9/25 |lam12 delta d|
     rng = np.random.default_rng(74)
     r1, r2, r4, lam12, lam14 = constructive_corner(rng)
-    c43 = LinkCoefficients(lam12, lam12, lam12)
-    diffs = []
+    left = _Side(r4, "u1", [lam12] * 3, [0.0] * 4)
+    gaps = []
     for delta in (1e-3, 1e-2, 1e-1):
-        c23 = LinkCoefficients(lam14, lam14, lam14, 0.0, delta, 0.0, 0.0)
-        t = fourth_patch_twist_check(r2, r4, c23, c43)
-        predicted = 9.0 * abs(lam12 * delta) * np.linalg.norm(r1.net[3, 3] - r1.net[2, 3])
-        assert abs(t.difference - predicted) < 0.05 * predicted
-        diffs.append(t.difference)
-    assert abs(diffs[1] / diffs[0] - 10.0) < 0.5
-    assert abs(diffs[2] / diffs[1] - 10.0) < 0.5
+        gap = _gap([left, _Side(r2, "v1", [lam14] * 3, [0.0, delta, 0.0, 0.0])])
+        predicted = 9.0 / 25.0 * abs(lam12 * delta) * np.linalg.norm(r1.net[3, 3] - r1.net[2, 3])
+        assert abs(gap - predicted) < 0.05 * predicted
+        gaps.append(gap)
+    assert abs(gaps[1] / gaps[0] - 10.0) < 0.5
+    assert abs(gaps[2] / gaps[1] - 10.0) < 0.5
 
 
 def _corner_sides(r2, r4, lam12, lam14):
     """The fourth patch's two joins with ordinates that meet the corner constraint."""
     alpha23, alpha43 = lam14 * 1.2, lam12 * 0.9
-    c23 = LinkCoefficients(lam14, alpha23, lam14, 0.0,
-                           2 * (alpha43 - lam12) / (3 * lam12), 0.0, 0.0)
-    c43 = LinkCoefficients(lam12, alpha43, lam12, 0.0,
-                           2 * (alpha23 - lam14) / (3 * lam14), 0.0, 0.0)
-    return [_Side(r4, "u1", c43.lambda_ordinates, c43.kappa_ordinates),
-            _Side(r2, "v1", c23.lambda_ordinates, c23.kappa_ordinates)]
+    beta1_43, beta1_23 = 2 * (alpha23 - lam14) / (3 * lam14), 2 * (alpha43 - lam12) / (3 * lam12)
+    return [_Side(r4, "u1", [lam12, alpha43, lam12], [0.0, beta1_43, 0.0, 0.0]),
+            _Side(r2, "v1", [lam14, alpha23, lam14], [0.0, beta1_23, 0.0, 0.0])]
 
 
 def test_assemble_rejects_a_doubly_determined_point_and_names_it():
@@ -307,14 +290,10 @@ def _assembly_cases():
     r1, r2, r4, lam12, lam14 = constructive_corner(np.random.default_rng(98))
     cases = [(5, bounding_diagonal(r1, r2, r4), _corner_sides(r2, r4, lam12, lam14))]
     ring = ring_from(random_ring(np.random.default_rng(99))[0])
-    ends = _pinned_endpoints(ring)
-    deg6 = HoleFillParams(mode="deg6", alpha={}, alpha1={i: ends[i][0] for i in ends},
-                          alpha2={i: ends[i][1] for i in ends})
+    alpha = {i: 0.5 * (lo + hi) for i, (lo, hi) in _pinned_endpoints(ring).items()}
     open_top = NinePatchRing({k: ring.patches[k] for k in (2, 4, 8)}, ring.lambdas, ring.scale)
-    for r, params in ((ring, solve_hole_params(ring)), (ring, deg6),
-                      (open_top, solve_hole_params(ring))):
-        m, sides = _hole_sides(r, params)
-        cases.append((m, r.scale, sides))
+    for m, r, a in ((5, ring, alpha), (6, ring, None), (5, open_top, alpha)):
+        cases.append((m, r.scale, pinned_sides(m, 1.0, _hole_sides(r, a))))
     return cases
 
 
@@ -322,13 +301,13 @@ def _assembly_cases():
 @given(case=st.integers(0, 3), data=st.data())
 def test_assemble_matches_the_point_by_point_reference(case, data):
     # any side order, one link ordinate moved by nothing, round-off, a gap
-    # near the tolerance, a large gap or NaN: the same bits or the same error
+    # near the tolerance, a large gap, NaN or infinity: the same bits or the same error
     m, scale, sides = _assembly_cases()[case]
     sides = list(data.draw(st.permutations(sides)))
     k, name = data.draw(st.integers(0, len(sides) - 1)), data.draw(st.sampled_from(["lam", "kap"]))
     ordinates = np.array(getattr(sides[k], name), dtype=float)
     ordinates[data.draw(st.integers(0, len(ordinates) - 1))] += data.draw(
-        st.sampled_from([0.0, 1e-15, 1e-11, 1e-9, 1e-6, 0.1, np.nan]))
+        st.sampled_from([0.0, 1e-15, 1e-11, 1e-9, 1e-6, 0.1, np.nan, np.inf]))
     sides[k] = sides[k]._replace(**{name: ordinates})
     try:
         want = assemble_reference(m, scale, sides)
@@ -346,8 +325,8 @@ def test_fourth_patch_names_both_routes_on_a_corner_mismatch(monkeypatch):
     r1, r2, r4, _, _ = constructive_corner(rng)
     assemble = construct._assemble
 
-    def skewed(m, scale, sides):  # the (2,3)-link's beta1 off by 0.1
-        return assemble(m, scale, [s._replace(kap=np.add(s.kap, [0, 0.1, 0, 0]))
+    def skewed(m, scale, sides):  # the (2,3)-link's kappa0 off by 0.1
+        return assemble(m, scale, [s._replace(kap=[0.1, *s.kap[1:]])
                                    if s.side == "v1" else s for s in sides])
 
     monkeypatch.setattr(construct, "_assemble", skewed)
@@ -355,7 +334,7 @@ def test_fourth_patch_names_both_routes_on_a_corner_mismatch(monkeypatch):
         complete_fourth_patch(r1, r2, r4)
     assert str(exc.value).startswith(
         "corner control point disagrees between the two construction routes: "
-        "control point (1,1) ")
+        "control point (0,1) ")
 
 
 # --- hole filling ------------------------------------------------------------
@@ -418,45 +397,136 @@ def test_hole_fills_reject_a_degenerate_ring_lambda():
     ring = ring_from(uniform_ring(rng)[0])
     degenerate = NinePatchRing(patches=ring.patches, lambdas={**ring.lambdas, "12": 0.0},
                                scale=ring.scale)
-    for fill in (solve_hole_params, fill_hole_deg6):
+    for fill in (fill_hole, fill_hole_deg6):
         with pytest.raises(DegenerateLinkError, match=r"^ring lambda \(12\) is degenerate$"):
             fill(degenerate)
 
 
-def test_solve_hole_params_uniform_defaults():
-    rng = np.random.default_rng(77)
-    patches, _ = uniform_ring(rng)
-    ring = ring_from(patches)
-    params = solve_hole_params(ring, free_choices=(1.0, 1.0, 1.0, 1.0))
-    for i in (2, 4, 6, 8):
-        assert abs(params.beta1[i]) < 1e-12
-        assert abs(params.beta2[i]) < 1e-12
-    assert hole_constraint_residuals(ring, params).max() < 1e-14
+def _pins(build):
+    """The pinned inner ordinates of each net ``build`` assembles, by side.
+
+    Those are kappa's, or lambda's at degree 6.
+    """
+    with assembled_sides() as seen:
+        build()
+    return [[side.kap[1:-1] if m != 6 else side.lam[1:-1] for side in sides] for m, sides in seen]
 
 
-def test_solve_hole_params_beta_algebra():
-    rng = np.random.default_rng(78)
-    patches, _ = uniform_ring(rng)
-    ring = ring_from(patches)
+def test_hole_fill_pins_zero_betas_on_a_uniform_ring():
+    ring = ring_from(uniform_ring(np.random.default_rng(77))[0])
+    (pins,) = _pins(lambda: fill_hole(ring, (1.0, 1.0, 1.0, 1.0)))
+    assert np.abs(pins).max() < 1e-12
+
+
+def test_hole_fill_beta_algebra():
+    ring = ring_from(uniform_ring(np.random.default_rng(78))[0])
     b = 0.23
-    params = solve_hole_params(ring, free_choices=(1.0 + 1.5 * b, 1.0, 1.0, 1.0))
-    assert abs(params.beta1[8] - b) < 1e-12  # right-edge inner ordinate picks up alpha45
-    assert abs(params.beta1[2] - b) < 1e-12
+    (pins,) = _pins(lambda: fill_hole(ring, (1.0 + 1.5 * b, 1.0, 1.0, 1.0)))
+    left, right = pins[0], pins[1]
+    assert abs(right[0] - b) < 1e-12  # right-edge inner ordinate picks up alpha45
+    assert abs(left[0] - b) < 1e-12
 
 
-def test_solve_hole_params_back_substitution_random_rings():
+def _closed_form_pins(lam, alpha):
+    """The hand-derived pins of the (5,5) fill's betas, by side: left, right, bottom, top.
+
+    The beta2 equations carry a minus sign relative to the beta1 ones: the inner
+    kappa ordinate near the far end of an edge lives in that corner's frame,
+    whose edge parameter runs against the edge's own direction.
+    """
+    def pin(a, key, sign):
+        return sign * 2.0 * (a - lam[key]) / (3.0 * lam[key])
+
+    return [[pin(alpha[4], "12", 1), pin(alpha[6], "32", -1)],
+            [pin(alpha[4], "78", 1), pin(alpha[6], "98", -1)],
+            [pin(alpha[2], "14", 1), pin(alpha[8], "74", -1)],
+            [pin(alpha[2], "36", 1), pin(alpha[8], "96", -1)]]
+
+
+@pytest.mark.parametrize("alphas", [None, (1.1, 0.9, 1.2, 0.8)], ids=["default", "given"])
+def test_hole_fill_pins_are_the_closed_form_compatibility_solutions(alphas):
     for seed in range(8):
-        patches, _ = random_ring(np.random.default_rng(900 + seed))
-        ring = ring_from(patches)
-        params = solve_hole_params(ring)
-        assert hole_constraint_residuals(ring, params).max() < 1e-14
+        ring = ring_from(random_ring(np.random.default_rng(900 + seed))[0])
+        ends = _pinned_endpoints(ring)
+        alpha = ({i: 0.5 * (lo + hi) for i, (lo, hi) in ends.items()} if alphas is None
+                 else dict(zip((4, 2, 6, 8), alphas)))
+        (pins,) = _pins(lambda: fill_hole(ring, alphas))
+        np.testing.assert_allclose(pins, _closed_form_pins(ring.lambdas, alpha), rtol=0, atol=1e-13)
+        (pins,) = _pins(lambda: fill_hole_deg6(ring))
+        want = [ends[pos] for pos in (2, 8, 4, 6)]  # the cubic lambdas' inner ordinates: their ends
+        np.testing.assert_allclose(pins, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+def test_fourth_patch_pins_are_the_closed_form_compatibility_solutions(degree):
+    rng = np.random.default_rng(1100 + degree)
+    for _ in range(6):
+        if degree == 5:
+            r1, r2, r4, _, _ = kappa_corner(rng, *rng.uniform(-0.4, 0.4, size=2))
+        else:
+            r1, r2, r4, _, _ = constructive_corner(rng)
+        (lam12, k12), (lam14, k14) = construct._join_constants([
+            (r1, r2, EdgeCorrespondence("u1", "u0")), (r1, r4, EdgeCorrespondence("v1", "v0"))],
+            allow_linear_kappa=True)
+        a23, a43, l23, l43 = rng.uniform(0.5, 2.0, size=4)
+        kwargs = dict(alpha23=a23, alpha43=a43, lambda23_1=l23, lambda43_1=l43, degree=degree)
+        (pins,) = _pins(lambda: complete_fourth_patch(r1, r2, r4, **kwargs))
+        if degree == 5:  # the sides are r4's, then r2's
+            want = [(2.0 * a23 - 2.0 * lam14 - lam14 * k12) / (3.0 * lam14),
+                    (2.0 * a43 - 2.0 * lam12 - lam12 * k14) / (3.0 * lam12)]
+        else:
+            want = [(l23 - lam14) / (2.0 * lam14), (l43 - lam12) / (2.0 * lam12)]
+        np.testing.assert_allclose([p[0] for p in pins], want, rtol=0, atol=1e-13)
+
+
+def test_constructions_close_their_doubly_determined_points_to_round_off():
+    builds = [lambda: complete_fourth_patch(*constructive_corner(np.random.default_rng(1))[:3]),
+              lambda: complete_fourth_patch(*constructive_corner(np.random.default_rng(2))[:3],
+                                            degree=4),
+              lambda: build_fillet(*random_strips(np.random.default_rng(3), 4))]
+    for seed in range(4):
+        ring = ring_from(random_ring(np.random.default_rng(910 + seed))[0])
+        builds += [lambda ring=ring: fill_hole(ring), lambda ring=ring: fill_hole_deg6(ring)]
+    for build in builds:
+        with assembled_sides() as seen:
+            build()
+        for m, sides in seen:
+            scale = bounding_diagonal(*(side.patch for side in sides))
+            assert max(write_gaps(m, sides).values()) < 1e-14 * scale
+
+
+def test_the_solve_does_not_depend_on_the_units_of_its_columns():
+    # a bridge lambda of 1e20 makes the bridges, two of each ring's four neighbours,
+    # 1e20 times the strips' size, and their columns 1e20 times the strips' columns
+    strip_a, strip_b = random_strips(np.random.default_rng(102), 3)
+    with assembled_sides() as seen:
+        middle = build_fillet(strip_a, strip_b, bridge_lambdas=(1e20, 1.0))
+    assert [(p.degree_u, p.degree_v) for p in middle] == [(3, 3), (5, 5), (3, 3)]
+    ((m, sides),) = seen
+    scale = bounding_diagonal(*(side.patch for side in sides))
+    assert max(write_gaps(m, sides).values()) < 1e-14 * scale
+
+
+def test_an_underdetermined_solve_names_its_rank():
+    # a boundary that starts with a repeated point moves its band by nothing at (1,1),
+    # the one doubly determined point that its beta1 reaches, so the solve leaves it unpinned
+    rng = np.random.default_rng(101)
+    _, r2, r4, lam12, lam14 = constructive_corner(rng)
+    net = r2.net.copy()
+    net[1, 3] = net[0, 3]
+    flat = BezierPatch.from_net(net)
+    sides = [_Side(r4, "u1", [lam12] * 3, [0.0, None, 0.0, 0.0]),
+             _Side(flat, "v1", [lam14] * 3, [0.0, None, 0.0, 0.0])]
+    with pytest.raises(CornerConsistencyError,
+                       match=r"^the doubly determined control points pin 1 of 2 "):
+        _assemble(5, bounding_diagonal(r4, flat), sides)
 
 
 def test_fill_hole_uniform_matches_elevated_center():
     rng = np.random.default_rng(79)
     patches, center = uniform_ring(rng)
     ring = ring_from(patches)
-    fill = fill_hole(ring, solve_hole_params(ring, free_choices=(1, 1, 1, 1)))
+    fill = fill_hole(ring, (1, 1, 1, 1))
     up = elevation_matrix(3, 5)
     elevated = np.einsum("ik,klc,jl->ijc", up, center.net, up)
     assert np.abs(fill.net[:, :2] - elevated[:, :2]).max() < 1e-11
@@ -483,35 +553,6 @@ def test_fill_hole_vertex_compatibility():
     config = CornerConfig.from_patches(patches[1], patches[4], fill, patches[2])
     rep = check_vertex_g1(config)
     assert rep.ok and rep.g1_residuals.max() < 1e-8
-
-
-def test_hole_twist_checks_consistent():
-    rng = np.random.default_rng(81)
-    patches, _ = random_ring(rng)
-    ring = ring_from(patches)
-    checks = hole_twist_checks(ring)
-    assert set(checks) == {"bottom-left", "bottom-right", "top-left", "top-right"}
-    for t in checks.values():
-        assert t.difference < 1e-10 * ring.scale
-
-
-def test_hole_twist_checks_deg6():
-    # with the pinned cubic lambdas of the (6,6) fill, the twists agree at all
-    # four corners and equal 36 times the filled net's own twist
-    patches, _ = random_ring(np.random.default_rng(81))
-    ring = ring_from(patches)
-    ends = _pinned_endpoints(ring)
-    params = HoleFillParams(mode="deg6", alpha={},
-                            alpha1={i: lo for i, (lo, _) in ends.items()},
-                            alpha2={i: hi for i, (_, hi) in ends.items()})
-    checks = hole_twist_checks(ring, params)
-    assert set(checks) == {"bottom-left", "bottom-right", "top-left", "top-right"}
-    for t in checks.values():
-        assert t.difference < 1e-10 * ring.scale
-    q = fill_hole_deg6(ring).net
-    np.testing.assert_allclose(checks["bottom-left"].q23,
-                               36 * (q[1, 1] - q[1, 0] - q[0, 1] + q[0, 0]),
-                               atol=1e-10 * ring.scale)
 
 
 def test_fill_hole_deg6_uniform():

@@ -1,11 +1,12 @@
-"""Golden construction nets and twists: every construction path against stored values.
+"""Golden construction nets: every construction path against stored values.
 
-``tests/data/construction_nets.json`` holds the nets and twist vectors these
-cases produced before the constructions shared one side spec and one
-assembler.  Assembly order and the Bernstein product only move round-off,
-so nets must agree to 1e-14 times their diagonal and twists to 1e-12
-relative.  Running this file as a script rewrites the data from the
-current code; do that only to add a case, never to absorb a difference.
+``tests/data/construction_nets.json`` holds the nets these cases produced
+before the constructions shared one side spec and one assembler, when each
+free link ordinate was pinned by its own closed-form formula.  Assembly
+order, the Bernstein product and the least-squares pins only move
+round-off, so nets must agree to 1e-14 times their diagonal.  Running this
+file as a script rewrites the data from the current code; do that only to
+add a case, never to absorb a difference.
 """
 
 import json
@@ -17,15 +18,11 @@ import pytest
 
 from smoothpatch.bezier import BezierPatch, bounding_diagonal
 from smoothpatch.construct import (
-    LinkCoefficients,
     NinePatchRing,
     build_fillet,
     complete_fourth_patch,
     fill_hole,
     fill_hole_deg6,
-    fourth_patch_twist_check,
-    hole_twist_checks,
-    solve_hole_params,
 )
 
 from helpers import constructive_corner, kappa_corner, random_ring, random_strips, split_corner
@@ -66,7 +63,7 @@ def _hole_deg5_default():
 
 def _hole_deg5_given_alphas():
     ring = _ring(1006)
-    return {"nets": [fill_hole(ring, solve_hole_params(ring, (1.1, 0.9, 1.2, 0.8)))]}
+    return {"nets": [fill_hole(ring, (1.1, 0.9, 1.2, 0.8))]}
 
 
 def _hole_deg6():
@@ -76,30 +73,6 @@ def _hole_deg6():
 def _fillet(seed, n_rows):
     strip_a, strip_b = random_strips(np.random.default_rng(seed), n_rows)
     return {"nets": build_fillet(strip_a, strip_b, bridge_lambdas=(1.3, 0.8))}
-
-
-def _fourth_twists():
-    _, r2, r4, lam12, lam14 = constructive_corner(np.random.default_rng(1010))
-    out = {}
-    for delta in (0.0, 0.01):
-        alpha23, alpha43 = 1.2 * lam14, 0.9 * lam12
-        c23 = LinkCoefficients(lam14, alpha23, lam14, 0.0,
-                               2 * (alpha43 - lam12) / (3 * lam12) + delta, 0.0, 0.0)
-        c43 = LinkCoefficients(lam12, alpha43, lam12, 0.0,
-                               2 * (alpha23 - lam14) / (3 * lam14), 0.0, 0.0)
-        t = fourth_patch_twist_check(r2, r4, c23, c43)
-        out[f"delta={delta}"] = [t.q23, t.q43]
-    return {"twists": out}
-
-
-def _hole_twists():
-    ring = _ring(1011)
-    out = {}
-    for label, params in (("default", None),
-                          ("alphas", solve_hole_params(ring, (1.1, 0.9, 1.2, 0.8)))):
-        for corner, t in hole_twist_checks(ring, params).items():
-            out[f"{label}/{corner}"] = [t.q23, t.q43]
-    return {"twists": out}
 
 
 CASES = {
@@ -112,19 +85,11 @@ CASES = {
     "hole_deg6": _hole_deg6,
     "fillet_n3": lambda: _fillet(1008, 3),
     "fillet_n4_three_sided": lambda: _fillet(1009, 4),
-    "fourth_patch_twist_check": _fourth_twists,
-    "hole_twist_checks": _hole_twists,
 }
 
 
 def _as_data(result):
-    data = {}
-    if "nets" in result:
-        data["nets"] = [p.net.tolist() for p in result["nets"]]
-    if "twists" in result:
-        data["twists"] = {k: [np.asarray(q).tolist() for q in pair]
-                          for k, pair in result["twists"].items()}
-    return data
+    return {"nets": [p.net.tolist() for p in result["nets"]]}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -132,16 +97,11 @@ def test_construction_matches_golden(case):
     want = json.loads(GOLDEN.read_text())[case]
     got = _as_data(CASES[case]())
     assert got.keys() == want.keys()
-    for g, w in zip(got.get("nets", []), want.get("nets", []), strict=True):
+    for g, w in zip(got["nets"], want["nets"], strict=True):
         g, w = np.array(g), np.array(w)
         assert g.shape == w.shape
         scale = bounding_diagonal(BezierPatch.from_net(w))
         assert np.abs(g - w).max() <= 1e-14 * scale
-    assert got.get("twists", {}).keys() == want.get("twists", {}).keys()
-    for key, pair in want.get("twists", {}).items():
-        for g, w in zip(got["twists"][key], pair, strict=True):
-            g, w = np.array(g), np.array(w)
-            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w), key
 
 
 if __name__ == "__main__":

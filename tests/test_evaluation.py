@@ -23,7 +23,7 @@ from smoothpatch.bezier import (
     split_patch,
 )
 from smoothpatch.cli import find_corner_configs, main
-from smoothpatch.construct import NinePatchRing, _Side, build_fillet, complete_fourth_patch
+from smoothpatch.construct import NinePatchRing, _points, build_fillet, complete_fourth_patch
 from smoothpatch.continuity import (
     SOLVE_SAMPLES,
     VERIFY_SAMPLES,
@@ -178,7 +178,7 @@ def test_side_view_and_side_points_follow_the_index_formulas(degrees, side, rev)
     for offset in range(n + 1):
         k = offset if side[1] == "1" else n - offset
         want = [(n + 1) * k + t if side[0] == "u" else (n + 1) * t + k for t in range(n + 1)]
-        assert _Side(None, side, None, None).points(n, offset).tolist() == want
+        assert _points(n, side, offset).tolist() == want
 
 
 def test_basis_matrix_is_cached_and_read_only():

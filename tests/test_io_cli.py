@@ -950,7 +950,7 @@ def test_find_corner_configs_on_grid():
 
 def test_find_corner_configs_handles_reoriented_patches():
     # same grid, but one patch stored flipped: its records carry the orientation
-    from smoothpatch.bezier import flip_u, flip_v
+    from helpers import flip_u, flip_v
 
     rng = np.random.default_rng(112)
     g = smooth_patch(rng, span=2.0, z_scale=0.3)

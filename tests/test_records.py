@@ -17,7 +17,7 @@ import pytest
 
 from smoothpatch.bezier import BezierPatch, _Record
 from smoothpatch.cli import main
-from smoothpatch.construct import HoleFillParams, LinkCoefficients, NinePatchRing, TwistCheck
+from smoothpatch.construct import NinePatchRing
 from smoothpatch.continuity import CompatReport, CornerConfig, EdgeChecks, EdgeCorrespondence
 from smoothpatch.surfio import SurfaceDocument
 
@@ -41,17 +41,12 @@ RECORDS = {
     CompatReport: ({"g1_residuals": np.zeros(4), "lambda_product_residual": 0.0, "ok": True},
                    dict.fromkeys(["g2_residuals", "g2_ok", "vertex_values"]), False),
     SurfaceDocument: ({"patches": {"p": _PATCH}}, {"edges": [], "version": 1}, False),
-    LinkCoefficients: ({"lambda0": 1.0, "alpha": 1.5, "lambda1": 2.0},
-                       dict.fromkeys(["kappa0", "beta1", "beta2", "kappa1"], 0.0), True),
-    TwistCheck: ({"q23": np.ones(3), "q43": np.ones(3)}, {}, True),
     NinePatchRing: ({"patches": {1: _PATCH}, "lambdas": {"12": 1.0}, "scale": 2.0}, {}, False),
-    HoleFillParams: ({"mode": "deg5", "alpha": {2: 0.5}},
-                     dict.fromkeys(["beta1", "beta2", "alpha1", "alpha2"], {}), True),
 }
 CLASSES = list(RECORDS)
 # values given to some defaulted fields in place of their defaults
-_OTHER = {"reversed": True, "a": "p", "b": "q", "g2_ok": False, "kappa0": 0.25,
-          "beta1": {4: 0.5}, "edges": [EdgeCorrespondence("u1", "u0", a="p", b="p")]}
+_OTHER = {"reversed": True, "a": "p", "b": "q", "g2_ok": False,
+          "edges": [EdgeCorrespondence("u1", "u0", a="p", b="p")]}
 
 
 def _fields(cls):
@@ -93,10 +88,9 @@ def test_positional_keyword_and_default_binding_agree(cls):
             assert getattr(record, name) is required[name]
 
 
-@pytest.mark.parametrize("cls", [SurfaceDocument, HoleFillParams], ids=lambda c: c.__name__)
-def test_each_record_gets_a_fresh_default_container(cls):
-    one, two = _make(cls), _make(cls)
-    for name, default in RECORDS[cls][1].items():
+def test_each_record_gets_a_fresh_default_container():
+    one, two = _make(SurfaceDocument), _make(SurfaceDocument)
+    for name, default in RECORDS[SurfaceDocument][1].items():
         if isinstance(default, (list, dict)):
             assert getattr(one, name) == default and getattr(one, name) is not getattr(two, name)
 
@@ -156,11 +150,6 @@ def test_value_records_compare_and_hash_by_their_fields():
     assert corr == EdgeCorrespondence("u1", "u0", reversed=True, a="p", b="q")
     assert corr != EdgeCorrespondence("u1", "u0", reversed=False, a="p", b="q")
     assert len({corr, EdgeCorrespondence("u1", "u0", True, "p", "q")}) == 1
-    link = LinkCoefficients(1.0, 1.5, 2.0, beta1=0.5)
-    assert link == LinkCoefficients(1.0, 1.5, 2.0, 0.0, 0.5) and hash(link) == hash(
-        LinkCoefficients(1.0, 1.5, 2.0, 0.0, 0.5))
-    assert link != LinkCoefficients(1.0, 1.5, 2.0)
-    assert HoleFillParams("deg5", {2: 0.5}) == HoleFillParams("deg5", {2: 0.5}, {}, {})
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

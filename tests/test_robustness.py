@@ -242,3 +242,68 @@ def test_fuzzed_documents_give_an_exit_code_and_stable_reports(raw, command):
         rows = report["edges"] + report["vertices"]
         assert not any(row["ok"] for row in rows if _non_finite(row))
         assert (report["overall"] == "pass") == (code == 0) == all(row["ok"] for row in rows)
+
+
+# --- construction flags -------------------------------------------------------
+
+_CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+# each construction command before -o, and its float flags: name and number of values
+_CONSTRUCTIONS = {
+    "complete-4patch": (["complete-4patch", "corner.json"],
+                        [(flag, 1) for flag in ("--alpha23", "--alpha43", "--lambda23-1",
+                                                "--lambda43-1", "--kappa23-1", "--kappa43-1",
+                                                "--beta2-23", "--beta2-43")]),
+    "fill-hole": (["fill-hole", "ring.json"], [("--alpha", 4)]),
+    "fillet": (["fillet", "strip_a.json", "strip_b.json", "-n", "4"],
+               [("--lambda-left", 1), ("--lambda-right", 1)]),
+}
+# a magnitude in [1e-300, 1e308], with either sign
+_FLAG_VALUES = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+                         st.floats(1e-300, 1e308) | st.sampled_from([1e-300, 1e200, 1e308]))
+
+
+def _construct(argv):
+    """(exit code, stdout, stderr, whether it wrote) of a construction command run in-process.
+
+    The command's data paths are in ``tests/data/cli_golden``; any warning is an error.
+    """
+    argv = [str(_CLI_GOLDEN / arg) if arg.endswith(".json") else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv + ["-o", str(Path(tmp) / "out.json")])
+        written = (Path(tmp) / "out.json").exists()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@pytest.mark.parametrize("argv", [
+    ["complete-4patch", "corner.json", "--alpha23", "1e308"],
+    ["complete-4patch", "corner.json", "--alpha23", "1e200"],
+    ["fill-hole", "ring.json", "--alpha", "1e200", "1", "1", "1"],
+    ["fill-hole", "ring.json", "--alpha", "1e308", "1", "1", "1"],
+], ids=lambda argv: " ".join(argv[2:]))
+def test_an_overflowing_prescribed_ordinate_is_a_named_failure(argv):
+    # these were a ValueError traceback or an overflow or invalid-value RuntimeWarning
+    code, out, err, written = _construct(argv)
+    assert (code, out, written) == (2, "", False)
+    assert err.startswith("continuity failure: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", sorted(_CONSTRUCTIONS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_construction_float_flags_give_a_patch_or_one_named_error(command, data):
+    # any float flags at any magnitude up to the largest float: the command writes
+    # its document, or stops with one named error line; a warning is an error
+    argv, flags = _CONSTRUCTIONS[command]
+    for flag, n in flags:
+        if data.draw(st.booleans(), label=f"set {flag}"):
+            values = data.draw(st.lists(_FLAG_VALUES, min_size=n, max_size=n), label=flag)
+            # positional notation: argparse reads "-1e-300" as an option
+            argv = argv + [flag, *(np.format_float_positional(v, trim="-") for v in values)]
+    code, out, err, written = _construct(argv)
+    assert (code == 0) == written
+    if code != 0:
+        assert code in (1, 2) and out == "" and len(err.splitlines()) == 1
+        assert err.startswith(("error: ", "continuity failure: "))
