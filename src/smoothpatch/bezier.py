@@ -39,21 +39,12 @@ __all__ = [
     "bounding_diagonal",
 ]
 
-# Binomials are tabulated up to degree 16, which covers the (6,6)
-# constructions and their Bernstein products; higher degrees use math.comb.
-_MAX_DEGREE = 16
-_BINOM = tuple(tuple(math.comb(n, k) for k in range(n + 1)) for n in range(_MAX_DEGREE + 1))
-
 SIDES = ("u0", "u1", "v0", "v1")
 
 
 def binom(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); 0 outside the valid range."""
-    if k < 0 or k > n:
-        return 0
-    if n <= _MAX_DEGREE:
-        return _BINOM[n][k]
-    return math.comb(n, k)
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def bernstein_basis(n: int, t) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -32,9 +33,9 @@ from .continuity import (
     check_vertex_g1,
     check_vertex_g2,
 )
-from .construct import NinePatchRing, build_fillet, complete_fourth_patch, fill_hole, fill_hole_deg6
+from .construct import (_CORNER_JOINS, _RING_POSITIONS, NinePatchRing, build_fillet,
+                        complete_fourth_patch, fill_hole, fill_hole_deg6)
 from .surfio import (
-    FORMAT_VERSION,
     SurfaceDocument,
     SurfaceFormatError,
     dumps_json,
@@ -195,43 +196,35 @@ def _edges_off(edges, name: str, sides) -> list:
             if not ((c.a == name and c.a_side in sides) or (c.b == name and c.b_side in sides))]
 
 
+# complete-4patch's float flags: each keyword of complete_fourth_patch but ``degree``, and its
+# default; the flag of lambda23_1 is --lambda23-1
+_COMPLETE_FLAGS = (("alpha23", None), ("alpha43", None), ("lambda23_1", None), ("lambda43_1", None),
+                   ("kappa23_1", 0.0), ("kappa43_1", 0.0), ("beta2_23", 0.0), ("beta2_43", 0.0))
+
+
 def _cmd_complete(args) -> int:
     doc = load_surface(args.surface)
-    kwargs = {}
-    for flag in ("alpha23", "alpha43", "lambda23_1", "lambda43_1"):
-        value = getattr(args, flag)
-        if value is not None:
-            kwargs[flag] = value
-    kwargs.update(
-        kappa23_1=args.kappa23_1, kappa43_1=args.kappa43_1,
-        beta2_23=args.beta2_23, beta2_43=args.beta2_43, degree=args.degree,
-    )
-    r3 = complete_fourth_patch(doc.patch("r1"), doc.patch("r2"), doc.patch("r4"), **kwargs)
+    r3 = complete_fourth_patch(doc.patch("r1"), doc.patch("r2"), doc.patch("r4"),
+                               degree=args.degree, **{k: getattr(args, k) for k, _ in _COMPLETE_FLAGS})
     patches = dict(doc.patches)
     patches["r3"] = r3
     edges = _edges_off(doc.edges, "r3", ("u0", "v0"))
     # the construction verified both corner joins: record them when missing,
     # so that check commands see (and check) the vertex it closes
     glued = {(c.a, c.a_side) for c in edges} | {(c.b, c.b_side) for c in edges}
-    for corr in (EdgeCorrespondence("u1", "u0", False, "r1", "r2"),
-                 EdgeCorrespondence("v1", "v0", False, "r1", "r4")):
-        if not {(corr.a, corr.a_side), (corr.b, corr.b_side)} & glued:
-            edges.append(corr)
+    edges += [c for c in _CORNER_JOINS if not {(c.a, c.a_side), (c.b, c.b_side)} & glued]
     edges += [
         EdgeCorrespondence("v1", "v0", False, "r2", "r3"),
         EdgeCorrespondence("u1", "u0", False, "r4", "r3"),
     ]
-    save_surface(SurfaceDocument(patches, edges, FORMAT_VERSION), args.output)
+    save_surface(SurfaceDocument(patches, edges), args.output)
     print(f"wrote {args.output} (r3 bi-degree ({r3.degree_u}, {r3.degree_v}))")
     return 0
 
 
-_RING_NAMES = {pos: f"r{pos}" for pos in (1, 2, 3, 4, 6, 7, 8, 9)}
-
-
 def _cmd_fill_hole(args) -> int:
     doc = load_surface(args.surface)
-    patches = {pos: doc.patch(name) for pos, name in _RING_NAMES.items()}
+    patches = {pos: doc.patch(f"r{pos}") for pos in _RING_POSITIONS}
     ring = NinePatchRing.from_patches(patches)
     if args.deg6:
         if args.alpha is not None:
@@ -247,7 +240,7 @@ def _cmd_fill_hole(args) -> int:
         EdgeCorrespondence("v1", "v0", False, "r5", "r6"),
         EdgeCorrespondence("u1", "u0", False, "r5", "r8"),
     ]
-    save_surface(SurfaceDocument(out_patches, edges, FORMAT_VERSION), args.output)
+    save_surface(SurfaceDocument(out_patches, edges), args.output)
     print(f"wrote {args.output} (r5 bi-degree ({r5.degree_u}, {r5.degree_v}))")
     return 0
 
@@ -264,21 +257,15 @@ def _cmd_fillet(args) -> int:
         )
     middle = build_fillet(strip_a, strip_b, n,
                           bridge_lambdas=(args.lambda_left, args.lambda_right))
-    strip_a, strip_b = strip_a[:n], strip_b[:n]
-    patches = {}
-    edges = []
-    for r in range(n):
-        patches[f"r{1 + 3 * r}"] = strip_a[r]
-        patches[f"r{2 + 3 * r}"] = middle[r]
-        patches[f"r{3 + 3 * r}"] = strip_b[r]
-    for r in range(n):
-        edges.append(EdgeCorrespondence("u1", "u0", False, f"r{1 + 3 * r}", f"r{2 + 3 * r}"))
-        edges.append(EdgeCorrespondence("u1", "u0", False, f"r{2 + 3 * r}", f"r{3 + 3 * r}"))
-    for r in range(n - 1):
-        for c in range(3):
-            edges.append(EdgeCorrespondence("v1", "v0", False, f"r{1 + c + 3 * r}",
-                                            f"r{1 + c + 3 * (r + 1)}"))
-    save_surface(SurfaceDocument(patches, edges, FORMAT_VERSION), args.output)
+    # the names of the 3 x n grid, row by row: strip a, the middle column, strip b
+    grid = [[f"r{c + 3 * r}" for c in (1, 2, 3)] for r in range(n)]
+    patches = {name: p for names, row in zip(grid, zip(strip_a, middle, strip_b))
+               for name, p in zip(names, row)}
+    edges = [EdgeCorrespondence("u1", "u0", False, a, b)
+             for row in grid for a, b in zip(row, row[1:])]
+    edges += [EdgeCorrespondence("v1", "v0", False, a, b)
+              for row, above in zip(grid, grid[1:]) for a, b in zip(row, above)]
+    save_surface(SurfaceDocument(patches, edges), args.output)
     print(f"wrote {args.output} ({len(middle)} fillet patches)")
     return 0
 
@@ -309,10 +296,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and the class of its subparsers, that reads -1e-3 as a number, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and kept for the process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smoothpatch",
         description="Verify and construct G1/G2-smooth multi-patch Bezier surfaces.",
     )
@@ -327,14 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete-4patch", help="construct the diagonal patch of a G1 corner")
     p.add_argument("surface", help="document containing patches r1, r2, r4")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--alpha23", type=_finite_float, default=None)
-    p.add_argument("--alpha43", type=_finite_float, default=None)
-    p.add_argument("--lambda23-1", dest="lambda23_1", type=_finite_float, default=None)
-    p.add_argument("--lambda43-1", dest="lambda43_1", type=_finite_float, default=None)
-    p.add_argument("--kappa23-1", dest="kappa23_1", type=_finite_float, default=0.0)
-    p.add_argument("--kappa43-1", dest="kappa43_1", type=_finite_float, default=0.0)
-    p.add_argument("--beta2-23", dest="beta2_23", type=_finite_float, default=0.0)
-    p.add_argument("--beta2-43", dest="beta2_43", type=_finite_float, default=0.0)
+    for key, default in _COMPLETE_FLAGS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_finite_float, default=default)
     p.add_argument("--degree", type=int, choices=(4, 5), default=5)
     p.set_defaults(func=_cmd_complete)
 
@@ -371,15 +360,12 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SurfaceFormatError as exc:
+    except (SurfaceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GeometryError as exc:
         print(f"continuity failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

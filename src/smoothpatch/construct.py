@@ -277,7 +277,7 @@ def _assemble(m: int, scale: float, sides) -> np.ndarray:
 
 
 def _finish(net, rule) -> BezierPatch:
-    """Set the free interior of an assembled net by ``rule``."""
+    """Set the free interior of a net by ``rule``; a point it leaves not finite is named."""
     m = net.shape[0] - 1
     with np.errstate(over="ignore", invalid="ignore"):
         net = rule(net)
@@ -290,6 +290,11 @@ def _finish(net, rule) -> BezierPatch:
 
 # ---------------------------------------------------------------------------
 # fourth patch completion
+
+# the corner joins the completion verifies: r1 to r2 on its right, r1 to r4 above
+_CORNER_JOINS = (EdgeCorrespondence("u1", "u0", False, "r1", "r2"),
+                 EdgeCorrespondence("v1", "v0", False, "r1", "r4"))
+
 
 def complete_fourth_patch(
     r1: BezierPatch,
@@ -324,10 +329,8 @@ def complete_fourth_patch(
         _require_bicubic(name, p)
     if degree not in (4, 5):
         raise ValueError("fourth-patch degree must be 4 or 5")
-    (lam12, kap12_0), (lam14, kap14_0) = _join_constants([
-        (r1, r2, EdgeCorrespondence("u1", "u0", False, "r1", "r2")),
-        (r1, r4, EdgeCorrespondence("v1", "v0", False, "r1", "r4")),
-    ], allow_linear_kappa=True)
+    (lam12, kap12_0), (lam14, kap14_0) = _join_constants(
+        [(r1, p, corr) for p, corr in zip((r2, r4), _CORNER_JOINS)], allow_linear_kappa=True)
     scale = bounding_diagonal(r1, r2, r4)
 
     if alpha23 is None:
@@ -526,13 +529,16 @@ def fill_hole_deg6(ring: NinePatchRing) -> BezierPatch:
 # fillet surfaces
 
 def _bridge_patch(left: BezierPatch, right: BezierPatch, lam_a: float, lam_b: float):
-    """Bi-cubic patch joining left's u=1 edge to right's u=0 edge, G1 both ways."""
-    net = np.empty((4, 4, 3))
-    net[0] = left.net[3]
-    net[3] = right.net[0]
-    net[1] = net[0] + lam_a * (left.net[3] - left.net[2])
-    net[2] = net[3] - (right.net[1] - right.net[0]) / lam_b
-    return BezierPatch(3, 3, net)
+    """Bi-cubic patch joining left's u=1 edge to right's u=0 edge, G1 both ways.
+
+    Its interior rule writes the two band rows, so ``_finish`` names a point that overflows.
+    """
+    def bands(net):  # net holds the two boundary rows, each twice
+        net[1] = net[0] + lam_a * (net[0] - left.net[2])
+        net[2] = net[3] - (right.net[1] - net[3]) / lam_b
+        return net
+
+    return _finish(np.stack([left.net[3]] * 2 + [right.net[0]] * 2), bands)
 
 
 def _continue_side_bands(net):

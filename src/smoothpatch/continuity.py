@@ -47,7 +47,7 @@ import warnings
 
 import numpy as np
 
-from .bezier import BezierPatch, _diagonals, _edge_jets, _frozen, _Record
+from .bezier import SIDES, BezierPatch, _diagonals, _edge_jets, _frozen, _Record
 
 __all__ = [
     "G0_TOL",
@@ -127,7 +127,7 @@ class EdgeCorrespondence(_Record, eq=True):
 
     def __post_init__(self):
         for s in (self.a_side, self.b_side):
-            if s not in ("u0", "u1", "v0", "v1"):
+            if s not in SIDES:
                 raise ValueError(f"unknown side {s!r}")
 
 

@@ -55,18 +55,16 @@ class SurfaceDocument(_Record):
 
     Patch names are non-empty and hold no control character (Unicode category Cc, line
     breaks among them) and no surrogate (U+D800-U+DFFF, which UTF-8 cannot encode), each
-    edge joins two different sides, no two edges join the same pair of sides, and the
-    version is ``FORMAT_VERSION``: every document that constructs saves and loads back.
+    edge joins two different sides, and no two edges join the same pair of sides: every
+    document that constructs saves and loads back, as version ``FORMAT_VERSION``.
     ``patches`` maps name to BezierPatch in insertion order, and ``edges`` holds
     EdgeCorrespondence records with names.
     """
 
-    __slots__ = ("patches", "edges", "version")
-    _defaults = {"edges": list, "version": FORMAT_VERSION}
+    __slots__ = ("patches", "edges")
+    _defaults = {"edges": list}
 
     def __post_init__(self):
-        if type(self.version) is not int or self.version != FORMAT_VERSION:
-            raise SurfaceFormatError(f"version: expected {FORMAT_VERSION}, got {self.version!r}")
         for k, name in enumerate(self.patches):
             if not isinstance(name, str) or not _NAME.fullmatch(name):
                 raise SurfaceFormatError(f"patches[{k}].name: must be a non-empty string without "
@@ -117,7 +115,7 @@ def _document_dict(doc: SurfaceDocument) -> dict:
          "reversed": bool(c.reversed)}
         for c in doc.edges
     ]
-    return {"version": doc.version, "patches": patches, "edges": edges}
+    return {"version": FORMAT_VERSION, "patches": patches, "edges": edges}
 
 
 def save_surface(doc: SurfaceDocument, path) -> None:
@@ -211,7 +209,7 @@ def load_surface(path) -> SurfaceDocument:
         if not isinstance(rev, bool):
             raise SurfaceFormatError(f"edges[{k}].reversed: must be a boolean")
         edges.append(EdgeCorrespondence(entry["a_side"], entry["b_side"], rev, entry["a"], entry["b"]))
-    return SurfaceDocument(patches, edges, FORMAT_VERSION)
+    return SurfaceDocument(patches, edges)
 
 
 # OBJ text.  Every number is written as ``'%.17g' % x`` or ``'%d' % i`` writes it, but for

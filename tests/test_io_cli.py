@@ -1,8 +1,10 @@
 """Serialization, OBJ export and command-line interface tests."""
 
 import functools
+import inspect
 import json
 import math
+import re
 import struct
 import sys
 import tempfile
@@ -27,7 +29,7 @@ from smoothpatch.bezier import (
     split_grid,
     split_patch,
 )
-from smoothpatch.cli import find_corner_configs, main
+from smoothpatch.cli import _COMPLETE_FLAGS, _build_parser, find_corner_configs, main
 from smoothpatch.continuity import (
     SOLVE_SAMPLES,
     VERIFY_SAMPLES,
@@ -35,8 +37,9 @@ from smoothpatch.continuity import (
     EdgeCorrespondence,
     check_edges,
 )
-from smoothpatch.construct import NinePatchRing
+from smoothpatch.construct import NinePatchRing, complete_fourth_patch
 from smoothpatch.surfio import (
+    FORMAT_VERSION,
     SurfaceDocument,
     SurfaceFormatError,
     dumps_json,
@@ -143,7 +146,7 @@ def test_roundtrip_preserves_values_exactly(doc):
 
 @st.composite
 def _any_documents(draw):
-    """Documents of any names, edge records between them and version, valid or not."""
+    """Documents of any names and edge records between them, valid or not."""
     patch = minimal_doc().patch("flat")
     names = draw(st.lists(st.text(max_size=3), max_size=3, unique=True))
     edges = []
@@ -152,24 +155,24 @@ def _any_documents(draw):
         for (a, a_side), (b, b_side), rev in draw(st.lists(
                 st.tuples(ends, ends, st.booleans()), max_size=3)):
             edges.append(EdgeCorrespondence(a_side, b_side, rev, a=a, b=b))
-    version = draw(st.sampled_from([1, 1, 1, 2, 0, True]))
-    return dict.fromkeys(names, patch), edges, version
+    return dict.fromkeys(names, patch), edges
 
 
 @settings(max_examples=150, deadline=None)
 @given(_any_documents())
 def test_every_document_that_constructs_saves_and_loads_back(parts):
-    patches, edges, version = parts
+    patches, edges = parts
     try:
-        doc = SurfaceDocument(patches=patches, edges=edges, version=version)
+        doc = SurfaceDocument(patches=patches, edges=edges)
     except SurfaceFormatError:
         return
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         save_surface(doc, path)
         again = load_surface(path)
+        version = json.loads(path.read_text(encoding="utf-8"))["version"]
     assert list(again.patches) == list(doc.patches) and again.edges == doc.edges
-    assert again.version == doc.version
+    assert version == FORMAT_VERSION  # the one version the loader accepts
 
 
 def test_a_loaded_net_is_a_read_only_view_of_one_array(tmp_path):
@@ -682,6 +685,20 @@ def test_cli_complete_4patch(tmp_path, capsys):
     vertex_rows = [line for line in lines if line.startswith("vertex ")]
     assert len(vertex_rows) == 1
     assert vertex_rows[0].startswith("vertex (r1, r2, r3, r4)") and vertex_rows[0].endswith("PASS")
+
+
+def test_complete_4patch_flags_are_the_keywords_of_complete_fourth_patch(capsys):
+    # one table builds the parser's flags and the call's keywords: it is the function's
+    # keyword-only parameters but degree, with their defaults, in order
+    params = inspect.signature(complete_fourth_patch).parameters.values()
+    assert list(_COMPLETE_FLAGS) == [(p.name, p.default) for p in params
+                                     if p.kind is p.KEYWORD_ONLY and p.name != "degree"]
+    args = vars(_build_parser().parse_args(["complete-4patch", "in.json", "-o", "out.json"]))
+    assert {key: args[key] for key, _ in _COMPLETE_FLAGS} == dict(_COMPLETE_FLAGS)
+    assert main(["complete-4patch", "--help"]) == 0
+    assert re.findall(r"^  (-[\w-]+)", capsys.readouterr().out, re.M) == [
+        "-h", "-o", "--alpha23", "--alpha43", "--lambda23-1", "--lambda43-1", "--kappa23-1",
+        "--kappa43-1", "--beta2-23", "--beta2-43", "--degree"]
 
 
 def test_cli_fillet(tmp_path):

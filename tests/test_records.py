@@ -40,7 +40,7 @@ RECORDS = {
     CornerConfig: ({"values": {"12": {"lam": 1.0, "kap": 0.0}}}, {}, False),
     CompatReport: ({"g1_residuals": np.zeros(4), "lambda_product_residual": 0.0, "ok": True},
                    dict.fromkeys(["g2_residuals", "g2_ok", "vertex_values"]), False),
-    SurfaceDocument: ({"patches": {"p": _PATCH}}, {"edges": [], "version": 1}, False),
+    SurfaceDocument: ({"patches": {"p": _PATCH}}, {"edges": []}, False),
     NinePatchRing: ({"patches": {1: _PATCH}, "lambdas": {"12": 1.0}, "scale": 2.0}, {}, False),
 }
 CLASSES = list(RECORDS)

@@ -262,10 +262,23 @@ _FLAG_VALUES = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
                          st.floats(1e-300, 1e308) | st.sampled_from([1e-300, 1e200, 1e308]))
 
 
+@pytest.fixture(scope="module")
+def strips_x1000(tmp_path_factory):
+    """Absolute paths of the fillet's two strips scaled by 1000."""
+    folder = tmp_path_factory.mktemp("strips_x1000")
+    for name in ("strip_a.json", "strip_b.json"):
+        doc = load_surface(_CLI_GOLDEN / name)
+        patches = {key: BezierPatch(p.degree_u, p.degree_v, 1000.0 * p.net)
+                   for key, p in doc.patches.items()}
+        save_surface(SurfaceDocument(patches, doc.edges), folder / name)
+    return [str(folder / "strip_a.json"), str(folder / "strip_b.json")]
+
+
 def _construct(argv):
     """(exit code, stdout, stderr, whether it wrote) of a construction command run in-process.
 
-    The command's data paths are in ``tests/data/cli_golden``; any warning is an error.
+    The command's relative data paths are in ``tests/data/cli_golden``; any warning is an
+    error.
     """
     argv = [str(_CLI_GOLDEN / arg) if arg.endswith(".json") else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -290,18 +303,39 @@ def test_an_overflowing_prescribed_ordinate_is_a_named_failure(argv):
     assert err.startswith("continuity failure: ") and len(err.splitlines()) == 1
 
 
+def test_an_overflowing_fillet_bridge_is_a_named_failure(strips_x1000):
+    # this was a ValueError traceback, or under -W error an overflow RuntimeWarning
+    code, out, err, written = _construct(["fillet", *strips_x1000, "-n", "4",
+                                          "--lambda-left", "1e307"])
+    assert (code, out, written) == (2, "", False)
+    assert err.startswith("continuity failure: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["complete-4patch", "corner.json", "--alpha23", "-1e-3"],
+    ["fill-hole", "ring.json", "--alpha", "-1e-1", "1", "1", "1"],
+    ["fill-hole", "ring.json", "--alpha", "-1E+0", "-.5", "-2.5e-3", "1"],
+], ids=lambda argv: " ".join(argv[2:]))
+def test_a_negative_value_in_exponent_notation_is_a_value(argv):
+    # these were read as options: "expected one argument", "expected 4 arguments"
+    code, out, err, written = _construct(argv)
+    assert (code, err, written) == (0, "", True)
+
+
 @pytest.mark.parametrize("command", sorted(_CONSTRUCTIONS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_construction_float_flags_give_a_patch_or_one_named_error(command, data):
-    # any float flags at any magnitude up to the largest float: the command writes
-    # its document, or stops with one named error line; a warning is an error
+def test_construction_float_flags_give_a_patch_or_one_named_error(command, data, strips_x1000):
+    # any float flags at any magnitude up to the largest float, and for the fillet strips
+    # at two scales: the command writes its document, or stops with one named error
+    # line; a warning is an error
     argv, flags = _CONSTRUCTIONS[command]
+    if command == "fillet" and data.draw(st.booleans(), label="strips x1000"):
+        argv = [argv[0], *strips_x1000, *argv[3:]]
     for flag, n in flags:
         if data.draw(st.booleans(), label=f"set {flag}"):
             values = data.draw(st.lists(_FLAG_VALUES, min_size=n, max_size=n), label=flag)
-            # positional notation: argparse reads "-1e-300" as an option
-            argv = argv + [flag, *(np.format_float_positional(v, trim="-") for v in values)]
+            argv = argv + [flag, *map(repr, values)]
     code, out, err, written = _construct(argv)
     assert (code == 0) == written
     if code != 0:
